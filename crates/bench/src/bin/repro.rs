@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--episodes N] [--seed S] [--jobs N] [--wave N] [--run-log PATH|-] [--csv DIR]
+//! repro [--episodes N] [--seed S] [--jobs N] [--run-log PATH|-] [--csv DIR]
 //!       [--metrics-json PATH] [--metrics-prom PATH]
 //!       [--trace PATH] [--trace-sample N]
 //!       [--bench-json PATH] [--bench-baseline PATH] [--bench-guard PCT]
@@ -69,14 +69,6 @@
 //! Chrome `trace_event` file loadable in Perfetto. With `--trace` the
 //! causal per-request serve traces land in the trace JSONL, and with
 //! `--metrics-prom` the per-phase eval histograms join the exposition.
-//!
-//! `--wave N` steps N independent runs of each experiment-grid cell in
-//! lockstep on one worker, sharing every timestep's precomputed
-//! evaluation context and fusing the lanes' candidate evaluations into
-//! wider batches. `--wave 1` (the default) is the per-episode reference
-//! path; all output — tables, telemetry, run logs — is bit-identical at
-//! every width, which CI proves by diffing `--wave 1` against
-//! `--wave 8`.
 
 use hev_bench::ablations;
 use hev_bench::experiments::{self, ExperimentConfig};
@@ -131,10 +123,6 @@ fn main() -> ExitCode {
                 Some(n) => cfg.jobs = n,
                 None => return usage("--jobs needs an integer (0 = all cores)"),
             },
-            "--wave" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cfg.wave = n,
-                _ => return usage("--wave needs a positive integer (1 = per-episode path)"),
-            },
             "--run-log" => match args.next() {
                 Some(path) => run_log = Some(path),
                 None => return usage("--run-log needs a path (or '-' for stderr)"),
@@ -151,9 +139,9 @@ fn main() -> ExitCode {
                 Some(path) => bench_baseline = Some(PathBuf::from(path)),
                 None => return usage("--bench-baseline needs a path"),
             },
-            "--bench-guard" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(pct) if pct >= 0.0 => bench_guard = Some(pct),
-                _ => return usage("--bench-guard needs a non-negative percentage"),
+            "--bench-guard" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(pct) if pct.is_finite() && pct >= 0.0 => bench_guard = Some(pct),
+                _ => return usage("--bench-guard needs a finite non-negative percentage"),
             },
             "--metrics-json" => match args.next() {
                 Some(path) => metrics_json = Some(PathBuf::from(path)),
@@ -412,7 +400,7 @@ fn bench_throughput(
         cfg.episodes
     );
     let (workload, sample) =
-        perf::measure_step_throughput(cfg.episodes, cfg.seed, cfg.scalar_reference, cfg.wave);
+        perf::measure_step_throughput(cfg.episodes, cfg.seed, cfg.scalar_reference);
     let mut report = StepThroughputReport::new(workload, sample);
     if let Some(base_path) = baseline {
         let text = std::fs::read_to_string(base_path).map_err(|e| {
@@ -423,7 +411,10 @@ fn bench_throughput(
             eprintln!("error: cannot parse baseline {}: {e}", base_path.display());
             ExitCode::FAILURE
         })?;
-        report = report.with_baseline(base.current);
+        report = report.with_baseline(&base).map_err(|msg| {
+            eprintln!("error: baseline {}: {msg}", base_path.display());
+            ExitCode::FAILURE
+        })?;
     }
     rule(72);
     println!(
@@ -629,7 +620,7 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: repro [--episodes N] [--seed S] [--jobs N] [--wave N] [--run-log PATH|-] \
+        "usage: repro [--episodes N] [--seed S] [--jobs N] [--run-log PATH|-] \
          [--csv DIR] \
          [--metrics-json PATH] [--metrics-prom PATH] [--trace PATH] [--trace-sample N] \
          [--bench-json PATH] [--bench-baseline PATH] [--bench-guard PCT] \
@@ -641,15 +632,14 @@ fn usage(err: &str) -> ExitCode {
          ablation-alpha ablation-lambda ablation-weight ablation-predictor robustness \
          serve-bench profile all\n\
          --jobs 0 (default) uses all cores; output is bit-identical at every --jobs value.\n\
-         --wave N trains N runs of a grid cell in lockstep on one worker, sharing each\n\
-         timestep's precomputed context; output is bit-identical at every width.\n\
          --run-log writes JSON-lines progress/timing to PATH ('-' = stderr).\n\
          --metrics-json writes per-episode metrics JSONL for fig2/table2/fig3;\n\
          --metrics-prom writes the final snapshot in Prometheus text format;\n\
          --trace writes every --trace-sample'th step as a JSONL trace event (plus\n\
          flight-recorder dumps on degradation); files are byte-identical at every --jobs.\n\
          --bench-json runs the single-threaded step-throughput workload and writes a\n\
-         machine-readable report; --bench-baseline compares against a previous report;\n\
+         machine-readable report; --bench-baseline compares against a previous report\n\
+         of the same workload (cycle, --episodes, --seed);\n\
          --bench-guard fails the run when evals/step regresses more than PCT percent\n\
          or steps/s collapses below a 0.25x floor.\n\
          --scalar-reference forces the scalar inner optimization (no batched kernel);\n\

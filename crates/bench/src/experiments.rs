@@ -5,10 +5,9 @@
 
 use drive_cycle::StandardCycle;
 use hev_control::{
-    simulate, train_portfolio_wave, CyclePlan, DpConfig, EcmsController, EpisodeMetrics,
-    EpisodeTelemetry, Harness, JointController, JointControllerConfig, RewardConfig,
-    RuleBasedController, RunEvent, RunSpec, RunTelemetry, SeedSequence, TelemetryConfig,
-    WaveTrainLane,
+    simulate, CyclePlan, DpConfig, EcmsController, EpisodeMetrics, EpisodeTelemetry, Harness,
+    JointController, JointControllerConfig, RewardConfig, RuleBasedController, RunSpec,
+    RunTelemetry, SeedSequence, TelemetryConfig,
 };
 use hev_model::{HevParams, ParallelHev, FUEL_LHV_J_PER_G};
 use serde::{Deserialize, Serialize};
@@ -50,15 +49,6 @@ pub struct ExperimentConfig {
     /// exists so CI can prove exactly that by diffing the two runs.
     #[serde(default)]
     pub scalar_reference: bool,
-    /// Lockstep wave width (`repro --wave`): how many independent runs
-    /// of one experiment-grid cell step their episodes together on a
-    /// worker, sharing each timestep's precomputed context and fusing
-    /// their candidate evaluations into wider batches. `1` (and `0`)
-    /// mean the per-episode reference path. Results — stdout tables,
-    /// Q-tables, telemetry, run logs — are bit-identical at every
-    /// width.
-    #[serde(default)]
-    pub wave: usize,
 }
 
 impl Default for ExperimentConfig {
@@ -72,7 +62,6 @@ impl Default for ExperimentConfig {
             jitter_variants: 4,
             jobs: 1,
             scalar_reference: false,
-            wave: 1,
         }
     }
 }
@@ -485,7 +474,7 @@ pub fn jitter_portfolio(
 /// evaluation context tabulated once per cycle (`plans[0]` is the
 /// nominal cycle). The plans depend only on the vehicle's static
 /// parameters, never on its battery state, so one set serves a whole
-/// training run — and, cloned, every lane of a wave.
+/// training run.
 pub(crate) fn plan_portfolio(
     hev: &ParallelHev,
     cycle: &drive_cycle::DriveCycle,
@@ -573,19 +562,9 @@ pub fn train_eval_grid(
 ) -> Vec<Vec<Vec<EpisodeMetrics>>> {
     let runs = cfg.runs.max(1);
     let tasks = grid_tasks(group, cycles, variants, cfg);
-    let flat = if cfg.wave <= 1 {
-        cfg.harness().run(group, tasks, |_, seed, (ci, vi)| {
-            train_eval_seeded(variants[vi].1.clone(), &cycles[ci], cfg, seed)
-        })
-    } else {
-        let chunks = chunk_grid_tasks(tasks, runs, cfg.wave);
-        cfg.harness().run_chunked(group, chunks, |_, chunk| {
-            train_eval_chunk(chunk, cycles, variants, cfg, None)
-                .into_iter()
-                .map(|(m, _, events)| (m, events))
-                .collect()
-        })
-    };
+    let flat = cfg.harness().run(group, tasks, |_, seed, (ci, vi)| {
+        train_eval_seeded(variants[vi].1.clone(), &cycles[ci], cfg, seed)
+    });
     nest_grid(flat, cycles.len(), variants.len(), runs)
 }
 
@@ -609,144 +588,25 @@ pub(crate) fn train_eval_grid_telemetry(
     }
     let runs = cfg.runs.max(1);
     let tasks = grid_tasks(group, cycles, variants, cfg);
-    let (metrics, collected): (Vec<_>, Vec<_>) = if cfg.wave <= 1 {
-        let labels: Vec<String> = tasks.iter().map(|t| t.label.clone()).collect();
-        cfg.harness()
-            .run(group, tasks, |i, seed, (ci, vi)| {
-                train_eval_seeded_telemetry(
-                    variants[vi].1.clone(),
-                    &cycles[ci],
-                    cfg,
-                    seed,
-                    &labels[i],
-                    telemetry,
-                )
-            })
-            .into_iter()
-            .unzip()
-    } else {
-        let chunks = chunk_grid_tasks(tasks, runs, cfg.wave);
-        cfg.harness()
-            .run_chunked(group, chunks, |_, chunk| {
-                train_eval_chunk(chunk, cycles, variants, cfg, Some(telemetry))
-                    .into_iter()
-                    .map(|(m, telem, events)| ((m, telem), events))
-                    .collect()
-            })
-            .into_iter()
-            .map(|(m, telem)| {
-                // hevlint::allow(panic::expect, structural: the chunk runner attaches a collector to every lane when telemetry is enabled)
-                (m, telem.expect("telemetry collector"))
-            })
-            .unzip()
-    };
+    let labels: Vec<String> = tasks.iter().map(|t| t.label.clone()).collect();
+    let (metrics, collected): (Vec<_>, Vec<_>) = cfg
+        .harness()
+        .run(group, tasks, |i, seed, (ci, vi)| {
+            train_eval_seeded_telemetry(
+                variants[vi].1.clone(),
+                &cycles[ci],
+                cfg,
+                seed,
+                &labels[i],
+                telemetry,
+            )
+        })
+        .into_iter()
+        .unzip();
     (
         nest_grid(metrics, cycles.len(), variants.len(), runs),
         collected,
     )
-}
-
-/// Splits a grid task list into lockstep chunks of at most `wave`
-/// tasks, never crossing a grid-cell boundary ([`grid_tasks`] emits the
-/// `runs` tasks of a cell consecutively, and a chunk must share one
-/// cycle to train in lockstep).
-fn chunk_grid_tasks<T>(tasks: Vec<RunSpec<T>>, runs: usize, wave: usize) -> Vec<Vec<RunSpec<T>>> {
-    let mut chunks = Vec::new();
-    let mut iter = tasks.into_iter();
-    loop {
-        let cell: Vec<RunSpec<T>> = iter.by_ref().take(runs).collect();
-        if cell.is_empty() {
-            break;
-        }
-        let mut cell = cell.into_iter().peekable();
-        while cell.peek().is_some() {
-            chunks.push(cell.by_ref().take(wave.max(1)).collect());
-        }
-    }
-    chunks
-}
-
-/// Trains one lockstep chunk: every task is a run of the same grid cell
-/// (same cycle, same controller variant, its own seed), stepped as one
-/// wave sharing the nominal cycle's plan. Returns, per task in chunk
-/// order, the greedy evaluation, the collected telemetry (when
-/// enabled), and the buffered run-log events for post-hoc emission.
-fn train_eval_chunk(
-    chunk: Vec<RunSpec<(usize, usize)>>,
-    cycles: &[drive_cycle::DriveCycle],
-    variants: &[(&str, JointControllerConfig)],
-    cfg: &ExperimentConfig,
-    telemetry: Option<TelemetryConfig>,
-) -> Vec<(EpisodeMetrics, Option<RunTelemetry>, Vec<RunEvent>)> {
-    let Some(first) = chunk.first() else {
-        return Vec::new();
-    };
-    let (ci, vi) = first.payload;
-    let cycle = &cycles[ci];
-    // The plans depend only on the static vehicle parameters, so one
-    // reference vehicle builds them for every lane; the nominal plan is
-    // built once and its table shared across the whole chunk.
-    let reference_hev = fresh_hev(cfg.initial_soc);
-    let nominal = CyclePlan::new(&reference_hev, cycle);
-    let mut agents = Vec::with_capacity(chunk.len());
-    let mut hevs = Vec::with_capacity(chunk.len());
-    let mut plans_per: Vec<Vec<CyclePlan>> = Vec::with_capacity(chunk.len());
-    let mut collectors: Vec<Option<EpisodeTelemetry>> = Vec::with_capacity(chunk.len());
-    for spec in &chunk {
-        let mut c = variants[vi].1.clone();
-        c.initial_soc = cfg.initial_soc;
-        c.seed = spec.seed;
-        c.inner.scalar_reference |= cfg.scalar_reference;
-        agents.push(JointController::new(c));
-        hevs.push(fresh_hev(cfg.initial_soc));
-        let mut plans = vec![nominal.clone()];
-        for k in 0..cfg.jitter_variants {
-            plans.push(CyclePlan::new(
-                &reference_hev,
-                &cycle.perturbed(spec.seed.wrapping_add(100 + k as u64), cfg.train_jitter),
-            ));
-        }
-        plans_per.push(plans);
-        collectors.push(telemetry.map(|t| {
-            let mut col = EpisodeTelemetry::new(&spec.label, t);
-            col.buffer_runlog();
-            col
-        }));
-    }
-    let rounds = (cfg.episodes / plans_per[0].len()).max(1);
-    let mut lanes: Vec<WaveTrainLane<'_>> = agents
-        .iter_mut()
-        .zip(hevs.iter_mut())
-        .zip(plans_per.iter().zip(collectors.iter_mut()))
-        .map(|((agent, hev), (plans, col))| WaveTrainLane {
-            agent,
-            hev,
-            plans,
-            telemetry: col.as_mut(),
-        })
-        .collect();
-    train_portfolio_wave(&mut lanes, rounds);
-    drop(lanes);
-    // Greedy evaluation is one episode per lane — run it sequentially,
-    // exactly as the per-run path does after its own training.
-    let mut out = Vec::with_capacity(chunk.len());
-    for j in 0..chunk.len() {
-        let metrics = match collectors[j].as_mut() {
-            Some(col) => {
-                agents[j].evaluate_planned_instrumented(&mut hevs[j], &plans_per[j][0], Some(col))
-            }
-            None => agents[j].evaluate_planned(&mut hevs[j], &plans_per[j][0]),
-        };
-        let (telem, events) = match collectors[j].take() {
-            Some(mut col) => {
-                let events = col.take_runlog_events();
-                (Some(col.into_run()), events)
-            }
-            None => (None, Vec::new()),
-        };
-        out.push((metrics, telem, events));
-    }
-    out
 }
 
 /// The flat task list of a `(cycle × variant × run)` grid, in the fixed
@@ -845,49 +705,12 @@ mod tests {
     }
 
     fn tiny_cycle() -> drive_cycle::DriveCycle {
-        drive_cycle::ProfileBuilder::new("wave-tiny")
+        drive_cycle::ProfileBuilder::new("tiny")
             .idle(2.0)
             .trip(30.0, 8.0, 15.0, 6.0, 3.0)
             .trip(20.0, 6.0, 8.0, 5.0, 3.0)
             .build()
             .expect("valid test cycle")
-    }
-
-    fn grid_metrics(cfg: &ExperimentConfig) -> Vec<Vec<Vec<EpisodeMetrics>>> {
-        let cycles = [tiny_cycle()];
-        let variants = [("p", JointControllerConfig::proposed())];
-        train_eval_grid("wave-test", &cycles, &variants, cfg)
-    }
-
-    #[test]
-    fn wave_grid_is_bit_identical_to_sequential_grid() {
-        let base = ExperimentConfig {
-            episodes: 6,
-            runs: 3,
-            jitter_variants: 1,
-            ..ExperimentConfig::default()
-        };
-        let reference = grid_metrics(&base);
-        for wave in [2, 3, 8] {
-            let waved = grid_metrics(&ExperimentConfig { wave, ..base });
-            for (cell_a, cell_b) in reference[0][0].iter().zip(&waved[0][0]) {
-                assert_eq!(
-                    cell_a.fuel_g.to_bits(),
-                    cell_b.fuel_g.to_bits(),
-                    "wave={wave}"
-                );
-                assert_eq!(
-                    cell_a.total_reward.to_bits(),
-                    cell_b.total_reward.to_bits(),
-                    "wave={wave}"
-                );
-                assert_eq!(
-                    cell_a.soc_final.to_bits(),
-                    cell_b.soc_final.to_bits(),
-                    "wave={wave}"
-                );
-            }
-        }
     }
 
     #[test]

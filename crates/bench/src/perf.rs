@@ -17,26 +17,11 @@
 
 use crate::experiments::fresh_hev;
 use drive_cycle::StandardCycle;
-use hev_control::{
-    split_seed, train_portfolio_wave, CyclePlan, JointController, JointControllerConfig,
-    WaveTrainLane,
-};
+use hev_control::{CyclePlan, JointController, JointControllerConfig};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Version stamp for the JSON schema; bump on breaking layout changes.
-///
-/// * **v1** — wall-clock, steps, steps/s, evals, evals/step.
-/// * **v2** — adds the batched-kernel lane accounting
-///   ([`ThroughputSample::batch_lane_evals`],
-///   [`ThroughputSample::batch_calls`],
-///   [`ThroughputSample::batch_width`]). v1 reports parse with the new
-///   fields defaulting to zero, so committed v1 baselines keep working.
-/// * **v3** — adds the amortization accounting
-///   ([`ThroughputSample::ctx_rebuilds`], defaulting to zero) and the
-///   lockstep wave width ([`Workload::wave_width`], defaulting to one).
-///   v1/v2 reports keep parsing; their zero/one defaults describe the
-///   per-episode, rebuild-per-step workloads those versions measured.
 pub(crate) const SCHEMA_VERSION: u32 = 3;
 
 /// What was run to produce a [`ThroughputSample`].
@@ -48,12 +33,6 @@ pub struct Workload {
     pub train_episodes: usize,
     /// RNG seed for the controller.
     pub seed: u64,
-    /// Lockstep wave width: how many independent controllers trained
-    /// together sharing the precomputed cycle plan. Zero (the serde
-    /// default a pre-v3 report deserializes to) and one both denote the
-    /// single-controller workload.
-    #[serde(default)]
-    pub wave_width: usize,
 }
 
 /// One timed run of the workload.
@@ -70,22 +49,17 @@ pub struct ThroughputSample {
     /// `evals / steps` — the quantity the staged pipeline amortizes.
     pub evals_per_step: f64,
     /// Evaluations that went through the batched candidate kernel (one
-    /// per batch *lane*, a subset of `evals`). Zero in v1 reports and on
-    /// the scalar reference path.
-    #[serde(default)]
+    /// per batch *lane*, a subset of `evals`). Zero on the scalar
+    /// reference path.
     pub batch_lane_evals: u64,
-    /// Batched-kernel invocations. Zero in v1 reports.
-    #[serde(default)]
+    /// Batched-kernel invocations.
     pub batch_calls: u64,
     /// `batch_lane_evals / batch_calls` — the mean batch width. Zero
-    /// when no batch call was made (v1 reports, scalar reference path).
-    #[serde(default)]
+    /// when no batch call was made (scalar reference path).
     pub batch_width: f64,
     /// Evaluation-context rebuilds during the workload. The cycle-level
     /// context table collapses this to one per (cycle, vehicle-config)
-    /// pair; the pre-v3 workloads rebuilt once per simulated step. Zero
-    /// in v1/v2 reports (not recorded).
-    #[serde(default)]
+    /// pair.
     pub ctx_rebuilds: u64,
 }
 
@@ -117,15 +91,33 @@ impl StepThroughputReport {
         }
     }
 
-    /// Attaches a baseline sample and computes the throughput ratio.
-    pub fn with_baseline(mut self, baseline: ThroughputSample) -> Self {
+    /// Attaches the `current` sample of an earlier report as the
+    /// baseline and computes the throughput ratio.
+    ///
+    /// Returns `Err` when `base` measured a different workload (cycle,
+    /// training episodes or seed): its samples are not comparable, and
+    /// a heavier baseline would hide a real regression from the guards.
+    pub fn with_baseline(mut self, base: &StepThroughputReport) -> Result<Self, String> {
+        if base.workload != self.workload {
+            return Err(format!(
+                "measured a different workload ({} cycle, {} train episodes, seed {}) \
+                 than this run ({} cycle, {} train episodes, seed {})",
+                base.workload.cycle,
+                base.workload.train_episodes,
+                base.workload.seed,
+                self.workload.cycle,
+                self.workload.train_episodes,
+                self.workload.seed
+            ));
+        }
+        let baseline = base.current;
         self.speedup = if baseline.steps_per_sec > 0.0 {
             Some(self.current.steps_per_sec / baseline.steps_per_sec)
         } else {
             None
         };
         self.baseline = Some(baseline);
-        self
+        Ok(self)
     }
 
     /// Enforces the telemetry-overhead guard against the attached
@@ -140,9 +132,16 @@ impl StepThroughputReport {
     ///
     /// Returns `Err` with a human-readable explanation when
     /// `current.evals_per_step` exceeds the baseline by more than
-    /// `max_regression_pct` percent. A missing baseline passes (nothing
-    /// to compare against).
+    /// `max_regression_pct` percent, or when `max_regression_pct` is not
+    /// a finite non-negative number (an infinite bound would switch the
+    /// guard off). A missing baseline passes (nothing to compare
+    /// against).
     pub fn guard_evals(&self, max_regression_pct: f64) -> Result<(), String> {
+        if !(max_regression_pct.is_finite() && max_regression_pct >= 0.0) {
+            return Err(format!(
+                "evals/step bound must be a finite non-negative percentage, got {max_regression_pct}"
+            ));
+        }
         let Some(baseline) = &self.baseline else {
             return Ok(());
         };
@@ -200,58 +199,26 @@ impl StepThroughputReport {
 /// `scalar_reference` forces the scalar reference implementation of the
 /// inner optimization (no batched kernel), which measures the pre-batch
 /// code path — the denominator of the batching speedup.
-///
-/// `wave` (≥ 1) trains that many independent controllers in lockstep on
-/// the shared cycle plan, fusing their per-step candidate evaluations
-/// into one wide batch; `steps` then counts every lane's steps, so
-/// `steps_per_sec` measures the wave's aggregate throughput on the one
-/// measuring thread. Lane 0 keeps the caller's seed (the one-lane
-/// workload is the same measurement as before); extra lanes split their
-/// own streams from it.
 pub fn measure_step_throughput(
     train_episodes: usize,
     seed: u64,
     scalar_reference: bool,
-    wave: usize,
 ) -> (Workload, ThroughputSample) {
-    let wave = wave.max(1);
     let cycle = StandardCycle::Udds.cycle();
-    let mut agents = Vec::with_capacity(wave);
-    let mut hevs = Vec::with_capacity(wave);
-    for lane in 0..wave {
-        let mut cfg = JointControllerConfig::proposed();
-        cfg.seed = if lane == 0 {
-            seed
-        } else {
-            split_seed(seed, lane as u64)
-        };
-        cfg.inner.scalar_reference = scalar_reference;
-        agents.push(JointController::new(cfg));
-        hevs.push(fresh_hev(0.6));
-    }
+    let mut cfg = JointControllerConfig::proposed();
+    cfg.seed = seed;
+    cfg.inner.scalar_reference = scalar_reference;
+    let mut agent = JointController::new(cfg);
+    let mut hev = fresh_hev(0.6);
 
     hev_trace::evals::reset();
     let t0 = Instant::now();
     // The plan build is inside the timed region: it is exactly the cost
-    // the table amortizes across every lane and episode.
-    let plans = vec![CyclePlan::new(&hevs[0], &cycle)];
-    let mut lanes: Vec<WaveTrainLane<'_>> = agents
-        .iter_mut()
-        .zip(hevs.iter_mut())
-        .map(|(agent, hev)| WaveTrainLane {
-            agent,
-            hev,
-            plans: &plans,
-            telemetry: None,
-        })
-        .collect();
-    train_portfolio_wave(&mut lanes, train_episodes);
-    drop(lanes);
-    let mut steps = 0u64;
-    for (agent, hev) in agents.iter_mut().zip(hevs.iter_mut()) {
-        let metrics = agent.evaluate_planned(hev, &plans[0]);
-        steps += metrics.steps as u64 * (train_episodes as u64 + 1);
-    }
+    // the table amortizes across every episode.
+    let plans = [CyclePlan::new(&hev, &cycle)];
+    agent.train_portfolio_planned(&mut hev, &plans, train_episodes);
+    let metrics = agent.evaluate_planned(&mut hev, &plans[0]);
+    let steps = metrics.steps as u64 * (train_episodes as u64 + 1);
     let wall_s = t0.elapsed().as_secs_f64();
     let evals = hev_trace::evals::count();
     let batch_lane_evals = hev_trace::evals::batch_lanes();
@@ -262,7 +229,6 @@ pub fn measure_step_throughput(
         cycle: "UDDS".to_string(),
         train_episodes,
         seed,
-        wave_width: wave,
     };
     let sample = ThroughputSample {
         wall_s,
@@ -310,10 +276,9 @@ mod tests {
 
     #[test]
     fn measurement_produces_consistent_sample() {
-        let (workload, sample) = measure_step_throughput(1, 42, false, 1);
+        let (workload, sample) = measure_step_throughput(1, 42, false);
         assert_eq!(workload.cycle, "UDDS");
         assert_eq!(workload.train_episodes, 1);
-        assert_eq!(workload.wave_width, 1);
         assert!(sample.steps > 0);
         assert!(sample.wall_s > 0.0);
         assert!(sample.steps_per_sec > 0.0);
@@ -333,7 +298,7 @@ mod tests {
 
     #[test]
     fn scalar_reference_measurement_bypasses_the_batched_kernel() {
-        let (_, sample) = measure_step_throughput(0, 42, true, 1);
+        let (_, sample) = measure_step_throughput(0, 42, true);
         assert!(sample.evals > 0);
         assert_eq!(sample.batch_lane_evals, 0);
         assert_eq!(sample.batch_calls, 0);
@@ -342,7 +307,7 @@ mod tests {
 
     #[test]
     fn context_table_collapses_rebuilds_to_one_per_cycle() {
-        let (_, sample) = measure_step_throughput(1, 42, false, 1);
+        let (_, sample) = measure_step_throughput(1, 42, false);
         // One UDDS cycle, one vehicle config: the whole workload (train
         // + evaluate) must rebuild its context exactly once — the plan
         // build. Anything above one means a per-step rebuild leaked back
@@ -354,49 +319,11 @@ mod tests {
     }
 
     #[test]
-    fn wave_measurement_fuses_lanes_and_shares_the_plan() {
-        let (w1, s1) = measure_step_throughput(1, 42, false, 1);
-        let (w4, s4) = measure_step_throughput(1, 42, false, 4);
-        assert_eq!(w4.wave_width, 4);
-        // Four lanes simulate four times the steps off one shared plan
-        // build, and fusing widens the mean batch without changing the
-        // per-lane work (lane 0 repeats the one-lane workload exactly).
-        assert_eq!(s4.steps, 4 * s1.steps);
-        assert_eq!(s4.ctx_rebuilds, 1);
-        assert!(
-            s4.batch_width > s1.batch_width,
-            "fused waves must widen the mean batch: {} vs {}",
-            s4.batch_width,
-            s1.batch_width
-        );
-        assert_eq!(w1.cycle, w4.cycle);
-    }
-
-    /// Lockstep fusion rearranges evaluations into wider batches but must
-    /// never change how many there are: the wave's total equals the sum of
-    /// the same lanes measured one at a time.
-    #[test]
-    fn wave_evals_equal_the_sum_of_sequential_lane_evals() {
-        let (_, wave) = measure_step_throughput(1, 42, false, 3);
-        let mut sequential = 0u64;
-        for lane in 0..3u64 {
-            let lane_seed = if lane == 0 { 42 } else { split_seed(42, lane) };
-            let (_, s) = measure_step_throughput(1, lane_seed, false, 1);
-            sequential += s.evals;
-        }
-        assert_eq!(
-            wave.evals, sequential,
-            "fused waves must do exactly the sequential lanes' work"
-        );
-    }
-
-    #[test]
     fn report_round_trips_through_json() {
         let workload = Workload {
             cycle: "UDDS".to_string(),
             train_episodes: 4,
             seed: 42,
-            wave_width: 8,
         };
         let current = ThroughputSample {
             wall_s: 0.5,
@@ -420,7 +347,9 @@ mod tests {
             batch_width: 0.0,
             ctx_rebuilds: 0,
         };
-        let report = StepThroughputReport::new(workload, current).with_baseline(baseline);
+        let report = StepThroughputReport::new(workload.clone(), current)
+            .with_baseline(&StepThroughputReport::new(workload, baseline))
+            .unwrap();
         let text = serde_json::to_string(&report).unwrap();
         let back: StepThroughputReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back, report);
@@ -428,105 +357,83 @@ mod tests {
         assert!((speedup - 13700.0 / 9133.3).abs() < 1e-9);
     }
 
-    /// Golden test for the v1 reader: a committed schema-v1 report (no
-    /// batch fields) must keep parsing, with the v2 lane-accounting
-    /// fields defaulting to zero and every v1 field preserved.
+    /// The committed baseline is a schema-v3 report; it must keep
+    /// parsing, including a workload key this reader no longer has.
     #[test]
-    fn v1_report_parses_with_zero_batch_fields() {
-        let v1 = r#"{"schema_version": 1,
-            "workload": {"cycle": "UDDS", "train_episodes": 4, "seed": 42},
-            "current": {"wall_s": 0.027252976, "steps": 6845,
-                        "steps_per_sec": 251165.2305421617,
-                        "evals": 987817, "evals_per_step": 144.31219868517167},
-            "baseline": {"wall_s": 0.041881, "steps": 6845,
-                         "steps_per_sec": 163439.26840333323,
-                         "evals": 1062241, "evals_per_step": 155.18495252008765},
-            "speedup": 1.5367496012178634}"#;
-        let report: StepThroughputReport = serde_json::from_str(v1).expect("v1 reports parse");
-        assert_eq!(report.schema_version, 1);
-        assert_eq!(report.current.steps, 6845);
-        assert_eq!(report.current.evals, 987_817);
-        assert!((report.current.evals_per_step - 144.31219868517167).abs() < 1e-12);
-        assert_eq!(report.current.batch_lane_evals, 0);
-        assert_eq!(report.current.batch_calls, 0);
-        assert_eq!(report.current.batch_width, 0.0);
-        assert_eq!(report.current.ctx_rebuilds, 0);
-        assert_eq!(report.workload.wave_width, 0, "pre-v3 default: single lane");
-        let baseline = report.baseline.expect("baseline survives");
-        assert_eq!(baseline.evals, 1_062_241);
-        assert_eq!(baseline.batch_lane_evals, 0);
-        // The v1 report still guards: both bounds work against it.
-        assert!(report.guard_evals(10.0).is_ok());
-        assert!(report.guard_steps_per_sec(0.25).is_ok());
+    fn committed_baseline_parses() {
+        let text = include_str!("../../../BENCH_step_throughput.json");
+        let report: StepThroughputReport = serde_json::from_str(text).expect("baseline parses");
+        assert_eq!(report.schema_version, SCHEMA_VERSION);
+        assert_eq!(report.workload, workload(4));
+        assert_eq!(report.current.ctx_rebuilds, 1);
     }
 
-    /// Golden test for the v2 reader: a committed schema-v2 report (lane
-    /// accounting but no amortization fields) must keep parsing, with
-    /// `ctx_rebuilds` and `wave_width` defaulting to zero (zero width
-    /// denotes a pre-v3 single-lane workload), and every v2 field
-    /// preserved.
+    fn workload(train_episodes: usize) -> Workload {
+        Workload {
+            cycle: "UDDS".to_string(),
+            train_episodes,
+            seed: 42,
+        }
+    }
+
+    fn compared(current: ThroughputSample, baseline: ThroughputSample) -> StepThroughputReport {
+        StepThroughputReport::new(workload(4), current)
+            .with_baseline(&StepThroughputReport::new(workload(4), baseline))
+            .expect("same workload")
+    }
+
     #[test]
-    fn v2_report_parses_with_defaulted_amortization_fields() {
-        let v2 = r#"{"schema_version": 2,
-            "workload": {"cycle": "UDDS", "train_episodes": 4, "seed": 42},
-            "current": {"wall_s": 0.026186898, "steps": 6845,
-                        "steps_per_sec": 261390.2639946443,
-                        "evals": 751209, "evals_per_step": 109.74565376187,
-                        "batch_lane_evals": 696841, "batch_calls": 49636,
-                        "batch_width": 14.039043033282295},
-            "baseline": null, "speedup": null}"#;
-        let report: StepThroughputReport = serde_json::from_str(v2).expect("v2 reports parse");
-        assert_eq!(report.schema_version, 2);
-        assert_eq!(report.current.steps, 6845);
-        assert_eq!(report.current.batch_lane_evals, 696_841);
-        assert_eq!(report.current.batch_calls, 49_636);
-        assert_eq!(report.current.ctx_rebuilds, 0, "v3 field defaults to zero");
-        assert_eq!(report.workload.wave_width, 0, "pre-v3 default: single lane");
-        assert!(report.guard_evals(10.0).is_ok());
-        assert!(report.guard_steps_per_sec(0.25).is_ok());
+    fn baseline_from_a_different_workload_is_rejected() {
+        let current = StepThroughputReport::new(workload(1), sample(100.0));
+        let heavier = StepThroughputReport::new(workload(4), sample(90.0));
+        let err = current.clone().with_baseline(&heavier).unwrap_err();
+        assert!(
+            err.contains("different workload"),
+            "message explains: {err}"
+        );
+        let reseeded = StepThroughputReport::new(
+            Workload {
+                seed: 7,
+                ..workload(1)
+            },
+            sample(100.0),
+        );
+        assert!(current.with_baseline(&reseeded).is_err());
     }
 
     #[test]
     fn guard_passes_within_budget_and_fails_beyond() {
-        let workload = Workload {
-            cycle: "UDDS".to_string(),
-            train_episodes: 4,
-            seed: 42,
-            wave_width: 1,
-        };
-        let report =
-            StepThroughputReport::new(workload.clone(), sample(101.0)).with_baseline(sample(100.0));
+        let report = compared(sample(101.0), sample(100.0));
         assert!(report.guard_evals(2.0).is_ok(), "1% regression within 2%");
-        let report =
-            StepThroughputReport::new(workload.clone(), sample(103.0)).with_baseline(sample(100.0));
+        let report = compared(sample(103.0), sample(100.0));
         let err = report.guard_evals(2.0).unwrap_err();
         assert!(err.contains("regressed"), "message explains: {err}");
-        let report = StepThroughputReport::new(workload, sample(103.0));
+        let report = StepThroughputReport::new(workload(4), sample(103.0));
         assert!(report.guard_evals(2.0).is_ok(), "no baseline passes");
     }
 
     #[test]
+    fn guard_rejects_a_non_finite_bound() {
+        let report = compared(sample(100.0), sample(100.0));
+        assert!(report.guard_evals(f64::INFINITY).is_err());
+        assert!(report.guard_evals(f64::NAN).is_err());
+        assert!(report.guard_evals(-1.0).is_err());
+    }
+
+    #[test]
     fn steps_guard_trips_only_on_catastrophic_slowdown() {
-        let workload = Workload {
-            cycle: "UDDS".to_string(),
-            train_episodes: 4,
-            seed: 42,
-            wave_width: 1,
-        };
         let mk = |steps_per_sec: f64| ThroughputSample {
             steps_per_sec,
             ..sample(100.0)
         };
         // Half-speed is CI-runner noise territory: within a 0.25 floor.
-        let report =
-            StepThroughputReport::new(workload.clone(), mk(500.0)).with_baseline(mk(1000.0));
+        let report = compared(mk(500.0), mk(1000.0));
         assert!(report.guard_steps_per_sec(0.25).is_ok());
         // A 10x collapse is a real regression.
-        let report =
-            StepThroughputReport::new(workload.clone(), mk(100.0)).with_baseline(mk(1000.0));
+        let report = compared(mk(100.0), mk(1000.0));
         let err = report.guard_steps_per_sec(0.25).unwrap_err();
         assert!(err.contains("collapsed"), "message explains: {err}");
-        let report = StepThroughputReport::new(workload, mk(100.0));
+        let report = StepThroughputReport::new(workload(4), mk(100.0));
         assert!(
             report.guard_steps_per_sec(0.25).is_ok(),
             "no baseline passes"

@@ -9,9 +9,7 @@
 //! model-free* exactly as §4.3.2 describes.
 
 use crate::action::ActionSpace;
-use crate::inner_opt::{
-    fill_mask_wave, InnerOptimizer, ResolveScratch, ResolvedAction, WaveMaskLane,
-};
+use crate::inner_opt::{InnerOptimizer, ResolveScratch, ResolvedAction};
 use crate::metrics::EpisodeMetrics;
 use crate::plan::CyclePlan;
 use crate::reward::RewardConfig;
@@ -21,7 +19,6 @@ use crate::sim::{
 };
 use crate::state::{StateSample, StateSpace, StateSpaceConfig};
 use crate::telemetry::{DecisionInfo, EpisodeTelemetry, PolicyTelemetry};
-use crate::wave::WaveStep;
 use drive_cycle::DriveCycle;
 use hev_model::{CandidateBatch, ControlInput, CurrentContextCache, ParallelHev, StepOutcome};
 use hev_predict::{Ewma, Predictor};
@@ -227,11 +224,6 @@ struct StepScratch {
     /// `batch`/`full_lane` hold this step's per-action outcomes and the
     /// myopic argmax reads them instead of re-peeking.
     mask_batch_stamp: u64,
-    /// Set by the lockstep wave's fused prefill: the next `decide` call
-    /// finds its scratch already reset and its mask already filled (with
-    /// evaluations fused across wave lanes) and must not redo either.
-    /// Consumed (cleared) by that `decide`.
-    prefilled: bool,
 }
 
 impl StepScratch {
@@ -746,10 +738,7 @@ impl<P: Predictor> HevPolicy for JointController<P> {
         if self.record_stats {
             self.last_decision = None;
         }
-        // A wave prefill already reset the scratch and filled the mask
-        // (bit-identically — same evaluations, fused across lanes);
-        // everything after this point is per-lane work either way.
-        if !std::mem::take(&mut self.scratch.prefilled) {
+        {
             let _span = hev_trace::span::enter("control.mask");
             self.scratch.reset(self.config.action.len());
             self.fill_action_mask(hev, obs);
@@ -869,79 +858,6 @@ impl<P: Predictor> HevPolicy for JointController<P> {
             td: self.td_stats.clone(),
             q: QStats::from_table(self.learner.q()),
         })
-    }
-}
-
-impl<P: Predictor> WaveStep for JointController<P> {
-    /// Fused per-step prefill: resets every lane's scratch, then fills
-    /// the reduced-space feasibility masks with candidate evaluations
-    /// fused across lanes into `shared` (one gear-major wave per gear
-    /// index). Lanes that can't fuse — scalar reference mode, full
-    /// action space, more than 64 grid currents, or a step length that
-    /// differs from the wave's — fill their own mask exactly as a
-    /// sequential `decide` would. Either way, each lane's mask, memo
-    /// epoch, and caches end up bit-identical to the sequential path,
-    /// and the following `decide` skips straight to action selection.
-    fn prefill_wave(
-        policies: &mut [&mut Self],
-        hevs: &[&ParallelHev],
-        obses: &[Observation<'_>],
-        shared: &mut CandidateBatch,
-        counts: &mut [hev_trace::evals::Counts],
-    ) {
-        let n = policies.len();
-        let mut eligible = vec![false; n];
-        let mut fused_dt: Option<f64> = None;
-        for (i, p) in policies.iter_mut().enumerate() {
-            let p = &mut **p;
-            let before = hev_trace::evals::counts();
-            p.scratch.reset(p.config.action.len());
-            let dt = p.config.reward.dt_s;
-            let mut ok = !p.config.inner.scalar_reference
-                && matches!(&p.config.action, ActionSpace::Reduced { currents } if currents.len() <= 64);
-            if ok {
-                match fused_dt {
-                    None => fused_dt = Some(dt),
-                    Some(d) if d.to_bits() == dt.to_bits() => {}
-                    Some(_) => ok = false,
-                }
-            }
-            if !ok {
-                p.fill_action_mask(hevs[i], &obses[i]);
-            }
-            eligible[i] = ok;
-            p.scratch.prefilled = true;
-            counts[i].add(&hev_trace::evals::counts().since(&before));
-        }
-        let Some(dt) = fused_dt else {
-            return;
-        };
-        let mut lanes: Vec<WaveMaskLane<'_>> = Vec::with_capacity(n);
-        let mut fused_idx: Vec<usize> = Vec::with_capacity(n);
-        for (i, p) in policies.iter_mut().enumerate() {
-            if !eligible[i] {
-                continue;
-            }
-            let p = &mut **p;
-            let ActionSpace::Reduced { currents } = &p.config.action else {
-                continue;
-            };
-            lanes.push(WaveMaskLane {
-                inner: p.config.inner,
-                hev: hevs[i],
-                ctx: obses[i].ctx,
-                currents,
-                scratch: &mut p.scratch.resolve,
-                mask: p.scratch.mask.as_mut_slice(),
-            });
-            fused_idx.push(i);
-        }
-        let mut lane_counts = vec![hev_trace::evals::Counts::default(); lanes.len()];
-        fill_mask_wave(&mut lanes, dt, shared, &mut lane_counts);
-        drop(lanes);
-        for (k, &i) in fused_idx.iter().enumerate() {
-            counts[i].add(&lane_counts[k]);
-        }
     }
 }
 

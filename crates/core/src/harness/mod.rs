@@ -260,101 +260,6 @@ impl Harness {
         results
     }
 
-    /// Runs a batch of task *chunks*, returning the flattened results in
-    /// task order.
-    ///
-    /// A chunk is a group of tasks executed together on one worker — the
-    /// unit of lockstep wave training, where one worker steps a whole
-    /// wave of episodes sharing a precomputed cycle plan. `f` receives
-    /// `(base index, chunk)` where `base` is the task index of the
-    /// chunk's first task, and returns one `(result, buffered run-log
-    /// events)` pair per task in chunk order.
-    ///
-    /// The run log stays **per task**, not per chunk: `batch_start`
-    /// carries the total *task* count (byte-identical to the header
-    /// [`Harness::run`] would write for the flattened batch), and after
-    /// all chunks complete the harness emits, for every task in task
-    /// order, its `run_start`, the buffered events `f` returned for it,
-    /// and its `run_end`. Because nothing is emitted from the workers,
-    /// the log is deterministic at **every** worker count — modulo
-    /// `elapsed_s`, which on `run_end` is the wall time of the task's
-    /// whole chunk (chunked tasks share a clock).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` returns a different number of results than the
-    /// chunk has tasks.
-    pub fn run_chunked<T, R, F>(&self, group: &str, chunks: Vec<Vec<RunSpec<T>>>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, Vec<RunSpec<T>>) -> Vec<(R, Vec<RunEvent>)> + Sync,
-    {
-        let total: usize = chunks.iter().map(Vec::len).sum();
-        let batch_t0 = Instant::now();
-        runlog::emit(
-            &RunEvent::new("batch_start", group)
-                .total(total)
-                .jobs(self.jobs.min(total.max(1))),
-        );
-        // Labels and seeds survive on this side of `f` so the post-hoc
-        // emission below doesn't depend on what `f` does with the specs.
-        let mut base = 0usize;
-        let mut inputs = Vec::with_capacity(chunks.len());
-        let mut metas: Vec<Vec<(String, u64)>> = Vec::with_capacity(chunks.len());
-        for chunk in chunks {
-            metas.push(chunk.iter().map(|s| (s.label.clone(), s.seed)).collect());
-            let b = base;
-            base += chunk.len();
-            inputs.push((b, chunk));
-        }
-        let outputs = run_indexed(
-            self.jobs,
-            inputs,
-            |_ci, (b, chunk): (usize, Vec<RunSpec<T>>)| {
-                let n = chunk.len();
-                let t0 = Instant::now();
-                let out = f(b, chunk);
-                assert_eq!(
-                    out.len(),
-                    n,
-                    "chunk callback must return one result per task"
-                );
-                (out, t0.elapsed().as_secs_f64())
-            },
-        );
-        let mut results = Vec::with_capacity(total);
-        let mut i = 0usize;
-        for (meta, (out, chunk_elapsed)) in metas.into_iter().zip(outputs) {
-            for ((label, seed), (result, events)) in meta.into_iter().zip(out) {
-                runlog::emit(
-                    &RunEvent::new("run_start", &label)
-                        .index(i)
-                        .total(total)
-                        .seed(seed),
-                );
-                for event in &events {
-                    runlog::emit(event);
-                }
-                let mut end = RunEvent::new("run_end", &label)
-                    .index(i)
-                    .total(total)
-                    .seed(seed);
-                end.elapsed_s = Some(chunk_elapsed);
-                runlog::emit(&end);
-                results.push(result);
-                i += 1;
-            }
-        }
-        runlog::emit(
-            &RunEvent::new("batch_end", group)
-                .total(total)
-                .jobs(self.jobs.min(total.max(1)))
-                .elapsed(batch_t0),
-        );
-        results
-    }
-
     /// Runs `n` seed-split tasks: task `k` gets seed
     /// `split_seed(master_seed, k)` and label `<group>/run<k>`.
     pub fn run_seeded<R, F>(&self, group: &str, master_seed: u64, n: usize, f: F) -> Vec<R>
@@ -467,25 +372,6 @@ mod tests {
             .map(|o| o.ok().unwrap())
             .collect();
         assert_eq!(plain, caught);
-    }
-
-    #[test]
-    fn run_chunked_flattens_in_task_order_and_matches_run() {
-        let work = |i: usize, seed: u64, payload: u64| (i as u64) ^ seed ^ payload;
-        let plain = Harness::new(4).run("t", specs(6), work);
-        let all = specs(6);
-        let chunks: Vec<Vec<RunSpec<u64>>> =
-            vec![all[0..2].to_vec(), all[2..5].to_vec(), all[5..6].to_vec()];
-        for jobs in [1, 2, 8] {
-            let chunked = Harness::new(jobs).run_chunked("t", chunks.clone(), |base, chunk| {
-                chunk
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, s)| (work(base + j, s.seed, s.payload), Vec::new()))
-                    .collect()
-            });
-            assert_eq!(chunked, plain, "jobs={jobs}");
-        }
     }
 
     #[test]

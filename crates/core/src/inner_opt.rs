@@ -637,177 +637,6 @@ impl ResolveScratch {
     }
 }
 
-/// One lane of a fused cross-episode mask wave: the lane's optimizer,
-/// vehicle, step context, current grid, and per-lane scratch/mask. Only
-/// the candidate-batch *storage* is shared across lanes; every context,
-/// cache, and verdict stays per-lane.
-pub(crate) struct WaveMaskLane<'a> {
-    pub(crate) inner: InnerOptimizer,
-    pub(crate) hev: &'a ParallelHev,
-    pub(crate) ctx: &'a StepContext,
-    pub(crate) currents: &'a [f64],
-    pub(crate) scratch: &'a mut ResolveScratch,
-    pub(crate) mask: &'a mut [bool],
-}
-
-/// Evaluates the wave accumulated in `shared`: one `record_batch` for
-/// the fused width, then each lane's contiguous slice against that
-/// lane's own context and cache. Per-lane eval shares (slice length)
-/// and cache hits/misses are attributed into `counts`; the fused call
-/// count itself is left unattributed (lanes share one kernel call by
-/// design — the whole point of fusing).
-fn evaluate_wave(
-    lanes: &mut [WaveMaskLane<'_>],
-    shared: &mut CandidateBatch,
-    slices: &[(usize, std::ops::Range<usize>)],
-    counts: &mut [hev_trace::evals::Counts],
-) {
-    if shared.is_empty() {
-        return;
-    }
-    shared.reset_scores();
-    hev_trace::evals::record_batch(shared.len() as u64);
-    for &(i, ref range) in slices {
-        let lane = &mut lanes[i];
-        let before = hev_trace::evals::counts();
-        lane.hev.evaluate_scored_range(
-            lane.ctx,
-            shared,
-            range.clone(),
-            &mut lane.scratch.ctx_cache,
-            |_| 0.0,
-        );
-        // The range evaluation itself records nothing (the fused
-        // `record_batch` above covered it); credit this lane its slice.
-        let mut delta = hev_trace::evals::counts().since(&before);
-        delta.evals = (range.end - range.start) as u64;
-        delta.batch_lanes = delta.evals;
-        counts[i].add(&delta);
-    }
-}
-
-/// [`InnerOptimizer::fill_mask_batched`] across many lockstep episode
-/// lanes at once: every lane's gear-`g` wave lands in one shared
-/// [`CandidateBatch`], so the fused kernel width scales with the wave
-/// width. Verdicts, per-lane evaluation counts, and cache hit/miss
-/// tallies are bit-identical to running the sequential kernel per lane
-/// — each lane contributes exactly the candidates its sequential waves
-/// would, evaluated against its own context and cache in its own grid
-/// order (only kernel *calls* fuse; see `evaluate_wave`).
-///
-/// Callers must pre-filter lanes to the fusable configuration (reduced
-/// action space, `scalar_reference` off, at most 64 grid currents,
-/// one common `dt`); `JointController::prefill_wave` does.
-pub(crate) fn fill_mask_wave(
-    lanes: &mut [WaveMaskLane<'_>],
-    dt: f64,
-    shared: &mut CandidateBatch,
-    counts: &mut [hev_trace::evals::Counts],
-) {
-    let n = lanes.len();
-    debug_assert_eq!(n, counts.len());
-    let mut undecided = vec![0u64; n];
-    let mut stopped = vec![false; n];
-    let mut aux = vec![0.0f64; n];
-    // Per-lane entry, exactly as the sequential kernel's: clear the
-    // cache, resolve the aux setpoint, and run the pack-limit precheck
-    // that seeds the cache and the undecided set.
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        debug_assert_eq!(lane.currents.len(), lane.mask.len());
-        debug_assert!(!lane.inner.scalar_reference && lane.currents.len() <= 64);
-        let before = hev_trace::evals::counts();
-        lane.scratch.ctx_cache.clear();
-        aux[i] = lane
-            .inner
-            .fixed_aux_w
-            .unwrap_or_else(|| lane.hev.aux().preferred_power());
-        stopped[i] = lane.ctx.is_stopped();
-        if !stopped[i] {
-            for (idx, &cur) in lane.currents.iter().enumerate() {
-                lane.mask[idx] = false;
-                if lane
-                    .scratch
-                    .ctx_cache
-                    .get_or_insert(lane.hev, cur, dt)
-                    .is_feasible()
-                {
-                    undecided[i] |= 1 << idx;
-                }
-            }
-        }
-        counts[i].add(&hev_trace::evals::counts().since(&before));
-    }
-    // Wave 0: stopped lanes (one verdict decides a lane's whole grid).
-    shared.begin(dt);
-    let mut slices: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        if !stopped[i] {
-            continue;
-        }
-        let num_gears = lane.hev.drivetrain().num_gears();
-        match (0..num_gears).find(|&g| lane.ctx.gear_is_viable(g)) {
-            Some(gear) => {
-                let start = shared.len();
-                shared.push_tagged(
-                    lane.currents.first().copied().unwrap_or(0.0),
-                    gear,
-                    aux[i],
-                    0,
-                );
-                slices.push((i, start..shared.len()));
-            }
-            None => lane.mask.fill(false),
-        }
-    }
-    evaluate_wave(lanes, shared, &slices, counts);
-    for &(i, ref range) in &slices {
-        let verdict = shared.is_feasible(range.start);
-        lanes[i].mask.fill(verdict);
-    }
-    // Gear-major waves for the moving lanes: gear `g` of every lane
-    // fuses into one batch; a feasible lane retires its current, so a
-    // current feasible first in gear `g` costs `g + 1` evaluations —
-    // the sequential kernel's count, lane by lane.
-    let max_gears = lanes
-        .iter()
-        .map(|l| l.hev.drivetrain().num_gears())
-        .max()
-        .unwrap_or(0);
-    for gear in 0..max_gears {
-        if undecided.iter().all(|&u| u == 0) {
-            break;
-        }
-        shared.begin(dt);
-        slices.clear();
-        for (i, lane) in lanes.iter().enumerate() {
-            if stopped[i] || undecided[i] == 0 {
-                continue;
-            }
-            if gear >= lane.hev.drivetrain().num_gears() || !lane.ctx.gear_is_viable(gear) {
-                continue;
-            }
-            let start = shared.len();
-            let mut bits = undecided[i];
-            while bits != 0 {
-                let idx = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                shared.push_tagged(lane.currents[idx], gear, aux[i], idx);
-            }
-            slices.push((i, start..shared.len()));
-        }
-        evaluate_wave(lanes, shared, &slices, counts);
-        for &(i, ref range) in &slices {
-            for pos in range.clone() {
-                if shared.is_feasible(pos) {
-                    let idx = shared.tag(pos);
-                    lanes[i].mask[idx] = true;
-                    undecided[i] &= !(1 << idx);
-                }
-            }
-        }
-    }
-}
-
 /// Per-gear state of the lockstep aux search: the refinement bracket
 /// `[a, b]` and the best `(p_aux, reward)` seen so far. Outcomes are
 /// never kept — the sweep is score-only, and the across-gear winner is
@@ -1065,74 +894,5 @@ mod tests {
             .unwrap();
         assert!(r.outcome.em_torque_nm < 0.0);
         assert_eq!(r.outcome.fuel_g, 0.0);
-    }
-
-    #[test]
-    fn fused_wave_mask_matches_sequential_kernel() {
-        // Four lanes at heterogeneous operating points (stopped, launch,
-        // cruise, regen) masked as one fused wave must reproduce the
-        // sequential kernel's verdicts AND its total/per-lane
-        // evaluation counts — only kernel calls fuse, never work.
-        let hev = hev();
-        let opt = InnerOptimizer::default();
-        let currents: Vec<f64> = vec![-25.0, -8.0, 0.0, 8.0, 25.0, 60.0, 150.0];
-        let samples = [(0.0, 0.0), (3.0, 0.9), (20.0, 0.3), (15.0, -1.5)];
-        let demands: Vec<_> = samples
-            .iter()
-            .map(|&(v, a)| hev.demand(v, a, 0.0))
-            .collect();
-        let ctxs: Vec<_> = demands.iter().map(|d| hev.step_context(d)).collect();
-
-        let mut seq_masks = vec![vec![false; currents.len()]; ctxs.len()];
-        let mut seq_scratch = ResolveScratch::new();
-        let seq_start = hev_trace::evals::count();
-        for (k, ctx) in ctxs.iter().enumerate() {
-            opt.fill_mask_batched(
-                &hev,
-                ctx,
-                &currents,
-                1.0,
-                &mut seq_scratch,
-                &mut seq_masks[k],
-            );
-        }
-        let seq_evals = hev_trace::evals::since(seq_start);
-
-        let mut wave_masks = vec![vec![false; currents.len()]; ctxs.len()];
-        let mut wave_scratches: Vec<ResolveScratch> =
-            (0..ctxs.len()).map(|_| ResolveScratch::new()).collect();
-        let mut lanes: Vec<WaveMaskLane<'_>> = Vec::new();
-        for ((ctx, scratch), mask) in ctxs
-            .iter()
-            .zip(wave_scratches.iter_mut())
-            .zip(wave_masks.iter_mut())
-        {
-            lanes.push(WaveMaskLane {
-                inner: opt,
-                hev: &hev,
-                ctx,
-                currents: &currents,
-                scratch,
-                mask: mask.as_mut_slice(),
-            });
-        }
-        let mut shared = CandidateBatch::default();
-        let mut counts = vec![hev_trace::evals::Counts::default(); lanes.len()];
-        let wave_start = hev_trace::evals::count();
-        fill_mask_wave(&mut lanes, 1.0, &mut shared, &mut counts);
-        let wave_evals = hev_trace::evals::since(wave_start);
-        drop(lanes);
-
-        assert_eq!(seq_masks, wave_masks, "fused verdicts must match");
-        assert_eq!(seq_evals, wave_evals, "fusing must not change total evals");
-        assert_eq!(
-            counts.iter().map(|c| c.evals).sum::<u64>(),
-            wave_evals,
-            "per-lane attribution must partition the total"
-        );
-        assert!(
-            counts.iter().all(|c| c.evals > 0),
-            "every lane evaluated something"
-        );
     }
 }

@@ -74,7 +74,6 @@ pub mod sim;
 pub mod state;
 pub mod supervisor;
 pub mod telemetry;
-pub mod wave;
 
 pub use action::{default_currents, ActionChoice, ActionSpace};
 pub use analysis::{EnergyAudit, Recorder, TracePoint};
@@ -104,4 +103,3 @@ pub use supervisor::{SupervisedPolicy, SupervisorConfig};
 pub use telemetry::{
     DecisionInfo, EpisodeTelemetry, PolicyTelemetry, RunTelemetry, TelemetryConfig,
 };
-pub use wave::{simulate_wave, train_portfolio_wave, WaveLane, WaveStep, WaveTrainLane};

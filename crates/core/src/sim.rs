@@ -299,93 +299,6 @@ pub fn simulate_planned_instrumented(
     )
 }
 
-/// Everything a decided step consumes besides the vehicle, the
-/// controller, and the observation: the *true* (unfaulted) demand the
-/// plant steps on, and the kinematic scalars of the cycle point.
-pub(crate) struct StepEnv<'a> {
-    /// True wheel demand (the observation may carry a noisy copy).
-    pub(crate) true_demand: &'a WheelDemand,
-    /// The cycle point's speed, m/s (for the distance integral).
-    pub(crate) point_speed_mps: f64,
-    /// Step length, s.
-    pub(crate) dt: f64,
-}
-
-/// The mutable sinks of a decided step: the fault plan's read-only
-/// disturbance channel, the reward model, the episode tally, and the
-/// optional telemetry collector.
-pub(crate) struct StepIo<'a> {
-    pub(crate) faults: Option<&'a FaultPlan>,
-    pub(crate) reward: &'a RewardConfig,
-    pub(crate) metrics: &'a mut EpisodeMetrics,
-    pub(crate) telemetry: Option<&'a mut EpisodeTelemetry>,
-}
-
-/// One decided step: asks the controller, applies any auxiliary-load
-/// disturbance, steps the plant (falling back on infeasibility), scores
-/// the outcome, and records metrics/telemetry/feedback. Shared verbatim
-/// by the sequential loop and the lockstep episode wave so both are
-/// bit-identical by construction.
-pub(crate) fn decided_step(
-    hev: &mut ParallelHev,
-    controller: &mut dyn HevPolicy,
-    obs: &Observation<'_>,
-    env: &StepEnv<'_>,
-    io: &mut StepIo<'_>,
-) {
-    let _span = hev_trace::span::enter("control.step");
-    let mut control = controller.decide(hev, obs);
-    if let Some(plan) = io.faults {
-        let extra_w = plan.aux_disturbance_at(obs.time_s);
-        if extra_w > 0.0 {
-            let (_, aux_max) = hev.aux().power_range();
-            control.p_aux_w = (control.p_aux_w + extra_w).min(aux_max);
-        }
-    }
-    let (outcome, was_fallback) = match hev.step_with_context(obs.ctx, &control, env.dt) {
-        Ok(o) => (o, false),
-        Err(_) => (
-            step_with_fallback(hev, env.true_demand, env.dt, io.metrics),
-            true,
-        ),
-    };
-    let r = io.reward.reward(&outcome);
-    io.metrics.record(
-        &outcome,
-        io.reward.paper_reward(&outcome),
-        env.point_speed_mps * env.dt,
-        was_fallback,
-    );
-    if let Some(t) = io.telemetry.as_deref_mut() {
-        let info = controller.last_decision();
-        t.record_step(&StepEvent {
-            episode: t.episode(),
-            kind: t.kind(),
-            step: obs.step as u64,
-            time_s: obs.time_s,
-            p_dem_w: obs.demand.power_demand_w,
-            speed_mps: obs.demand.speed_mps,
-            soc: obs.soc,
-            prediction_w: info.map_or(0.0, |i| i.prediction_w),
-            state: info.map(|i| i.state as u64),
-            feasible: info.map(|i| i.feasible as u64),
-            action: info.map(|i| i.action as u64),
-            current_a: control.battery_current_a,
-            gear: control.gear as u64,
-            p_aux_w: control.p_aux_w,
-            reward: r,
-            fuel_g: outcome.fuel_g,
-            aux_term: io.reward.aux_weight * outcome.aux_utility * io.reward.dt_s,
-            soc_after: outcome.soc_after,
-            fallback: was_fallback,
-        });
-        let control_finite = control.battery_current_a.is_finite() && control.p_aux_w.is_finite();
-        let rejections = controller.degradation().map_or(0, |d| d.rejections());
-        t.note_step_health(obs.step as u64, control_finite, rejections);
-    }
-    controller.feedback(hev, obs, &outcome, r);
-}
-
 /// The one simulation loop behind every public entry point. With
 /// `table: None` each step derives its demand and rebuilds its context;
 /// with a table both come precomputed, and a local (counted) rebuild
@@ -450,18 +363,55 @@ fn simulate_core(
             soc: observed_soc,
             ctx: ctx_ref,
         };
-        let env = StepEnv {
-            true_demand: demand,
-            point_speed_mps: point.speed_mps,
-            dt,
+        let _span = hev_trace::span::enter("control.step");
+        let mut control = controller.decide(hev, &obs);
+        if let Some(plan) = faults.as_deref() {
+            let extra_w = plan.aux_disturbance_at(point.time_s);
+            if extra_w > 0.0 {
+                let (_, aux_max) = hev.aux().power_range();
+                control.p_aux_w = (control.p_aux_w + extra_w).min(aux_max);
+            }
+        }
+        let (outcome, was_fallback) = match hev.step_with_context(ctx_ref, &control, dt) {
+            Ok(o) => (o, false),
+            Err(_) => (step_with_fallback(hev, demand, dt, &mut metrics), true),
         };
-        let mut io = StepIo {
-            faults: faults.as_deref(),
-            reward,
-            metrics: &mut metrics,
-            telemetry: telemetry.as_deref_mut(),
-        };
-        decided_step(hev, controller, &obs, &env, &mut io);
+        let r = reward.reward(&outcome);
+        metrics.record(
+            &outcome,
+            reward.paper_reward(&outcome),
+            point.speed_mps * dt,
+            was_fallback,
+        );
+        if let Some(t) = telemetry.as_deref_mut() {
+            let info = controller.last_decision();
+            t.record_step(&StepEvent {
+                episode: t.episode(),
+                kind: t.kind(),
+                step: step as u64,
+                time_s: point.time_s,
+                p_dem_w: observed_demand.power_demand_w,
+                speed_mps: observed_demand.speed_mps,
+                soc: observed_soc,
+                prediction_w: info.map_or(0.0, |i| i.prediction_w),
+                state: info.map(|i| i.state as u64),
+                feasible: info.map(|i| i.feasible as u64),
+                action: info.map(|i| i.action as u64),
+                current_a: control.battery_current_a,
+                gear: control.gear as u64,
+                p_aux_w: control.p_aux_w,
+                reward: r,
+                fuel_g: outcome.fuel_g,
+                aux_term: reward.aux_weight * outcome.aux_utility * reward.dt_s,
+                soc_after: outcome.soc_after,
+                fallback: was_fallback,
+            });
+            let control_finite =
+                control.battery_current_a.is_finite() && control.p_aux_w.is_finite();
+            let rejections = controller.degradation().map_or(0, |d| d.rejections());
+            t.note_step_health(step as u64, control_finite, rejections);
+        }
+        controller.feedback(hev, &obs, &outcome, r);
     }
     if faults.is_some() {
         // Leave the vehicle healthy for the next (differently-windowed)

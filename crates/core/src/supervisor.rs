@@ -178,12 +178,6 @@ impl<P: HevPolicy> SupervisedPolicy<P> {
     }
 }
 
-/// A supervised policy rides a lockstep wave with the default (no-op)
-/// prefill: the wrapped policy's `decide` fills its own scratch lane by
-/// lane. Unfused, but the fallback chain — and therefore the
-/// [`DegradationReport`] — is bit-identical to the sequential path.
-impl<P: HevPolicy> crate::wave::WaveStep for SupervisedPolicy<P> {}
-
 impl<P: HevPolicy> HevPolicy for SupervisedPolicy<P> {
     fn begin_episode(&mut self) {
         self.report = DegradationReport::default();

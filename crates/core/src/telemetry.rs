@@ -19,7 +19,7 @@
 //! (see `hev_trace::sink`), which is what makes the emitted files
 //! byte-identical across `--jobs` worker counts.
 
-use crate::harness::runlog::RunEvent;
+use crate::harness::runlog::{self, RunEvent};
 use crate::metrics::EpisodeMetrics;
 use crate::reward::RewardConfig;
 use hev_rl::{QStats, TdStats, TD_ABS_DELTA_BOUNDS};
@@ -130,14 +130,6 @@ pub struct EpisodeTelemetry {
     trace_lines: Vec<String>,
     prometheus: String,
     counts_at_start: Counts,
-    /// When `Some`, this episode's evaluation counters come from
-    /// explicitly attributed deltas (see [`Self::attribute_counts`])
-    /// instead of the thread-local window — the lockstep wave's way of
-    /// keeping per-lane counts exact while many lanes share a thread.
-    attributed: Option<Counts>,
-    /// When `Some`, run-log mirror events are buffered here instead of
-    /// being emitted live (see [`Self::buffer_runlog`]).
-    runlog_buffer: Option<Vec<RunEvent>>,
     last_rejections: usize,
     dumped: bool,
 }
@@ -157,8 +149,6 @@ impl EpisodeTelemetry {
             trace_lines: Vec::new(),
             prometheus: String::new(),
             counts_at_start: Counts::default(),
-            attributed: None,
-            runlog_buffer: None,
             last_rejections: 0,
             dumped: false,
         }
@@ -190,52 +180,13 @@ impl EpisodeTelemetry {
     }
 
     /// Resets per-episode state; called by the simulation loop at the
-    /// top of each instrumented episode. Falls back to windowed counter
-    /// deltas; a lockstep wave re-enables attribution per episode via
-    /// [`Self::attribute_counts`].
+    /// top of each instrumented episode.
     pub fn begin_episode(&mut self) {
         self.registry.clear();
         self.flight.clear();
         self.counts_at_start = hev_trace::evals::counts();
-        self.attributed = None;
         self.last_rejections = 0;
         self.dumped = false;
-    }
-
-    /// Switches the current episode's evaluation counters to explicitly
-    /// attributed deltas (starting from zero); the driver then feeds
-    /// per-step shares via [`Self::note_counts`]. Call after
-    /// [`Self::begin_episode`] — beginning an episode reverts to the
-    /// windowed default.
-    pub fn attribute_counts(&mut self) {
-        self.attributed = Some(Counts::default());
-    }
-
-    /// Adds one attributed counter delta to the current episode (no-op
-    /// unless [`Self::attribute_counts`] enabled attribution).
-    pub fn note_counts(&mut self, delta: &Counts) {
-        if let Some(acc) = self.attributed.as_mut() {
-            acc.add(delta);
-        }
-    }
-
-    /// Diverts the run-log mirror of `episode_metrics` events into an
-    /// internal buffer; the harness drains it with
-    /// [`Self::take_runlog_events`] and emits the events in task order.
-    /// Used by chunked (wave) execution, where live emission would
-    /// interleave lanes.
-    pub fn buffer_runlog(&mut self) {
-        self.runlog_buffer = Some(Vec::new());
-    }
-
-    /// Drains the buffered run-log events, leaving buffering enabled
-    /// (empty when [`Self::buffer_runlog`] was never called or nothing
-    /// was buffered).
-    pub fn take_runlog_events(&mut self) -> Vec<RunEvent> {
-        self.runlog_buffer
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
     }
 
     /// Records one simulated step: always into the flight ring, and into
@@ -313,14 +264,11 @@ impl EpisodeTelemetry {
             if let Ok(snapshot) =
                 serde_json::from_str::<serde::Value>(&self.registry.snapshot_json())
             {
-                let event =
-                    crate::harness::runlog::RunEvent::new("episode_metrics", self.run.clone())
+                runlog::emit(
+                    &RunEvent::new("episode_metrics", self.run.clone())
                         .index(self.episode as usize)
-                        .metrics(snapshot);
-                match self.runlog_buffer.as_mut() {
-                    Some(buf) => buf.push(event),
-                    None => crate::harness::runlog::emit(&event),
-                }
+                        .metrics(snapshot),
+                );
             }
         }
         self.episode += 1;
@@ -332,12 +280,7 @@ impl EpisodeTelemetry {
         reward: &RewardConfig,
         policy: Option<PolicyTelemetry>,
     ) {
-        // Attributed deltas when the wave driver feeds them, else the
-        // episode's thread-local counter window; identical by
-        // construction (the differential suite pins it).
-        let counts = self
-            .attributed
-            .unwrap_or_else(|| hev_trace::evals::counts().since(&self.counts_at_start));
+        let counts = hev_trace::evals::counts().since(&self.counts_at_start);
         let r = &mut self.registry;
         r.counter_add("steps", metrics.steps as u64);
         r.counter_add("evals", counts.evals);

@@ -284,10 +284,9 @@ impl CandidateBatch {
     /// [`len`](CandidateBatch::len) with the infeasible-lane fillers
     /// (`None` / `0.0`).
     ///
-    /// [`ParallelHev::evaluate_batch_scored`] calls this itself; fused
-    /// multi-sweep callers call it once before scoring disjoint lane
-    /// ranges with [`ParallelHev::evaluate_scored_range`].
-    pub fn reset_scores(&mut self) {
+    /// Called by [`ParallelHev::evaluate_batch_scored`] before it scores
+    /// the lanes.
+    fn reset_scores(&mut self) {
         self.clear_outputs();
         self.err.resize(self.currents.len(), None);
         self.score.resize(self.currents.len(), 0.0);
@@ -635,36 +634,7 @@ impl ParallelHev {
         }
         let _span = hev_trace::span::enter("model.scored_sweep");
         crate::instrument::record_batch(n as u64);
-        self.evaluate_scored_range(ctx, batch, 0..n, cache, score);
-    }
-
-    /// Scores one contiguous lane range of a prepared batch — the
-    /// building block fused multi-episode sweeps use to share a single
-    /// [`CandidateBatch`] across several independent vehicles.
-    ///
-    /// Each lane in `range` runs the exact per-lane body of
-    /// [`ParallelHev::evaluate_batch_scored`] against *this* vehicle,
-    /// `ctx`, and `cache`, writing its verdict and score at the lane's
-    /// global index, so a caller that assigns disjoint ranges to
-    /// different `(vehicle, context, cache)` triples gets per-range
-    /// results bit-identical to separate per-vehicle scored batches.
-    ///
-    /// The caller owns the bookkeeping this kernel skips: call
-    /// [`CandidateBatch::reset_scores`] once after pushing every range,
-    /// and record the batch's lane evaluations once
-    /// ([`hev_trace::evals::record_batch`] with the *total* lane count)
-    /// — this method records nothing itself.
-    pub fn evaluate_scored_range<F>(
-        &self,
-        ctx: &StepContext,
-        batch: &mut CandidateBatch,
-        range: std::ops::Range<usize>,
-        cache: &mut CurrentContextCache,
-        score: F,
-    ) where
-        F: Fn(&StepOutcome) -> f64,
-    {
-        for lane in range {
+        for lane in 0..n {
             let battery_current_a = batch.currents[lane];
             let cur = cache.get_or_insert(self, battery_current_a, batch.dt);
             let control = ControlInput {
@@ -901,43 +871,6 @@ mod tests {
             refetched.battery_current_a().to_bits()
         );
         assert_eq!(first.is_feasible(), refetched.is_feasible());
-    }
-
-    #[test]
-    fn scored_range_matches_the_scored_kernel_bit_for_bit() {
-        let hev = hev();
-        let d = hev.demand(15.0, 0.3, 0.0);
-        let ctx = hev.step_context(&d);
-        let mut whole = CandidateBatch::default();
-        let mut ranged = CandidateBatch::default();
-        for b in [&mut whole, &mut ranged] {
-            b.begin(1.0);
-            for gear in 0..5 {
-                for &i in &[-25.0, 0.0, 10.0, 100.0] {
-                    b.push(i, gear, 600.0);
-                }
-            }
-        }
-        let mut cache = CurrentContextCache::new();
-        hev.evaluate_batch_scored(&ctx, &mut whole, &mut cache, |o| -o.fuel_g);
-        cache.clear();
-        // The fused protocol: prepare once, score disjoint ranges, count
-        // the total once.
-        ranged.reset_scores();
-        let snap = hev_trace::evals::count();
-        hev_trace::evals::record_batch(ranged.len() as u64);
-        let mid = ranged.len() / 2;
-        hev.evaluate_scored_range(&ctx, &mut ranged, 0..mid, &mut cache, |o| -o.fuel_g);
-        hev.evaluate_scored_range(&ctx, &mut ranged, mid..20, &mut cache, |o| -o.fuel_g);
-        assert_eq!(hev_trace::evals::since(snap), 20);
-        for lane in 0..whole.len() {
-            assert_eq!(whole.error(lane), ranged.error(lane), "lane {lane}");
-            assert_eq!(
-                whole.score(lane).map(f64::to_bits),
-                ranged.score(lane).map(f64::to_bits),
-                "lane {lane}"
-            );
-        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! repeats the same work verbatim. A [`ContextTable`] performs that
 //! precompute **once per (cycle, vehicle-config) pair**: every
 //! timestep's demand and context, built up front and shared immutably
-//! (wrap it in an `Arc`) across episodes, harness workers, lockstep
-//! episode waves, and the DP solver's state-of-charge sweep.
+//! (wrap it in an `Arc`) across episodes, harness workers, and the DP
+//! solver's state-of-charge sweep.
 //!
 //! # Validity
 //!

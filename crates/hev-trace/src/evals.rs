@@ -118,10 +118,9 @@ pub fn since(snapshot: u64) -> u64 {
 
 /// One snapshot of every per-thread counter, taken with [`counts`].
 ///
-/// Windowed consumers (per-episode telemetry, the lockstep episode wave's
-/// per-lane attribution) difference two snapshots with [`Counts::since`]
-/// and accumulate attributed deltas with [`Counts::add`]; both are
-/// wrapping, like the underlying counters.
+/// Windowed consumers (per-episode telemetry, the span profiler)
+/// difference two snapshots with [`Counts::since`], which wraps like the
+/// underlying counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counts {
     /// Peek-equivalent evaluations ([`count`]).
@@ -150,16 +149,6 @@ impl Counts {
             ctx_cache_hits: self.ctx_cache_hits.wrapping_sub(earlier.ctx_cache_hits),
             ctx_cache_misses: self.ctx_cache_misses.wrapping_sub(earlier.ctx_cache_misses),
         }
-    }
-
-    /// Accumulates `delta` into this tally (field-wise wrapping addition).
-    pub fn add(&mut self, delta: &Counts) {
-        self.evals = self.evals.wrapping_add(delta.evals);
-        self.batch_lanes = self.batch_lanes.wrapping_add(delta.batch_lanes);
-        self.batch_calls = self.batch_calls.wrapping_add(delta.batch_calls);
-        self.ctx_rebuilds = self.ctx_rebuilds.wrapping_add(delta.ctx_rebuilds);
-        self.ctx_cache_hits = self.ctx_cache_hits.wrapping_add(delta.ctx_cache_hits);
-        self.ctx_cache_misses = self.ctx_cache_misses.wrapping_add(delta.ctx_cache_misses);
     }
 }
 
@@ -229,11 +218,6 @@ mod tests {
         assert_eq!(delta.ctx_rebuilds, 1);
         assert_eq!(delta.ctx_cache_hits, 1);
         assert_eq!(delta.ctx_cache_misses, 1);
-        let mut tally = Counts::default();
-        tally.add(&delta);
-        tally.add(&delta);
-        assert_eq!(tally.evals, 10);
-        assert_eq!(tally.ctx_cache_misses, 2);
         reset();
     }
 

@@ -5,8 +5,8 @@
 //! clock**: candidate-evaluation counts read from the thread-local
 //! [`crate::evals`] counters, plus the fused batch-lane count. Virtual
 //! time is a pure function of the work performed, so every number a
-//! span records is bit-identical at any `--jobs`, `--wave`, or serve
-//! shard count — the profile is a deterministic artifact, compared
+//! span records is bit-identical at any `--jobs` or serve shard
+//! count — the profile is a deterministic artifact, compared
 //! byte-for-byte in CI like the figures themselves.
 //!
 //! An optional **wall-clock lane** rides alongside: a harness-role

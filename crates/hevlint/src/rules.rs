@@ -224,7 +224,7 @@ pub fn explain(id: &str) -> Option<Explain> {
             fix: "Invert the dependency: let the harness measure and pass results down, or move the caller into the harness role with a justified allow.",
         },
         "panic::unwrap" => Explain {
-            rationale: "A panicking control path aborts the whole episode wave and, on the serve path, a whole session shard; library code must degrade through typed errors instead.",
+            rationale: "A panicking control path aborts the whole episode and, on the serve path, a whole session shard; library code must degrade through typed errors instead.",
             example: "let gear = table.get(&state).unwrap();",
             fix: "Propagate a typed error (?, let-else) or, for a proven invariant, keep the unwrap with `// hevlint::allow(panic::unwrap, <why it cannot fail>)`.",
         },
