@@ -5,8 +5,7 @@
 //!       [--metrics-json PATH] [--metrics-prom PATH]
 //!       [--trace PATH] [--trace-sample N]
 //!       [--bench-json PATH] [--bench-baseline PATH] [--bench-guard PCT]
-//!       [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
-//!       [--scalar-reference] <target>...
+//!       [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] <target>...
 //!
 //! targets:
 //!   table1                  HEV key parameters
@@ -43,11 +42,6 @@
 //! fails the process when the deterministic evals/step of the
 //! throughput workload regresses more than PCT percent vs the baseline,
 //! or when steps/s collapses below a 0.25x catastrophic floor.
-//!
-//! `--scalar-reference` forces the scalar reference implementation of
-//! the inner optimization instead of the batched candidate kernel.
-//! Output is bit-identical either way; CI diffs the two runs to prove
-//! it.
 //!
 //! The `serve-bench` target runs the `hev-serve` fleet service over a
 //! seeded synthetic fleet: `--serve-shards` picks the worker count,
@@ -168,7 +162,6 @@ fn main() -> ExitCode {
                 _ => return usage("--checkpoint-every needs a positive integer"),
             },
             "--resume" => resume = true,
-            "--scalar-reference" => cfg.scalar_reference = true,
             "--chaos" => serve_chaos = true,
             "--serve-shards" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => serve_shards = n,
@@ -399,8 +392,7 @@ fn bench_throughput(
         "\n== Step throughput: staged pipeline, single-threaded ({} train episodes) ==",
         cfg.episodes
     );
-    let (workload, sample) =
-        perf::measure_step_throughput(cfg.episodes, cfg.seed, cfg.scalar_reference);
+    let (workload, sample) = perf::measure_step_throughput(cfg.episodes, cfg.seed);
     let mut report = StepThroughputReport::new(workload, sample);
     if let Some(base_path) = baseline {
         let text = std::fs::read_to_string(base_path).map_err(|e| {
@@ -625,7 +617,6 @@ fn usage(err: &str) -> ExitCode {
          [--metrics-json PATH] [--metrics-prom PATH] [--trace PATH] [--trace-sample N] \
          [--bench-json PATH] [--bench-baseline PATH] [--bench-guard PCT] \
          [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] \
-         [--scalar-reference] \
          [--chaos] [--serve-shards N] [--serve-out PATH] [--serve-report PATH] \
          [--profile-json PATH] [--profile-trace PATH] <target>...\n\
          targets: table1 fig2 table2 fig3 dp-bound learning-curve ablation-action-space \
@@ -642,8 +633,6 @@ fn usage(err: &str) -> ExitCode {
          of the same workload (cycle, --episodes, --seed);\n\
          --bench-guard fails the run when evals/step regresses more than PCT percent\n\
          or steps/s collapses below a 0.25x floor.\n\
-         --scalar-reference forces the scalar inner optimization (no batched kernel);\n\
-         output is bit-identical to the default batched path.\n\
          --checkpoint-dir enables crash-tolerant training for the robustness target\n\
          (checkpoint every --checkpoint-every episodes; --resume restarts bit-identically).\n\
          serve-bench runs the hev-serve fleet service: --serve-shards picks the worker\n\

@@ -43,12 +43,6 @@ pub struct ExperimentConfig {
     /// only trades wall-clock for cores. `0` means the machine's
     /// available parallelism.
     pub jobs: usize,
-    /// Forces the scalar reference implementation of the inner
-    /// optimization (`repro --scalar-reference`) instead of the batched
-    /// candidate kernel. Output is bit-identical either way — the flag
-    /// exists so CI can prove exactly that by diffing the two runs.
-    #[serde(default)]
-    pub scalar_reference: bool,
 }
 
 impl Default for ExperimentConfig {
@@ -61,7 +55,6 @@ impl Default for ExperimentConfig {
             train_jitter: 0.05,
             jitter_variants: 4,
             jobs: 1,
-            scalar_reference: false,
         }
     }
 }
@@ -495,7 +488,6 @@ fn train_eval_seeded(
 ) -> EpisodeMetrics {
     controller_cfg.initial_soc = cfg.initial_soc;
     controller_cfg.seed = seed;
-    controller_cfg.inner.scalar_reference |= cfg.scalar_reference;
     let mut hev = fresh_hev(cfg.initial_soc);
     let mut agent = JointController::new(controller_cfg);
     let plans = plan_portfolio(&hev, cycle, seed, cfg);
@@ -519,7 +511,6 @@ fn train_eval_seeded_telemetry(
 ) -> (EpisodeMetrics, RunTelemetry) {
     controller_cfg.initial_soc = cfg.initial_soc;
     controller_cfg.seed = seed;
-    controller_cfg.inner.scalar_reference |= cfg.scalar_reference;
     let mut hev = fresh_hev(cfg.initial_soc);
     let mut agent = JointController::new(controller_cfg);
     let plans = plan_portfolio(&hev, cycle, seed, cfg);

@@ -49,13 +49,13 @@ pub struct ThroughputSample {
     /// `evals / steps` — the quantity the staged pipeline amortizes.
     pub evals_per_step: f64,
     /// Evaluations that went through the batched candidate kernel (one
-    /// per batch *lane*, a subset of `evals`). Zero on the scalar
-    /// reference path.
+    /// per batch *lane*, a subset of `evals`). The kernel is gone, so
+    /// fresh samples record 0; the field keeps older reports readable.
     pub batch_lane_evals: u64,
-    /// Batched-kernel invocations.
+    /// Batched-kernel invocations (0 in fresh samples).
     pub batch_calls: u64,
     /// `batch_lane_evals / batch_calls` — the mean batch width. Zero
-    /// when no batch call was made (scalar reference path).
+    /// when no batch call was made.
     pub batch_width: f64,
     /// Evaluation-context rebuilds during the workload. The cycle-level
     /// context table collapses this to one per (cycle, vehicle-config)
@@ -195,19 +195,10 @@ impl StepThroughputReport {
 /// evaluation alike — goes through the full staged pipeline (action
 /// mask, myopic argmax, inner-optimizer resolve, apply), so the
 /// evaluation counter reflects production per-step cost.
-///
-/// `scalar_reference` forces the scalar reference implementation of the
-/// inner optimization (no batched kernel), which measures the pre-batch
-/// code path — the denominator of the batching speedup.
-pub fn measure_step_throughput(
-    train_episodes: usize,
-    seed: u64,
-    scalar_reference: bool,
-) -> (Workload, ThroughputSample) {
+pub fn measure_step_throughput(train_episodes: usize, seed: u64) -> (Workload, ThroughputSample) {
     let cycle = StandardCycle::Udds.cycle();
     let mut cfg = JointControllerConfig::proposed();
     cfg.seed = seed;
-    cfg.inner.scalar_reference = scalar_reference;
     let mut agent = JointController::new(cfg);
     let mut hev = fresh_hev(0.6);
 
@@ -220,10 +211,7 @@ pub fn measure_step_throughput(
     let metrics = agent.evaluate_planned(&mut hev, &plans[0]);
     let steps = metrics.steps as u64 * (train_episodes as u64 + 1);
     let wall_s = t0.elapsed().as_secs_f64();
-    let evals = hev_trace::evals::count();
-    let batch_lane_evals = hev_trace::evals::batch_lanes();
-    let batch_calls = hev_trace::evals::batch_calls();
-    let ctx_rebuilds = hev_trace::evals::ctx_rebuilds();
+    let counts = hev_trace::evals::counts();
 
     let workload = Workload {
         cycle: "UDDS".to_string(),
@@ -238,20 +226,20 @@ pub fn measure_step_throughput(
         } else {
             0.0
         },
-        evals,
+        evals: counts.evals,
         evals_per_step: if steps > 0 {
-            evals as f64 / steps as f64
+            counts.evals as f64 / steps as f64
         } else {
             0.0
         },
-        batch_lane_evals,
-        batch_calls,
-        batch_width: if batch_calls > 0 {
-            batch_lane_evals as f64 / batch_calls as f64
+        batch_lane_evals: counts.batch_lanes,
+        batch_calls: counts.batch_calls,
+        batch_width: if counts.batch_calls > 0 {
+            counts.batch_lanes as f64 / counts.batch_calls as f64
         } else {
             0.0
         },
-        ctx_rebuilds,
+        ctx_rebuilds: counts.ctx_rebuilds,
     };
     (workload, sample)
 }
@@ -276,7 +264,7 @@ mod tests {
 
     #[test]
     fn measurement_produces_consistent_sample() {
-        let (workload, sample) = measure_step_throughput(1, 42, false);
+        let (workload, sample) = measure_step_throughput(1, 42);
         assert_eq!(workload.cycle, "UDDS");
         assert_eq!(workload.train_episodes, 1);
         assert!(sample.steps > 0);
@@ -287,27 +275,28 @@ mod tests {
             "instrumented evaluations must be recorded"
         );
         assert!((sample.evals_per_step - sample.evals as f64 / sample.steps as f64).abs() < 1e-12);
-        // The default path runs through the batched kernel.
-        assert!(sample.batch_calls > 0, "batched kernel must be exercised");
-        assert!(sample.batch_lane_evals <= sample.evals);
-        assert!(
-            (sample.batch_width - sample.batch_lane_evals as f64 / sample.batch_calls as f64).abs()
-                < 1e-12
-        );
-    }
-
-    #[test]
-    fn scalar_reference_measurement_bypasses_the_batched_kernel() {
-        let (_, sample) = measure_step_throughput(0, 42, true);
-        assert!(sample.evals > 0);
+        // Every candidate is probed directly: no batch lane is recorded.
         assert_eq!(sample.batch_lane_evals, 0);
         assert_eq!(sample.batch_calls, 0);
         assert_eq!(sample.batch_width, 0.0);
     }
 
     #[test]
+    fn committed_workload_replays_the_committed_eval_count() {
+        // The committed report's workload must cost exactly the evals it
+        // recorded: the deterministic clock the CI guard compares.
+        let text = include_str!("../../../BENCH_step_throughput.json");
+        let base: StepThroughputReport = serde_json::from_str(text).expect("baseline parses");
+        let (workload, sample) =
+            measure_step_throughput(base.workload.train_episodes, base.workload.seed);
+        assert_eq!(workload, base.workload);
+        assert_eq!(sample.steps, base.current.steps);
+        assert_eq!(sample.evals, base.current.evals);
+    }
+
+    #[test]
     fn context_table_collapses_rebuilds_to_one_per_cycle() {
-        let (_, sample) = measure_step_throughput(1, 42, false);
+        let (_, sample) = measure_step_throughput(1, 42);
         // One UDDS cycle, one vehicle config: the whole workload (train
         // + evaluate) must rebuild its context exactly once — the plan
         // build. Anything above one means a per-step rebuild leaked back

@@ -123,98 +123,6 @@ fn faulted_evaluations_identical_across_worker_counts() {
     }
 }
 
-/// Trains one controller per split seed on the given evaluation path
-/// (batched by default, or the scalar reference implementation when
-/// `scalar_reference` is set) and returns the full trained state.
-fn train_snapshots_on_path(jobs: usize, scalar_reference: bool) -> Vec<(ControllerSnapshot, f64)> {
-    let cycle = StandardCycle::Oscar.cycle();
-    Harness::new(jobs).run_seeded("determinism", 2015, 3, |_, seed| {
-        let mut cfg = JointControllerConfig::proposed();
-        cfg.seed = seed;
-        cfg.inner.scalar_reference = scalar_reference;
-        let mut hev = experiments::fresh_hev(cfg.initial_soc);
-        let mut agent = JointController::new(cfg);
-        agent.train(&mut hev, &cycle, 4);
-        let fuel = agent.evaluate(&mut hev, &cycle).fuel_g;
-        (agent.snapshot(), fuel)
-    })
-}
-
-/// The batched candidate-evaluation path is a pure performance
-/// refactor: against the scalar reference implementation (the pre-batch
-/// golden, reachable via `InnerOptimizer::scalar_reference`), training
-/// yields bit-identical Q-tables, exploration state, fuel, and
-/// serialized run output at every worker count. The embedded config is
-/// excluded from the comparison — it necessarily differs by the
-/// `scalar_reference` flag itself.
-#[test]
-fn batched_path_matches_scalar_reference_goldens() {
-    fn trained_state(
-        snapshots: Vec<(ControllerSnapshot, f64)>,
-    ) -> Vec<(hev_rl::TdLambda, f64, [u64; 4], f64)> {
-        snapshots
-            .into_iter()
-            .map(|(s, fuel)| (s.learner, s.epsilon, s.rng_state, fuel))
-            .collect()
-    }
-    let golden = trained_state(train_snapshots_on_path(1, true));
-    let golden_bytes = serde_json::to_string(&golden).expect("snapshots serialize");
-    for jobs in [1, 2, 4] {
-        let batched = trained_state(train_snapshots_on_path(jobs, false));
-        assert_eq!(
-            golden, batched,
-            "batched trained state diverged from the scalar reference at {jobs} workers"
-        );
-        let batched_bytes = serde_json::to_string(&batched).expect("snapshots serialize");
-        assert_eq!(
-            golden_bytes, batched_bytes,
-            "batched run output bytes diverged from the scalar reference at {jobs} workers"
-        );
-    }
-}
-
-/// The supervised fault path, which resolves through the batched inner
-/// optimization, matches the scalar reference bit for bit — faulted
-/// metrics and degradation reports included.
-#[test]
-fn batched_supervised_fault_path_matches_scalar_reference() {
-    // `faulted_evaluations` runs the default (batched) configuration;
-    // replay it with the scalar reference forced through the supervisor.
-    let batched = faulted_evaluations(1);
-    let cycle = StandardCycle::Oscar.cycle();
-    let scalar: Vec<EpisodeMetrics> =
-        Harness::new(1).run_seeded("fault-determinism", 2015, 4, |k, seed| {
-            let mut cfg = JointControllerConfig::proposed();
-            cfg.seed = seed;
-            cfg.inner.scalar_reference = true;
-            let mut hev = experiments::fresh_hev(cfg.initial_soc);
-            let mut agent = JointController::new(cfg);
-            agent.train(&mut hev, &cycle, 2);
-            agent.set_training(false);
-            let mut supervisor_cfg = hev_control::supervisor::SupervisorConfig::default();
-            supervisor_cfg.inner.scalar_reference = true;
-            let mut supervised = SupervisedPolicy::with_config(agent, supervisor_cfg);
-            let mut plan = FaultPlan::from_sequence(
-                FaultConfig::at_severity(1.0),
-                &SeedSequence::new(7),
-                k as u64,
-            );
-            let mut faulted_hev = experiments::fresh_hev(0.6);
-            plan.degrade_plant(&mut faulted_hev);
-            simulate_with_faults(
-                &mut faulted_hev,
-                &cycle,
-                &mut supervised,
-                &RewardConfig::default(),
-                Some(&mut plan),
-            )
-        });
-    assert_eq!(
-        scalar, batched,
-        "supervised fault path diverged between scalar reference and batched resolve"
-    );
-}
-
 #[test]
 fn seed_splitting_matches_serial_reference() {
     // The harness must seed run k with split_seed(master, k) — the same

@@ -7,7 +7,7 @@
 //! yardstick for how much of the offline optimum the RL controller
 //! recovers.
 
-use crate::inner_opt::{InnerOptimizer, ResolveScratch};
+use crate::inner_opt::InnerOptimizer;
 use crate::metrics::EpisodeMetrics;
 use crate::reward::RewardConfig;
 use crate::sim::{fallback_control, simulate, HevPolicy, Observation};
@@ -162,8 +162,6 @@ fn solve_impl(
     // the backward sweep index into the table.
     let table = use_table.then(|| hev_model::ContextTable::build(hev, &demands, dt));
     let mut rebuilt = hev_model::StepContext::default();
-    // One resolve scratch serves the whole (time × SOC × current) sweep.
-    let mut scratch = ResolveScratch::new();
     for t in (0..t_len).rev() {
         let demand = demands[t];
         let ctx = match &table {
@@ -181,9 +179,7 @@ fn solve_impl(
             let mut best_v = f64::NEG_INFINITY;
             let mut best_c = None;
             for &i in &config.currents {
-                let Some(r) =
-                    inner.resolve_with_scratch(hev, ctx, i, dt, &config.reward, &mut scratch)
-                else {
+                let Some(r) = inner.resolve_with(hev, ctx, i, dt, &config.reward) else {
                     continue;
                 };
                 let v = config.reward.paper_reward(&r.outcome)

@@ -9,7 +9,7 @@
 //! model-free* exactly as §4.3.2 describes.
 
 use crate::action::ActionSpace;
-use crate::inner_opt::{InnerOptimizer, ResolveScratch, ResolvedAction};
+use crate::inner_opt::{InnerOptimizer, ResolvedAction};
 use crate::metrics::EpisodeMetrics;
 use crate::plan::CyclePlan;
 use crate::reward::RewardConfig;
@@ -20,7 +20,7 @@ use crate::sim::{
 use crate::state::{StateSample, StateSpace, StateSpaceConfig};
 use crate::telemetry::{DecisionInfo, EpisodeTelemetry, PolicyTelemetry};
 use drive_cycle::DriveCycle;
-use hev_model::{CandidateBatch, ControlInput, CurrentContextCache, ParallelHev, StepOutcome};
+use hev_model::{ControlInput, CurrentContext, ParallelHev, StepOutcome};
 use hev_predict::{Ewma, Predictor};
 use hev_rl::{DecayingEpsilon, ExplorationPolicy, QStats, TdLambda, TdLambdaConfig, TdStats};
 use rand::rngs::StdRng;
@@ -208,22 +208,10 @@ struct StepScratch {
     /// Per-action memoized inner-optimization result, valid only when its
     /// stamp equals `epoch`; the payload `None` means resolved infeasible.
     resolved: Vec<(u64, Option<ResolvedAction>)>,
-    /// Candidate batch of the full action space's mask sweep, whose
-    /// per-action outcomes the myopic argmax then reuses (the reduced
-    /// space masks through the resolve scratch's batch instead).
-    batch: CandidateBatch,
-    /// Battery-context cache of the full-space mask sweep, valid for one
-    /// step's battery state (cleared by each mask fill).
-    ctx_cache: CurrentContextCache,
-    /// Buffers of the batched inner optimization.
-    resolve: ResolveScratch,
-    /// Full space only: action index → lane of `batch` (`usize::MAX` for
-    /// malformed actions that never became a lane).
-    full_lane: Vec<usize>,
-    /// Epoch stamp of the full-space mask batch: when it equals `epoch`,
-    /// `batch`/`full_lane` hold this step's per-action outcomes and the
-    /// myopic argmax reads them instead of re-peeking.
-    mask_batch_stamp: u64,
+    /// Full space only: each action's instantaneous reward from this
+    /// step's mask sweep (`None` when infeasible or malformed), which the
+    /// myopic argmax reuses instead of re-peeking.
+    full_reward: Vec<Option<f64>>,
 }
 
 impl StepScratch {
@@ -559,66 +547,42 @@ impl<P: Predictor> JointController<P> {
     /// Fills `self.scratch.mask` with per-action feasibility, evaluated
     /// against the observation's precomputed step context.
     ///
-    /// Both action spaces go through the batched kernel (verdicts
-    /// bit-identical to the scalar probes): the reduced space's current
-    /// grid masks via [`InnerOptimizer::fill_mask_batched`], and the full
-    /// space evaluates every decodable action as one batch whose
-    /// per-action outcomes [`JointController::best_myopic_action`] then
-    /// reuses for free.
+    /// The reduced space's current grid masks via
+    /// [`InnerOptimizer::fill_mask`]. The full space probes every
+    /// decodable action once and keeps its reward, which
+    /// [`JointController::best_myopic_action`] then reuses for free.
     fn fill_action_mask(&mut self, hev: &ParallelHev, obs: &Observation<'_>) {
         let dt = self.config.reward.dt_s;
         match &self.config.action {
             ActionSpace::Reduced { currents } => {
-                self.config.inner.fill_mask_batched(
-                    hev,
-                    obs.ctx,
-                    currents,
-                    dt,
-                    &mut self.scratch.resolve,
-                    &mut self.scratch.mask,
-                );
+                self.config
+                    .inner
+                    .fill_mask(hev, obs.ctx, currents, dt, &mut self.scratch.mask);
             }
             full @ ActionSpace::Full { .. } => {
-                if self.config.inner.scalar_reference {
-                    for idx in 0..self.scratch.mask.len() {
-                        // A malformed action is simply masked infeasible.
-                        self.scratch.mask[idx] =
-                            decode_full_action(full, idx, &mut self.last_error).is_some_and(
-                                |control| hev.peek_with_context(obs.ctx, &control, dt).is_ok(),
-                            );
-                    }
-                    return;
-                }
                 let n = self.scratch.mask.len();
-                let batch = &mut self.scratch.batch;
-                batch.begin(dt);
-                // Full-space actions repeat each grid current across every
-                // (gear, aux) combination; the cache builds each distinct
-                // current's context once for the whole sweep.
-                self.scratch.ctx_cache.clear();
-                self.scratch.full_lane.clear();
-                self.scratch.full_lane.resize(n, usize::MAX);
+                self.scratch.full_reward.clear();
+                // Actions run current-major, so rebuilding the battery
+                // context only when the current changes builds each grid
+                // current's context once per sweep.
+                let mut cur: Option<CurrentContext> = None;
                 for idx in 0..n {
-                    // A malformed action is simply masked infeasible
-                    // (it never becomes a lane, costing no evaluation —
-                    // exactly like the scalar decode-then-skip).
-                    if let Some(control) = decode_full_action(full, idx, &mut self.last_error) {
-                        self.scratch.full_lane[idx] = batch.len();
-                        batch.push_tagged(
-                            control.battery_current_a,
-                            control.gear,
-                            control.p_aux_w,
-                            idx,
-                        );
-                    }
+                    // A malformed action is simply masked infeasible,
+                    // costing no evaluation.
+                    let reward =
+                        decode_full_action(full, idx, &mut self.last_error).and_then(|control| {
+                            let i = control.battery_current_a;
+                            let c = match cur {
+                                Some(c) if c.battery_current_a().to_bits() == i.to_bits() => c,
+                                _ => *cur.insert(hev.current_context(i, dt)),
+                            };
+                            hev.peek_with_contexts(obs.ctx, &c, &control)
+                                .ok()
+                                .map(|o| self.config.reward.reward(&o))
+                        });
+                    self.scratch.mask[idx] = reward.is_some();
+                    self.scratch.full_reward.push(reward);
                 }
-                hev.evaluate_batch_cached(obs.ctx, batch, &mut self.scratch.ctx_cache);
-                for idx in 0..n {
-                    let lane = self.scratch.full_lane[idx];
-                    self.scratch.mask[idx] =
-                        lane != usize::MAX && self.scratch.batch.is_feasible(lane);
-                }
-                self.scratch.mask_batch_stamp = self.scratch.epoch;
             }
         }
     }
@@ -638,16 +602,11 @@ impl<P: Predictor> JointController<P> {
         if stamp == self.scratch.epoch {
             return memo;
         }
-        let inner = self.config.inner;
         let reward = self.config.reward;
-        let resolved = inner.resolve_with_scratch(
-            hev,
-            obs.ctx,
-            current,
-            reward.dt_s,
-            &reward,
-            &mut self.scratch.resolve,
-        );
+        let resolved = self
+            .config
+            .inner
+            .resolve_with(hev, obs.ctx, current, reward.dt_s, &reward);
         self.scratch.resolved[action] = (self.scratch.epoch, resolved);
         resolved
     }
@@ -656,7 +615,6 @@ impl<P: Predictor> JointController<P> {
     /// reward — the myopic policy used when evaluation reaches a state
     /// never visited during training. Reads `self.scratch.mask`.
     fn best_myopic_action(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> Option<usize> {
-        let dt = self.config.reward.dt_s;
         let mut best: Option<(usize, f64)> = None;
         for idx in 0..self.scratch.mask.len() {
             if !self.scratch.mask[idx] {
@@ -666,30 +624,9 @@ impl<P: Predictor> JointController<P> {
                 let current = currents[idx];
                 self.resolve_cached(hev, obs, idx, current)
                     .map(|r| r.reward)
-            } else if self.scratch.mask_batch_stamp == self.scratch.epoch {
-                // The mask batch already evaluated this action this step;
-                // its stored lane replays the peek bit-for-bit at zero
-                // extra evaluations.
-                let lane = self.scratch.full_lane[idx];
-                if lane == usize::MAX {
-                    None
-                } else {
-                    self.scratch
-                        .batch
-                        .outcome(lane)
-                        .ok()
-                        .map(|o| self.config.reward.reward(&o))
-                }
             } else {
-                // Scalar reference: a malformed action scores no reward
-                // (skipped).
-                decode_full_action(&self.config.action, idx, &mut self.last_error).and_then(
-                    |control| {
-                        hev.peek_with_context(obs.ctx, &control, dt)
-                            .ok()
-                            .map(|o| self.config.reward.reward(&o))
-                    },
-                )
+                // The mask sweep already probed this action this step.
+                self.scratch.full_reward[idx]
             };
             if let Some(r) = reward {
                 if best.is_none_or(|(_, br)| r > br) {

@@ -7,12 +7,16 @@
 //! function can be maximized". Because `p_aux` is optimized continuously
 //! here, it needs no discretization — one of the advantages the paper
 //! claims for the reduced space.
+//!
+//! Every candidate is probed directly with
+//! [`ParallelHev::peek_with_contexts`] against the step's prebuilt
+//! [`StepContext`] and one [`CurrentContext`] built per commanded
+//! current, so the battery math is paid once per current. Each probe
+//! counts one peek-equivalent evaluation ([`hev_trace::evals`]); the
+//! winner's outcome is kept from the sweep rather than re-evaluated.
 
 use crate::reward::RewardConfig;
-use hev_model::{
-    CandidateBatch, ControlInput, CurrentContext, CurrentContextCache, ParallelHev, StepContext,
-    StepOutcome, WheelDemand,
-};
+use hev_model::{ControlInput, CurrentContext, ParallelHev, StepContext, StepOutcome, WheelDemand};
 use serde::{Deserialize, Serialize};
 
 /// A fully resolved action: the control input, the predicted outcome, and
@@ -39,16 +43,6 @@ pub struct InnerOptimizer {
     /// it — this reproduces the powertrain-only RL baseline (ICCAD'14),
     /// which ignores auxiliary control.
     pub fixed_aux_w: Option<f64>,
-    /// Forces the scalar reference implementation on the batched entry
-    /// points ([`InnerOptimizer::resolve_with_scratch`],
-    /// [`InnerOptimizer::fill_mask_batched`]): every candidate is probed
-    /// one `peek` at a time, exactly as before the batched kernel
-    /// landed. Both paths resolve bit-identical controls; this switch
-    /// exists so end-to-end runs can *prove* it (the CI fig2 `cmp` step
-    /// and the batch-vs-scalar determinism tests diff full runs across
-    /// the two paths).
-    #[serde(default)]
-    pub scalar_reference: bool,
 }
 
 impl Default for InnerOptimizer {
@@ -57,9 +51,17 @@ impl Default for InnerOptimizer {
             aux_grid: 7,
             refine_iters: 12,
             fixed_aux_w: None,
-            scalar_reference: false,
         }
     }
+}
+
+/// One probed candidate of a gear's aux search: the auxiliary power, the
+/// reward, and the outcome it was scored from.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    p_aux_w: f64,
+    reward: f64,
+    outcome: StepOutcome,
 }
 
 impl InnerOptimizer {
@@ -74,10 +76,9 @@ impl InnerOptimizer {
     /// Resolves the best `(gear, p_aux)` for the given battery current,
     /// or `None` when no combination is feasible (the action is masked).
     ///
-    /// Builds a [`StepContext`] internally and amortizes it over the
-    /// `gears × (aux_grid + 2·refine_iters)` evaluations. Callers that
-    /// resolve several currents against one demand should build the
-    /// context once and use [`InnerOptimizer::resolve_with`].
+    /// Builds a [`StepContext`] internally. Callers that resolve several
+    /// currents against one demand should build the context once and use
+    /// [`InnerOptimizer::resolve_with`].
     pub fn resolve(
         &self,
         hev: &ParallelHev,
@@ -92,9 +93,12 @@ impl InnerOptimizer {
 
     /// [`InnerOptimizer::resolve`] against a prebuilt [`StepContext`].
     ///
-    /// Builds the per-current battery precomputation once and shares it
-    /// across every `(gear, p_aux)` evaluation of this call.
-    #[inline]
+    /// Sweeps the viable gears in ascending order; per gear, either the
+    /// fixed auxiliary power or a coarse `aux_grid` sweep followed by a
+    /// ternary refinement around its best point. Comparisons are
+    /// strict-`>` and first-wins throughout. A moving step costs
+    /// `aux_grid` evaluations per viable gear plus the refinement probes;
+    /// a current that fails the pack limits costs none.
     pub fn resolve_with(
         &self,
         hev: &ParallelHev,
@@ -111,39 +115,29 @@ impl InnerOptimizer {
             // sweep is masked without paying for a single one.
             return None;
         }
-        // The sweep tracks only `(gear, p_aux, reward)`; losers' outcomes
-        // are never materialized, and the winner is completed once at the
-        // end. The completion is a pure function of `(ctx, cur, control)`,
-        // so the re-evaluation returns the same bits the sweep saw, and
-        // the strict-`>`/first-wins comparisons on the same reward floats
-        // select the same winner a materializing sweep would.
-        let mut best: Option<(usize, f64, f64)> = None;
-        for gear in 0..hev.drivetrain().num_gears() {
-            if !ctx.gear_is_viable(gear) {
-                // A control-independent check already failed for this
-                // gear during precomputation; no candidate here can be
-                // feasible, so skipping cannot change the argmax.
-                continue;
+        let (gear, best) = match self.fixed_aux_w {
+            Some(aux) => {
+                let _grid = hev_trace::span::enter("control.grid");
+                best_gear(hev, ctx, |gear| probe(hev, ctx, &cur, gear, aux, reward))
             }
-            let candidate = match self.fixed_aux_w {
-                Some(aux) => self
-                    .evaluate_reward(hev, ctx, &cur, gear, aux, reward)
-                    .map(|r| (aux, r)),
-                None => self.best_aux_for_gear(hev, ctx, &cur, gear, reward),
-            };
-            if let Some((p, r)) = candidate {
-                if best.is_none_or(|(_, _, br)| r > br) {
-                    best = Some((gear, p, r));
-                }
-            }
-        }
-        let (gear, p_aux_w, _) = best?;
-        self.evaluate(hev, ctx, &cur, gear, p_aux_w, reward)
+            None => best_gear(hev, ctx, |gear| {
+                self.best_aux_for_gear(hev, ctx, &cur, gear, reward)
+            }),
+        }?;
+        Some(ResolvedAction {
+            control: ControlInput {
+                battery_current_a,
+                gear,
+                p_aux_w: best.p_aux_w,
+            },
+            outcome: best.outcome,
+            reward: best.reward,
+        })
     }
 
     /// Cheap feasibility probe: is the current realizable in *any* gear
-    /// with the preferred auxiliary power? Used as the action mask before
-    /// paying for the full optimization.
+    /// with the preferred auxiliary power? The demand-level form of the
+    /// per-step action mask ([`InnerOptimizer::fill_mask`]).
     pub fn feasible(
         &self,
         hev: &ParallelHev,
@@ -151,9 +145,7 @@ impl InnerOptimizer {
         battery_current_a: f64,
         dt: f64,
     ) -> bool {
-        let aux = self
-            .fixed_aux_w
-            .unwrap_or_else(|| hev.aux().preferred_power());
+        let aux = self.mask_aux(hev);
         (0..hev.drivetrain().num_gears()).any(|gear| {
             hev.peek(
                 demand,
@@ -168,89 +160,58 @@ impl InnerOptimizer {
         })
     }
 
-    /// [`InnerOptimizer::feasible`] against a prebuilt [`StepContext`] —
-    /// the per-step action-mask path, where the context built for the
-    /// final apply is already in hand.
-    #[inline]
-    pub fn feasible_with(
+    /// The action mask over a current grid: `mask[idx]` answers
+    /// [`InnerOptimizer::feasible`] for `currents[idx]` against the
+    /// prebuilt context.
+    ///
+    /// A *moving* step probes each current's viable gears in ascending
+    /// order until one is feasible, so a current first feasible in gear
+    /// `g` costs `g + 1` evaluations (when every gear is viable), and a
+    /// current that fails the pack-limit precheck costs none. A *stopped*
+    /// step resolves independently of both the commanded current and the
+    /// gear, so one probe at the first viable gear decides every entry.
+    pub fn fill_mask(
         &self,
         hev: &ParallelHev,
         ctx: &StepContext,
-        battery_current_a: f64,
+        currents: &[f64],
         dt: f64,
-    ) -> bool {
-        let aux = self
-            .fixed_aux_w
-            .unwrap_or_else(|| hev.aux().preferred_power());
-        let cur = hev.current_context(battery_current_a, dt);
-        if !ctx.is_stopped() && !cur.is_feasible() {
-            return false;
+        mask: &mut [bool],
+    ) {
+        debug_assert_eq!(currents.len(), mask.len());
+        let aux = self.mask_aux(hev);
+        let num_gears = hev.drivetrain().num_gears();
+        let feasible_at = |cur: &CurrentContext, gear: usize| {
+            let control = ControlInput {
+                battery_current_a: cur.battery_current_a(),
+                gear,
+                p_aux_w: aux,
+            };
+            hev.peek_with_contexts(ctx, cur, &control).is_ok()
+        };
+        if ctx.is_stopped() {
+            let cur = hev.current_context(currents.first().copied().unwrap_or(0.0), dt);
+            let verdict = (0..num_gears)
+                .find(|&gear| ctx.gear_is_viable(gear))
+                .is_some_and(|gear| feasible_at(&cur, gear));
+            mask.fill(verdict);
+            return;
         }
-        (0..hev.drivetrain().num_gears()).any(|gear| {
-            ctx.gear_is_viable(gear)
-                && hev
-                    .peek_with_contexts(
-                        ctx,
-                        &cur,
-                        &ControlInput {
-                            battery_current_a,
-                            gear,
-                            p_aux_w: aux,
-                        },
-                    )
-                    .is_ok()
-        })
+        for (m, &i) in mask.iter_mut().zip(currents) {
+            let cur = hev.current_context(i, dt);
+            *m = cur.is_feasible()
+                && (0..num_gears).any(|gear| ctx.gear_is_viable(gear) && feasible_at(&cur, gear));
+        }
     }
 
-    /// Materializes one `(gear, p_aux)` candidate against the prebuilt
-    /// contexts; `None` when infeasible.
-    #[inline(always)]
-    fn evaluate(
-        &self,
-        hev: &ParallelHev,
-        ctx: &StepContext,
-        cur: &CurrentContext,
-        gear: usize,
-        p_aux_w: f64,
-        reward: &RewardConfig,
-    ) -> Option<ResolvedAction> {
-        let control = ControlInput {
-            battery_current_a: cur.battery_current_a(),
-            gear,
-            p_aux_w,
-        };
-        let outcome = hev.peek_with_contexts(ctx, cur, &control).ok()?;
-        Some(ResolvedAction {
-            control,
-            outcome,
-            reward: reward.reward(&outcome),
-        })
+    /// The auxiliary power the action mask probes with.
+    fn mask_aux(&self, hev: &ParallelHev) -> f64 {
+        self.fixed_aux_w
+            .unwrap_or_else(|| hev.aux().preferred_power())
     }
 
-    /// Reward of one `(gear, p_aux)` candidate without keeping its
-    /// outcome — the sweep-side evaluation (the reward reads only a few
-    /// outcome fields, so the rest of the completion melts away here).
-    #[inline(always)]
-    fn evaluate_reward(
-        &self,
-        hev: &ParallelHev,
-        ctx: &StepContext,
-        cur: &CurrentContext,
-        gear: usize,
-        p_aux_w: f64,
-        reward: &RewardConfig,
-    ) -> Option<f64> {
-        let control = ControlInput {
-            battery_current_a: cur.battery_current_a(),
-            gear,
-            p_aux_w,
-        };
-        let outcome = hev.peek_with_contexts(ctx, cur, &control).ok()?;
-        Some(reward.reward(&outcome))
-    }
-
-    /// The best `(p_aux, reward)` of one gear: coarse grid, then ternary
-    /// refinement around the best grid point.
+    /// The best probe of one gear: coarse grid, then ternary refinement
+    /// around the best grid point.
     #[inline(always)]
     fn best_aux_for_gear(
         &self,
@@ -259,19 +220,22 @@ impl InnerOptimizer {
         cur: &CurrentContext,
         gear: usize,
         reward: &RewardConfig,
-    ) -> Option<(f64, f64)> {
+    ) -> Option<Probe> {
         let (lo, hi) = hev.aux().power_range();
         let n = self.aux_grid.max(2);
-        let mut best: Option<(usize, f64, f64)> = None;
-        for k in 0..n {
-            let p = lo + (hi - lo) * k as f64 / (n - 1) as f64;
-            if let Some(r) = self.evaluate_reward(hev, ctx, cur, gear, p, reward) {
-                if best.is_none_or(|(_, _, b)| r > b) {
-                    best = Some((k, p, r));
+        let (k_best, mut best) = {
+            let _grid = hev_trace::span::enter("control.grid");
+            let mut best: Option<(usize, Probe)> = None;
+            for k in 0..n {
+                let p = lo + (hi - lo) * k as f64 / (n - 1) as f64;
+                if let Some(c) = probe(hev, ctx, cur, gear, p, reward) {
+                    if best.is_none_or(|(_, b)| c.reward > b.reward) {
+                        best = Some((k, c));
+                    }
                 }
             }
-        }
-        let (k_best, mut p_best, mut r_best) = best?;
+            best?
+        };
         // Ternary-search refinement in the bracket around the best grid
         // point (the reward is uni-modal in p_aux in practice: fuel rises
         // monotonically with p_aux while the utility is quasi-concave).
@@ -282,373 +246,95 @@ impl InnerOptimizer {
         for _ in 0..self.refine_iters {
             let m1 = a + (b - a) / 3.0;
             let m2 = b - (b - a) / 3.0;
-            let r1 = self.evaluate_reward(hev, ctx, cur, gear, m1, reward);
-            let r2 = self.evaluate_reward(hev, ctx, cur, gear, m2, reward);
-            match (r1, r2) {
+            let c1 = probe(hev, ctx, cur, gear, m1, reward);
+            let c2 = probe(hev, ctx, cur, gear, m2, reward);
+            let winner = match (c1, c2) {
                 (Some(x1), Some(x2)) => {
-                    if x1 >= x2 {
+                    if x1.reward >= x2.reward {
                         b = m2;
-                        if x1 > r_best {
-                            r_best = x1;
-                            p_best = m1;
-                        }
+                        x1
                     } else {
                         a = m1;
-                        if x2 > r_best {
-                            r_best = x2;
-                            p_best = m2;
-                        }
+                        x2
                     }
                 }
                 (Some(x1), None) => {
                     b = m2;
-                    if x1 > r_best {
-                        r_best = x1;
-                        p_best = m1;
-                    }
+                    x1
                 }
                 (None, Some(x2)) => {
                     a = m1;
-                    if x2 > r_best {
-                        r_best = x2;
-                        p_best = m2;
-                    }
+                    x2
                 }
                 (None, None) => break,
-            }
-        }
-        Some((p_best, r_best))
-    }
-
-    /// Batched action mask over a current grid: `mask[idx]` answers the
-    /// same question as [`InnerOptimizer::feasible_with`] on
-    /// `currents[idx]` — verdict-identical and, wave by wave, probing
-    /// exactly the candidates the scalar short-circuit would.
-    ///
-    /// *Stopped* steps resolve independently of both the commanded
-    /// current and the gear, so one probe decides every entry (the big
-    /// idle-time saving). *Moving* steps keep a bitmask of undecided
-    /// currents and sweep gear-major waves: each wave batch-evaluates
-    /// all still-undecided currents at the next viable gear, and a
-    /// feasible lane retires its current. A current feasible first in
-    /// gear `g` therefore costs `g + 1` evaluations — the same as the
-    /// scalar `any()` — and the verdicts are bit-identical because each
-    /// lane runs the scalar completion.
-    ///
-    /// Falls back to the scalar loop when `scalar_reference` is set or
-    /// the grid exceeds the 64-bit wave mask.
-    ///
-    /// The scratch's context cache is cleared on entry, filled by the
-    /// per-current pack-limit precheck (which must build every context
-    /// anyway), and then feeds the gear waves so no wave rebuilds a
-    /// context — the whole mask builds each current's context exactly
-    /// once, like the scalar loop.
-    pub fn fill_mask_batched(
-        &self,
-        hev: &ParallelHev,
-        ctx: &StepContext,
-        currents: &[f64],
-        dt: f64,
-        scratch: &mut ResolveScratch,
-        mask: &mut [bool],
-    ) {
-        debug_assert_eq!(currents.len(), mask.len());
-        if self.scalar_reference || currents.len() > 64 {
-            for (m, &i) in mask.iter_mut().zip(currents) {
-                *m = self.feasible_with(hev, ctx, i, dt);
-            }
-            return;
-        }
-        let ResolveScratch {
-            batch,
-            ctx_cache: cache,
-            ..
-        } = scratch;
-        cache.clear();
-        let aux = self
-            .fixed_aux_w
-            .unwrap_or_else(|| hev.aux().preferred_power());
-        let num_gears = hev.drivetrain().num_gears();
-        if ctx.is_stopped() {
-            // A stopped step ignores the commanded current and the gear:
-            // every (current, viable gear) probe replays one verdict, so
-            // one lane decides the whole grid.
-            let verdict = match (0..num_gears).find(|&g| ctx.gear_is_viable(g)) {
-                Some(gear) => {
-                    batch.begin(dt);
-                    batch.push(currents.first().copied().unwrap_or(0.0), gear, aux);
-                    hev.evaluate_batch_scored(ctx, batch, cache, |_| 0.0);
-                    batch.is_feasible(0)
-                }
-                None => false,
             };
-            mask.fill(verdict);
-            return;
-        }
-        let mut undecided: u64 = 0;
-        for (idx, &i) in currents.iter().enumerate() {
-            mask[idx] = false;
-            // The pack-limit precheck costs no evaluation, exactly like
-            // the scalar probe's early `false` — and it seeds the cache
-            // with every context the waves below will need.
-            if cache.get_or_insert(hev, i, dt).is_feasible() {
-                undecided |= 1 << idx;
+            if winner.reward > best.reward {
+                best = winner;
             }
         }
-        for gear in 0..num_gears {
-            if undecided == 0 {
-                break;
-            }
-            if !ctx.gear_is_viable(gear) {
-                continue;
-            }
-            batch.begin(dt);
-            let mut bits = undecided;
-            while bits != 0 {
-                let idx = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                batch.push_tagged(currents[idx], gear, aux, idx);
-            }
-            // Score-only waves: the mask consumes nothing but the
-            // verdicts, so no outcome field is ever materialized.
-            hev.evaluate_batch_scored(ctx, batch, cache, |_| 0.0);
-            for lane in 0..batch.len() {
-                if batch.is_feasible(lane) {
-                    let idx = batch.tag(lane);
-                    mask[idx] = true;
-                    undecided &= !(1 << idx);
-                }
-            }
-        }
-    }
-
-    /// [`InnerOptimizer::resolve_with`] on the batched kernel, reusing
-    /// the caller's [`ResolveScratch`] buffers.
-    ///
-    /// Returns the bit-identical `ResolvedAction` the scalar path
-    /// resolves (same winner by the same strict-`>`/first-wins
-    /// comparisons on the same reward floats; the sweep is score-only,
-    /// and the winner is re-materialized by one pure replay of its
-    /// lane), in fewer evaluations:
-    ///
-    /// * the aux grid of every viable gear evaluates as one wide wave;
-    ///   the per-gear ternary refinements — a data-dependent chain of
-    ///   two probes per iteration, too narrow for the batch machinery
-    ///   to amortize — run the scalar bracket loop on the cached
-    ///   battery context, replaying the same probes in the same order;
-    /// * a *stopped* step resolves independently of the gear, so only
-    ///   the first viable gear (the gear the scalar argmax picks — later
-    ///   gears tie and strict-`>` keeps the first) pays for its aux
-    ///   optimization;
-    /// * the winner's replay ([`ParallelHev::replay_candidate`]) counts
-    ///   no evaluation, replacing the scalar path's final counted
-    ///   re-evaluation (both are the same pure completion, so the
-    ///   replayed bits are the bits the scalar winner returns).
-    ///
-    /// Delegates to the scalar reference when `scalar_reference` is set.
-    pub fn resolve_with_scratch(
-        &self,
-        hev: &ParallelHev,
-        ctx: &StepContext,
-        battery_current_a: f64,
-        dt: f64,
-        reward: &RewardConfig,
-        scratch: &mut ResolveScratch,
-    ) -> Option<ResolvedAction> {
-        if self.scalar_reference {
-            return self.resolve_with(hev, ctx, battery_current_a, dt, reward);
-        }
-        let _span = hev_trace::span::enter("control.resolve");
-        // One resolve commands one current, but evaluates it across many
-        // waves (the aux grid plus every ternary iteration). The scratch
-        // cache makes the whole resolve build its battery context once —
-        // the scalar path's cost — instead of once per wave.
-        scratch.ctx_cache.clear();
-        if !ctx.is_stopped()
-            && !scratch
-                .ctx_cache
-                .get_or_insert(hev, battery_current_a, dt)
-                .is_feasible()
-        {
-            return None;
-        }
-        scratch.gears.clear();
-        for gear in 0..hev.drivetrain().num_gears() {
-            if !ctx.gear_is_viable(gear) {
-                continue;
-            }
-            scratch.gears.push(GearCursor {
-                gear,
-                refining: false,
-                a: 0.0,
-                b: 0.0,
-                best: None,
-            });
-            if ctx.is_stopped() {
-                // Gear-independent resolution: every later viable gear
-                // ties this one and loses the scalar strict-`>` argmax.
-                break;
-            }
-        }
-        let batch = &mut scratch.batch;
-        if let Some(aux) = self.fixed_aux_w {
-            batch.begin(dt);
-            for c in scratch.gears.iter() {
-                batch.push(battery_current_a, c.gear, aux);
-            }
-            hev.evaluate_batch_scored(ctx, batch, &mut scratch.ctx_cache, |o| reward.reward(o));
-            for (lane, c) in scratch.gears.iter_mut().enumerate() {
-                if let Some(r) = batch.score(lane) {
-                    c.best = Some((aux, r));
-                }
-            }
-        } else {
-            let (lo, hi) = hev.aux().power_range();
-            let n = self.aux_grid.max(2);
-            let step = (hi - lo) / (n - 1) as f64;
-            // Wave 1: the coarse aux grid of every viable gear at once.
-            batch.begin(dt);
-            for c in scratch.gears.iter() {
-                for k in 0..n {
-                    let p = lo + (hi - lo) * k as f64 / (n - 1) as f64;
-                    batch.push_tagged(battery_current_a, c.gear, p, k);
-                }
-            }
-            hev.evaluate_batch_scored(ctx, batch, &mut scratch.ctx_cache, |o| reward.reward(o));
-            let mut lane = 0;
-            for c in scratch.gears.iter_mut() {
-                let mut k_best: Option<usize> = None;
-                for k in 0..n {
-                    if let Some(r) = batch.score(lane) {
-                        if c.best.is_none_or(|(_, br)| r > br) {
-                            let p = lo + (hi - lo) * k as f64 / (n - 1) as f64;
-                            c.best = Some((p, r));
-                            k_best = Some(k);
-                        }
-                    }
-                    lane += 1;
-                }
-                if let Some(k) = k_best {
-                    c.a = (lo + step * (k as f64 - 1.0)).max(lo);
-                    c.b = (lo + step * (k as f64 + 1.0)).min(hi);
-                    c.refining = true;
-                }
-            }
-            // Ternary refinement, per gear: each iteration's two probes
-            // depend on the previous iteration's bracket, so a wave is
-            // only ever two lanes wide — far too narrow to amortize the
-            // batch machinery (measured: lockstep two-lane waves cost
-            // more than the physics they evaluate). The scalar
-            // refinement loop on the cached context replays the
-            // identical bracket updates and strict-`>` comparisons —
-            // per-gear search state is independent across gears — so
-            // the probes, their count, and the resulting bits are
-            // exactly the lockstep ones; only the bookkeeping is gone.
-            let _refine = hev_trace::span::enter("control.refine");
-            let cur = *scratch.ctx_cache.get_or_insert(hev, battery_current_a, dt);
-            for c in scratch.gears.iter_mut() {
-                if !c.refining {
-                    continue;
-                }
-                for _ in 0..self.refine_iters {
-                    let m1 = c.a + (c.b - c.a) / 3.0;
-                    let m2 = c.b - (c.b - c.a) / 3.0;
-                    let r1 = self.evaluate_reward(hev, ctx, &cur, c.gear, m1, reward);
-                    let r2 = self.evaluate_reward(hev, ctx, &cur, c.gear, m2, reward);
-                    let r_best = c.best.map(|(_, r)| r);
-                    match (r1, r2) {
-                        (Some(x1), Some(x2)) => {
-                            if x1 >= x2 {
-                                c.b = m2;
-                                if r_best.is_none_or(|r| x1 > r) {
-                                    c.best = Some((m1, x1));
-                                }
-                            } else {
-                                c.a = m1;
-                                if r_best.is_none_or(|r| x2 > r) {
-                                    c.best = Some((m2, x2));
-                                }
-                            }
-                        }
-                        (Some(x1), None) => {
-                            c.b = m2;
-                            if r_best.is_none_or(|r| x1 > r) {
-                                c.best = Some((m1, x1));
-                            }
-                        }
-                        (None, Some(x2)) => {
-                            c.a = m1;
-                            if r_best.is_none_or(|r| x2 > r) {
-                                c.best = Some((m2, x2));
-                            }
-                        }
-                        (None, None) => break,
-                    }
-                }
-            }
-        }
-        // Winner across gears in ascending order under strict `>` —
-        // the scalar outer loop's exact comparison sequence.
-        let mut win: Option<(usize, f64, f64)> = None;
-        for c in scratch.gears.iter() {
-            if let Some((p, r)) = c.best {
-                if win.is_none_or(|(_, _, wr)| r > wr) {
-                    win = Some((c.gear, p, r));
-                }
-            }
-        }
-        let (gear, p_aux_w, r) = win?;
-        let control = ControlInput {
-            battery_current_a,
-            gear,
-            p_aux_w,
-        };
-        // A pure replay of the winning lane (same bits, no extra eval);
-        // it cannot fail — the lane scored, so it was feasible.
-        let outcome = hev
-            .replay_candidate(ctx, &mut scratch.ctx_cache, &control, dt)
-            .ok()?;
-        Some(ResolvedAction {
-            control,
-            outcome,
-            reward: r,
-        })
+        Some(best)
     }
 }
 
-/// Reusable buffers for the batched resolve path: the candidate batch
-/// the waves evaluate through and the per-gear search cursors. One
-/// lives in each controller's per-step scratch; the DP solver carries
-/// one across its whole grid sweep.
-#[derive(Debug, Clone, Default)]
-pub struct ResolveScratch {
-    batch: CandidateBatch,
-    gears: Vec<GearCursor>,
-    /// Per-resolve battery-context cache (cleared at each resolve entry,
-    /// so it never outlives the battery state it was built against).
-    ctx_cache: CurrentContextCache,
-}
-
-impl ResolveScratch {
-    /// A scratch with empty buffers (they grow on first use and are
-    /// reused afterwards).
-    pub fn new() -> Self {
-        Self::default()
+/// The best `(gear, probe)` over the viable gears in ascending order
+/// under strict `>` (first wins), where `search` scores one gear.
+///
+/// A stopped step resolves independently of the gear: every later viable
+/// gear ties the first and loses the strict comparison, so only the
+/// first viable gear pays for its search.
+#[inline(always)]
+fn best_gear(
+    hev: &ParallelHev,
+    ctx: &StepContext,
+    mut search: impl FnMut(usize) -> Option<Probe>,
+) -> Option<(usize, Probe)> {
+    let mut best: Option<(usize, Probe)> = None;
+    for gear in 0..hev.drivetrain().num_gears() {
+        if !ctx.gear_is_viable(gear) {
+            // A control-independent check already failed for this gear
+            // during precomputation; no candidate here can be feasible,
+            // so skipping cannot change the argmax.
+            continue;
+        }
+        if let Some(c) = search(gear) {
+            if best.is_none_or(|(_, b)| c.reward > b.reward) {
+                best = Some((gear, c));
+            }
+        }
+        if ctx.is_stopped() {
+            break;
+        }
     }
+    best
 }
 
-/// Per-gear state of the lockstep aux search: the refinement bracket
-/// `[a, b]` and the best `(p_aux, reward)` seen so far. Outcomes are
-/// never kept — the sweep is score-only, and the across-gear winner is
-/// re-materialized once by a pure replay.
-#[derive(Debug, Clone, Copy)]
-struct GearCursor {
+/// Probes one `(gear, p_aux)` candidate against the prebuilt contexts;
+/// `None` when infeasible.
+#[inline(always)]
+fn probe(
+    hev: &ParallelHev,
+    ctx: &StepContext,
+    cur: &CurrentContext,
     gear: usize,
-    refining: bool,
-    a: f64,
-    b: f64,
-    best: Option<(f64, f64)>,
+    p_aux_w: f64,
+    reward: &RewardConfig,
+) -> Option<Probe> {
+    let control = ControlInput {
+        battery_current_a: cur.battery_current_a(),
+        gear,
+        p_aux_w,
+    };
+    let outcome = hev.peek_with_contexts(ctx, cur, &control).ok()?;
+    Some(Probe {
+        p_aux_w,
+        reward: reward.reward(&outcome),
+        outcome,
+    })
 }
+
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -763,126 +449,169 @@ mod tests {
         }
     }
 
-    fn assert_bit_identical(a: &ResolvedAction, b: &ResolvedAction) {
-        assert_eq!(a.control.gear, b.control.gear);
-        assert_eq!(
-            a.control.battery_current_a.to_bits(),
-            b.control.battery_current_a.to_bits()
-        );
-        assert_eq!(a.control.p_aux_w.to_bits(), b.control.p_aux_w.to_bits());
-        assert_eq!(a.reward.to_bits(), b.reward.to_bits());
-        assert_eq!(a.outcome.fuel_g.to_bits(), b.outcome.fuel_g.to_bits());
-        assert_eq!(a.outcome.soc_after.to_bits(), b.outcome.soc_after.to_bits());
-        assert_eq!(
-            a.outcome.aux_utility.to_bits(),
-            b.outcome.aux_utility.to_bits()
-        );
-        assert_eq!(a.outcome.mode, b.outcome.mode);
-    }
+    const DEMANDS: [(f64, f64); 5] = [
+        (0.0, 0.0),
+        (3.0, 0.4),
+        (15.0, 0.3),
+        (15.0, -1.5),
+        (30.0, 0.2),
+    ];
 
     #[test]
-    fn batched_resolve_matches_scalar_bit_for_bit() {
+    fn resolve_matches_peek_oracle_bit_for_bit() {
         let hev = hev();
-        let mut scratch = ResolveScratch::new();
         for opt in [
             InnerOptimizer::default(),
             InnerOptimizer::with_fixed_aux(600.0),
         ] {
-            for (v, a) in [
-                (0.0, 0.0),
-                (3.0, 0.4),
-                (15.0, 0.3),
-                (15.0, -1.5),
-                (30.0, 0.2),
-            ] {
+            for (v, a) in DEMANDS {
                 let d = hev.demand(v, a, 0.0);
                 let ctx = hev.step_context(&d);
                 for i in [-40.0, -8.0, 0.0, 8.0, 40.0, 100.0, 1e6] {
-                    let scalar = opt.resolve_with(&hev, &ctx, i, 1.0, &cfg());
-                    let batched =
-                        opt.resolve_with_scratch(&hev, &ctx, i, 1.0, &cfg(), &mut scratch);
-                    match (&scalar, &batched) {
-                        (Some(s), Some(b)) => assert_bit_identical(b, s),
-                        (None, None) => {}
-                        _ => panic!(
-                            "verdict mismatch at v={v} a={a} i={i}: {scalar:?} vs {batched:?}"
-                        ),
-                    }
+                    let production = opt.resolve_with(&hev, &ctx, i, 1.0, &cfg());
+                    let reference = oracle::resolve(&opt, &hev, &d, i, 1.0, &cfg());
+                    assert_eq!(
+                        production.as_ref().map(oracle::bits),
+                        reference.as_ref().map(oracle::bits),
+                        "resolve diverged from the peek oracle at v={v} a={a} i={i} ({opt:?})"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn batched_mask_matches_scalar_verdicts() {
+    fn mask_matches_demand_level_probe() {
         let hev = hev();
-        let opt = InnerOptimizer::default();
         let currents = crate::action::default_currents();
-        let mut scratch = ResolveScratch::new();
         let mut mask = vec![false; currents.len()];
-        for (v, a) in [
-            (0.0, 0.0),
-            (0.04, 0.0),
-            (3.0, 0.4),
-            (15.0, 0.3),
-            (15.0, -1.5),
+        for opt in [
+            InnerOptimizer::default(),
+            InnerOptimizer::with_fixed_aux(600.0),
         ] {
-            let d = hev.demand(v, a, 0.0);
-            let ctx = hev.step_context(&d);
-            opt.fill_mask_batched(&hev, &ctx, &currents, 1.0, &mut scratch, &mut mask);
-            for (idx, &i) in currents.iter().enumerate() {
-                assert_eq!(
-                    mask[idx],
-                    opt.feasible_with(&hev, &ctx, i, 1.0),
-                    "mask diverged at v={v} a={a} i={i}"
-                );
+            for (v, a) in [(0.04, 0.0)].into_iter().chain(DEMANDS) {
+                let d = hev.demand(v, a, 0.0);
+                let ctx = hev.step_context(&d);
+                opt.fill_mask(&hev, &ctx, &currents, 1.0, &mut mask);
+                for (idx, &i) in currents.iter().enumerate() {
+                    assert_eq!(
+                        mask[idx],
+                        opt.feasible(&hev, &d, i, 1.0),
+                        "mask diverged at v={v} a={a} i={i}"
+                    );
+                }
             }
         }
     }
 
-    #[test]
-    fn scalar_reference_flag_replays_scalar_eval_counts() {
-        let hev = hev();
-        let reference = InnerOptimizer {
-            scalar_reference: true,
-            ..InnerOptimizer::default()
-        };
-        let mut scratch = ResolveScratch::new();
-        let d = hev.demand(15.0, 0.3, 0.0);
-        let ctx = hev.step_context(&d);
-        let snap = hev_trace::evals::count();
-        let a = reference.resolve_with_scratch(&hev, &ctx, 10.0, 1.0, &cfg(), &mut scratch);
-        let ref_evals = hev_trace::evals::since(snap);
-        let snap = hev_trace::evals::count();
-        let b = reference.resolve_with(&hev, &ctx, 10.0, 1.0, &cfg());
-        assert_eq!(
-            ref_evals,
-            hev_trace::evals::since(snap),
-            "scalar_reference must replay the scalar path exactly"
-        );
-        assert_bit_identical(&a.unwrap(), &b.unwrap());
+    /// Viable gears at `d`, after asserting both ends of the aux range are
+    /// feasible in each at `i`. Every feasibility check bounds `p_aux` to
+    /// an interval, so the whole range is then feasible: no refinement
+    /// pair can both fail, and each gear pays its full grid plus
+    /// `2 · refine_iters` probes.
+    fn fully_feasible_viable_gears(hev: &ParallelHev, d: &WheelDemand, i: f64) -> usize {
+        let ctx = hev.step_context(d);
+        let (lo, hi) = hev.aux().power_range();
+        let viable: Vec<usize> = (0..hev.drivetrain().num_gears())
+            .filter(|&g| ctx.gear_is_viable(g))
+            .collect();
+        for &gear in &viable {
+            for p in [lo, hi] {
+                let c = ControlInput {
+                    battery_current_a: i,
+                    gear,
+                    p_aux_w: p,
+                };
+                assert!(hev.peek(d, &c, 1.0).is_ok(), "gear {gear} at {p} W");
+            }
+        }
+        viable.len()
     }
 
     #[test]
-    fn batched_resolve_spends_fewer_evals_when_stopped() {
-        // The stopped-step gear dedup is the headline idle-time saving:
-        // only the first viable gear pays for its aux optimization.
+    fn moving_resolve_costs_grid_and_refinement_per_viable_gear() {
         let hev = hev();
         let opt = InnerOptimizer::default();
-        let mut scratch = ResolveScratch::new();
-        let d = hev.demand(0.0, 0.0, 0.0);
+        let d = hev.demand(15.0, 0.3, 0.0);
+        let viable = fully_feasible_viable_gears(&hev, &d, 10.0);
+        assert!(viable >= 2, "the case must cover several gears");
         let ctx = hev.step_context(&d);
         let snap = hev_trace::evals::count();
-        let scalar = opt.resolve_with(&hev, &ctx, 0.0, 1.0, &cfg());
-        let scalar_evals = hev_trace::evals::since(snap);
-        let snap = hev_trace::evals::count();
-        let batched = opt.resolve_with_scratch(&hev, &ctx, 0.0, 1.0, &cfg(), &mut scratch);
-        let batched_evals = hev_trace::evals::since(snap);
-        assert_bit_identical(&batched.unwrap(), &scalar.unwrap());
-        assert!(
-            batched_evals * 4 < scalar_evals,
-            "stopped-step dedup should cut evals by ~num_gears: {batched_evals} vs {scalar_evals}"
+        opt.resolve_with(&hev, &ctx, 10.0, 1.0, &cfg()).unwrap();
+        assert_eq!(
+            hev_trace::evals::since(snap),
+            (viable * (opt.aux_grid + 2 * opt.refine_iters)) as u64
         );
+        // Fixed aux: one probe per viable gear.
+        let snap = hev_trace::evals::count();
+        InnerOptimizer::with_fixed_aux(600.0)
+            .resolve_with(&hev, &ctx, 10.0, 1.0, &cfg())
+            .unwrap();
+        assert_eq!(hev_trace::evals::since(snap), viable as u64);
+        // A current beyond the pack limits is masked for free.
+        let snap = hev_trace::evals::count();
+        assert!(opt.resolve_with(&hev, &ctx, 1e6, 1.0, &cfg()).is_none());
+        assert_eq!(hev_trace::evals::since(snap), 0);
+    }
+
+    #[test]
+    fn stopped_resolve_costs_one_gears_worth() {
+        let hev = hev();
+        let opt = InnerOptimizer::default();
+        let d = hev.demand(0.0, 0.0, 0.0);
+        let viable = fully_feasible_viable_gears(&hev, &d, 0.0);
+        assert_eq!(viable, hev.drivetrain().num_gears());
+        let ctx = hev.step_context(&d);
+        let snap = hev_trace::evals::count();
+        opt.resolve_with(&hev, &ctx, 0.0, 1.0, &cfg()).unwrap();
+        assert_eq!(
+            hev_trace::evals::since(snap),
+            (opt.aux_grid + 2 * opt.refine_iters) as u64
+        );
+    }
+
+    #[test]
+    fn mask_costs_first_feasible_gear_per_current() {
+        let hev = hev();
+        let opt = InnerOptimizer::default();
+        let aux = hev.aux().preferred_power();
+        let mut currents = crate::action::default_currents();
+        currents.push(1e6);
+        let mut mask = vec![false; currents.len()];
+        let mut precheck_failures = 0;
+        for (v, a) in DEMANDS {
+            let d = hev.demand(v, a, 0.0);
+            let ctx = hev.step_context(&d);
+            let expected: u64 = if ctx.is_stopped() {
+                1
+            } else {
+                currents
+                    .iter()
+                    .map(|&i| {
+                        if !hev.current_context(i, 1.0).is_feasible() {
+                            precheck_failures += 1;
+                            return 0;
+                        }
+                        let viable: Vec<usize> = (0..hev.drivetrain().num_gears())
+                            .filter(|&g| ctx.gear_is_viable(g))
+                            .collect();
+                        let first = viable.iter().position(|&gear| {
+                            let c = ControlInput {
+                                battery_current_a: i,
+                                gear,
+                                p_aux_w: aux,
+                            };
+                            hev.peek(&d, &c, 1.0).is_ok()
+                        });
+                        first.map_or(viable.len(), |k| k + 1) as u64
+                    })
+                    .sum()
+            };
+            let snap = hev_trace::evals::count();
+            opt.fill_mask(&hev, &ctx, &currents, 1.0, &mut mask);
+            assert_eq!(hev_trace::evals::since(snap), expected, "v={v} a={a}");
+        }
+        assert!(precheck_failures > 0, "the grid must exercise the precheck");
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub use fault::{FaultConfig, FaultPlan};
 pub use harness::{
     split_seed, Harness, RunEvent, RunLog, RunOutcome, RunSpec, SeedSequence, RETRY_SEED_TAG,
 };
-pub use inner_opt::{InnerOptimizer, ResolveScratch, ResolvedAction};
+pub use inner_opt::{InnerOptimizer, ResolvedAction};
 pub use metrics::{mode_index, DegradationReport, EpisodeMetrics, MetricsSummary, StatSummary};
 pub use plan::CyclePlan;
 pub use policy_export::PolicyTable;

@@ -26,7 +26,7 @@
 
 use crate::action::default_currents;
 use crate::baseline::RuleBasedController;
-use crate::inner_opt::{InnerOptimizer, ResolveScratch};
+use crate::inner_opt::InnerOptimizer;
 use crate::metrics::DegradationReport;
 use crate::reward::RewardConfig;
 use crate::sim::{fallback_control, ControlError, HevPolicy, Observation};
@@ -109,9 +109,6 @@ pub struct SupervisedPolicy<P> {
     policy: P,
     config: SupervisorConfig,
     report: DegradationReport,
-    /// Reusable buffers of the myopic tier's batched inner optimization
-    /// (not part of the supervisor's observable state).
-    scratch: ResolveScratch,
 }
 
 impl<P: HevPolicy> SupervisedPolicy<P> {
@@ -126,7 +123,6 @@ impl<P: HevPolicy> SupervisedPolicy<P> {
             policy,
             config,
             report: DegradationReport::default(),
-            scratch: ResolveScratch::new(),
         }
     }
 
@@ -153,7 +149,7 @@ impl<P: HevPolicy> SupervisedPolicy<P> {
     /// Tier 2: the feasible control with the best instantaneous
     /// inner-optimized reward over the current ladder.
     fn myopic_control(
-        &mut self,
+        &self,
         hev: &ParallelHev,
         ctx: &StepContext,
         dt: f64,
@@ -161,14 +157,7 @@ impl<P: HevPolicy> SupervisedPolicy<P> {
         let mut best: Option<(f64, ControlInput)> = None;
         let inner = self.config.inner;
         for &current in &self.config.currents {
-            if let Some(resolved) = inner.resolve_with_scratch(
-                hev,
-                ctx,
-                current,
-                dt,
-                &self.config.reward,
-                &mut self.scratch,
-            ) {
+            if let Some(resolved) = inner.resolve_with(hev, ctx, current, dt, &self.config.reward) {
                 if best.as_ref().is_none_or(|(r, _)| resolved.reward > *r) {
                     best = Some((resolved.reward, resolved.control));
                 }

@@ -2,13 +2,16 @@
 //! randomized fault plans and an adversarial wrapped policy, the
 //! supervisor never emits an infeasible control — except the explicit
 //! limp-home best effort when *no* control is feasible — across
-//! stopped, braking, and propelling demands.
+//! stopped, braking, and propelling demands — and its myopic tier's
+//! inner optimization agrees bit for bit with the peek oracle.
+
+mod oracle;
 
 use drive_cycle::ProfileBuilder;
 use hev_control::supervisor::SupervisorConfig;
 use hev_control::{
     fallback_control, simulate_with_faults, DegradationReport, FaultConfig, FaultPlan, HevPolicy,
-    Observation, RewardConfig, SupervisedPolicy,
+    InnerOptimizer, Observation, ResolvedAction, RewardConfig, SupervisedPolicy,
 };
 use hev_model::{ControlInput, HevParams, ParallelHev, StepOutcome};
 use proptest::prelude::*;
@@ -87,6 +90,55 @@ impl HevPolicy for AssertFeasible {
     }
 }
 
+/// Wraps the supervised policy and, before each decision, resolves every
+/// current of the supervisor's myopic ladder both ways on the step's
+/// (faulted) plant: through the production inner optimization against
+/// the step context, and through the peek oracle against the bare
+/// demand. Counts the currents whose results differ in any bit.
+struct AssertOracle {
+    inner: SupervisedPolicy<Chaotic>,
+    config: SupervisorConfig,
+    resolves: usize,
+    mismatches: usize,
+}
+
+impl HevPolicy for AssertOracle {
+    fn begin_episode(&mut self) {
+        self.inner.begin_episode();
+    }
+
+    fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
+        let (inner, reward) = (&self.config.inner, &self.config.reward);
+        for &i in &self.config.currents {
+            let production = inner.resolve_with(hev, obs.ctx, i, reward.dt_s, reward);
+            let reference = oracle::resolve(inner, hev, obs.demand, i, reward.dt_s, reward);
+            self.resolves += 1;
+            if production.as_ref().map(oracle::bits) != reference.as_ref().map(oracle::bits) {
+                self.mismatches += 1;
+            }
+        }
+        self.inner.decide(hev, obs)
+    }
+
+    fn feedback(
+        &mut self,
+        hev: &ParallelHev,
+        obs: &Observation<'_>,
+        outcome: &StepOutcome,
+        reward: f64,
+    ) {
+        self.inner.feedback(hev, obs, outcome, reward);
+    }
+
+    fn end_episode(&mut self) {
+        self.inner.end_episode();
+    }
+
+    fn degradation(&self) -> Option<DegradationReport> {
+        self.inner.degradation()
+    }
+}
+
 proptest! {
     /// The supervisor's output is feasible at every step of a cycle that
     /// exercises stopped, propelling, braking, and cruising demands,
@@ -126,20 +178,17 @@ proptest! {
         prop_assert_eq!(report.decisions, cycle.len());
     }
 
-    /// The supervisor's myopic tier resolves through the batched inner
-    /// optimization by default; forcing the scalar reference
-    /// implementation instead must not change a single decision —
-    /// metrics and degradation reports are bit-identical under the same
-    /// chaotic policy and fault plan. (Together with
-    /// `supervised_output_always_feasible`, this pins that the batched
-    /// resolve never lets an infeasible control through: the scalar path
-    /// rejects it, and the batched path equals the scalar path.)
+    /// The supervisor's myopic tier resolves through the production
+    /// inner optimization; on every step of a chaotic, faulted run —
+    /// stopped, propelling and braking, with the optimizer's aux power
+    /// free or fixed — it returns exactly what the peek oracle returns.
     #[test]
-    fn supervised_batched_resolve_matches_scalar_reference(
+    fn supervised_resolve_matches_peek_oracle(
         policy_seed in 0u64..1_000,
         plan_seed in 0u64..1_000,
         severity in 0.0f64..2.0,
         cruise_kmh in 20.0f64..70.0,
+        fixed_aux in 0u8..2,
     ) {
         let cycle = ProfileBuilder::new("prop")
             .idle(3.0)
@@ -147,20 +196,25 @@ proptest! {
             .build()
             .unwrap();
         let reward = RewardConfig::default();
-        let run = |scalar_reference: bool| {
-            let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6).unwrap();
-            let mut plan = FaultPlan::new(FaultConfig::at_severity(severity), plan_seed);
-            plan.degrade_plant(&mut hev);
-            let mut config = SupervisorConfig::default();
-            config.inner.scalar_reference = scalar_reference;
-            let mut controller = SupervisedPolicy::with_config(
+        let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6).unwrap();
+        let mut plan = FaultPlan::new(FaultConfig::at_severity(severity), plan_seed);
+        plan.degrade_plant(&mut hev);
+        let mut config = SupervisorConfig::default();
+        if fixed_aux == 1 {
+            config.inner = InnerOptimizer::with_fixed_aux(600.0);
+        }
+        let mut controller = AssertOracle {
+            inner: SupervisedPolicy::with_config(
                 Chaotic { rng: StdRng::seed_from_u64(policy_seed) },
-                config,
-            );
-            simulate_with_faults(&mut hev, &cycle, &mut controller, &reward, Some(&mut plan))
+                config.clone(),
+            ),
+            config,
+            resolves: 0,
+            mismatches: 0,
         };
-        let batched = run(false);
-        let scalar = run(true);
-        prop_assert_eq!(batched, scalar);
+        let m = simulate_with_faults(&mut hev, &cycle, &mut controller, &reward, Some(&mut plan));
+        prop_assert_eq!(m.steps, cycle.len());
+        prop_assert!(controller.resolves > 0);
+        prop_assert_eq!(controller.mismatches, 0);
     }
 }

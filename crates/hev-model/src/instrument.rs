@@ -13,31 +13,10 @@ pub(crate) fn record_eval() {
     hev_trace::evals::record();
 }
 
-/// Records one batched sweep of `lanes` peek-equivalent evaluations
-/// (called by the batch kernel): the counter advances by one per *lane*,
-/// so per-step evaluation costs stay comparable between the scalar and
-/// batched paths.
-#[inline]
-pub(crate) fn record_batch(lanes: u64) {
-    hev_trace::evals::record_batch(lanes);
-}
-
 /// Records one `StepContext` rebuild (called by
 /// `ParallelHev::rebuild_context`). The cycle-level context table
 /// amortizes these to one per (cycle, vehicle-config) pair.
 #[inline]
 pub(crate) fn record_ctx_rebuild() {
     hev_trace::evals::record_ctx_rebuild();
-}
-
-/// Records one hit in the keyed `CurrentContext` cache.
-#[inline]
-pub(crate) fn record_ctx_cache_hit() {
-    hev_trace::evals::record_ctx_cache_hit();
-}
-
-/// Records one miss in the keyed `CurrentContext` cache.
-#[inline]
-pub(crate) fn record_ctx_cache_miss() {
-    hev_trace::evals::record_ctx_cache_miss();
 }

@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 
 pub mod aux;
-pub mod batch;
 pub mod battery;
 pub mod drivetrain;
 pub mod dynamics;
@@ -48,7 +47,6 @@ pub mod plan;
 pub mod vehicle;
 
 pub use aux::AuxiliarySystems;
-pub use batch::{CandidateBatch, CurrentContextCache};
 pub use battery::Battery;
 pub use drivetrain::Drivetrain;
 pub use dynamics::{VehicleBody, WheelDemand};

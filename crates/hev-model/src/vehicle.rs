@@ -588,23 +588,6 @@ impl ParallelHev {
         control: &ControlInput,
     ) -> Result<StepOutcome, InfeasibleControl> {
         crate::instrument::record_eval();
-        self.complete_control(ctx, cur, control)
-    }
-
-    /// The shared completion body of [`ParallelHev::peek_with_contexts`]
-    /// and the batch kernel ([`ParallelHev::evaluate_batch`]): resolves
-    /// one control against prebuilt contexts *without* touching the
-    /// evaluation counter. The two callers differ only in how they count
-    /// — one eval per scalar call vs. one per batch lane — so every lane
-    /// of a batch is bit-identical to the scalar reference by
-    /// construction.
-    #[inline(always)]
-    pub(crate) fn complete_control(
-        &self,
-        ctx: &StepContext,
-        cur: &CurrentContext,
-        control: &ControlInput,
-    ) -> Result<StepOutcome, InfeasibleControl> {
         self.drivetrain.ratio(control.gear)?;
         self.aux.check_power(control.p_aux_w)?;
         debug_assert!(

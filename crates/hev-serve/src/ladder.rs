@@ -26,9 +26,7 @@
 
 use crate::wire::Rung;
 use hev_control::sim::{fallback_control, HevPolicy, Observation};
-use hev_control::{
-    default_currents, InnerOptimizer, ResolveScratch, RewardConfig, RuleBasedController,
-};
+use hev_control::{default_currents, InnerOptimizer, RewardConfig, RuleBasedController};
 use hev_model::{ControlInput, ParallelHev, StepContext, WheelDemand};
 use hev_trace::evals;
 
@@ -104,15 +102,13 @@ fn best_over_currents(
     ctx: &StepContext,
     currents: &[f64],
     config: &LadderConfig,
-    scratch: &mut ResolveScratch,
     dt: f64,
 ) -> Option<ControlInput> {
     let mut best: Option<(f64, ControlInput)> = None;
     for &current in currents {
-        if let Some(resolved) =
-            config
-                .inner
-                .resolve_with_scratch(hev, ctx, current, dt, &config.reward, scratch)
+        if let Some(resolved) = config
+            .inner
+            .resolve_with(hev, ctx, current, dt, &config.reward)
         {
             if best.as_ref().is_none_or(|(r, _)| resolved.reward > *r) {
                 best = Some((resolved.reward, resolved.control));
@@ -136,7 +132,6 @@ pub fn decide(
     demand: &WheelDemand,
     config: &LadderConfig,
     rule: &mut RuleBasedController,
-    scratch: &mut ResolveScratch,
     budget: u64,
     step: usize,
     time_s: f64,
@@ -151,7 +146,7 @@ pub fn decide(
         let _span = hev_trace::span::enter("serve.ladder.full");
         trail.push(Rung::Full);
         let tier = evals::count();
-        let candidate = best_over_currents(hev, ctx, &config.currents, config, scratch, dt)
+        let candidate = best_over_currents(hev, ctx, &config.currents, config, dt)
             .filter(|control| validate(hev, ctx, control, dt));
         trail_evals.push(evals::since(tier));
         if let Some(control) = candidate {
@@ -169,7 +164,7 @@ pub fn decide(
         let _span = hev_trace::span::enter("serve.ladder.myopic");
         trail.push(Rung::Myopic);
         let tier = evals::count();
-        let candidate = best_over_currents(hev, ctx, &config.myopic_currents, config, scratch, dt)
+        let candidate = best_over_currents(hev, ctx, &config.myopic_currents, config, dt)
             .filter(|control| validate(hev, ctx, control, dt));
         trail_evals.push(evals::since(tier));
         if let Some(control) = candidate {
@@ -244,19 +239,7 @@ mod tests {
         let config = LadderConfig::default();
         let mut rule = RuleBasedController::default();
         rule.begin_episode();
-        let mut scratch = ResolveScratch::new();
-        decide(
-            &hev,
-            &ctx,
-            &demand,
-            &config,
-            &mut rule,
-            &mut scratch,
-            budget,
-            0,
-            0.0,
-            0.6,
-        )
+        decide(&hev, &ctx, &demand, &config, &mut rule, budget, 0, 0.0, 0.6)
     }
 
     #[test]

@@ -14,9 +14,7 @@
 use crate::ladder::{self, LadderConfig};
 use crate::wire::{self, Request, RequestError, Rung, Verdict};
 use hev_control::sim::HevPolicy;
-use hev_control::{
-    split_seed, FaultConfig, FaultPlan, ResolveScratch, RuleBasedController, RETRY_SEED_TAG,
-};
+use hev_control::{split_seed, FaultConfig, FaultPlan, RuleBasedController, RETRY_SEED_TAG};
 use hev_model::{HevParams, ParallelHev, ParamError};
 use hev_trace::evals;
 
@@ -49,7 +47,6 @@ pub struct Session {
     hev: ParallelHev,
     faults: FaultPlan,
     rule: RuleBasedController,
-    scratch: ResolveScratch,
     /// The rung-by-rung `(tier, evals)` walk of the most recent ladder
     /// decision — the causal trace of the last processed request.
     last_trail: Vec<(Rung, u64)>,
@@ -79,7 +76,6 @@ impl Session {
             hev,
             faults,
             rule,
-            scratch: ResolveScratch::new(),
             last_trail: Vec::new(),
         })
     }
@@ -168,7 +164,6 @@ impl Session {
             &true_demand,
             config,
             &mut self.rule,
-            &mut self.scratch,
             budget,
             self.seq as usize,
             time_s,

@@ -4,7 +4,7 @@
 //! the backpressure depth that triggered them, and the degradation
 //! ladder only ever walks downward within a request.
 
-use hev_control::{HevPolicy, ResolveScratch, RuleBasedController};
+use hev_control::{HevPolicy, RuleBasedController};
 use hev_model::{HevParams, ParallelHev};
 use hev_serve::fleet::{build_sessions, FleetConfig};
 use hev_serve::ladder::{decide, LadderConfig};
@@ -154,10 +154,7 @@ proptest! {
         let config = LadderConfig::default();
         let mut rule = RuleBasedController::default();
         rule.begin_episode();
-        let mut scratch = ResolveScratch::new();
-        let out = decide(
-            &hev, &ctx, &demand, &config, &mut rule, &mut scratch, budget, 0, 0.0, soc,
-        );
+        let out = decide(&hev, &ctx, &demand, &config, &mut rule, budget, 0, 0.0, soc);
         if let Some(out) = out {
             for pair in out.trail.windows(2) {
                 prop_assert!(

@@ -18,32 +18,12 @@ use std::cell::Cell;
 
 thread_local! {
     static EVALS: Cell<u64> = const { Cell::new(0) };
-    static BATCH_LANES: Cell<u64> = const { Cell::new(0) };
-    static BATCH_CALLS: Cell<u64> = const { Cell::new(0) };
     static CTX_REBUILDS: Cell<u64> = const { Cell::new(0) };
-    static CTX_CACHE_HITS: Cell<u64> = const { Cell::new(0) };
-    static CTX_CACHE_MISSES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Records one peek-equivalent evaluation.
 pub fn record() {
     EVALS.with(|c| c.set(c.get().wrapping_add(1)));
-}
-
-/// Records one batched-kernel sweep of `lanes` peek-equivalent
-/// evaluations: the total advances by `lanes` — one eval per batch
-/// *lane*, never one per call — so `evals/step` stays comparable with
-/// the scalar-path baselines. Also tracks the number of batch calls, so
-/// consumers can report the mean batch width. Zero-lane calls are
-/// no-ops (an empty batch evaluates nothing and must not skew the
-/// width statistic).
-pub fn record_batch(lanes: u64) {
-    if lanes == 0 {
-        return;
-    }
-    EVALS.with(|c| c.set(c.get().wrapping_add(lanes)));
-    BATCH_LANES.with(|c| c.set(c.get().wrapping_add(lanes)));
-    BATCH_CALLS.with(|c| c.set(c.get().wrapping_add(1)));
 }
 
 /// Records one `StepContext` rebuild — a full demand-to-gear precompute
@@ -59,40 +39,6 @@ pub fn ctx_rebuilds() -> u64 {
     CTX_REBUILDS.with(Cell::get)
 }
 
-/// Records one hit in the per-step battery-context cache (the keyed
-/// `CurrentContext` lookup succeeded without recomputation).
-pub fn record_ctx_cache_hit() {
-    CTX_CACHE_HITS.with(|c| c.set(c.get().wrapping_add(1)));
-}
-
-/// Records one miss in the per-step battery-context cache (the keyed
-/// `CurrentContext` had to be computed and inserted).
-pub fn record_ctx_cache_miss() {
-    CTX_CACHE_MISSES.with(|c| c.set(c.get().wrapping_add(1)));
-}
-
-/// Battery-context cache hits on this thread since the last [`reset`].
-pub fn ctx_cache_hits() -> u64 {
-    CTX_CACHE_HITS.with(Cell::get)
-}
-
-/// Battery-context cache misses on this thread since the last [`reset`].
-pub fn ctx_cache_misses() -> u64 {
-    CTX_CACHE_MISSES.with(Cell::get)
-}
-
-/// Evaluations recorded through the batched kernel on this thread since
-/// the last [`reset`] (a subset of [`count`]).
-pub fn batch_lanes() -> u64 {
-    BATCH_LANES.with(Cell::get)
-}
-
-/// Batched-kernel invocations on this thread since the last [`reset`];
-/// `batch_lanes() / batch_calls()` is the mean batch width.
-pub fn batch_calls() -> u64 {
-    BATCH_CALLS.with(Cell::get)
-}
-
 /// Evaluations recorded on this thread since the last [`reset`] (a free-
 /// running counter; per-episode consumers difference two snapshots with
 /// [`since`]).
@@ -100,15 +46,11 @@ pub fn count() -> u64 {
     EVALS.with(Cell::get)
 }
 
-/// Resets this thread's counters (total, batch lanes, batch calls,
-/// context rebuilds, context-cache hits/misses) to zero.
+/// Resets this thread's counters (total evaluations, context
+/// rebuilds) to zero.
 pub fn reset() {
     EVALS.with(|c| c.set(0));
-    BATCH_LANES.with(|c| c.set(0));
-    BATCH_CALLS.with(|c| c.set(0));
     CTX_REBUILDS.with(|c| c.set(0));
-    CTX_CACHE_HITS.with(|c| c.set(0));
-    CTX_CACHE_MISSES.with(|c| c.set(0));
 }
 
 /// Evaluations since an earlier [`count`] snapshot (wrapping-safe).
@@ -121,19 +63,26 @@ pub fn since(snapshot: u64) -> u64 {
 /// Windowed consumers (per-episode telemetry, the span profiler)
 /// difference two snapshots with [`Counts::since`], which wraps like the
 /// underlying counters.
+///
+/// The batch-lane and context-cache fields counted a batched candidate
+/// kernel and its keyed battery-context cache, both since removed: every
+/// candidate is now probed directly and counted in `evals`. Nothing
+/// records them any more, so they always read 0; they stay because
+/// report consumers (the telemetry registry, benchmark reports) still
+/// read them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counts {
     /// Peek-equivalent evaluations ([`count`]).
     pub evals: u64,
-    /// Evaluations recorded through the batched kernel ([`batch_lanes`]).
+    /// Evaluations recorded through the batched kernel (always 0).
     pub batch_lanes: u64,
-    /// Batched-kernel invocations ([`batch_calls`]).
+    /// Batched-kernel invocations (always 0).
     pub batch_calls: u64,
     /// Step-context rebuilds ([`ctx_rebuilds`]).
     pub ctx_rebuilds: u64,
-    /// Battery-context cache hits ([`ctx_cache_hits`]).
+    /// Battery-context cache hits (always 0).
     pub ctx_cache_hits: u64,
-    /// Battery-context cache misses ([`ctx_cache_misses`]).
+    /// Battery-context cache misses (always 0).
     pub ctx_cache_misses: u64,
 }
 
@@ -156,11 +105,8 @@ impl Counts {
 pub fn counts() -> Counts {
     Counts {
         evals: count(),
-        batch_lanes: batch_lanes(),
-        batch_calls: batch_calls(),
         ctx_rebuilds: ctx_rebuilds(),
-        ctx_cache_hits: ctx_cache_hits(),
-        ctx_cache_misses: ctx_cache_misses(),
+        ..Counts::default()
     }
 }
 
@@ -187,19 +133,11 @@ mod tests {
         reset();
         record_ctx_rebuild();
         record_ctx_rebuild();
-        record_ctx_cache_hit();
-        record_ctx_cache_miss();
-        record_ctx_cache_miss();
-        record_ctx_cache_miss();
         assert_eq!(ctx_rebuilds(), 2);
-        assert_eq!(ctx_cache_hits(), 1);
-        assert_eq!(ctx_cache_misses(), 3);
         // Context bookkeeping never counts as a peek-equivalent eval.
         assert_eq!(count(), 0);
         reset();
         assert_eq!(ctx_rebuilds(), 0);
-        assert_eq!(ctx_cache_hits(), 0);
-        assert_eq!(ctx_cache_misses(), 0);
     }
 
     #[test]
@@ -207,38 +145,17 @@ mod tests {
         reset();
         let start = counts();
         record();
-        record_batch(4);
+        record();
         record_ctx_rebuild();
-        record_ctx_cache_hit();
-        record_ctx_cache_miss();
         let delta = counts().since(&start);
-        assert_eq!(delta.evals, 5);
-        assert_eq!(delta.batch_lanes, 4);
-        assert_eq!(delta.batch_calls, 1);
-        assert_eq!(delta.ctx_rebuilds, 1);
-        assert_eq!(delta.ctx_cache_hits, 1);
-        assert_eq!(delta.ctx_cache_misses, 1);
+        assert_eq!(
+            delta,
+            Counts {
+                evals: 2,
+                ctx_rebuilds: 1,
+                ..Counts::default()
+            }
+        );
         reset();
-    }
-
-    #[test]
-    fn batch_records_one_eval_per_lane() {
-        // Hand-counted scenario: two scalar evals, a 7-lane batch, a
-        // 3-lane batch, and an empty batch. The total must be
-        // 2 + 7 + 3 = 12 (one per lane, never one per call), the batch
-        // subset 10, and the empty call must count neither a lane nor a
-        // call.
-        reset();
-        record();
-        record();
-        record_batch(7);
-        record_batch(3);
-        record_batch(0);
-        assert_eq!(count(), 12);
-        assert_eq!(batch_lanes(), 10);
-        assert_eq!(batch_calls(), 2);
-        reset();
-        assert_eq!(batch_lanes(), 0);
-        assert_eq!(batch_calls(), 0);
     }
 }

@@ -1,10 +1,10 @@
 //! Hierarchical span profiler with a deterministic virtual clock.
 //!
-//! A span measures one named phase of work (`model.scored_sweep`,
+//! A span measures one named phase of work (`control.grid`,
 //! `control.td_update`, `serve.ladder.full`, …) on the **virtual
 //! clock**: candidate-evaluation counts read from the thread-local
-//! [`crate::evals`] counters, plus the fused batch-lane count. Virtual
-//! time is a pure function of the work performed, so every number a
+//! [`crate::evals`] counters. Virtual time is a pure function of the
+//! work performed, so every number a
 //! span records is bit-identical at any `--jobs` or serve shard
 //! count — the profile is a deterministic artifact, compared
 //! byte-for-byte in CI like the figures themselves.
@@ -74,7 +74,6 @@ struct Rec {
     children: Vec<usize>,
     calls: u64,
     evals: u64,
-    lanes: u64,
     wall_ns: u64,
     hist: [u64; HIST_SLOTS],
 }
@@ -86,7 +85,6 @@ impl Rec {
             children: Vec::new(),
             calls: 0,
             evals: 0,
-            lanes: 0,
             wall_ns: 0,
             hist: [0; HIST_SLOTS],
         }
@@ -156,7 +154,6 @@ impl Profiler {
         if let Some(rec) = self.recs.get(idx) {
             node.calls = rec.calls;
             node.evals = rec.evals;
-            node.lanes = rec.lanes;
             node.wall_ns = rec.wall_ns;
             node.hist = rec.hist.to_vec();
             for &c in &rec.children {
@@ -217,7 +214,6 @@ pub fn take_tree() -> SpanTree {
         if let Some(root) = p.recs.get_mut(0) {
             root.calls = 1;
             root.evals = counts.evals;
-            root.lanes = counts.batch_lanes;
             root.wall_ns = wall;
         }
         let tree = SpanTree { root: p.export(0) };
@@ -305,7 +301,6 @@ impl Drop for SpanGuard {
             if let Some(rec) = p.recs.get_mut(self.node) {
                 rec.calls += 1;
                 rec.evals += counts.evals;
-                rec.lanes += counts.batch_lanes;
                 rec.wall_ns += wall;
                 rec.hist[bucket(counts.evals)] += 1;
             }
@@ -328,8 +323,6 @@ pub struct SpanNode {
     /// Inclusive virtual time: candidate evaluations inside the span
     /// (children included).
     pub evals: u64,
-    /// Inclusive fused batch-lane count.
-    pub lanes: u64,
     /// Inclusive wall-clock nanoseconds (0 unless the harness installed
     /// the wall lane; never serialized into compared artifacts).
     pub wall_ns: u64,
@@ -360,7 +353,6 @@ impl SpanNode {
     pub fn merge(&mut self, other: &SpanNode) {
         self.calls += other.calls;
         self.evals += other.evals;
-        self.lanes += other.lanes;
         self.wall_ns += other.wall_ns;
         if self.hist.len() < other.hist.len() {
             self.hist.resize(other.hist.len(), 0);
@@ -377,7 +369,6 @@ impl SpanNode {
         let mut obj = Obj::new()
             .u64("calls", self.calls)
             .u64("evals", self.evals)
-            .u64("lanes", self.lanes)
             .raw("hist", &json::u64_array(&self.hist));
         let mut children = Obj::new();
         for (name, child) in &self.children {
@@ -453,7 +444,6 @@ impl SpanTree {
                         &Obj::new()
                             .u64("calls", node.calls)
                             .u64("evals", node.evals)
-                            .u64("lanes", node.lanes)
                             .u64("exclusive_evals", node.exclusive_evals())
                             .finish(),
                     )
@@ -499,7 +489,6 @@ impl SpanTree {
                 calls: node.calls,
                 inclusive_evals: node.evals,
                 exclusive_evals: node.exclusive_evals(),
-                lanes: node.lanes,
                 pct_of_parent: pct,
                 wall_ns: node.wall_ns,
             });
@@ -519,8 +508,8 @@ impl SpanTree {
         let with_wall = rows.iter().any(|r| r.wall_ns > 0);
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<42} {:>10} {:>14} {:>14} {:>8} {:>7}",
-            "span", "calls", "incl evals", "excl evals", "lanes", "%parent"
+            "{:<42} {:>10} {:>14} {:>14} {:>7}",
+            "span", "calls", "incl evals", "excl evals", "%parent"
         ));
         if with_wall {
             out.push_str(&format!(" {:>10}", "wall ms"));
@@ -529,8 +518,8 @@ impl SpanTree {
         for r in &rows {
             let label = format!("{}{}", "  ".repeat(r.depth), r.name);
             out.push_str(&format!(
-                "{:<42} {:>10} {:>14} {:>14} {:>8} {:>6.1}%",
-                label, r.calls, r.inclusive_evals, r.exclusive_evals, r.lanes, r.pct_of_parent
+                "{:<42} {:>10} {:>14} {:>14} {:>6.1}%",
+                label, r.calls, r.inclusive_evals, r.exclusive_evals, r.pct_of_parent
             ));
             if with_wall {
                 out.push_str(&format!(" {:>10.2}", r.wall_ns as f64 / 1e6));
@@ -580,8 +569,6 @@ pub struct AttributionRow {
     pub inclusive_evals: u64,
     /// Exclusive virtual time in evals.
     pub exclusive_evals: u64,
-    /// Fused batch-lane count.
-    pub lanes: u64,
     /// Inclusive share of the parent's inclusive virtual time.
     pub pct_of_parent: f64,
     /// Inclusive wall-clock nanoseconds (0 without the wall lane).
