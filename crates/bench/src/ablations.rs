@@ -30,7 +30,7 @@ fn row(setting: String, m: &EpisodeMetrics) -> AblationRow {
 
 /// The cycle the ablations run on (UDDS — the longest, most structured
 /// of the paper's set).
-pub fn ablation_cycle() -> DriveCycle {
+fn ablation_cycle() -> DriveCycle {
     StandardCycle::Udds.cycle()
 }
 

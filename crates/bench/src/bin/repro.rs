@@ -4,7 +4,6 @@
 //! repro [--episodes N] [--seed S] [--jobs N] [--run-log PATH|-] [--csv DIR]
 //!       [--metrics-json PATH] [--metrics-prom PATH]
 //!       [--trace PATH] [--trace-sample N]
-//!       [--bench-json PATH] [--bench-baseline PATH] [--bench-guard PCT]
 //!       [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] <target>...
 //!
 //! targets:
@@ -28,7 +27,11 @@
 //! `--checkpoint-dir` enables crash-tolerant training for the
 //! `robustness` target: each training run checkpoints its Q-table every
 //! `--checkpoint-every` episodes (default 25), and `--resume` picks up
-//! from existing checkpoint files bit-identically.
+//! from existing checkpoint files bit-identically. `--checkpoint-every`
+//! and `--resume` are rejected without `--checkpoint-dir`.
+//!
+//! Every target name is checked before any target runs: an unknown name
+//! fails the whole invocation with nothing printed on stdout.
 //!
 //! `--metrics-json` / `--trace` enable the deterministic telemetry
 //! layer for the `fig2`, `table2`, and `fig3` targets: per-episode
@@ -37,11 +40,6 @@
 //! are byte-identical at every `--jobs` value. `--metrics-prom` writes
 //! the final registry snapshot in Prometheus text exposition format.
 //! Without these flags the telemetry code paths are never entered.
-//!
-//! `--bench-guard PCT` (with `--bench-json` and `--bench-baseline`)
-//! fails the process when the deterministic evals/step of the
-//! throughput workload regresses more than PCT percent vs the baseline,
-//! or when steps/s collapses below a 0.25x catastrophic floor.
 //!
 //! The `serve-bench` target runs the `hev-serve` fleet service over a
 //! seeded synthetic fleet: `--serve-shards` picks the worker count,
@@ -66,7 +64,6 @@
 
 use hev_bench::ablations;
 use hev_bench::experiments::{self, ExperimentConfig};
-use hev_bench::perf::{self, StepThroughputReport};
 use hev_bench::profile;
 use hev_bench::robustness::{self, CheckpointOptions};
 use hev_control::harness::{runlog, RunEvent, RunLog};
@@ -75,6 +72,25 @@ use hev_serve::{run_serve_bench, FleetConfig, ServeConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
+
+/// The targets `all` expands to, in run order.
+const ALL_TARGETS: [&str; 12] = [
+    "table1",
+    "fig2",
+    "table2",
+    "fig3",
+    "dp-bound",
+    "learning-curve",
+    "ablation-action-space",
+    "ablation-alpha",
+    "ablation-lambda",
+    "ablation-weight",
+    "ablation-predictor",
+    "robustness",
+];
+
+/// The remaining target names: the two `all` leaves out, and `all`.
+const OTHER_TARGETS: [&str; 3] = ["serve-bench", "profile", "all"];
 
 fn main() -> ExitCode {
     // The CLI defaults to the machine's available parallelism; results
@@ -86,15 +102,12 @@ fn main() -> ExitCode {
     let mut targets: Vec<String> = Vec::new();
     let mut csv_dir: Option<PathBuf> = None;
     let mut run_log: Option<String> = None;
-    let mut bench_json: Option<PathBuf> = None;
-    let mut bench_baseline: Option<PathBuf> = None;
-    let mut bench_guard: Option<f64> = None;
     let mut metrics_json: Option<PathBuf> = None;
     let mut metrics_prom: Option<PathBuf> = None;
     let mut trace_path: Option<PathBuf> = None;
     let mut trace_sample: u64 = 1;
     let mut checkpoint_dir: Option<PathBuf> = None;
-    let mut checkpoint_every: usize = 25;
+    let mut checkpoint_every: Option<usize> = None;
     let mut resume = false;
     let mut serve_chaos = false;
     let mut serve_shards: usize = 1;
@@ -125,18 +138,6 @@ fn main() -> ExitCode {
                 Some(dir) => csv_dir = Some(PathBuf::from(dir)),
                 None => return usage("--csv needs a directory"),
             },
-            "--bench-json" => match args.next() {
-                Some(path) => bench_json = Some(PathBuf::from(path)),
-                None => return usage("--bench-json needs a path"),
-            },
-            "--bench-baseline" => match args.next() {
-                Some(path) => bench_baseline = Some(PathBuf::from(path)),
-                None => return usage("--bench-baseline needs a path"),
-            },
-            "--bench-guard" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(pct) if pct.is_finite() && pct >= 0.0 => bench_guard = Some(pct),
-                _ => return usage("--bench-guard needs a finite non-negative percentage"),
-            },
             "--metrics-json" => match args.next() {
                 Some(path) => metrics_json = Some(PathBuf::from(path)),
                 None => return usage("--metrics-json needs a path"),
@@ -158,7 +159,7 @@ fn main() -> ExitCode {
                 None => return usage("--checkpoint-dir needs a directory"),
             },
             "--checkpoint-every" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => checkpoint_every = n,
+                Some(n) if n > 0 => checkpoint_every = Some(n),
                 _ => return usage("--checkpoint-every needs a positive integer"),
             },
             "--resume" => resume = true,
@@ -190,11 +191,20 @@ fn main() -> ExitCode {
             target => targets.push(target.to_string()),
         }
     }
-    if targets.is_empty() && bench_json.is_none() {
+    if targets.is_empty() {
         return usage("no target given");
     }
-    if bench_guard.is_some() && (bench_json.is_none() || bench_baseline.is_none()) {
-        return usage("--bench-guard needs both --bench-json and --bench-baseline");
+    let known = |t: &str| ALL_TARGETS.contains(&t) || OTHER_TARGETS.contains(&t);
+    if let Some(unknown) = targets.iter().find(|t| !known(t.as_str())) {
+        return usage(&format!("unknown target {unknown}"));
+    }
+    if checkpoint_dir.is_none() {
+        if resume {
+            return usage("--resume needs --checkpoint-dir");
+        }
+        if checkpoint_every.is_some() {
+            return usage("--checkpoint-every needs --checkpoint-dir");
+        }
     }
     // Telemetry stays fully disabled (and its code paths unentered)
     // unless a telemetry output was requested.
@@ -209,23 +219,7 @@ fn main() -> ExitCode {
     };
     let mut collected: Vec<RunTelemetry> = Vec::new();
     if targets.iter().any(|t| t == "all") {
-        targets = [
-            "table1",
-            "fig2",
-            "table2",
-            "fig3",
-            "dp-bound",
-            "learning-curve",
-            "ablation-action-space",
-            "ablation-alpha",
-            "ablation-lambda",
-            "ablation-weight",
-            "ablation-predictor",
-            "robustness",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        targets = ALL_TARGETS.iter().map(|s| s.to_string()).collect();
     }
     for dir in [&csv_dir, &checkpoint_dir].into_iter().flatten() {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -235,7 +229,7 @@ fn main() -> ExitCode {
     }
     let checkpoint = checkpoint_dir.map(|dir| CheckpointOptions {
         dir,
-        every: checkpoint_every,
+        every: checkpoint_every.unwrap_or(25),
         resume,
     });
     if let Some(path) = &run_log {
@@ -321,11 +315,6 @@ fn main() -> ExitCode {
     ) {
         return code;
     }
-    if let Some(path) = &bench_json {
-        if let Err(code) = bench_throughput(&cfg, path, bench_baseline.as_deref(), bench_guard) {
-            return code;
-        }
-    }
     ExitCode::SUCCESS
 }
 
@@ -379,88 +368,6 @@ fn write_telemetry(
     }
     Ok(())
 }
-
-/// Runs the single-threaded step-throughput workload and writes the
-/// machine-readable report (see `hev_bench::perf`).
-fn bench_throughput(
-    cfg: &ExperimentConfig,
-    path: &std::path::Path,
-    baseline: Option<&std::path::Path>,
-    guard_pct: Option<f64>,
-) -> Result<(), ExitCode> {
-    println!(
-        "\n== Step throughput: staged pipeline, single-threaded ({} train episodes) ==",
-        cfg.episodes
-    );
-    let (workload, sample) = perf::measure_step_throughput(cfg.episodes, cfg.seed);
-    let mut report = StepThroughputReport::new(workload, sample);
-    if let Some(base_path) = baseline {
-        let text = std::fs::read_to_string(base_path).map_err(|e| {
-            eprintln!("error: cannot read baseline {}: {e}", base_path.display());
-            ExitCode::FAILURE
-        })?;
-        let base: StepThroughputReport = serde_json::from_str(&text).map_err(|e| {
-            eprintln!("error: cannot parse baseline {}: {e}", base_path.display());
-            ExitCode::FAILURE
-        })?;
-        report = report.with_baseline(&base).map_err(|msg| {
-            eprintln!("error: baseline {}: {msg}", base_path.display());
-            ExitCode::FAILURE
-        })?;
-    }
-    rule(72);
-    println!(
-        "{:>10.4} s wall   {:>10.0} steps/s   {:>8.1} evals/step   ({} steps)",
-        report.current.wall_s,
-        report.current.steps_per_sec,
-        report.current.evals_per_step,
-        report.current.steps
-    );
-    if let (Some(base), Some(speedup)) = (&report.baseline, report.speedup) {
-        println!(
-            "baseline   {:>10.4} s wall   {:>10.0} steps/s   {:>8.1} evals/step   speedup {:.2}x",
-            base.wall_s, base.steps_per_sec, base.evals_per_step, speedup
-        );
-    }
-    rule(72);
-    let json = serde_json::to_string(&report).map_err(|e| {
-        eprintln!("error: cannot serialize throughput report: {e}");
-        ExitCode::FAILURE
-    })?;
-    std::fs::write(path, json + "\n").map_err(|e| {
-        eprintln!("error: cannot write {}: {e}", path.display());
-        ExitCode::FAILURE
-    })?;
-    println!("(wrote {})", path.display());
-    if let Some(pct) = guard_pct {
-        // Wall-clock throughput is machine-dependent, but evals/step is
-        // deterministic: a growth means the hot loop does more model
-        // evaluations per simulated step than the committed baseline —
-        // e.g. telemetry cost leaking into the disabled path.
-        report.guard_evals(pct).map_err(|msg| {
-            eprintln!("error: bench guard: {msg}");
-            ExitCode::FAILURE
-        })?;
-        // Steps/s gets only a catastrophic floor (4x collapse): noisy CI
-        // runners make a tight wall-clock bound flaky, but an order-of-
-        // magnitude slowdown is always a real hot-loop regression.
-        report
-            .guard_steps_per_sec(STEPS_GUARD_FLOOR)
-            .map_err(|msg| {
-                eprintln!("error: bench guard: {msg}");
-                ExitCode::FAILURE
-            })?;
-        println!(
-            "(bench guard: evals/step within {pct}% of baseline; steps/s above \
-             {STEPS_GUARD_FLOOR}x floor)"
-        );
-    }
-    Ok(())
-}
-
-/// `--bench-guard`'s wall-clock floor: fail when steps/s drops below
-/// this fraction of the baseline.
-const STEPS_GUARD_FLOOR: f64 = 0.25;
 
 /// Runs the deterministic fleet-serving benchmark (`hev-serve`): a
 /// seeded synthetic fleet served over `shards` workers with bounded
@@ -615,7 +522,6 @@ fn usage(err: &str) -> ExitCode {
         "usage: repro [--episodes N] [--seed S] [--jobs N] [--run-log PATH|-] \
          [--csv DIR] \
          [--metrics-json PATH] [--metrics-prom PATH] [--trace PATH] [--trace-sample N] \
-         [--bench-json PATH] [--bench-baseline PATH] [--bench-guard PCT] \
          [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] \
          [--chaos] [--serve-shards N] [--serve-out PATH] [--serve-report PATH] \
          [--profile-json PATH] [--profile-trace PATH] <target>...\n\
@@ -628,13 +534,9 @@ fn usage(err: &str) -> ExitCode {
          --metrics-prom writes the final snapshot in Prometheus text format;\n\
          --trace writes every --trace-sample'th step as a JSONL trace event (plus\n\
          flight-recorder dumps on degradation); files are byte-identical at every --jobs.\n\
-         --bench-json runs the single-threaded step-throughput workload and writes a\n\
-         machine-readable report; --bench-baseline compares against a previous report\n\
-         of the same workload (cycle, --episodes, --seed);\n\
-         --bench-guard fails the run when evals/step regresses more than PCT percent\n\
-         or steps/s collapses below a 0.25x floor.\n\
          --checkpoint-dir enables crash-tolerant training for the robustness target\n\
-         (checkpoint every --checkpoint-every episodes; --resume restarts bit-identically).\n\
+         (checkpoint every --checkpoint-every episodes, default 25; --resume restarts\n\
+         bit-identically); --checkpoint-every and --resume need --checkpoint-dir.\n\
          serve-bench runs the hev-serve fleet service: --serve-shards picks the worker\n\
          count, --chaos injects crashes/malformed requests/burst overload, --serve-out\n\
          writes the shard-invariant response stream (JSONL), --serve-report the JSON\n\

@@ -27,7 +27,7 @@ use std::path::PathBuf;
 
 /// Tag XORed into the experiment seed to derive the fault-plan seed
 /// family, keeping it disjoint from the training-seed family.
-pub const FAULT_SEED_TAG: u64 = 0x4641_554C_5453_0001; // "FAULTS"
+const FAULT_SEED_TAG: u64 = 0x4641_554C_5453_0001; // "FAULTS"
 
 /// The default severity sweep (0 = healthy reference).
 pub const DEFAULT_SEVERITIES: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
@@ -73,17 +73,13 @@ pub struct CheckpointOptions {
 /// Trains one clean proposed controller per split seed on the OSCAR
 /// jitter portfolio and returns the trained snapshots (fanned across
 /// `cfg.jobs` workers; bit-identical at every worker count).
-pub fn train_clean_snapshots(cfg: &ExperimentConfig) -> Vec<ControllerSnapshot> {
-    train_clean_snapshots_with(cfg, None)
-}
-
-/// [`train_clean_snapshots`] with optional crash-tolerant checkpointing:
-/// each run saves `robustness_run<k>.json` under the checkpoint
-/// directory every `every` episodes, and — with `resume` — picks up a
-/// prior run's episode count instead of retraining from zero (resumed
-/// training is bit-identical to uninterrupted, see
-/// [`hev_control::checkpoint`]).
-pub fn train_clean_snapshots_with(
+///
+/// With `ckpt`, training is crash-tolerant: each run saves
+/// `robustness_run<k>.json` under the checkpoint directory every `every`
+/// episodes, and — with `resume` — picks up a prior run's episode count
+/// instead of retraining from zero (resumed training is bit-identical
+/// to uninterrupted, see [`hev_control::checkpoint`]).
+fn train_clean_snapshots_with(
     cfg: &ExperimentConfig,
     ckpt: Option<&CheckpointOptions>,
 ) -> Vec<ControllerSnapshot> {
@@ -160,7 +156,7 @@ pub fn robustness(cfg: &ExperimentConfig) -> Vec<RobustnessRow> {
 }
 
 /// The degradation sweep over explicit severity levels.
-pub fn robustness_at(cfg: &ExperimentConfig, severities: &[f64]) -> Vec<RobustnessRow> {
+fn robustness_at(cfg: &ExperimentConfig, severities: &[f64]) -> Vec<RobustnessRow> {
     robustness_with(cfg, severities, None)
 }
 

@@ -10,8 +10,8 @@
 use drive_cycle::StandardCycle;
 use hev_bench::experiments::{self, corrected_fuel_g, ExperimentConfig};
 use hev_control::{
-    simulate_with_faults, ControllerSnapshot, EpisodeMetrics, FaultConfig, FaultPlan, Harness,
-    JointController, JointControllerConfig, RewardConfig, SeedSequence, SupervisedPolicy,
+    simulate_with_faults, ControllerSnapshot, CyclePlan, EpisodeMetrics, FaultConfig, FaultPlan,
+    Harness, JointController, JointControllerConfig, RewardConfig, SeedSequence, SupervisedPolicy,
 };
 
 /// A budget small enough for CI but large enough that training leaves
@@ -251,5 +251,36 @@ fn sparse_table_serialization_independent_of_write_order() {
     assert_eq!(
         serde_json::to_string(&back).expect("re-serialize"),
         fwd_json
+    );
+}
+
+/// The deterministic eval clock of a fixed single-threaded workload,
+/// pinned exactly: four planned training episodes on UDDS plus one
+/// greedy evaluation (seed 42) cost exactly 751 175 peek-equivalent
+/// evaluations over 6 845 simulated steps, and the cycle's context
+/// table is built once for the whole workload. Any per-step work
+/// leaking into the disabled-telemetry hot loop, or a context rebuild
+/// leaking back into the planned loop, moves one of these numbers.
+#[test]
+fn udds_workload_replays_the_pinned_eval_count() {
+    let cycle = StandardCycle::Udds.cycle();
+    let mut cfg = JointControllerConfig::proposed();
+    cfg.seed = 42;
+    let mut agent = JointController::new(cfg);
+    let mut hev = experiments::fresh_hev(0.6);
+    let train_episodes = 4;
+
+    hev_trace::evals::reset();
+    let plans = [CyclePlan::new(&hev, &cycle)];
+    agent.train_portfolio_planned(&mut hev, &plans, train_episodes);
+    let metrics = agent.evaluate_planned(&mut hev, &plans[0]);
+    let counts = hev_trace::evals::counts();
+
+    let steps = metrics.steps as u64 * (train_episodes as u64 + 1);
+    assert_eq!(steps, 6_845);
+    assert_eq!(counts.evals, 751_175);
+    assert_eq!(
+        counts.ctx_rebuilds, 1,
+        "expected one context-table build for the whole workload"
     );
 }

@@ -18,10 +18,11 @@
 //! so a torn, truncated, or bit-flipped write is *detected* as a typed
 //! [`CheckpointError`] (never a panic, never silently-wrong state).
 //! Writes are atomic (temp file + rename) and the previous good
-//! checkpoint is kept as `<path>.bak`, so
-//! [`TrainCheckpoint::load_or_recover`] can fall back to it when the
-//! primary is corrupt; [`train_portfolio_checkpointed`] resumes from
-//! whichever loads. Pre-frame plain-JSON checkpoints still load.
+//! checkpoint is kept as `<path>.bak`, so a resume falls back to it when
+//! the primary is corrupt; [`train_portfolio_checkpointed`] resumes from
+//! whichever loads. A file without the frame (such as a bare JSON
+//! payload) is rejected as [`CheckpointError::MalformedHeader`] like any
+//! other corruption.
 
 use crate::controller::{ControllerSnapshot, JointController, JointControllerConfig};
 use crate::metrics::EpisodeMetrics;
@@ -69,10 +70,11 @@ pub enum CheckpointError {
         /// The checksum of the bytes on disk.
         got: u64,
     },
-    /// The frame header itself could not be parsed.
+    /// The frame header is missing (no `hevckpt v1` magic) or could
+    /// not be parsed.
     MalformedHeader,
     /// The payload passed the frame checks but is not a valid
-    /// checkpoint (or a legacy unframed file is not valid JSON).
+    /// checkpoint.
     Malformed(String),
 }
 
@@ -130,7 +132,7 @@ pub struct TrainCheckpoint {
 
 impl TrainCheckpoint {
     /// Captures a checkpoint of a controller at an episode boundary.
-    pub fn capture(episodes_done: usize, agent: &JointController) -> Self {
+    fn capture(episodes_done: usize, agent: &JointController) -> Self {
         Self {
             episodes_done,
             snapshot: agent.snapshot(),
@@ -142,8 +144,8 @@ impl TrainCheckpoint {
     /// crash mid-write never leaves a truncated primary behind. An
     /// existing checkpoint is first renamed to `<path>.bak`, keeping the
     /// previous good state recoverable should the new file be damaged
-    /// later (see [`TrainCheckpoint::load_or_recover`]).
-    pub fn save(&self, path: &Path) -> io::Result<()> {
+    /// later (see `load_or_recover`).
+    fn save(&self, path: &Path) -> io::Result<()> {
         let json = serde_json::to_string(self)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let framed = format!(
@@ -159,11 +161,10 @@ impl TrainCheckpoint {
         std::fs::rename(&tmp, path)
     }
 
-    /// Loads and verifies a checkpoint written by
-    /// [`TrainCheckpoint::save`]: the frame's length and FNV-1a checksum
-    /// must both match before the payload is parsed. Pre-frame files
-    /// (plain JSON, no magic) are still accepted. Corruption surfaces as
-    /// a typed [`CheckpointError`].
+    /// Loads and verifies a framed checkpoint: the frame's length and
+    /// FNV-1a checksum must both match before the payload is parsed.
+    /// Corruption, including a missing frame, surfaces as a typed
+    /// [`CheckpointError`].
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let bytes = std::fs::read(path)?;
         Self::parse_bytes(&bytes)
@@ -174,7 +175,7 @@ impl TrainCheckpoint {
     /// Returns the checkpoint and whether the fallback was used. A
     /// missing primary is *not* recovered (a fresh run must start
     /// fresh); when both files are corrupt, the primary's error wins.
-    pub fn load_or_recover(path: &Path) -> Result<(Self, bool), CheckpointError> {
+    fn load_or_recover(path: &Path) -> Result<(Self, bool), CheckpointError> {
         match Self::load(path) {
             Ok(ckpt) => Ok((ckpt, false)),
             Err(CheckpointError::Io(e)) => Err(CheckpointError::Io(e)),
@@ -187,13 +188,9 @@ impl TrainCheckpoint {
 
     /// Verifies the frame and parses the payload.
     fn parse_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let Some(rest) = bytes.strip_prefix(FRAME_MAGIC.as_bytes()) else {
-            // Legacy pre-frame checkpoint: the whole file is the JSON.
-            let json = std::str::from_utf8(bytes)
-                .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-            return serde_json::from_str(json)
-                .map_err(|e| CheckpointError::Malformed(e.to_string()));
-        };
+        let rest = bytes
+            .strip_prefix(FRAME_MAGIC.as_bytes())
+            .ok_or(CheckpointError::MalformedHeader)?;
         let newline =
             rest.iter()
                 .position(|&b| b == b'\n')
@@ -466,17 +463,40 @@ mod tests {
     }
 
     #[test]
-    fn legacy_unframed_checkpoints_still_load() {
+    fn unframed_checkpoint_is_a_malformed_header() {
         let mut plant = hev();
         let cs = cycles();
         let (agent, _) = train_portfolio_checkpointed(config(), &mut plant, &cs, 2, None).unwrap();
         let ckpt = TrainCheckpoint::capture(2, &agent);
-        let path = tmp_path("legacy");
+        let path = tmp_path("unframed");
         cleanup(&path);
+        // A bare JSON payload, valid on its own, without the frame.
         std::fs::write(&path, serde_json::to_string(&ckpt).unwrap()).unwrap();
-        let loaded = TrainCheckpoint::load(&path).unwrap();
+        let loaded = TrainCheckpoint::load(&path);
         cleanup(&path);
-        assert_eq!(loaded, ckpt);
+        assert!(
+            matches!(loaded, Err(CheckpointError::MalformedHeader)),
+            "expected MalformedHeader, got {loaded:?}"
+        );
+    }
+
+    #[test]
+    fn unframed_primary_recovers_from_the_backup() {
+        let mut plant = hev();
+        let cs = cycles();
+        let (agent, _) = train_portfolio_checkpointed(config(), &mut plant, &cs, 2, None).unwrap();
+        let path = tmp_path("unframed_primary");
+        cleanup(&path);
+        let previous = TrainCheckpoint::capture(1, &agent);
+        previous.save(&path).unwrap();
+        let latest = TrainCheckpoint::capture(2, &agent);
+        latest.save(&path).unwrap();
+        // Replace the primary with its payload alone, frame stripped.
+        std::fs::write(&path, serde_json::to_string(&latest).unwrap()).unwrap();
+        let (recovered, fell_back) = TrainCheckpoint::load_or_recover(&path).unwrap();
+        cleanup(&path);
+        assert!(fell_back);
+        assert_eq!(recovered, previous);
     }
 
     #[test]

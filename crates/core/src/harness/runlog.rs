@@ -13,21 +13,21 @@
 //!
 //! # Schema
 //!
-//! **v3** (this version) adds two event kinds — `episode_metrics` (an
-//! instrumented episode finished; `metrics` carries the telemetry
-//! registry snapshot) and `flight_dump` (a caught panic's worker left a
-//! flight-recorder ring behind; `metrics` carries the recorded step
-//! events) — and the always-present `metrics` field (`null` on every
-//! other kind). Like v2, the change is purely additive: v1/v2 consumers
-//! that read their own fields — such as the CI determinism diff, which
-//! drops `elapsed_s` and compares the rest — keep working untouched,
-//! because un-instrumented batches emit no v3 kinds and `metrics` is
-//! `null` everywhere they look.
+//! Every line is one [`RunEvent`] with all of its fields present
+//! (absent values are `null`). Event kinds:
 //!
-//! **v2** added `run_panic` (a caught task died; `error` carries the
-//! panic message), `run_retry` (the task is being re-attempted with the
-//! derived seed in `seed`), and the always-present `error` field
-//! (`null` except on `run_panic`).
+//! * `target_start`/`target_end`, `batch_start`/`batch_end` and
+//!   `run_start`/`run_end` bracket the work;
+//! * `run_panic` — a caught task died; `error` carries the panic message
+//!   (`error` is `null` on every other kind);
+//! * `run_retry` — the task is re-attempted with the derived seed in
+//!   `seed`;
+//! * `episode_metrics` — an instrumented episode finished; `metrics`
+//!   carries the telemetry registry snapshot;
+//! * `flight_dump` — a caught panic's worker left a flight-recorder
+//!   ring behind; `metrics` carries the recorded step events.
+//!
+//! `metrics` is `null` on every kind but the last two.
 
 use serde::Serialize;
 use std::io::Write;
@@ -39,8 +39,7 @@ use std::time::Instant;
 pub struct RunEvent {
     /// Event kind: `batch_start`, `run_start`, `run_end`, `batch_end`,
     /// `target_start`, `target_end`, `run_panic`, `run_retry`,
-    /// `episode_metrics`, `flight_dump` (see the module docs for the
-    /// schema history).
+    /// `episode_metrics`, `flight_dump` (see the module docs).
     pub event: String,
     /// Human-readable task label (e.g. `fig2/UDDS/with/run1`).
     pub label: String,
@@ -242,9 +241,9 @@ mod tests {
         let json = serde_json::to_string(&e).unwrap();
         assert!(json.contains("\"event\":\"run_panic\""));
         assert!(json.contains("\"error\":\"boom\""));
-        // v1 events keep the field, as null, so v1 consumers see no change.
-        let v1 = serde_json::to_string(&RunEvent::new("run_end", "x")).unwrap();
-        assert!(v1.contains("\"error\":null"));
+        // Every other kind keeps the field, as null.
+        let other = serde_json::to_string(&RunEvent::new("run_end", "x")).unwrap();
+        assert!(other.contains("\"error\":null"));
     }
 
     #[test]
@@ -262,10 +261,10 @@ mod tests {
 
     #[test]
     fn v2_events_keep_metrics_null_for_old_readers() {
-        // The v3 field is additive: every pre-v3 kind serializes it as
-        // null, so a v2 consumer that ignores unknown fields (and the CI
-        // determinism diff, which compares whole lines minus elapsed_s)
-        // sees stable output.
+        // Every kind but episode_metrics and flight_dump serializes the
+        // field as null, so un-instrumented batches emit stable lines
+        // (the CI determinism diff compares whole lines minus
+        // elapsed_s).
         for kind in ["batch_start", "run_start", "run_end", "run_panic"] {
             let json = serde_json::to_string(&RunEvent::new(kind, "x")).unwrap();
             assert!(json.contains("\"metrics\":null"), "{kind}: {json}");

@@ -285,10 +285,6 @@ impl EpisodeTelemetry {
         r.counter_add("steps", metrics.steps as u64);
         r.counter_add("evals", counts.evals);
         r.counter_add("ctx_rebuilds", counts.ctx_rebuilds);
-        // Always 0 since the keyed battery-context cache was removed;
-        // kept so every metrics file keeps the same keys.
-        r.counter_add("ctx_cache_hits", counts.ctx_cache_hits);
-        r.counter_add("ctx_cache_misses", counts.ctx_cache_misses);
         r.counter_add("fallback_steps", metrics.fallback_steps as u64);
         r.counter_add("trace_miss_steps", metrics.trace_miss_steps as u64);
         r.gauge_set("fuel_g", metrics.fuel_g);

@@ -11,9 +11,8 @@ use crate::service::ServeOutput;
 use crate::wire::Verdict;
 use hev_trace::json::{self, Obj};
 
-/// Version of the serve-bench report schema. v2 added the tail
-/// percentiles (`eval_p90`, `eval_p999`) and the shed-depth histogram;
-/// [`ServeReport::from_json`] reads v1 lines back with those defaulted.
+/// Version of the serve-bench report schema, written as the `version`
+/// field. [`ServeReport::from_json`] reads only this version.
 pub const SERVE_REPORT_VERSION: u32 = 2;
 
 /// Shed-depth histogram bounds (queue depth at shed time); the counts
@@ -130,23 +129,14 @@ impl ServeReport {
         }
     }
 
-    /// Reads a report line back (any schema version up to the current
-    /// one). Fields absent from older versions default: a v1 line reads
-    /// back with zeroed `eval_p90`/`eval_p999` and an all-zero
-    /// shed-depth histogram. Returns `None` on a malformed line or an
-    /// unknown (newer) version.
+    /// Reads a report line back. Every field is required; returns
+    /// `None` on a malformed line or any version other than
+    /// [`SERVE_REPORT_VERSION`].
     pub fn from_json(line: &str) -> Option<Self> {
-        let version = scan_u64(line, "version")?;
-        if version == 0 || version > u64::from(SERVE_REPORT_VERSION) {
+        if scan_u64(line, "version")? != u64::from(SERVE_REPORT_VERSION) {
             return None;
         }
-        let mut shed_depth_counts = [0u64; 5];
-        if let Some(counts) = scan_u64_array(line, "shed_depth") {
-            if counts.len() != shed_depth_counts.len() {
-                return None;
-            }
-            shed_depth_counts.copy_from_slice(&counts);
-        }
+        let shed_depth_counts = scan_u64_array(line, "shed_depth")?.try_into().ok()?;
         Some(Self {
             sessions: scan_u64(line, "sessions")?,
             requests: scan_u64(line, "requests")?,
@@ -163,9 +153,9 @@ impl ServeReport {
             crashed_requests: scan_u64(line, "crashed_requests")?,
             shed_rate: scan_f64(line, "shed_rate")?,
             eval_p50: scan_u64(line, "eval_p50")?,
-            eval_p90: scan_u64(line, "eval_p90").unwrap_or(0),
+            eval_p90: scan_u64(line, "eval_p90")?,
             eval_p99: scan_u64(line, "eval_p99")?,
-            eval_p999: scan_u64(line, "eval_p999").unwrap_or(0),
+            eval_p999: scan_u64(line, "eval_p999")?,
             shed_depth_counts,
         })
     }
@@ -343,24 +333,37 @@ mod tests {
     }
 
     #[test]
-    fn v1_report_lines_read_back_with_defaulted_v2_fields() {
-        // A verbatim v1 line (pre-p90/p999, no shed-depth histogram),
-        // pinned so the reader keeps accepting archived reports.
+    fn only_complete_current_version_lines_read_back() {
+        // A complete current-version line reads back.
+        let v2 = "{\"version\":2,\"sessions\":4,\"requests\":64,\"served\":60,\"shed\":3,\
+                  \"errors\":1,\"rung_full\":50,\"rung_myopic\":6,\"rung_rule\":3,\
+                  \"rung_limp_home\":1,\"quarantines\":2,\"crashed_requests\":1,\
+                  \"shed_rate\":0.046875,\"eval_p50\":2400,\"eval_p90\":3100,\
+                  \"eval_p99\":3900,\"eval_p999\":4000,\"shed_depth\":[0,1,2,0,0]}";
+        let report = ServeReport::from_json(v2).unwrap();
+        assert_eq!(report.requests, 64);
+        assert_eq!(report.rung_counts, [50, 6, 3, 1]);
+        assert_eq!(report.eval_p90, 3100);
+        assert_eq!(report.eval_p999, 4000);
+        assert_eq!(report.shed_depth_counts, [0, 1, 2, 0, 0]);
+        // A verbatim v1 line (no tail percentiles, no shed-depth
+        // histogram) and other versions are rejected.
         let v1 = "{\"version\":1,\"sessions\":4,\"requests\":64,\"served\":60,\"shed\":3,\
                   \"errors\":1,\"rung_full\":50,\"rung_myopic\":6,\"rung_rule\":3,\
                   \"rung_limp_home\":1,\"quarantines\":2,\"crashed_requests\":1,\
                   \"shed_rate\":0.046875,\"eval_p50\":2400,\"eval_p99\":3900}";
-        let report = ServeReport::from_json(v1).unwrap();
-        assert_eq!(report.requests, 64);
-        assert_eq!(report.rung_counts, [50, 6, 3, 1]);
-        assert_eq!(report.eval_p50, 2400);
-        assert_eq!(report.eval_p99, 3900);
-        // v2 fields default.
-        assert_eq!(report.eval_p90, 0);
-        assert_eq!(report.eval_p999, 0);
-        assert_eq!(report.shed_depth_counts, [0; 5]);
-        // Unknown (newer) versions and malformed lines are rejected.
-        assert!(ServeReport::from_json(&v1.replace("\"version\":1", "\"version\":9")).is_none());
+        assert!(ServeReport::from_json(v1).is_none());
+        assert!(ServeReport::from_json(&v2.replace("\"version\":2", "\"version\":9")).is_none());
+        // A current-version line missing any v2 field is rejected, not
+        // defaulted.
+        for field in ["\"eval_p90\":3100,", "\"eval_p999\":4000,"] {
+            assert!(
+                ServeReport::from_json(&v2.replace(field, "")).is_none(),
+                "{field}"
+            );
+        }
+        assert!(ServeReport::from_json(&v2.replace(",\"shed_depth\":[0,1,2,0,0]", "")).is_none());
+        assert!(ServeReport::from_json(&v2.replace("[0,1,2,0,0]", "[0,1,2]")).is_none());
         assert!(ServeReport::from_json("{\"version\":2}").is_none());
     }
 

@@ -64,12 +64,10 @@ pub fn since(snapshot: u64) -> u64 {
 /// difference two snapshots with [`Counts::since`], which wraps like the
 /// underlying counters.
 ///
-/// The batch-lane and context-cache fields counted a batched candidate
-/// kernel and its keyed battery-context cache, both since removed: every
-/// candidate is now probed directly and counted in `evals`. Nothing
-/// records them any more, so they always read 0; they stay because
-/// report consumers (the telemetry registry, benchmark reports) still
-/// read them.
+/// The batch fields counted a batched candidate kernel, since removed:
+/// every candidate is now probed directly and counted in `evals`.
+/// Nothing records them any more, so they always read 0; they stay
+/// because the benchmark report still reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counts {
     /// Peek-equivalent evaluations ([`count`]).
@@ -80,10 +78,6 @@ pub struct Counts {
     pub batch_calls: u64,
     /// Step-context rebuilds ([`ctx_rebuilds`]).
     pub ctx_rebuilds: u64,
-    /// Battery-context cache hits (always 0).
-    pub ctx_cache_hits: u64,
-    /// Battery-context cache misses (always 0).
-    pub ctx_cache_misses: u64,
 }
 
 impl Counts {
@@ -95,8 +89,6 @@ impl Counts {
             batch_lanes: self.batch_lanes.wrapping_sub(earlier.batch_lanes),
             batch_calls: self.batch_calls.wrapping_sub(earlier.batch_calls),
             ctx_rebuilds: self.ctx_rebuilds.wrapping_sub(earlier.ctx_rebuilds),
-            ctx_cache_hits: self.ctx_cache_hits.wrapping_sub(earlier.ctx_cache_hits),
-            ctx_cache_misses: self.ctx_cache_misses.wrapping_sub(earlier.ctx_cache_misses),
         }
     }
 }

@@ -429,7 +429,7 @@ mod tests {
 
     #[test]
     fn roles_by_path() {
-        assert_eq!(role_for("crates/bench/src/perf.rs"), Role::Harness);
+        assert_eq!(role_for("crates/bench/src/profile.rs"), Role::Harness);
         assert_eq!(role_for("crates/core/src/harness/mod.rs"), Role::Harness);
         assert_eq!(role_for("crates/hevlint/src/main.rs"), Role::Harness);
         assert_eq!(role_for("crates/hev-trace/src/sink.rs"), Role::Harness);
