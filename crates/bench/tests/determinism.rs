@@ -205,55 +205,6 @@ fn corrected_fuel_finite_positive_across_grid() {
     }
 }
 
-/// The sparse Q-table's snapshot/serialization path must not depend on
-/// write order: after the `BTreeMap` migration, iteration and the
-/// serde tree both walk entries in `(state, action)` key order, so two
-/// tables holding the same values — written in opposite orders, as
-/// different worker interleavings would — serialize byte-identically
-/// and survive a round-trip bit-exactly.
-#[test]
-fn sparse_table_serialization_independent_of_write_order() {
-    use hev_rl::SparseQTable;
-
-    let writes: Vec<(usize, usize, f64)> = (0..64)
-        .map(|k| ((k * 37) % 19, k % 5, (k as f64) * 0.125 - 3.0))
-        .collect();
-    let mut fwd = SparseQTable::new(5, -1.0);
-    let mut rev = SparseQTable::new(5, -1.0);
-    for &(s, a, v) in &writes {
-        fwd.set(s, a, v);
-        fwd.visit(s, a);
-    }
-    for &(s, a, v) in writes.iter().rev() {
-        rev.set(s, a, v);
-        rev.visit(s, a);
-    }
-
-    let fwd_json = serde_json::to_string(&fwd).expect("sparse table serializes");
-    let rev_json = serde_json::to_string(&rev).expect("sparse table serializes");
-    assert_eq!(fwd_json, rev_json, "serialization depends on write order");
-
-    // Iteration (the snapshot/export walk) is sorted and identical.
-    let fwd_entries: Vec<_> = fwd.iter_entries().collect();
-    assert!(
-        fwd_entries.windows(2).all(|w| w[0].0 < w[1].0),
-        "iter_entries must ascend by (state, action)"
-    );
-    assert_eq!(fwd_entries, rev.iter_entries().collect::<Vec<_>>());
-    assert_eq!(
-        fwd.iter_visits().collect::<Vec<_>>(),
-        rev.iter_visits().collect::<Vec<_>>()
-    );
-
-    // Round-trip is bit-exact, including f64 payloads.
-    let back: SparseQTable = serde_json::from_str(&fwd_json).expect("round-trip");
-    assert_eq!(back, fwd);
-    assert_eq!(
-        serde_json::to_string(&back).expect("re-serialize"),
-        fwd_json
-    );
-}
-
 /// The deterministic eval clock of a fixed single-threaded workload,
 /// pinned exactly: four planned training episodes on UDDS plus one
 /// greedy evaluation (seed 42) cost exactly 751 175 peek-equivalent

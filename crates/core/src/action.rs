@@ -67,11 +67,6 @@ impl ActionSpace {
         }
     }
 
-    /// Whether this is the reduced space.
-    pub fn is_reduced(&self) -> bool {
-        matches!(self, ActionSpace::Reduced { .. })
-    }
-
     /// Number of discrete actions.
     pub fn len(&self) -> usize {
         match self {
@@ -138,7 +133,6 @@ mod tests {
     fn reduced_len_is_current_count() {
         let a = ActionSpace::reduced();
         assert_eq!(a.len(), 15);
-        assert!(a.is_reduced());
     }
 
     #[test]
@@ -154,7 +148,6 @@ mod tests {
     fn full_len_is_product() {
         let a = ActionSpace::full(5, vec![100.0, 600.0, 1_100.0]);
         assert_eq!(a.len(), 15 * 5 * 3);
-        assert!(!a.is_reduced());
     }
 
     #[test]

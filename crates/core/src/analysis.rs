@@ -68,11 +68,6 @@ impl<P: HevPolicy> Recorder<P> {
     pub fn inner(&self) -> &P {
         &self.inner
     }
-
-    /// Consumes the recorder, returning the wrapped policy and the trace.
-    pub fn into_parts(self) -> (P, Vec<TracePoint>) {
-        (self.inner, self.trace)
-    }
 }
 
 impl<P: HevPolicy> HevPolicy for Recorder<P> {
@@ -214,8 +209,7 @@ mod tests {
         let mut rec = Recorder::new(RuleBasedController::default());
         simulate(&mut hev, &cycle, &mut rec, &RewardConfig::default());
         let len = cycle.len();
-        let (_, trace) = rec.into_parts();
-        (trace, len)
+        (rec.trace().to_vec(), len)
     }
 
     #[test]

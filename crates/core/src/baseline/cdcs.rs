@@ -73,7 +73,7 @@ impl CdCsController {
     }
 
     /// Whether the strategy is in its charge-depleting phase at `soc`.
-    pub fn is_depleting(&self, soc: f64) -> bool {
+    fn is_depleting(&self, soc: f64) -> bool {
         soc > self.config.sustain_threshold
     }
 

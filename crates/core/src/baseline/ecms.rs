@@ -77,7 +77,7 @@ impl EcmsController {
     }
 
     /// The state-of-charge-corrected equivalence factor.
-    pub fn equivalence_factor_at(&self, soc: f64) -> f64 {
+    fn equivalence_factor_at(&self, soc: f64) -> f64 {
         (self.config.equivalence_factor
             - self.config.soc_feedback_gain * (soc - self.config.soc_target))
             .max(0.5)

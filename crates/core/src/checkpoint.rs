@@ -2,9 +2,8 @@
 //! resume.
 //!
 //! Training a tabular controller for hundreds of episodes is the longest
-//! single computation in the reproduction; a crash (or a deliberately
-//! injected panic — see [`crate::harness::Harness::run_caught`]) should
-//! not force a restart from scratch. A [`ControllerSnapshot`] taken at an
+//! single computation in the reproduction; a crash should not force a
+//! restart from scratch. A [`ControllerSnapshot`] taken at an
 //! episode boundary is the controller's *complete* state — Q-table,
 //! traces, visit counts, exploration rate, and exploration-RNG state; the
 //! predictor resets every episode — so resuming from one replays the

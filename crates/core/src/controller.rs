@@ -347,7 +347,7 @@ impl<P: Predictor> JointController<P> {
     /// [`JointController::train_episode`] with an optional telemetry
     /// collector (labelled `"train"`). With `None` this delegates to the
     /// plain path, bit-identically.
-    pub fn train_episode_instrumented(
+    fn train_episode_instrumented(
         &mut self,
         hev: &mut ParallelHev,
         cycle: &DriveCycle,
@@ -411,11 +411,7 @@ impl<P: Predictor> JointController<P> {
     /// [`JointController::train_episode`] against a precomputed
     /// [`CyclePlan`]: bit-identical, but the per-step context precompute
     /// is amortized into the plan's one-time build.
-    pub fn train_episode_planned(
-        &mut self,
-        hev: &mut ParallelHev,
-        plan: &CyclePlan,
-    ) -> EpisodeMetrics {
+    fn train_episode_planned(&mut self, hev: &mut ParallelHev, plan: &CyclePlan) -> EpisodeMetrics {
         self.training = true;
         hev.reset_soc(self.config.initial_soc);
         let reward = self.config.reward;
@@ -424,7 +420,7 @@ impl<P: Predictor> JointController<P> {
 
     /// [`JointController::train_episode_planned`] with an optional
     /// telemetry collector (labelled `"train"`).
-    pub fn train_episode_planned_instrumented(
+    fn train_episode_planned_instrumented(
         &mut self,
         hev: &mut ParallelHev,
         plan: &CyclePlan,

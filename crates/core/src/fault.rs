@@ -101,11 +101,6 @@ impl FaultConfig {
             aux_window_s: 150.0 * severity,
         }
     }
-
-    /// Whether every channel is disabled.
-    pub fn is_off(&self) -> bool {
-        *self == Self::off()
-    }
 }
 
 /// A materialized, self-seeded fault trajectory over episodes.
@@ -245,12 +240,6 @@ mod tests {
         ParallelHev::new(HevParams::default_parallel_hev(), 0.6)
             .unwrap()
             .demand(15.0, 0.5, 0.0)
-    }
-
-    #[test]
-    fn severity_zero_is_off() {
-        assert!(FaultConfig::at_severity(0.0).is_off());
-        assert!(!FaultConfig::at_severity(0.5).is_off());
     }
 
     #[test]

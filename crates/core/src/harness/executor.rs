@@ -59,13 +59,13 @@ where
                 }
                 let input = slots[i]
                     .lock()
-                    // hevlint::allow(panic::expect, a poisoned input slot means another worker already panicked; crash tolerance is layered above via run_caught)
+                    // hevlint::allow(panic::expect, a poisoned input slot means another worker already panicked; crash tolerance is layered above via run_indexed_caught)
                     .expect("task slot poisoned")
                     .take()
                     // hevlint::allow(panic::expect, the atomic counter hands each index to exactly one worker)
                     .expect("task taken twice");
                 let result = f(i, input);
-                // hevlint::allow(panic::expect, a poisoned result slot means another worker already panicked; crash tolerance is layered above via run_caught)
+                // hevlint::allow(panic::expect, a poisoned result slot means another worker already panicked; crash tolerance is layered above via run_indexed_caught)
                 *results[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
@@ -77,7 +77,7 @@ where
             slot.into_inner()
                 // hevlint::allow(panic::expect, propagating a worker panic out of the scope is the executor's documented crash semantics)
                 .expect("result slot poisoned")
-                // hevlint::allow(panic::expect, every index is claimed and stored exactly once; run_caught wraps tasks that may panic)
+                // hevlint::allow(panic::expect, every index is claimed and stored exactly once; run_indexed_caught wraps tasks that may panic)
                 .expect("worker exited without storing a result")
         })
         .collect()
@@ -107,27 +107,6 @@ impl<R> RunOutcome<R> {
         match self {
             Self::Ok(r) => Some(r),
             Self::Panicked { .. } => None,
-        }
-    }
-
-    /// A reference to the result, or `None` if the task panicked.
-    pub fn as_ok(&self) -> Option<&R> {
-        match self {
-            Self::Ok(r) => Some(r),
-            Self::Panicked { .. } => None,
-        }
-    }
-
-    /// Whether the task panicked.
-    pub fn is_panicked(&self) -> bool {
-        matches!(self, Self::Panicked { .. })
-    }
-
-    /// The panic message, or `None` if the task completed.
-    pub fn panic_message(&self) -> Option<&str> {
-        match self {
-            Self::Ok(_) => None,
-            Self::Panicked { message } => Some(message),
         }
     }
 }
@@ -231,12 +210,13 @@ mod tests {
                 x * 3
             });
             assert_eq!(out.len(), 16);
-            for (i, outcome) in out.iter().enumerate() {
-                if i == 5 {
-                    let msg = outcome.panic_message().unwrap();
-                    assert!(msg.contains("task 5 exploded"), "msg {msg}");
-                } else {
-                    assert_eq!(outcome.as_ok(), Some(&(i as u64 * 3)));
+            for (i, outcome) in out.into_iter().enumerate() {
+                match outcome {
+                    RunOutcome::Panicked { message } => {
+                        assert_eq!(i, 5);
+                        assert!(message.contains("task 5 exploded"), "msg {message}");
+                    }
+                    RunOutcome::Ok(r) => assert_eq!(r, i as u64 * 3),
                 }
             }
         }
@@ -273,6 +253,11 @@ mod tests {
         let out = run_indexed_caught(1, vec![0u8], |_, _| -> u8 {
             std::panic::panic_any(42i32);
         });
-        assert_eq!(out[0].panic_message(), Some("non-string panic payload"));
+        assert_eq!(
+            out,
+            vec![RunOutcome::Panicked {
+                message: "non-string panic payload".to_string()
+            }]
+        );
     }
 }

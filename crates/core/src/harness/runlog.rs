@@ -18,16 +18,12 @@
 //!
 //! * `target_start`/`target_end`, `batch_start`/`batch_end` and
 //!   `run_start`/`run_end` bracket the work;
-//! * `run_panic` — a caught task died; `error` carries the panic message
-//!   (`error` is `null` on every other kind);
-//! * `run_retry` — the task is re-attempted with the derived seed in
-//!   `seed`;
 //! * `episode_metrics` — an instrumented episode finished; `metrics`
-//!   carries the telemetry registry snapshot;
-//! * `flight_dump` — a caught panic's worker left a flight-recorder
-//!   ring behind; `metrics` carries the recorded step events.
+//!   carries the telemetry registry snapshot (`null` on every other
+//!   kind).
 //!
-//! `metrics` is `null` on every kind but the last two.
+//! `error` is always `null`: it keeps the schema-v3 line layout of the
+//! retired panic-retry events.
 
 use serde::Serialize;
 use std::io::Write;
@@ -38,8 +34,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunEvent {
     /// Event kind: `batch_start`, `run_start`, `run_end`, `batch_end`,
-    /// `target_start`, `target_end`, `run_panic`, `run_retry`,
-    /// `episode_metrics`, `flight_dump` (see the module docs).
+    /// `target_start`, `target_end`, `episode_metrics` (see the module
+    /// docs).
     pub event: String,
     /// Human-readable task label (e.g. `fig2/UDDS/with/run1`).
     pub label: String,
@@ -53,10 +49,10 @@ pub struct RunEvent {
     pub jobs: Option<u64>,
     /// Wall-clock duration, seconds. The only nondeterministic field.
     pub elapsed_s: Option<f64>,
-    /// Panic message of a `run_panic` event; `null` otherwise.
+    /// Always `null` (see the module docs).
     pub error: Option<String>,
-    /// Structured payload of an `episode_metrics` (registry snapshot) or
-    /// `flight_dump` (recorded step events) event; `null` otherwise.
+    /// Registry snapshot of an `episode_metrics` event; `null`
+    /// otherwise.
     pub metrics: Option<serde::Value>,
 }
 
@@ -106,14 +102,7 @@ impl RunEvent {
         self
     }
 
-    /// Sets the error message (used by `run_panic` events).
-    pub fn error(mut self, message: impl Into<String>) -> Self {
-        self.error = Some(message.into());
-        self
-    }
-
-    /// Sets the structured payload (used by `episode_metrics` and
-    /// `flight_dump` events).
+    /// Sets the structured payload (used by `episode_metrics` events).
     pub fn metrics(mut self, value: serde::Value) -> Self {
         self.metrics = Some(value);
         self
@@ -176,7 +165,7 @@ pub fn install(log: RunLog) -> bool {
 }
 
 /// The installed run log, if any.
-pub fn global() -> Option<&'static RunLog> {
+fn global() -> Option<&'static RunLog> {
     GLOBAL.get()
 }
 
@@ -233,20 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn run_panic_event_carries_error() {
-        let e = RunEvent::new("run_panic", "t/run2")
-            .index(2)
-            .seed(7)
-            .error("boom");
-        let json = serde_json::to_string(&e).unwrap();
-        assert!(json.contains("\"event\":\"run_panic\""));
-        assert!(json.contains("\"error\":\"boom\""));
-        // Every other kind keeps the field, as null.
-        let other = serde_json::to_string(&RunEvent::new("run_end", "x")).unwrap();
-        assert!(other.contains("\"error\":null"));
-    }
-
-    #[test]
     fn episode_metrics_event_carries_the_snapshot() {
         let snapshot: serde::Value =
             serde_json::from_str("{\"fuel_g\":12.5,\"steps\":10}").expect("valid snapshot json");
@@ -261,13 +236,13 @@ mod tests {
 
     #[test]
     fn v2_events_keep_metrics_null_for_old_readers() {
-        // Every kind but episode_metrics and flight_dump serializes the
-        // field as null, so un-instrumented batches emit stable lines
-        // (the CI determinism diff compares whole lines minus
-        // elapsed_s).
-        for kind in ["batch_start", "run_start", "run_end", "run_panic"] {
+        // Every kind but episode_metrics serializes the field as null,
+        // so un-instrumented batches emit stable lines (the CI
+        // determinism diff compares whole lines minus elapsed_s).
+        for kind in ["batch_start", "run_start", "run_end", "target_end"] {
             let json = serde_json::to_string(&RunEvent::new(kind, "x")).unwrap();
             assert!(json.contains("\"metrics\":null"), "{kind}: {json}");
+            assert!(json.contains("\"error\":null"), "{kind}: {json}");
         }
     }
 

@@ -49,11 +49,6 @@ impl SeedSequence {
         }
     }
 
-    /// The master seed.
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
     /// The `k`-th child seed.
     pub fn child(&self, k: u64) -> u64 {
         split_seed(self.master, k)

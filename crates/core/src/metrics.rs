@@ -185,21 +185,6 @@ impl EpisodeMetrics {
             self.utility_sum / self.steps as f64
         }
     }
-
-    /// Fraction of steps spent in the given mode.
-    pub fn mode_fraction(&self, mode: OperatingMode) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.mode_counts[mode_index(mode)] as f64 / self.steps as f64
-        }
-    }
-
-    /// Fuel consumption per 100 km, L (assuming 0.749 kg/L gasoline).
-    pub fn l_per_100km(&self) -> f64 {
-        let liters = self.fuel_g / 749.0;
-        liters / (self.distance_m / 100_000.0)
-    }
 }
 
 /// Streaming summary of one scalar across runs: count, mean, extrema,
@@ -437,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_fraction_sums_to_one() {
+    fn mode_counts_sum_to_steps() {
         let mut m = EpisodeMetrics::new(0.6);
         for mode in [
             OperatingMode::Stopped,
@@ -447,33 +432,8 @@ mod tests {
         ] {
             m.record(&outcome(0.0, mode, 0.6), 0.0, 1.0, false);
         }
-        let total: f64 = [
-            OperatingMode::Stopped,
-            OperatingMode::IceOnly,
-            OperatingMode::EvOnly,
-            OperatingMode::HybridAssist,
-            OperatingMode::RechargeDrive,
-            OperatingMode::RegenBraking,
-            OperatingMode::FrictionBraking,
-        ]
-        .iter()
-        .map(|&mode| m.mode_fraction(mode))
-        .sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!((m.mode_fraction(OperatingMode::EvOnly) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn l_per_100km_sane() {
-        let mut m = EpisodeMetrics::new(0.6);
-        // 5 L over 100 km.
-        m.record(
-            &outcome(5.0 * 749.0, OperatingMode::IceOnly, 0.6),
-            0.0,
-            100_000.0,
-            false,
-        );
-        assert!((m.l_per_100km() - 5.0).abs() < 1e-9);
+        assert_eq!(m.mode_counts.iter().sum::<usize>(), m.steps);
+        assert_eq!(m.mode_counts[mode_index(OperatingMode::EvOnly)], 2);
     }
 
     #[test]

@@ -136,7 +136,7 @@ pub trait HevPolicy {
 /// ladder first (preferring currents near zero), then a fine current scan
 /// over every gear, with the preferred and then the minimum auxiliary
 /// power.
-pub fn feasible_control(hev: &ParallelHev, demand: &WheelDemand, dt: f64) -> Option<ControlInput> {
+fn feasible_control(hev: &ParallelHev, demand: &WheelDemand, dt: f64) -> Option<ControlInput> {
     let (aux_min, _) = hev.aux().power_range();
     // One step context serves the whole scan (each `peek` used to rebuild
     // it); verdicts and evaluation counts are unchanged — the staged

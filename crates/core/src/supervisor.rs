@@ -131,16 +131,6 @@ impl<P: HevPolicy> SupervisedPolicy<P> {
         &self.policy
     }
 
-    /// The wrapped policy, mutably.
-    pub fn policy_mut(&mut self) -> &mut P {
-        &mut self.policy
-    }
-
-    /// Unwraps the supervisor, returning the wrapped policy.
-    pub fn into_policy(self) -> P {
-        self.policy
-    }
-
     /// The intervention report accumulated since the last episode start.
     pub fn report(&self) -> &DegradationReport {
         &self.report

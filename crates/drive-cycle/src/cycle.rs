@@ -66,20 +66,6 @@ impl DriveCycle {
         Self::with_grade(name, dt, speed_mps, Vec::new())
     }
 
-    /// Creates a cycle from a speed trace in km/h on a flat road.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DriveCycle::from_speeds_mps`].
-    pub fn from_speeds_kmh(
-        name: impl Into<String>,
-        dt: f64,
-        speed_kmh: Vec<f64>,
-    ) -> Result<Self, CycleError> {
-        let speeds = speed_kmh.into_iter().map(|v| v * KMH_TO_MPS).collect();
-        Self::from_speeds_mps(name, dt, speeds)
-    }
-
     /// Creates a cycle with an explicit road-grade trace.
     ///
     /// An empty `grade` vector means a flat road; otherwise it must have
@@ -124,58 +110,6 @@ impl DriveCycle {
             speed_mps,
             grade,
         })
-    }
-
-    /// Creates a cycle by linearly interpolating `(time_s, speed_kmh)` knot
-    /// points at a 1-sample-per-`dt` rate.
-    ///
-    /// Knot times must be strictly increasing and start at zero (a leading
-    /// zero-time knot is required so the trace is defined from t = 0).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleError::NonMonotonicKnots`] if knot times are not
-    /// strictly increasing, plus the conditions of
-    /// [`DriveCycle::from_speeds_mps`].
-    pub fn from_knots_kmh(
-        name: impl Into<String>,
-        dt: f64,
-        knots: &[(f64, f64)],
-    ) -> Result<Self, CycleError> {
-        if !(dt.is_finite() && dt > 0.0) {
-            return Err(CycleError::InvalidTimeStep(dt));
-        }
-        if knots.is_empty() {
-            return Err(CycleError::Empty);
-        }
-        for i in 1..knots.len() {
-            if knots[i].0 <= knots[i - 1].0 {
-                return Err(CycleError::NonMonotonicKnots { index: i });
-            }
-        }
-        let t_end = knots[knots.len() - 1].0;
-        // hevlint::allow(float::lossy-cast, sample count: t_end and dt are validated positive and finite, so the floor is a small non-negative integer)
-        let n = (t_end / dt).floor() as usize + 1;
-        let mut speeds = Vec::with_capacity(n);
-        let mut k = 0usize;
-        for i in 0..n {
-            let t = i as f64 * dt;
-            while k + 1 < knots.len() && knots[k + 1].0 < t {
-                k += 1;
-            }
-            let v = if t <= knots[0].0 {
-                knots[0].1
-            } else if k + 1 >= knots.len() {
-                knots[knots.len() - 1].1
-            } else {
-                let (t0, v0) = knots[k];
-                let (t1, v1) = knots[k + 1];
-                let f = ((t - t0) / (t1 - t0)).clamp(0.0, 1.0);
-                v0 + f * (v1 - v0)
-            };
-            speeds.push(v * KMH_TO_MPS);
-        }
-        Self::from_speeds_mps(name, dt, speeds)
     }
 
     /// The cycle name (e.g. `"UDDS"`).
@@ -257,8 +191,13 @@ impl DriveCycle {
     }
 
     /// Iterates over [`CyclePoint`] samples.
-    pub fn points(&self) -> Points<'_> {
-        Points { cycle: self, i: 0 }
+    pub fn points(&self) -> impl ExactSizeIterator<Item = CyclePoint> + '_ {
+        (0..self.len()).map(move |i| CyclePoint {
+            time_s: i as f64 * self.dt,
+            speed_mps: self.speed_at(i),
+            accel_mps2: self.accel_at(i),
+            grade: self.grade_at(i),
+        })
     }
 
     /// Returns a sub-cycle covering samples `start..end`.
@@ -480,19 +419,6 @@ impl DriveCycle {
         }
     }
 
-    /// The elevation profile implied by the grade trace: cumulative
-    /// `∫ grade · v dt`, meters, one value per sample (starting at 0).
-    /// All zeros for a flat cycle.
-    pub fn elevation_profile_m(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut z = 0.0;
-        for i in 0..self.len() {
-            out.push(z);
-            z += self.grade_at(i) * self.speed_at(i) * self.dt;
-        }
-        out
-    }
-
     /// Splits the cycle into micro-trips: maximal segments separated by
     /// idle periods (speed below `idle_threshold_mps`).
     ///
@@ -522,39 +448,6 @@ impl DriveCycle {
         ranges
     }
 }
-
-/// Iterator over the samples of a [`DriveCycle`], created by
-/// [`DriveCycle::points`].
-#[derive(Debug, Clone)]
-pub struct Points<'a> {
-    cycle: &'a DriveCycle,
-    i: usize,
-}
-
-impl Iterator for Points<'_> {
-    type Item = CyclePoint;
-
-    fn next(&mut self) -> Option<CyclePoint> {
-        if self.i >= self.cycle.len() {
-            return None;
-        }
-        let i = self.i;
-        self.i += 1;
-        Some(CyclePoint {
-            time_s: i as f64 * self.cycle.dt(),
-            speed_mps: self.cycle.speed_at(i),
-            accel_mps2: self.cycle.accel_at(i),
-            grade: self.cycle.grade_at(i),
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.cycle.len() - self.i;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for Points<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -613,12 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn kmh_conversion_roundtrip() {
-        let c = DriveCycle::from_speeds_kmh("x", 1.0, vec![36.0]).unwrap();
-        assert!((c.speed_at(0) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn distance_of_constant_speed() {
         let c = DriveCycle::from_speeds_mps("c", 1.0, vec![10.0; 11]).unwrap();
         assert!((c.distance_m() - 100.0).abs() < 1e-9);
@@ -635,20 +522,6 @@ mod tests {
     fn duration_matches_len() {
         let c = ramp();
         assert!((c.duration_s() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn knot_interpolation_hits_knots() {
-        let c = DriveCycle::from_knots_kmh("k", 1.0, &[(0.0, 0.0), (10.0, 36.0)]).unwrap();
-        assert_eq!(c.len(), 11);
-        assert!((c.speed_at(10) - 10.0).abs() < 1e-9);
-        assert!((c.speed_at(5) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn knots_must_increase() {
-        let err = DriveCycle::from_knots_kmh("k", 1.0, &[(0.0, 0.0), (0.0, 10.0)]).unwrap_err();
-        assert_eq!(err, CycleError::NonMonotonicKnots { index: 1 });
     }
 
     #[test]
@@ -725,32 +598,6 @@ mod tests {
         assert!(mean.abs() < 0.01, "mean grade {mean}");
         assert!(grades.iter().any(|&g| g > 0.01));
         assert!(grades.iter().any(|&g| g < -0.01));
-    }
-
-    #[test]
-    fn elevation_profile_integrates_grade() {
-        // Constant 10 m/s on a constant 5 % grade for 10 s climbs 5 m.
-        let c = DriveCycle::with_grade("climb", 1.0, vec![10.0; 11], vec![0.05; 11]).unwrap();
-        let z = c.elevation_profile_m();
-        assert_eq!(z[0], 0.0);
-        assert!((z[10] - 5.0).abs() < 1e-9, "final elevation {}", z[10]);
-    }
-
-    #[test]
-    fn flat_cycle_elevation_is_zero() {
-        let z = ramp().elevation_profile_m();
-        assert!(z.iter().all(|&e| e == 0.0));
-    }
-
-    #[test]
-    fn rolling_grade_elevation_is_bounded() {
-        let c = DriveCycle::from_speeds_mps("f", 1.0, vec![15.0; 600]).unwrap();
-        let hilly = c.with_rolling_grade(0.05, 700.0);
-        let z = hilly.elevation_profile_m();
-        let max = z.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let min = z.iter().cloned().fold(f64::INFINITY, f64::min);
-        // Hills of ~700 m length at ≤5 % grade swing a few meters.
-        assert!(max - min > 1.0 && max - min < 40.0, "swing {}", max - min);
     }
 
     #[test]

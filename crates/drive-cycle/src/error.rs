@@ -21,8 +21,6 @@ pub enum CycleError {
     GradeLengthMismatch { speeds: usize, grades: usize },
     /// The sample interval is zero, negative, or non-finite.
     InvalidTimeStep(f64),
-    /// Knot points are not strictly increasing in time.
-    NonMonotonicKnots { index: usize },
     /// A slice request is out of bounds or inverted.
     InvalidRange {
         start: usize,
@@ -51,9 +49,6 @@ impl fmt::Display for CycleError {
                 "grade length {grades} does not match speed length {speeds}"
             ),
             CycleError::InvalidTimeStep(dt) => write!(f, "invalid time step {dt}"),
-            CycleError::NonMonotonicKnots { index } => {
-                write!(f, "knot times are not strictly increasing at knot {index}")
-            }
             CycleError::InvalidRange { start, end, len } => {
                 write!(
                     f,
@@ -95,7 +90,6 @@ mod tests {
                 grades: 4,
             },
             CycleError::InvalidTimeStep(0.0),
-            CycleError::NonMonotonicKnots { index: 2 },
             CycleError::InvalidRange {
                 start: 5,
                 end: 2,

@@ -41,8 +41,9 @@ pub fn to_csv_string(cycle: &DriveCycle) -> String {
 /// # Errors
 ///
 /// Returns [`CycleError::ParseCsv`] for malformed rows and for
-/// duplicate, non-monotonic, or non-uniform time stamps (each pointing
-/// at the offending 1-based line), plus the usual construction errors.
+/// non-finite, duplicate, non-monotonic, or non-uniform time stamps
+/// (each pointing at the offending 1-based line), plus the usual
+/// construction errors.
 pub fn from_csv_str(name: impl Into<String>, text: &str) -> Result<DriveCycle, CycleError> {
     // A UTF-8 BOM would otherwise glue itself to the header's first
     // character and defeat the header check below.
@@ -74,7 +75,16 @@ pub fn from_csv_str(name: impl Into<String>, text: &str) -> Result<DriveCycle, C
                     reason: format!("missing or invalid {what}"),
                 })
         };
-        times.push((line_no, parse(fields.next(), "time")?));
+        let t = parse(fields.next(), "time")?;
+        // Every comparison against NaN is false, so a non-finite stamp
+        // would slip past the ordering and spacing checks below.
+        if !t.is_finite() {
+            return Err(CycleError::ParseCsv {
+                line: line_no,
+                reason: format!("non-finite time stamp {t}"),
+            });
+        }
+        times.push((line_no, t));
         speeds_kmh.push(parse(fields.next(), "speed")?);
         if let Some(g) = fields.next() {
             grades.push(parse(Some(g), "grade")?);
@@ -249,6 +259,22 @@ mod tests {
         };
         assert_eq!(line, 3);
         assert!(reason.contains("non-monotonic"), "reason: {reason}");
+    }
+
+    #[test]
+    fn rejects_non_finite_time_stamp_with_line() {
+        for (text, bad_line) in [
+            ("0,10\nNaN,10\n2,10\n", 2),
+            ("0,10\n1,10\n2,10\nNaN,10\n", 4),
+            ("0,10\n1,10\ninf,10\n", 3),
+        ] {
+            let err = from_csv_str("x", text).unwrap_err();
+            let CycleError::ParseCsv { line, reason } = err else {
+                panic!("expected ParseCsv, got {err:?}");
+            };
+            assert_eq!(line, bad_line, "{text:?}");
+            assert!(reason.contains("non-finite"), "reason: {reason}");
+        }
     }
 
     #[test]

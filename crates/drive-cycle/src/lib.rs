@@ -39,5 +39,5 @@ pub use cycle::{CyclePoint, DriveCycle, KMH_TO_MPS, MPS_TO_KMH};
 pub use error::CycleError;
 pub use microtrip::{MicroTripConfig, MicroTripGenerator};
 pub use profile::ProfileBuilder;
-pub use standard::{ParseCycleError, PublishedStats, StandardCycle};
+pub use standard::{ParseCycleError, StandardCycle};
 pub use stats::{CycleStats, IDLE_THRESHOLD_MPS};

@@ -51,36 +51,6 @@ impl MicroTripConfig {
             max_idle_s: 30.0,
         }
     }
-
-    /// Suburban / arterial traffic (longer, faster trips, short dwells).
-    pub fn suburban() -> Self {
-        Self {
-            target_duration_s: 900.0,
-            min_peak_kmh: 40.0,
-            max_peak_kmh: 90.0,
-            mean_accel_mps2: 0.9,
-            mean_decel_mps2: 1.1,
-            min_cruise_s: 20.0,
-            max_cruise_s: 90.0,
-            min_idle_s: 3.0,
-            max_idle_s: 15.0,
-        }
-    }
-
-    /// Mixed urban/highway commute.
-    pub fn mixed() -> Self {
-        Self {
-            target_duration_s: 1200.0,
-            min_peak_kmh: 20.0,
-            max_peak_kmh: 110.0,
-            mean_accel_mps2: 0.85,
-            mean_decel_mps2: 1.0,
-            min_cruise_s: 10.0,
-            max_cruise_s: 120.0,
-            min_idle_s: 4.0,
-            max_idle_s: 25.0,
-        }
-    }
 }
 
 impl Default for MicroTripConfig {
@@ -188,16 +158,8 @@ mod tests {
     }
 
     #[test]
-    fn urban_slower_than_suburban() {
-        let u = CycleStats::of(&MicroTripGenerator::new(MicroTripConfig::urban(), 5).generate("u"));
-        let s =
-            CycleStats::of(&MicroTripGenerator::new(MicroTripConfig::suburban(), 5).generate("s"));
-        assert!(u.mean_speed_kmh < s.mean_speed_kmh);
-    }
-
-    #[test]
     fn batch_generates_distinct_named_cycles() {
-        let mut generator = MicroTripGenerator::new(MicroTripConfig::mixed(), 9);
+        let mut generator = MicroTripGenerator::new(MicroTripConfig::urban(), 9);
         let batch = generator.generate_batch("train", 3);
         assert_eq!(batch.len(), 3);
         assert_eq!(batch[0].name(), "train-0");
@@ -207,7 +169,7 @@ mod tests {
 
     #[test]
     fn generated_cycles_are_physical() {
-        let c = MicroTripGenerator::new(MicroTripConfig::mixed(), 21).generate("p");
+        let c = MicroTripGenerator::new(MicroTripConfig::urban(), 21).generate("p");
         let s = CycleStats::of(&c);
         assert!(s.max_accel_mps2 < 3.5, "accel {}", s.max_accel_mps2);
         assert!(s.max_decel_mps2 > -3.5, "decel {}", s.max_decel_mps2);

@@ -7,6 +7,11 @@
 use crate::cycle::{DriveCycle, KMH_TO_MPS};
 use crate::error::CycleError;
 
+/// Amplitude of the cruise ripple, km/h.
+const RIPPLE_KMH: f64 = 1.2;
+/// Period of the cruise ripple, s.
+const RIPPLE_PERIOD_S: f64 = 11.0;
+
 /// Incrementally builds a 1 Hz speed profile from idle, ramp, and cruise
 /// segments.
 ///
@@ -33,8 +38,6 @@ use crate::error::CycleError;
 pub struct ProfileBuilder {
     name: String,
     dt: f64,
-    ripple_kmh: f64,
-    ripple_period_s: f64,
     speeds_mps: Vec<f64>,
     current_kmh: f64,
     t: f64,
@@ -46,19 +49,10 @@ impl ProfileBuilder {
         Self {
             name: name.into(),
             dt: 1.0,
-            ripple_kmh: 1.2,
-            ripple_period_s: 11.0,
             speeds_mps: Vec::new(),
             current_kmh: 0.0,
             t: 0.0,
         }
-    }
-
-    /// Sets the cruise ripple amplitude in km/h (default 1.2). Zero gives
-    /// perfectly flat cruises.
-    pub fn ripple(mut self, amplitude_kmh: f64) -> Self {
-        self.ripple_kmh = amplitude_kmh.max(0.0);
-        self
     }
 
     /// Appends an idle (zero-speed) segment of the given duration.
@@ -90,16 +84,16 @@ impl ProfileBuilder {
     }
 
     /// Appends a cruise at the current speed for `secs` seconds, with the
-    /// configured sinusoidal ripple.
+    /// sinusoidal ripple.
     pub fn cruise(mut self, secs: f64) -> Self {
         // hevlint::allow(float::lossy-cast, sample count: builder durations are author-provided small positive numbers; a negative rounds to zero samples)
         let n = (secs / self.dt).round() as usize;
         let base = self.current_kmh;
         for _ in 0..n {
-            let phase = 2.0 * std::f64::consts::PI * self.t / self.ripple_period_s;
+            let phase = 2.0 * std::f64::consts::PI * self.t / RIPPLE_PERIOD_S;
             // Ripple dips below the nominal cruise speed so segment peaks
             // stay at the authored value.
-            let v = base - self.ripple_kmh * (0.5 + 0.5 * phase.sin());
+            let v = base - RIPPLE_KMH * (0.5 + 0.5 * phase.sin());
             self.speeds_mps.push(v.max(0.0) * KMH_TO_MPS);
             self.t += self.dt;
         }
@@ -178,19 +172,6 @@ mod tests {
         let s = CycleStats::of(&c);
         assert!(s.max_speed_kmh <= 50.0 + 1e-9);
         assert!(s.max_speed_kmh > 47.0);
-    }
-
-    #[test]
-    fn zero_ripple_is_flat() {
-        let c = ProfileBuilder::new("c")
-            .ripple(0.0)
-            .ramp_to(40.0, 8.0)
-            .cruise(20.0)
-            .build()
-            .unwrap();
-        let speeds = c.speeds_mps();
-        let cruise = &speeds[8..];
-        assert!(cruise.iter().all(|&v| (v - cruise[0]).abs() < 1e-9));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! (duration, distance, mean and maximum speed, idle fraction, number of
 //! stops). They are **not** the official second-by-second data — see
 //! `DESIGN.md` ("Substitutions") for why this preserves the behaviour the
-//! DAC'15 experiments depend on. [`StandardCycle::published_stats`] returns
-//! the official targets so tests can assert calibration.
+//! DAC'15 experiments depend on. The official targets stay beside the
+//! traces, compiled for the unit tests that assert calibration.
 
 use crate::cycle::DriveCycle;
 use crate::profile::ProfileBuilder;
@@ -14,17 +14,19 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
-/// Published reference statistics of an official driving cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PublishedStats {
+/// Published reference statistics of an official driving cycle: the
+/// calibration targets the unit tests compare the authored traces with.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PublishedStats {
     /// Official duration, seconds.
-    pub duration_s: f64,
+    duration_s: f64,
     /// Official distance, kilometers.
-    pub distance_km: f64,
+    distance_km: f64,
     /// Official mean speed, km/h.
-    pub mean_speed_kmh: f64,
+    mean_speed_kmh: f64,
     /// Official maximum speed, km/h.
-    pub max_speed_kmh: f64,
+    max_speed_kmh: f64,
 }
 
 /// A standard driving cycle identifier.
@@ -100,7 +102,8 @@ impl StandardCycle {
     }
 
     /// Published reference statistics of the official trace.
-    pub fn published_stats(self) -> PublishedStats {
+    #[cfg(test)]
+    fn published_stats(self) -> PublishedStats {
         match self {
             StandardCycle::Udds => PublishedStats {
                 duration_s: 1369.0,

@@ -87,20 +87,6 @@ impl AuxiliarySystems {
         }
         Ok(())
     }
-
-    /// `n` evenly spaced operating-power levels spanning the allowed
-    /// range (used to discretize the full action space of Eq. 15).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn power_levels(&self, n: usize) -> Vec<f64> {
-        assert!(n >= 2, "need at least two levels");
-        let (lo, hi) = self.power_range();
-        (0..n)
-            .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -157,21 +143,5 @@ mod tests {
         assert!(a.check_power(50.0).is_err());
         assert!(a.check_power(2_000.0).is_err());
         assert!(a.check_power(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn power_levels_span_range() {
-        let a = aux();
-        let levels = a.power_levels(5);
-        assert_eq!(levels.len(), 5);
-        assert_eq!(levels[0], 100.0);
-        assert_eq!(levels[4], 1500.0);
-        assert!(levels.windows(2).all(|w| w[1] > w[0]));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two levels")]
-    fn power_levels_needs_two() {
-        aux().power_levels(1);
     }
 }

@@ -73,11 +73,6 @@ impl Battery {
         self.soc
     }
 
-    /// Stored charge, coulombs.
-    pub fn charge_c(&self) -> f64 {
-        self.soc * self.params.capacity_ah * 3600.0
-    }
-
     /// Resets the state of charge (e.g. between training episodes).
     ///
     /// # Panics
@@ -109,13 +104,13 @@ impl Battery {
     }
 
     /// Open-circuit voltage at a given state of charge, V (affine model).
-    pub fn ocv_at(&self, soc: f64) -> f64 {
+    fn ocv_at(&self, soc: f64) -> f64 {
         self.params.ocv_at_empty_v + self.params.ocv_span_v * soc
     }
 
     /// Internal resistance for the given current direction, Ω, scaled by
     /// the thermal model's cold penalty when enabled.
-    pub fn resistance(&self, current_a: f64) -> f64 {
+    fn resistance(&self, current_a: f64) -> f64 {
         let base = if current_a >= 0.0 {
             self.params.resistance_discharge_ohm
         } else {
@@ -126,7 +121,7 @@ impl Battery {
 
     /// The multiplicative resistance factor from the thermal model
     /// (1 when disabled or at/above the reference temperature).
-    pub fn thermal_resistance_factor(&self) -> f64 {
+    fn thermal_resistance_factor(&self) -> f64 {
         match (self.params.thermal, self.temperature_c) {
             (Some(t), Some(temp)) => {
                 1.0 + t.cold_resistance_per_k * (t.reference_c - temp).max(0.0)
@@ -164,19 +159,6 @@ impl Battery {
         }
         // Small root: the physical branch (current → 0 as power → 0).
         Some((v - disc.sqrt()) / (2.0 * r))
-    }
-
-    /// The largest terminal power the pack can deliver, W.
-    pub fn max_discharge_power(&self) -> f64 {
-        let i = self.params.max_discharge_a;
-        let r = self.params.resistance_discharge_ohm * self.thermal_resistance_factor();
-        let unconstrained = self.ocv().powi(2) / (4.0 * r);
-        self.terminal_power(i).min(unconstrained)
-    }
-
-    /// The most negative terminal power the pack can absorb, W.
-    pub fn max_charge_power(&self) -> f64 {
-        self.terminal_power(-self.params.max_charge_a)
     }
 
     /// Checks that a commanded current respects the pack's current limits.
@@ -341,14 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn power_limits_ordering() {
-        let b = pack();
-        assert!(b.max_discharge_power() > 0.0);
-        assert!(b.max_charge_power() < 0.0);
-        assert!(b.max_discharge_power() > b.max_charge_power());
-    }
-
-    #[test]
     fn reset_allows_any_physical_soc() {
         let mut b = pack();
         b.reset(0.75);
@@ -424,11 +398,5 @@ mod tests {
         }
         b.reset_temperature();
         assert_eq!(b.temperature_c(), Some(-10.0));
-    }
-
-    #[test]
-    fn charge_c_matches_soc() {
-        let b = pack();
-        assert!((b.charge_c() - 0.6 * 26.0 * 3600.0).abs() < 1e-6);
     }
 }

@@ -132,25 +132,6 @@ impl Drivetrain {
             wheel_torque_nm * p.gearbox_efficiency / r
         }
     }
-
-    /// The gear that keeps the engine closest to a target shaft speed at
-    /// the given wheel speed; `None` when the vehicle is stopped.
-    pub fn gear_for_target_ice_speed(
-        &self,
-        wheel_speed_rad_s: f64,
-        target_rad_s: f64,
-    ) -> Option<usize> {
-        if wheel_speed_rad_s <= 0.0 {
-            return None;
-        }
-        (0..self.num_gears()).min_by(|&a, &b| {
-            let da = (self.ice_speed(wheel_speed_rad_s, a) - target_rad_s).abs();
-            let db = (self.ice_speed(wheel_speed_rad_s, b) - target_rad_s).abs();
-            // total_cmp: a NaN target orders deterministically instead of
-            // panicking the comparator.
-            da.total_cmp(&db)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -218,18 +199,6 @@ mod tests {
         let both = d.wheel_torque(20.0, 10.0, 1);
         let ice_only = d.wheel_torque(20.0, 0.0, 1);
         assert!(both > ice_only);
-    }
-
-    #[test]
-    fn gear_selection_tracks_target_speed() {
-        let d = dt();
-        // High wheel speed → top gear keeps the engine slowest.
-        let g = d.gear_for_target_ice_speed(120.0, 250.0).unwrap();
-        assert_eq!(g, 4);
-        // Low wheel speed → low gear needed to reach the target.
-        let g = d.gear_for_target_ice_speed(15.0, 250.0).unwrap();
-        assert_eq!(g, 0);
-        assert!(d.gear_for_target_ice_speed(0.0, 250.0).is_none());
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl VehicleBody {
     }
 
     /// Wheel speed `ω_wh = v / r_wh` (Eq. 6), rad/s.
-    pub fn wheel_speed(&self, speed_mps: f64) -> f64 {
+    fn wheel_speed(&self, speed_mps: f64) -> f64 {
         speed_mps / self.params.wheel_radius_m
     }
 

@@ -198,54 +198,6 @@ impl Engine {
             && torque_nm >= 0.0
             && torque_nm <= self.max_torque(speed_rad_s)
     }
-
-    /// Samples the brake-efficiency surface on an `n_speed × n_load`
-    /// grid, returning `(speed rad/s, torque N·m, efficiency)` triples —
-    /// the raw material for the classic BSFC contour plot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either grid dimension is zero.
-    pub fn efficiency_map(&self, n_speed: usize, n_load: usize) -> Vec<(f64, f64, f64)> {
-        assert!(
-            n_speed > 0 && n_load > 0,
-            "grid dimensions must be positive"
-        );
-        let p = &self.params;
-        let mut out = Vec::with_capacity(n_speed * n_load);
-        for i in 0..n_speed {
-            let w = p.idle_speed_rad_s
-                + (p.max_speed_rad_s - p.idle_speed_rad_s) * (i as f64 + 0.5) / n_speed as f64;
-            for j in 0..n_load {
-                let t = self.max_torque(w) * (j as f64 + 0.5) / n_load as f64;
-                out.push((w, t, self.efficiency(t, w)));
-            }
-        }
-        out
-    }
-
-    /// The speed (rad/s) at which delivering `power_w` is most efficient,
-    /// found by scanning the running range. Used by baseline controllers.
-    pub fn best_speed_for_power(&self, power_w: f64) -> f64 {
-        let mut best = self.params.idle_speed_rad_s;
-        let mut best_eff = 0.0;
-        let n = 40;
-        for k in 0..=n {
-            let w = self.params.idle_speed_rad_s
-                + (self.params.max_speed_rad_s - self.params.idle_speed_rad_s) * k as f64
-                    / n as f64;
-            let t = power_w / w;
-            if t > self.max_torque(w) {
-                continue;
-            }
-            let eff = self.efficiency(t, w);
-            if eff > best_eff {
-                best_eff = eff;
-                best = w;
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -346,16 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn best_speed_for_power_is_in_range() {
-        let e = engine();
-        for p in [5_000.0, 15_000.0, 30_000.0] {
-            let w = e.best_speed_for_power(p);
-            assert!(e.speed_in_range(w));
-            assert!(p / w <= e.max_torque(w) + 1e-9);
-        }
-    }
-
-    #[test]
     fn rejects_invalid_params() {
         let p = IceParams {
             peak_efficiency: 0.9,
@@ -365,17 +307,23 @@ mod tests {
     }
 
     #[test]
-    fn efficiency_map_covers_envelope() {
+    fn efficiency_is_bounded_over_the_envelope() {
+        // An 8 × 6 grid of cell midpoints over the speed range and the
+        // full-load torque curve.
         let e = engine();
-        let map = e.efficiency_map(8, 6);
-        assert_eq!(map.len(), 48);
-        for &(w, t, eta) in &map {
-            assert!(e.speed_in_range(w));
-            assert!(t >= 0.0 && t <= e.max_torque(w));
-            assert!(eta > 0.0 && eta <= e.params().peak_efficiency);
+        let p = e.params();
+        let mut best: f64 = 0.0;
+        for i in 0..8 {
+            let w = p.idle_speed_rad_s
+                + (p.max_speed_rad_s - p.idle_speed_rad_s) * (i as f64 + 0.5) / 8.0;
+            for j in 0..6 {
+                let t = e.max_torque(w) * (j as f64 + 0.5) / 6.0;
+                let eta = e.efficiency(t, w);
+                assert!(eta > 0.0 && eta <= p.peak_efficiency);
+                best = best.max(eta);
+            }
         }
-        // The map contains points near the peak.
-        let best = map.iter().map(|&(_, _, eta)| eta).fold(0.0, f64::max);
+        // The grid contains points near the peak.
         assert!(best > 0.30, "best sampled efficiency {best}");
     }
 }

@@ -5,8 +5,7 @@
 //! [`FaultPlan`] at the session's severity, so a synthetic fleet is
 //! heterogeneous: each vehicle has its own seed, initial SOC, capacity
 //! fade, sensor noise, and derating windows. Sessions are rebuilt after
-//! a quarantine with a [`RETRY_SEED_TAG`]-derived reseed, exactly like
-//! the training harness's crash-tolerant retries, and each rebuild
+//! a quarantine with a [`RETRY_SEED_TAG`]-derived reseed, and each rebuild
 //! advances the session's epoch so clients pinning the old epoch get a
 //! typed stale-epoch error instead of silently talking to a different
 //! incarnation.

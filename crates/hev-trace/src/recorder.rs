@@ -1,23 +1,14 @@
 //! The flight recorder: a fixed-size ring buffer of recent step events
 //! that dumps when something goes wrong.
 //!
-//! Two delivery paths share the recording:
-//!
-//! * **Deterministic** — the owner ([`FlightRecorder`]) dumps into the
-//!   trace stream as a `flight_dump` JSONL line when the simulation loop
-//!   detects a supervisor rejection or a non-finite control. The dump is
-//!   a pure function of the recorded steps, so trace files stay
-//!   byte-identical across worker counts.
-//! * **Panic** — every recorded line is mirrored into a bounded
-//!   thread-local ring ([`note_panic_context`]); when the harness
-//!   catches a task panic it snapshots that ring ([`take_panic_ring`])
-//!   on the same worker thread and attaches it to the `run_panic` run-log
-//!   event. The run log is already the nondeterministic side channel, so
-//!   this path never touches the deterministic outputs.
+//! The owner ([`FlightRecorder`]) dumps into the trace stream as a
+//! `flight_dump` JSONL line when the simulation loop detects a
+//! supervisor rejection or a non-finite control. The dump is a pure
+//! function of the recorded steps, so trace files stay byte-identical
+//! across worker counts.
 
 use crate::json;
 use crate::trace::TRACE_SCHEMA_VERSION;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// A ring buffer of pre-encoded step-event JSON objects.
@@ -52,12 +43,10 @@ impl FlightRecorder {
     }
 
     /// Records one encoded step event, evicting the oldest when full.
-    /// Also mirrors the line into the thread-local panic ring.
     pub fn record(&mut self, event_json: String) {
         if self.capacity == 0 {
             return;
         }
-        note_panic_context(&event_json);
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
         }
@@ -67,7 +56,6 @@ impl FlightRecorder {
     /// Empties the ring (each episode starts clean).
     pub fn clear(&mut self) {
         self.buf.clear();
-        clear_panic_ring();
     }
 
     /// Encodes the ring as one `flight_dump` JSONL line: the trigger, the
@@ -100,37 +88,6 @@ impl FlightRecorder {
     }
 }
 
-/// The panic mirror keeps at most this many recent lines per thread.
-const PANIC_RING_CAPACITY: usize = 32;
-
-thread_local! {
-    static PANIC_RING: RefCell<VecDeque<String>> =
-        RefCell::new(VecDeque::with_capacity(PANIC_RING_CAPACITY));
-}
-
-/// Mirrors one encoded step event into this thread's panic ring.
-pub fn note_panic_context(event_json: &str) {
-    PANIC_RING.with(|ring| {
-        let mut ring = ring.borrow_mut();
-        if ring.len() == PANIC_RING_CAPACITY {
-            ring.pop_front();
-        }
-        ring.push_back(event_json.to_string());
-    });
-}
-
-/// Clears this thread's panic ring.
-pub fn clear_panic_ring() {
-    PANIC_RING.with(|ring| ring.borrow_mut().clear());
-}
-
-/// Takes (and clears) this thread's panic ring — called by the harness
-/// on the worker that caught a panic, so the dump describes the steps
-/// leading up to the death.
-pub fn take_panic_ring() -> Vec<String> {
-    PANIC_RING.with(|ring| ring.borrow_mut().drain(..).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,16 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_ring_mirrors_and_drains() {
-        clear_panic_ring();
-        let mut r = FlightRecorder::new(4);
-        r.record("{\"step\":9}".into());
-        let lines = take_panic_ring();
-        assert_eq!(lines, vec!["{\"step\":9}".to_string()]);
-        assert!(take_panic_ring().is_empty());
-    }
-
-    #[test]
     fn dump_carries_the_active_span_path_only_while_profiling() {
         let mut r = FlightRecorder::new(2);
         r.record("{\"step\":3}".into());
@@ -186,11 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_both_rings() {
+    fn clear_empties_the_ring() {
         let mut r = FlightRecorder::new(4);
         r.record("{}".into());
         r.clear();
         assert!(r.is_empty());
-        assert!(take_panic_ring().is_empty());
     }
 }

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// One function node of the workspace call graph.
 #[derive(Debug)]
-pub struct FnNode {
+pub(crate) struct FnNode {
     /// Workspace-relative file the fn is defined in.
     pub file: String,
     /// File stem (`ladder` for `…/ladder.rs`), for module-qualified
@@ -49,7 +49,7 @@ pub struct FnNode {
 
 /// One call site inside a fn body.
 #[derive(Debug, Clone)]
-pub struct CallSite {
+pub(crate) struct CallSite {
     /// Called name.
     pub name: String,
     /// `Type::`/`module::` qualifier, when present (never `Self`).
@@ -60,7 +60,7 @@ pub struct CallSite {
 
 /// One potentially panicking site inside a fn body.
 #[derive(Debug, Clone)]
-pub struct PanicSite {
+pub(crate) struct PanicSite {
     /// What the site is (`.unwrap()`, `panic!`, `indexing`, …).
     pub what: &'static str,
     /// 1-based line.
@@ -74,7 +74,7 @@ pub struct PanicSite {
 #[derive(Debug, Default)]
 pub struct Graph {
     /// All fn nodes, in file-then-source order (deterministic).
-    pub nodes: Vec<FnNode>,
+    pub(crate) nodes: Vec<FnNode>,
     /// name → node indices defining that name.
     by_name: BTreeMap<String, Vec<usize>>,
 }
@@ -85,7 +85,7 @@ const CLOCK_SOURCES: &[&str] = &["Instant", "SystemTime", "thread_rng", "from_en
 
 /// Extracts call sites, panic sites, and determinism sources from one
 /// fn body. `amask` marks attribute tokens (indexing rule).
-pub fn scan_body(
+pub(crate) fn scan_body(
     tokens: &[Token],
     body: std::ops::Range<usize>,
     amask: &[bool],

@@ -84,19 +84,18 @@ pub fn findings_to_json(findings: &[Finding]) -> String {
 }
 
 /// Renders the full machine-readable report (findings + summary).
-/// Version 2 adds the workspace-crate count and the count of findings
-/// absorbed by the loaded baseline to the summary block.
+/// Version 3 drops version 2's `baseline_suppressed` count along with
+/// the findings baseline.
 pub fn report_to_json(report: &crate::Report) -> String {
-    let mut out = String::from("{\"version\":2,\"findings\":");
+    let mut out = String::from("{\"version\":3,\"findings\":");
     out.push_str(&findings_to_json(&report.findings));
     let _ = write!(
         out,
-        ",\"summary\":{{\"files_scanned\":{},\"crates\":{},\"findings\":{},\"suppressed\":{},\"baseline_suppressed\":{}}}}}",
+        ",\"summary\":{{\"files_scanned\":{},\"crates\":{},\"findings\":{},\"suppressed\":{}}}}}",
         report.files_scanned,
         report.crates,
         report.findings.len(),
-        report.suppressed,
-        report.baseline_suppressed
+        report.suppressed
     );
     out
 }
@@ -145,14 +144,13 @@ mod tests {
             files_scanned: 12,
             crates: 9,
             suppressed: 3,
-            baseline_suppressed: 2,
             ..crate::Report::default()
         };
         let j = report_to_json(&r);
-        assert!(j.contains("\"version\":2"));
+        assert!(j.contains("\"version\":3"));
         assert!(j.contains("\"files_scanned\":12"));
         assert!(j.contains("\"crates\":9"));
         assert!(j.contains("\"suppressed\":3"));
-        assert!(j.contains("\"baseline_suppressed\":2"));
+        assert!(!j.contains("baseline"));
     }
 }

@@ -28,7 +28,7 @@ pub struct Directive {
 /// Directive parse results: well-formed directives plus findings for
 /// malformed ones.
 #[derive(Debug, Default)]
-pub struct Directives {
+pub(crate) struct Directives {
     /// Well-formed directives, in source order.
     pub directives: Vec<Directive>,
     /// `directive::malformed` / `directive::unknown-rule` findings.
@@ -39,7 +39,7 @@ const MARKER: &str = "hevlint::allow";
 
 /// Extracts directives from comments. `known_rule` reports whether a
 /// rule id or family name exists, so typos are caught at the directive.
-pub fn parse(
+pub(crate) fn parse(
     comments: &[Comment],
     tokens: &[Token],
     file: &str,
@@ -128,7 +128,7 @@ fn parse_args(rest: &str) -> Option<(String, String)> {
 }
 
 /// True when `directive_rule` (id or family) covers `finding_rule`.
-pub fn covers(directive_rule: &str, finding_rule: &str) -> bool {
+fn covers(directive_rule: &str, finding_rule: &str) -> bool {
     finding_rule == directive_rule
         || finding_rule
             .strip_prefix(directive_rule)
@@ -179,19 +179,6 @@ pub fn stale(directives: &[Directive], file: &str, lines: &[&str]) -> Vec<Findin
             ),
         })
         .collect()
-}
-
-/// Applies directives to findings in one shot: [`suppress`] followed by
-/// [`stale`]. Single-pass callers (per-file linting) use this.
-pub fn apply(
-    directives: &mut [Directive],
-    findings: Vec<Finding>,
-    file: &str,
-    lines: &[&str],
-) -> (Vec<Finding>, usize) {
-    let (mut kept, suppressed) = suppress(directives, findings);
-    kept.extend(stale(directives, file, lines));
-    (kept, suppressed)
 }
 
 /// The trimmed source line at 1-based `line` (empty if out of range).

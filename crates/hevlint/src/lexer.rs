@@ -82,7 +82,7 @@ pub struct Comment {
 
 /// Lexer output: the token stream plus every comment encountered.
 #[derive(Debug, Default)]
-pub struct LexOutput {
+pub(crate) struct LexOutput {
     /// Tokens in source order.
     pub tokens: Vec<Token>,
     /// Comments in source order.
@@ -99,7 +99,7 @@ fn is_ident_continue(c: u8) -> bool {
 
 /// Lexes `src` into tokens and comments. Never fails: unterminated
 /// constructs simply end at end-of-file.
-pub fn lex(src: &str) -> LexOutput {
+pub(crate) fn lex(src: &str) -> LexOutput {
     Lexer {
         b: src.as_bytes(),
         src,

@@ -32,17 +32,15 @@
 //! recovers `fn` bodies, `use` roots, and visibility; the workspace
 //! model reads every `Cargo.toml`; and a name-based call graph powers
 //! the reachability and taint rules. Deliberate exceptions are
-//! declared in-place with `// hevlint::allow(rule, reason)`, and a
-//! committed findings baseline (`--baseline`) supports incremental
-//! adoption. See DESIGN.md ("Static analysis") for the rule table and
-//! the approximation limits.
+//! declared in-place with `// hevlint::allow(rule, reason)`; there is
+//! no baseline of tolerated findings. See DESIGN.md ("Static
+//! analysis") for the rule table and the approximation limits.
 //!
 //! Run it with `cargo run -p hevlint -- --deny-all`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod diagnostics;
 pub mod directives;
@@ -86,8 +84,6 @@ pub struct Report {
     pub crates: usize,
     /// Findings suppressed by allow directives.
     pub suppressed: usize,
-    /// Findings suppressed by the loaded baseline (set by the CLI).
-    pub baseline_suppressed: usize,
 }
 
 impl Report {
@@ -110,7 +106,7 @@ impl Report {
 /// `crates/hev-serve/src/driver.rs` (the serve-bench driver, the one
 /// hev-serve module that times wall-clock throughput) — is exempt from
 /// the wall-clock/env/print rules; everything else is library code.
-pub fn role_for(rel_path: &str) -> Role {
+fn role_for(rel_path: &str) -> Role {
     let p = rel_path.replace('\\', "/");
     if p.starts_with("crates/bench/")
         || p.starts_with("crates/hevlint/")
@@ -473,10 +469,6 @@ fn f(o: Option<u32>) -> u32 {
             (
                 "crates/hevlint/src/callgraph.rs",
                 include_str!("callgraph.rs"),
-            ),
-            (
-                "crates/hevlint/src/baseline.rs",
-                include_str!("baseline.rs"),
             ),
             (
                 "crates/hevlint/src/directives.rs",

@@ -2,30 +2,27 @@
 //!
 //! ```text
 //! hevlint [--root PATH] [--format human|json] [--deny-all]
-//!         [--strict-indexing] [--reach-hops N] [--baseline PATH]
-//!         [--list-rules] [--explain RULE]
+//!         [--strict-indexing] [--reach-hops N] [--list-rules]
+//!         [--explain RULE]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings at the enforced level, 2 usage or
 //! I/O error. `--deny-all` also fails on warn-level findings (CI mode);
 //! the default only fails on deny-level findings.
 //!
-//! `--baseline PATH` suppresses findings recorded in the baseline file;
-//! with `HEVLINT_BLESS=1` the file is regenerated from the current
-//! findings instead. `--explain RULE` prints the rationale, a failing
-//! example, and the expected fix for one rule.
+//! `--explain RULE` prints the rationale, a failing example, and the
+//! expected fix for one rule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hevlint::baseline::{self, Baseline};
 use hevlint::diagnostics::{findings_to_human, report_to_json, Severity};
 use hevlint::rules::{explain, RULES};
 use hevlint::{lint_workspace, Options};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: hevlint [--root PATH] [--format human|json] [--deny-all] [--strict-indexing] [--reach-hops N] [--baseline PATH] [--list-rules] [--explain RULE]";
+const USAGE: &str = "usage: hevlint [--root PATH] [--format human|json] [--deny-all] [--strict-indexing] [--reach-hops N] [--list-rules] [--explain RULE]";
 
 struct Args {
     root: PathBuf,
@@ -33,7 +30,6 @@ struct Args {
     deny_all: bool,
     strict_indexing: bool,
     reach_hops: u32,
-    baseline: Option<PathBuf>,
     list_rules: bool,
     explain: Option<String>,
 }
@@ -45,7 +41,6 @@ fn parse_args() -> Result<Args, String> {
         deny_all: false,
         strict_indexing: false,
         reach_hops: Options::default().reach_hops,
-        baseline: None,
         list_rules: false,
         explain: None,
     };
@@ -68,10 +63,6 @@ fn parse_args() -> Result<Args, String> {
                 args.reach_hops = v
                     .parse()
                     .map_err(|_| format!("--reach-hops: `{v}` is not a number"))?;
-            }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a path")?;
-                args.baseline = Some(PathBuf::from(v));
             }
             "--list-rules" => args.list_rules = true,
             "--explain" => {
@@ -121,52 +112,7 @@ fn main() -> ExitCode {
         strict_indexing: args.strict_indexing,
         reach_hops: args.reach_hops,
     };
-    let mut report = lint_workspace(&args.root, &opts);
-
-    if let Some(path) = &args.baseline {
-        let bless = std::env::var("HEVLINT_BLESS")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        if bless {
-            let json = baseline::to_json(&report.findings);
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("hevlint: cannot write baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            eprintln!(
-                "hevlint: blessed {} finding(s) into {}",
-                report.findings.len(),
-                path.display()
-            );
-            report.baseline_suppressed = report.findings.len();
-            report.findings.clear();
-        } else {
-            let src = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("hevlint: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let b = match Baseline::parse(&src) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("hevlint: bad baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let (kept, suppressed, stale) = b.apply(std::mem::take(&mut report.findings));
-            report.findings = kept;
-            report.baseline_suppressed = suppressed;
-            if stale > 0 {
-                eprintln!(
-                    "hevlint: {stale} stale baseline entr{} in {} (re-bless with HEVLINT_BLESS=1)",
-                    if stale == 1 { "y" } else { "ies" },
-                    path.display()
-                );
-            }
-        }
-    }
+    let report = lint_workspace(&args.root, &opts);
 
     if args.json {
         println!("{}", report_to_json(&report));
@@ -177,12 +123,11 @@ fn main() -> ExitCode {
     let denials = report.has_denials();
     let warns = report.findings.iter().any(|f| f.severity == Severity::Warn);
     eprintln!(
-        "hevlint: {} file(s) scanned across {} crate(s), {} finding(s), {} suppressed by allow directives, {} by baseline",
+        "hevlint: {} file(s) scanned across {} crate(s), {} finding(s), {} suppressed by allow directives",
         report.files_scanned,
         report.crates,
         report.findings.len(),
-        report.suppressed,
-        report.baseline_suppressed
+        report.suppressed
     );
     if denials || (args.deny_all && warns) {
         ExitCode::from(1)

@@ -51,7 +51,7 @@ pub struct FnItem {
 
 /// Any other named item a `pub`-audit cares about.
 #[derive(Debug, Clone)]
-pub struct NamedItem {
+pub(crate) struct NamedItem {
     /// Item kind keyword (`struct`, `enum`, `trait`, `mod`, `const`,
     /// `static`, `type`).
     pub kind: &'static str,
@@ -83,7 +83,7 @@ pub struct ParsedItems {
     /// Every `fn` item, in source order.
     pub fns: Vec<FnItem>,
     /// Every non-fn named item, in source order.
-    pub named: Vec<NamedItem>,
+    pub(crate) named: Vec<NamedItem>,
     /// Every `use` root, in source order (includes fn-body `use`s).
     pub uses: Vec<UseRoot>,
 }
@@ -337,7 +337,7 @@ fn parse_fn(
 
 /// Index of the `}` matching the `{` at `open` (or `tokens.len()` when
 /// unterminated).
-pub fn matching_brace(tokens: &[Token], open: usize) -> usize {
+fn matching_brace(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
     let mut j = open;
     while j < tokens.len() {
@@ -443,6 +443,24 @@ mod tests {
         let out = lexer::lex(src);
         let mask = test_mask(&out.tokens);
         parse_items(&out.tokens, &out.comments, &mask)
+    }
+
+    /// `matching_brace` pairs nested bodies correctly — the item parser
+    /// leans on it for every fn body extraction.
+    #[test]
+    fn matching_brace_pairs_nested_bodies() {
+        let out = lexer::lex("fn a() { if x { y() } else { z() } }\n");
+        let open = out
+            .tokens
+            .iter()
+            .position(|t| t.kind == TokenKind::LBrace)
+            .expect("outer brace");
+        let close = matching_brace(&out.tokens, open);
+        assert_eq!(
+            close,
+            out.tokens.len() - 1,
+            "outer brace pairs with the last token"
+        );
     }
 
     #[test]

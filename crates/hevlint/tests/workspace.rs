@@ -8,14 +8,9 @@
 //! deliberate rule change.
 //!
 //! The dogfood test at the bottom runs the full workspace pass over
-//! this repository itself and asserts it stays deny-clean, and that the
-//! committed `hevlint-baseline.json` covers every remaining warning
-//! with no stale entries.
+//! this repository itself and asserts it has no findings at all.
 
-use hevlint::baseline::{self, Baseline};
 use hevlint::diagnostics::findings_to_json;
-use hevlint::lexer;
-use hevlint::parser::matching_brace;
 use hevlint::rules::{explain, known_rule, Explain, RuleInfo, RULES};
 use hevlint::workspace::{allowed_deps, CrateInfo, Dep, Workspace};
 use hevlint::{lint_workspace, Options, Report};
@@ -197,67 +192,17 @@ fn workspace_model_resolves_fixture_crates() {
     assert!(allowed_deps("ws-layering-umbrella").is_none());
 }
 
-/// `matching_brace` pairs nested bodies correctly — the item parser
-/// leans on it for every fn body extraction.
+/// Dogfood: the real workspace lints clean under the default options:
+/// no finding of any severity. There is no baseline of tolerated
+/// findings, so a new one is fixed at its source or carries an in-source
+/// `hevlint::allow` directive with its reason.
 #[test]
-fn matching_brace_pairs_nested_bodies() {
-    let out = lexer::lex("fn a() { if x { y() } else { z() } }\n");
-    let open = out
-        .tokens
-        .iter()
-        .position(|t| t.kind == hevlint::lexer::TokenKind::LBrace)
-        .expect("outer brace");
-    let close = matching_brace(&out.tokens, open);
-    assert_eq!(
-        close,
-        out.tokens.len() - 1,
-        "outer brace pairs with the last token"
-    );
-}
-
-/// Dogfood: the real workspace must be deny-clean under the default
-/// options, and the committed baseline must cover every remaining
-/// warning exactly (no new findings, no stale entries).
-#[test]
-fn dogfood_real_workspace_is_deny_clean_under_baseline() {
+fn dogfood_real_workspace_has_no_findings() {
     let report = lint_workspace(&repo_root(), &Options::default());
     assert!(report.files_scanned > 50, "workspace walk looks broken");
-    let denials: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.severity == hevlint::diagnostics::Severity::Deny)
-        .collect();
     assert!(
-        denials.is_empty(),
-        "deny-severity findings in the workspace: {denials:#?}"
+        report.findings.is_empty(),
+        "findings in the workspace: {:#?}",
+        report.findings
     );
-
-    let baseline_path = repo_root().join("hevlint-baseline.json");
-    let src = std::fs::read_to_string(&baseline_path)
-        .expect("committed hevlint-baseline.json is readable");
-    let baseline = Baseline::parse(&src).expect("committed baseline parses");
-    let (kept, _suppressed, stale) = baseline.apply(report.findings);
-    assert!(
-        kept.is_empty(),
-        "findings not covered by the committed baseline (fix them or re-bless with \
-         HEVLINT_BLESS=1 cargo run -p hevlint -- --baseline hevlint-baseline.json): {kept:#?}"
-    );
-    assert_eq!(
-        stale, 0,
-        "stale baseline entries: re-bless with HEVLINT_BLESS=1 after fixing findings"
-    );
-}
-
-/// The baseline JSON round-trips through parse: blessing then loading
-/// yields a baseline that suppresses exactly the blessed findings.
-#[test]
-fn baseline_round_trips_workspace_findings() {
-    let report = lint_workspace(&ws_fixture("deadpub"), &Options::default());
-    let json = baseline::to_json(&report.findings);
-    let parsed = Baseline::parse(&json).expect("blessed baseline parses");
-    let total = report.findings.len();
-    let (kept, suppressed, stale) = parsed.apply(report.findings);
-    assert!(kept.is_empty());
-    assert_eq!(suppressed, total);
-    assert_eq!(stale, 0);
 }

@@ -24,17 +24,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ensemble;
 pub mod ewma;
-pub mod horizon;
 pub mod markov;
 pub mod mlp;
 pub mod moving_average;
 pub mod traits;
 
-pub use ensemble::Ensemble;
 pub use ewma::Ewma;
-pub use horizon::Horizon;
 pub use markov::MarkovChain;
 pub use mlp::MlpPredictor;
 pub use moving_average::MovingAverage;

@@ -50,11 +50,6 @@ impl MarkovChain {
         }
     }
 
-    /// Number of quantization levels.
-    pub fn levels(&self) -> usize {
-        self.n
-    }
-
     // The negated comparison is deliberate: it routes NaN to level 0.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     fn level_of(&self, x: f64) -> usize {
@@ -70,18 +65,6 @@ impl MarkovChain {
     fn center(&self, level: usize) -> f64 {
         let w = (self.max - self.min) / self.n as f64;
         self.min + (level as f64 + 0.5) * w
-    }
-
-    /// The learned transition probability `P(to | from)`; `None` if `from`
-    /// was never observed.
-    pub fn transition_probability(&self, from: usize, to: usize) -> Option<f64> {
-        let row = &self.counts[from * self.n..(from + 1) * self.n];
-        let total: u32 = row.iter().sum();
-        if total == 0 {
-            None
-        } else {
-            Some(row[to] as f64 / total as f64)
-        }
     }
 }
 
@@ -145,19 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn transition_probabilities_normalize() {
-        let mut p = MarkovChain::new(0.0, 10.0, 4);
-        for x in [1.0, 4.0, 9.0, 1.0, 4.0, 1.0] {
-            p.observe(x);
-        }
-        let from = 0; // level of 1.0
-        let total: f64 = (0..4)
-            .map(|to| p.transition_probability(from, to).unwrap())
-            .sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn no_observation_predicts_zero() {
         assert_eq!(MarkovChain::new(0.0, 1.0, 2).predict(), 0.0);
     }
@@ -169,7 +139,10 @@ mod tests {
         p.observe(9.0);
         p.reset();
         assert_eq!(p.predict(), 0.0);
-        assert!(p.transition_probability(0, 3).is_none());
+        // The 1.0 → 9.0 transition is forgotten: with no counts out of
+        // level 0 the prediction falls back to its center.
+        p.observe(1.0);
+        assert!((p.predict() - 1.25).abs() < 1e-9);
     }
 
     #[test]
@@ -177,7 +150,8 @@ mod tests {
         let mut p = MarkovChain::new(0.0, 10.0, 5);
         p.observe(-100.0);
         p.observe(100.0);
-        // Transition recorded from level 0 to level 4.
-        assert_eq!(p.transition_probability(0, 4), Some(1.0));
+        p.observe(-100.0);
+        // Transition recorded from level 0 to level 4 (center 9.0).
+        assert!((p.predict() - 9.0).abs() < 1e-9);
     }
 }

@@ -79,11 +79,6 @@ impl MlpPredictor {
         }
     }
 
-    /// Number of past measurements fed to the network.
-    pub fn history_len(&self) -> usize {
-        self.history_len
-    }
-
     fn inputs(&self) -> Vec<f64> {
         let mut x = vec![0.0; self.history_len];
         for (i, &h) in self.history.iter().rev().enumerate() {

@@ -2,9 +2,9 @@
 //!
 //! The paper's state space (Eq. 13–14) is built by discretizing the
 //! propulsion power demand, vehicle speed, battery charge, and prediction
-//! into finite level sets. [`UniformGrid`] and [`CustomBins`] map a
-//! continuous value to a level index; [`ProductSpace`] flattens a tuple of
-//! level indices into a single table index.
+//! into finite level sets. [`UniformGrid`] maps a continuous value to a
+//! level index; [`ProductSpace`] flattens a tuple of level indices into a
+//! single table index.
 
 use serde::{Deserialize, Serialize};
 
@@ -86,45 +86,6 @@ impl UniformGrid {
         assert!(i < self.n, "bin {i} out of range");
         let w = (self.max - self.min) / self.n as f64;
         self.min + (i as f64 + 0.5) * w
-    }
-}
-
-/// Bins delimited by an explicit, strictly increasing edge list.
-///
-/// `n` edges define `n + 1` bins: `(-∞, e0), [e0, e1), …, [e(n-1), ∞)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CustomBins {
-    edges: Vec<f64>,
-}
-
-impl CustomBins {
-    /// Creates bins from strictly increasing edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edges` is empty or not strictly increasing.
-    pub fn new(edges: Vec<f64>) -> Self {
-        assert!(!edges.is_empty(), "need at least one edge");
-        assert!(
-            edges.windows(2).all(|w| w[1] > w[0]),
-            "edges must be strictly increasing"
-        );
-        Self { edges }
-    }
-
-    /// Number of bins (`edges + 1`).
-    pub fn len(&self) -> usize {
-        self.edges.len() + 1
-    }
-
-    /// Whether there are no bins (never true for a constructed value).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Bin index of `x`.
-    pub fn index(&self, x: f64) -> usize {
-        self.edges.partition_point(|&e| e <= x)
     }
 }
 
@@ -246,23 +207,6 @@ mod tests {
     #[should_panic(expected = "need finite min < max")]
     fn uniform_rejects_inverted_bounds() {
         UniformGrid::new(5.0, 1.0, 3);
-    }
-
-    #[test]
-    fn custom_bins_partition() {
-        let b = CustomBins::new(vec![0.0, 10.0, 50.0]);
-        assert_eq!(b.len(), 4);
-        assert_eq!(b.index(-1.0), 0);
-        assert_eq!(b.index(0.0), 1);
-        assert_eq!(b.index(9.9), 1);
-        assert_eq!(b.index(10.0), 2);
-        assert_eq!(b.index(100.0), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn custom_bins_reject_unsorted() {
-        CustomBins::new(vec![1.0, 1.0]);
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Tabular reinforcement learning for the HEV joint-control problem.
 //!
-//! This crate provides the generic RL machinery the DAC'15 controller is
-//! built on:
+//! This crate provides the RL machinery the DAC'15 controller is built
+//! on:
 //!
-//! * [`UniformGrid`], [`CustomBins`], [`ProductSpace`] — state/action
-//!   discretization (Eq. 13–15 of the paper);
+//! * [`UniformGrid`], [`ProductSpace`] — state/action discretization
+//!   (Eq. 13–15 of the paper);
 //! * [`QTable`] — dense action-value storage with visit counting;
 //! * [`EligibilityTraces`] — the paper's bounded list of the `M` most
 //!   recent state-action pairs (§4.3.4);
 //! * [`TdLambda`] — Algorithm 1, the TD(λ)-learning update;
-//! * [`QLearning`], [`Sarsa`], [`DoubleQ`] — one-step learners for
-//!   baselines and ablations;
-//! * [`Greedy`], [`EpsilonGreedy`], [`DecayingEpsilon`], [`Softmax`] —
+//! * [`Greedy`], [`EpsilonGreedy`], [`DecayingEpsilon`] —
 //!   exploration-versus-exploitation policies.
 //!
 //! # Examples
@@ -39,29 +37,15 @@
 #![forbid(unsafe_code)]
 
 pub mod discretize;
-pub mod double_q;
-pub mod expected_sarsa;
-pub mod monte_carlo;
 pub mod policy;
-pub mod q_learning;
 pub mod qtable;
-pub mod sarsa;
-pub mod schedule;
-pub mod sparse;
 pub mod stats;
 pub mod td_lambda;
 pub mod traces;
 
-pub use discretize::{CustomBins, ProductSpace, UniformGrid};
-pub use double_q::DoubleQ;
-pub use expected_sarsa::ExpectedSarsa;
-pub use monte_carlo::MonteCarlo;
-pub use policy::{ucb_select, DecayingEpsilon, EpsilonGreedy, ExplorationPolicy, Greedy, Softmax};
-pub use q_learning::{OneStepConfig, QLearning};
+pub use discretize::{ProductSpace, UniformGrid};
+pub use policy::{DecayingEpsilon, EpsilonGreedy, ExplorationPolicy, Greedy};
 pub use qtable::QTable;
-pub use sarsa::Sarsa;
-pub use schedule::Schedule;
-pub use sparse::SparseQTable;
 pub use stats::{QStats, TdStats, TD_ABS_DELTA_BOUNDS};
 pub use td_lambda::{TdLambda, TdLambdaConfig};
 pub use traces::{EligibilityTraces, TraceKind};

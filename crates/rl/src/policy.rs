@@ -139,108 +139,6 @@ impl ExplorationPolicy for DecayingEpsilon {
     }
 }
 
-/// Boltzmann (softmax) exploration over eligible actions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Softmax {
-    temperature: f64,
-}
-
-impl Softmax {
-    /// Creates the policy with the given temperature.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `temperature` is not positive.
-    pub fn new(temperature: f64) -> Self {
-        assert!(temperature > 0.0, "temperature must be positive");
-        Self { temperature }
-    }
-
-    /// The temperature.
-    pub fn temperature(&self) -> f64 {
-        self.temperature
-    }
-}
-
-impl ExplorationPolicy for Softmax {
-    fn select<R: Rng + ?Sized>(&self, q_row: &[f64], mask: &[bool], rng: &mut R) -> usize {
-        let max_q = q_row
-            .iter()
-            .zip(mask)
-            .filter(|(_, &ok)| ok)
-            .map(|(&v, _)| v)
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert!(max_q.is_finite(), "at least one action must be eligible");
-        let weights: Vec<f64> = q_row
-            .iter()
-            .zip(mask)
-            .map(|(&v, &ok)| {
-                if ok {
-                    ((v - max_q) / self.temperature).exp()
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut x = rng.gen::<f64>() * total;
-        for (a, &w) in weights.iter().enumerate() {
-            x -= w;
-            if x <= 0.0 && w > 0.0 {
-                return a;
-            }
-        }
-        // Floating-point tail: return the last eligible action.
-        mask.iter()
-            .rposition(|&ok| ok)
-            // hevlint::allow(panic::expect, documented trait invariant: select requires at least one eligible mask entry)
-            .expect("eligible action exists")
-    }
-}
-
-/// Upper-confidence-bound action scoring over a Q row with visit counts.
-///
-/// Not an [`ExplorationPolicy`] (it needs visit counts, which the trait's
-/// Q-row interface does not carry); use it directly with a
-/// [`QTable`](crate::QTable):
-///
-/// ```
-/// use hev_rl::{ucb_select, QTable};
-///
-/// let mut q = QTable::new(1, 3, 0.0);
-/// q.visit(0, 0);
-/// // Unvisited actions get infinite bonus: 1 and 2 are preferred.
-/// let a = ucb_select(&q, 0, None, 2.0);
-/// assert_ne!(a, 0);
-/// ```
-pub fn ucb_select(q: &crate::QTable, s: usize, mask: Option<&[bool]>, exploration: f64) -> usize {
-    assert!(
-        exploration >= 0.0,
-        "exploration constant must be non-negative"
-    );
-    let total: u32 = (0..q.n_actions()).map(|a| q.visit_count(s, a)).sum();
-    let ln_total = f64::from(total.max(1)).ln();
-    let mut best: Option<(usize, f64)> = None;
-    for a in 0..q.n_actions() {
-        if let Some(m) = mask {
-            if !m[a] {
-                continue;
-            }
-        }
-        let n = q.visit_count(s, a);
-        let score = if n == 0 {
-            f64::INFINITY
-        } else {
-            q.get(s, a) + exploration * (ln_total / f64::from(n)).sqrt()
-        };
-        if best.is_none_or(|(_, bv)| score > bv) {
-            best = Some((a, score));
-        }
-    }
-    // hevlint::allow(panic::expect, documented invariant: see the # Panics section of ucb_select)
-    best.expect("at least one action must be eligible").0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,53 +201,8 @@ mod tests {
     }
 
     #[test]
-    fn softmax_prefers_high_values() {
-        let p = Softmax::new(0.1);
-        let q = [0.0, 1.0];
-        let mut r = rng();
-        let picks_1 = (0..500)
-            .filter(|_| p.select(&q, &[true, true], &mut r) == 1)
-            .count();
-        assert!(picks_1 > 450, "picked best only {picks_1}/500");
-    }
-
-    #[test]
-    fn softmax_respects_mask() {
-        let p = Softmax::new(1.0);
-        let q = [10.0, 0.0];
-        let mut r = rng();
-        for _ in 0..100 {
-            assert_eq!(p.select(&q, &[false, true], &mut r), 1);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "epsilon must be in [0, 1]")]
     fn epsilon_validated() {
         EpsilonGreedy::new(1.5);
-    }
-
-    #[test]
-    fn ucb_prefers_unvisited_then_balances() {
-        let mut q = crate::QTable::new(1, 3, 0.0);
-        q.set(0, 0, 10.0);
-        for _ in 0..50 {
-            q.visit(0, 0);
-        }
-        // Unvisited actions dominate any value.
-        let a = ucb_select(&q, 0, None, 1.0);
-        assert!(a == 1 || a == 2);
-        q.visit(0, 1);
-        q.visit(0, 2);
-        // Now the high-value well-explored arm wins at low exploration…
-        assert_eq!(ucb_select(&q, 0, None, 0.1), 0);
-        // …but a large exploration constant prefers the rare arms.
-        assert_ne!(ucb_select(&q, 0, None, 50.0), 0);
-    }
-
-    #[test]
-    fn ucb_respects_mask() {
-        let q = crate::QTable::new(1, 3, 0.0);
-        assert_eq!(ucb_select(&q, 0, Some(&[false, true, false]), 1.0), 1);
     }
 }

@@ -151,7 +151,7 @@ impl QTable {
     }
 
     /// How many times `(s, a)` was visited.
-    pub fn visit_count(&self, s: usize, a: usize) -> u32 {
+    fn visit_count(&self, s: usize, a: usize) -> u32 {
         self.visits[self.idx(s, a)]
     }
 

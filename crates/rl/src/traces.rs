@@ -55,11 +55,6 @@ impl EligibilityTraces {
         }
     }
 
-    /// The configured capacity `M`.
-    pub fn max_len(&self) -> usize {
-        self.max_len
-    }
-
     /// The trace-update rule.
     pub fn kind(&self) -> TraceKind {
         self.kind

@@ -1,8 +1,8 @@
 //! Property-based tests of the RL toolkit's invariants.
 
 use hev_rl::{
-    CustomBins, EligibilityTraces, EpsilonGreedy, ExplorationPolicy, ProductSpace, QTable,
-    Schedule, TdLambda, TdLambdaConfig, TraceKind, UniformGrid,
+    EligibilityTraces, EpsilonGreedy, ExplorationPolicy, ProductSpace, QTable, TdLambda,
+    TdLambdaConfig, TraceKind, UniformGrid,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -37,22 +37,6 @@ proptest! {
             prop_assert!(g.index(a) <= g.index(b));
         } else {
             prop_assert!(g.index(a) >= g.index(b));
-        }
-    }
-
-    /// Custom bins partition the real line: the index is monotone and
-    /// jumps exactly at the edges.
-    #[test]
-    fn custom_bins_partition(raw in proptest::collection::vec(-1e6f64..1e6, 1..20)) {
-        let mut edges = raw;
-        edges.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        edges.dedup();
-        // Ensure strict separation survives the 1e-9 probe below.
-        edges.dedup_by(|b, a| (*b - *a).abs() < 1e-6);
-        let bins = CustomBins::new(edges.clone());
-        for (i, &e) in edges.iter().enumerate() {
-            prop_assert_eq!(bins.index(e), i + 1);
-            prop_assert_eq!(bins.index(e - 1e-9), i);
         }
     }
 
@@ -142,22 +126,5 @@ proptest! {
             // Every entry stays at q_init.
             prop_assert!((learner.q().get(s, a) - q_init).abs() < 1e-9);
         }
-    }
-
-    /// Schedules never go below their floor.
-    #[test]
-    fn schedules_respect_floor(
-        initial in 0.01f64..2.0,
-        decay in 0.5f64..0.999,
-        tau in 1.0f64..100.0,
-        k in 0usize..10_000,
-    ) {
-        let floor = initial * 0.1;
-        let e = Schedule::Exponential { initial, decay, floor };
-        let h = Schedule::Harmonic { initial, tau, floor };
-        prop_assert!(e.at(k) >= floor - 1e-12);
-        prop_assert!(h.at(k) >= floor - 1e-12);
-        prop_assert!(e.at(k) <= initial + 1e-12);
-        prop_assert!(h.at(k) <= initial + 1e-12);
     }
 }

@@ -1,36 +1,19 @@
-//! Integration tests of API composition across crates: predictor
-//! stacking inside the controller, checkpoint/restore, and policy-map
+//! Integration tests of API composition across crates: a non-default
+//! predictor inside the controller, checkpoint/restore, and policy-map
 //! export.
 
 use hev_joint_control::control::{JointController, JointControllerConfig, PolicyTable};
 use hev_joint_control::cycle::StandardCycle;
 use hev_joint_control::model::{HevParams, ParallelHev};
-use hev_joint_control::predict::{Ensemble, Ewma, Horizon, MarkovChain, MovingAverage};
+use hev_joint_control::predict::MarkovChain;
 
 fn hev() -> ParallelHev {
     ParallelHev::new(HevParams::default_parallel_hev(), 0.6).expect("valid defaults")
 }
 
 #[test]
-fn controller_accepts_stacked_predictors() {
-    // Horizon over an ensemble of EWMA + moving average — the composed
-    // predictor drives the controller's prediction state end to end.
-    let predictor = Horizon::new(
-        Ensemble::new(Ewma::new(0.3), MovingAverage::new(8), 0.05),
-        5,
-    );
-    let mut agent = JointController::with_predictor(JointControllerConfig::proposed(), predictor);
-    let mut vehicle = hev();
-    let cycle = StandardCycle::Oscar.cycle();
-    agent.train(&mut vehicle, &cycle, 5);
-    let m = agent.evaluate(&mut vehicle, &cycle);
-    assert_eq!(m.steps, cycle.len());
-    assert!((0.40..=0.80).contains(&m.soc_final));
-}
-
-#[test]
-fn controller_accepts_markov_horizon() {
-    let predictor = Horizon::new(MarkovChain::new(-40_000.0, 60_000.0, 12), 3);
+fn controller_accepts_markov_chain() {
+    let predictor = MarkovChain::new(-40_000.0, 60_000.0, 12);
     let mut agent = JointController::with_predictor(JointControllerConfig::proposed(), predictor);
     let mut vehicle = hev();
     let cycle = StandardCycle::Oscar.cycle();
