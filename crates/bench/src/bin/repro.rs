@@ -208,14 +208,9 @@ fn main() -> ExitCode {
     }
     // Telemetry stays fully disabled (and its code paths unentered)
     // unless a telemetry output was requested.
-    let telemetry = TelemetryConfig {
+    cfg.telemetry = TelemetryConfig {
         metrics: metrics_json.is_some() || metrics_prom.is_some(),
-        trace_sample: if trace_path.is_some() {
-            trace_sample
-        } else {
-            0
-        },
-        flight_capacity: if trace_path.is_some() { 64 } else { 0 },
+        trace_sample: trace_path.is_some().then_some(trace_sample),
     };
     let mut collected: Vec<RunTelemetry> = Vec::new();
     if targets.iter().any(|t| t == "all") {
@@ -251,9 +246,9 @@ fn main() -> ExitCode {
         runlog::emit(&RunEvent::new("target_start", t.as_str()).jobs(cfg.harness().jobs()));
         match t.as_str() {
             "table1" => table1(),
-            "fig2" => collected.extend(fig2_target(&cfg, csv_dir.as_deref(), telemetry)),
-            "table2" => collected.extend(table2_target(&cfg, csv_dir.as_deref(), telemetry)),
-            "fig3" => collected.extend(fig3_target(&cfg, csv_dir.as_deref(), telemetry)),
+            "fig2" => collected.extend(fig2_target(&cfg, csv_dir.as_deref())),
+            "table2" => collected.extend(table2_target(&cfg, csv_dir.as_deref())),
+            "fig3" => collected.extend(fig3_target(&cfg, csv_dir.as_deref())),
             "dp-bound" => dp_bound(&cfg),
             "learning-curve" => learning_curve(&cfg),
             "ablation-action-space" => ablation(
@@ -582,12 +577,8 @@ fn write_csv(dir: Option<&std::path::Path>, name: &str, header: &str, rows: &[St
     }
 }
 
-fn fig2_target(
-    cfg: &ExperimentConfig,
-    csv: Option<&std::path::Path>,
-    telemetry: TelemetryConfig,
-) -> Vec<RunTelemetry> {
-    let (rows, runs) = experiments::fig2_with_telemetry(cfg, telemetry);
+fn fig2_target(cfg: &ExperimentConfig, csv: Option<&std::path::Path>) -> Vec<RunTelemetry> {
+    let (rows, runs) = experiments::fig2(cfg);
     write_csv(
         csv,
         "fig2",
@@ -631,12 +622,8 @@ fn fig2_print(cfg: &ExperimentConfig, rows: &[experiments::Fig2Row]) {
     println!("(paper: prediction-only fuel saving up to 12%)");
 }
 
-fn table2_target(
-    cfg: &ExperimentConfig,
-    csv: Option<&std::path::Path>,
-    telemetry: TelemetryConfig,
-) -> Vec<RunTelemetry> {
-    let (rows, runs) = experiments::table2_with_telemetry(cfg, telemetry);
+fn table2_target(cfg: &ExperimentConfig, csv: Option<&std::path::Path>) -> Vec<RunTelemetry> {
+    let (rows, runs) = experiments::table2(cfg);
     write_csv(
         csv,
         "table2",
@@ -691,12 +678,8 @@ fn table2_print(cfg: &ExperimentConfig, rows: &[experiments::Table2Row]) {
     );
 }
 
-fn fig3_target(
-    cfg: &ExperimentConfig,
-    csv: Option<&std::path::Path>,
-    telemetry: TelemetryConfig,
-) -> Vec<RunTelemetry> {
-    let (rows, runs) = experiments::fig3_with_telemetry(cfg, telemetry);
+fn fig3_target(cfg: &ExperimentConfig, csv: Option<&std::path::Path>) -> Vec<RunTelemetry> {
+    let (rows, runs) = experiments::fig3(cfg);
     write_csv(
         csv,
         "fig3",

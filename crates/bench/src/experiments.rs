@@ -5,7 +5,7 @@
 
 use drive_cycle::StandardCycle;
 use hev_control::{
-    simulate, CyclePlan, DpConfig, EcmsController, EpisodeMetrics, EpisodeTelemetry, Harness,
+    simulate, telemetry, CyclePlan, DpConfig, EcmsController, EpisodeMetrics, Harness,
     JointController, JointControllerConfig, RewardConfig, RuleBasedController, RunSpec,
     RunTelemetry, SeedSequence, TelemetryConfig,
 };
@@ -43,6 +43,9 @@ pub struct ExperimentConfig {
     /// only trades wall-clock for cores. `0` means the machine's
     /// available parallelism.
     pub jobs: usize,
+    /// Per-task telemetry the figure grids collect (off by default; see
+    /// [`train_eval_grid`]).
+    pub telemetry: TelemetryConfig,
 }
 
 impl Default for ExperimentConfig {
@@ -55,6 +58,7 @@ impl Default for ExperimentConfig {
             train_jitter: 0.05,
             jitter_variants: 4,
             jobs: 1,
+            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -195,17 +199,9 @@ pub struct Fig2Row {
 
 /// Figure 2: normalized fuel consumption of the RL framework with and
 /// without driving-profile prediction on OSCAR, UDDS, MODEM.
-pub fn fig2(cfg: &ExperimentConfig) -> Vec<Fig2Row> {
-    fig2_with_telemetry(cfg, TelemetryConfig::disabled()).0
-}
-
-/// [`fig2`] plus per-run telemetry (see [`train_eval_grid_telemetry`]
-/// for the ordering contract). With a disabled config this takes the
-/// exact untelemetered code path and returns no telemetry.
-pub fn fig2_with_telemetry(
-    cfg: &ExperimentConfig,
-    telemetry: TelemetryConfig,
-) -> (Vec<Fig2Row>, Vec<RunTelemetry>) {
+/// Beside the rows: the per-task telemetry `cfg.telemetry` asks for
+/// (see [`train_eval_grid`]), empty when it is off.
+pub fn fig2(cfg: &ExperimentConfig) -> (Vec<Fig2Row>, Vec<RunTelemetry>) {
     let set = [
         StandardCycle::Oscar,
         StandardCycle::Udds,
@@ -216,7 +212,7 @@ pub fn fig2_with_telemetry(
         ("with", JointControllerConfig::proposed()),
         ("without", JointControllerConfig::without_prediction()),
     ];
-    let (grid, runs) = train_eval_grid_telemetry("fig2", &cycles, &variants, cfg, telemetry);
+    let (grid, runs) = train_eval_grid("fig2", &cycles, &variants, cfg);
     let rows = set
         .iter()
         .zip(&grid)
@@ -276,21 +272,13 @@ pub fn corrected_reward(m: &EpisodeMetrics) -> f64 {
 
 /// Table 2: cumulative reward `Σ(−ṁ_f + w·f_aux)·ΔT` of the proposed
 /// joint controller vs the rule-based policy on OSCAR, UDDS, SC03, HWFET.
-pub fn table2(cfg: &ExperimentConfig) -> Vec<Table2Row> {
-    table2_with_telemetry(cfg, TelemetryConfig::disabled()).0
-}
-
-/// [`table2`] plus per-run telemetry (see [`train_eval_grid_telemetry`]
-/// for the ordering contract). With a disabled config this takes the
-/// exact untelemetered code path and returns no telemetry.
-pub fn table2_with_telemetry(
-    cfg: &ExperimentConfig,
-    telemetry: TelemetryConfig,
-) -> (Vec<Table2Row>, Vec<RunTelemetry>) {
+/// Beside the rows: the per-task telemetry `cfg.telemetry` asks for
+/// (see [`train_eval_grid`]), empty when it is off.
+pub fn table2(cfg: &ExperimentConfig) -> (Vec<Table2Row>, Vec<RunTelemetry>) {
     let set = StandardCycle::paper_set();
     let cycles: Vec<_> = set.iter().map(|sc| sc.cycle()).collect();
     let variants = [("proposed", JointControllerConfig::proposed())];
-    let (grid, runs) = train_eval_grid_telemetry("table2", &cycles, &variants, cfg, telemetry);
+    let (grid, runs) = train_eval_grid("table2", &cycles, &variants, cfg);
     let rows = set
         .iter()
         .zip(cycles.iter().zip(&grid))
@@ -330,21 +318,13 @@ pub struct Fig3Row {
 
 /// Figure 3: MPG achieved by the proposed joint controller vs the
 /// rule-based policy on the paper's four cycles.
-pub fn fig3(cfg: &ExperimentConfig) -> Vec<Fig3Row> {
-    fig3_with_telemetry(cfg, TelemetryConfig::disabled()).0
-}
-
-/// [`fig3`] plus per-run telemetry (see [`train_eval_grid_telemetry`]
-/// for the ordering contract). With a disabled config this takes the
-/// exact untelemetered code path and returns no telemetry.
-pub fn fig3_with_telemetry(
-    cfg: &ExperimentConfig,
-    telemetry: TelemetryConfig,
-) -> (Vec<Fig3Row>, Vec<RunTelemetry>) {
+/// Beside the rows: the per-task telemetry `cfg.telemetry` asks for
+/// (see [`train_eval_grid`]), empty when it is off.
+pub fn fig3(cfg: &ExperimentConfig) -> (Vec<Fig3Row>, Vec<RunTelemetry>) {
     let set = StandardCycle::paper_set();
     let cycles: Vec<_> = set.iter().map(|sc| sc.cycle()).collect();
     let variants = [("proposed", JointControllerConfig::proposed())];
-    let (grid, runs) = train_eval_grid_telemetry("fig3", &cycles, &variants, cfg, telemetry);
+    let (grid, runs) = train_eval_grid("fig3", &cycles, &variants, cfg);
     let rows = set
         .iter()
         .zip(cycles.iter().zip(&grid))
@@ -496,31 +476,6 @@ fn train_eval_seeded(
     agent.evaluate_planned(&mut hev, &plans[0])
 }
 
-/// [`train_eval_seeded`] with a telemetry collector threaded through
-/// every training episode and the final greedy evaluation. All recorded
-/// lines stay in memory inside the returned [`RunTelemetry`]; the caller
-/// writes them in task order, which keeps files byte-identical at every
-/// worker count.
-fn train_eval_seeded_telemetry(
-    mut controller_cfg: JointControllerConfig,
-    cycle: &drive_cycle::DriveCycle,
-    cfg: &ExperimentConfig,
-    seed: u64,
-    label: &str,
-    telemetry: TelemetryConfig,
-) -> (EpisodeMetrics, RunTelemetry) {
-    controller_cfg.initial_soc = cfg.initial_soc;
-    controller_cfg.seed = seed;
-    let mut hev = fresh_hev(cfg.initial_soc);
-    let mut agent = JointController::new(controller_cfg);
-    let plans = plan_portfolio(&hev, cycle, seed, cfg);
-    let rounds = (cfg.episodes / plans.len()).max(1);
-    let mut collector = EpisodeTelemetry::new(label, telemetry);
-    agent.train_portfolio_planned_instrumented(&mut hev, &plans, rounds, Some(&mut collector));
-    let metrics = agent.evaluate_planned_instrumented(&mut hev, &plans[0], Some(&mut collector));
-    (metrics, collector.into_run())
-}
-
 /// Trains `cfg.runs` independent controllers (seed-split from
 /// `cfg.seed`) and returns every greedy evaluation, fanned across
 /// `cfg.jobs` workers. Bit-identical at every worker count.
@@ -545,58 +500,38 @@ pub fn train_eval_runs(
 /// count at `runs`. Task order (and therefore output) is independent of
 /// scheduling; every task's seed depends only on its run index, exactly
 /// as in the serial path.
+///
+/// When `cfg.telemetry` is enabled, each task records into its own
+/// telemetry window (labelled with the task's label), and the second
+/// element holds one [`RunTelemetry`] per task in task order
+/// (cycle-major, then variant, then run index) — the same order at
+/// every `--jobs` value, so concatenating the runs' lines yields
+/// byte-identical files regardless of worker count. Otherwise no window
+/// is opened and the second element is empty.
 pub fn train_eval_grid(
     group: &str,
     cycles: &[drive_cycle::DriveCycle],
     variants: &[(&str, JointControllerConfig)],
     cfg: &ExperimentConfig,
-) -> Vec<Vec<Vec<EpisodeMetrics>>> {
-    let runs = cfg.runs.max(1);
-    let tasks = grid_tasks(group, cycles, variants, cfg);
-    let flat = cfg.harness().run(group, tasks, |_, seed, (ci, vi)| {
-        train_eval_seeded(variants[vi].1.clone(), &cycles[ci], cfg, seed)
-    });
-    nest_grid(flat, cycles.len(), variants.len(), runs)
-}
-
-/// [`train_eval_grid`] that additionally collects per-run telemetry.
-///
-/// The second element holds one [`RunTelemetry`] per grid task in task
-/// order (cycle-major, then variant, then run index) — the same order
-/// at every `--jobs` value, so concatenating the runs' lines yields
-/// byte-identical files regardless of worker count. A disabled
-/// `telemetry` config short-circuits to the exact [`train_eval_grid`]
-/// code path and returns no telemetry.
-pub(crate) fn train_eval_grid_telemetry(
-    group: &str,
-    cycles: &[drive_cycle::DriveCycle],
-    variants: &[(&str, JointControllerConfig)],
-    cfg: &ExperimentConfig,
-    telemetry: TelemetryConfig,
 ) -> (Vec<Vec<Vec<EpisodeMetrics>>>, Vec<RunTelemetry>) {
-    if !telemetry.is_enabled() {
-        return (train_eval_grid(group, cycles, variants, cfg), Vec::new());
-    }
     let runs = cfg.runs.max(1);
     let tasks = grid_tasks(group, cycles, variants, cfg);
     let labels: Vec<String> = tasks.iter().map(|t| t.label.clone()).collect();
+    let enabled = cfg.telemetry.is_enabled();
     let (metrics, collected): (Vec<_>, Vec<_>) = cfg
         .harness()
         .run(group, tasks, |i, seed, (ci, vi)| {
-            train_eval_seeded_telemetry(
-                variants[vi].1.clone(),
-                &cycles[ci],
-                cfg,
-                seed,
-                &labels[i],
-                telemetry,
-            )
+            if enabled {
+                telemetry::begin_task(labels[i].as_str(), cfg.telemetry);
+            }
+            let metrics = train_eval_seeded(variants[vi].1.clone(), &cycles[ci], cfg, seed);
+            (metrics, enabled.then(telemetry::take_task))
         })
         .into_iter()
         .unzip();
     (
         nest_grid(metrics, cycles.len(), variants.len(), runs),
-        collected,
+        collected.into_iter().flatten().collect(),
     )
 }
 

@@ -145,7 +145,7 @@ fn fig2_golden_shape_small_budget() {
         jobs: 0,
         ..Default::default()
     };
-    let rows = experiments::fig2(&cfg);
+    let (rows, _) = experiments::fig2(&cfg);
     assert_eq!(rows.len(), 3);
     assert_eq!(
         rows.iter().map(|r| r.cycle.as_str()).collect::<Vec<_>>(),
@@ -193,7 +193,7 @@ fn corrected_fuel_finite_positive_across_grid() {
         ("with", JointControllerConfig::proposed()),
         ("without", JointControllerConfig::without_prediction()),
     ];
-    let grid = experiments::train_eval_grid("shape", &cycles, &variants, &cfg);
+    let (grid, _) = experiments::train_eval_grid("shape", &cycles, &variants, &cfg);
     for per_cycle in &grid {
         for per_variant in per_cycle {
             assert_eq!(per_variant.len(), cfg.runs);

@@ -24,7 +24,8 @@ fn table1_is_complete() {
 
 #[test]
 fn fig2_produces_three_positive_rows() {
-    let rows = experiments::fig2(&tiny());
+    let (rows, runs) = experiments::fig2(&tiny());
+    assert!(runs.is_empty(), "telemetry is off by default");
     assert_eq!(rows.len(), 3);
     for r in &rows {
         assert!(r.fuel_with_g > 0.0, "{}", r.cycle);
@@ -37,7 +38,7 @@ fn fig2_produces_three_positive_rows() {
 
 #[test]
 fn table2_rows_have_negative_rewards() {
-    let rows = experiments::table2(&tiny());
+    let (rows, _) = experiments::table2(&tiny());
     assert_eq!(rows.len(), 4);
     for r in &rows {
         // Rewards are negative by construction (utility peaks at 0).
@@ -49,7 +50,7 @@ fn table2_rows_have_negative_rewards() {
 
 #[test]
 fn fig3_mpg_rows_are_physical() {
-    let rows = experiments::fig3(&tiny());
+    let (rows, _) = experiments::fig3(&tiny());
     assert_eq!(rows.len(), 4);
     for r in &rows {
         assert!(

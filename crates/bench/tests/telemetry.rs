@@ -16,9 +16,9 @@
 use drive_cycle::StandardCycle;
 use hev_bench::experiments::{self, ExperimentConfig};
 use hev_control::{
-    simulate_instrumented, ControlError, DecisionInfo, EpisodeTelemetry, HevPolicy,
-    JointController, JointControllerConfig, Observation, PolicyTelemetry, RewardConfig,
-    SupervisedPolicy, TelemetryConfig,
+    simulate, telemetry, ControlError, DecisionInfo, HevPolicy, JointController,
+    JointControllerConfig, Observation, PolicyTelemetry, RewardConfig, RuleBasedController,
+    RunTelemetry, SupervisedPolicy, TelemetryConfig,
 };
 use hev_model::{ControlInput, ParallelHev, StepOutcome};
 
@@ -31,20 +31,28 @@ fn tiny(jobs: usize) -> ExperimentConfig {
     }
 }
 
-fn sampled() -> TelemetryConfig {
-    TelemetryConfig {
-        metrics: true,
-        trace_sample: 25,
-        flight_capacity: 16,
+fn sampled(jobs: usize) -> ExperimentConfig {
+    ExperimentConfig {
+        telemetry: TelemetryConfig {
+            metrics: true,
+            trace_sample: Some(25),
+        },
+        ..tiny(jobs)
     }
 }
+
+/// Flight dumps only: the `--trace --trace-sample 0` configuration.
+const FLIGHT_ONLY: TelemetryConfig = TelemetryConfig {
+    metrics: false,
+    trace_sample: Some(0),
+};
 
 /// Leg 1: the concatenated metrics/trace line streams of a telemetry-
 /// enabled fig2 are byte-identical at every worker count.
 #[test]
 fn telemetry_lines_identical_across_worker_counts() {
-    let (rows1, runs1) = experiments::fig2_with_telemetry(&tiny(1), sampled());
-    let flatten = |runs: &[hev_control::RunTelemetry]| {
+    let (rows1, runs1) = experiments::fig2(&sampled(1));
+    let flatten = |runs: &[RunTelemetry]| {
         let metrics: Vec<String> = runs
             .iter()
             .flat_map(|r| r.metrics_lines.iter().cloned())
@@ -59,7 +67,7 @@ fn telemetry_lines_identical_across_worker_counts() {
     assert!(!serial.0.is_empty(), "metrics lines were collected");
     assert!(!serial.1.is_empty(), "trace lines were collected");
     for jobs in [2, 4] {
-        let (rows_n, runs_n) = experiments::fig2_with_telemetry(&tiny(jobs), sampled());
+        let (rows_n, runs_n) = experiments::fig2(&sampled(jobs));
         assert_eq!(rows1, rows_n, "rows diverged at {jobs} workers");
         assert_eq!(
             serial,
@@ -76,44 +84,67 @@ fn telemetry_lines_identical_across_worker_counts() {
 /// plain grid — observation must not perturb physics or learning.
 #[test]
 fn enabled_telemetry_has_no_observer_effect_on_metrics() {
-    let cfg = tiny(2);
-    let plain = experiments::fig2(&cfg);
-    let (observed, runs) = experiments::fig2_with_telemetry(&cfg, sampled());
+    let (plain, _) = experiments::fig2(&tiny(2));
+    let (observed, runs) = experiments::fig2(&sampled(2));
     assert_eq!(plain, observed);
     assert!(!runs.is_empty());
 }
 
-/// Leg 2b: training through the instrumented path with a zero-sample,
-/// metrics-off collector yields a bit-identical trained controller to
-/// the plain untelemetered path (the `--trace-sample 0` acceptance).
+/// Leg 2b: training inside a flight-only telemetry window yields a
+/// bit-identical trained controller to training with no window open
+/// (the `--trace-sample 0` acceptance).
 #[test]
 fn disabled_collector_yields_bit_identical_q_tables() {
     let cycle = StandardCycle::Oscar.cycle();
-    let train = |telemetry: Option<TelemetryConfig>| {
+    let train = |window: Option<TelemetryConfig>| {
         let mut cfg = JointControllerConfig::proposed();
         cfg.seed = 42;
         let mut hev = experiments::fresh_hev(cfg.initial_soc);
         let mut agent = JointController::new(cfg);
         let portfolio = vec![cycle.clone()];
-        match telemetry {
-            None => {
-                agent.train_portfolio(&mut hev, &portfolio, 4);
-                (agent.snapshot(), agent.evaluate(&mut hev, &cycle))
-            }
-            Some(t) => {
-                let mut collector = EpisodeTelemetry::new("t", t);
-                agent.train_portfolio_instrumented(&mut hev, &portfolio, 4, Some(&mut collector));
-                let m = agent.evaluate_instrumented(&mut hev, &cycle, Some(&mut collector));
-                let run = collector.into_run();
-                assert!(run.metrics_lines.is_empty() && run.trace_lines.is_empty());
-                (agent.snapshot(), m)
-            }
+        if let Some(config) = window {
+            telemetry::begin_task("t", config);
         }
+        agent.train_portfolio(&mut hev, &portfolio, 4);
+        let m = agent.evaluate(&mut hev, &cycle);
+        let run = telemetry::take_task();
+        if window.is_some() {
+            assert_eq!(run.label, "t", "the window recorded the run");
+            assert!(run.metrics_lines.is_empty() && run.trace_lines.is_empty());
+        }
+        (agent.snapshot(), m)
     };
     let (plain_snapshot, plain_eval) = train(None);
-    let (traced_snapshot, traced_eval) = train(Some(TelemetryConfig::disabled()));
+    let (traced_snapshot, traced_eval) = train(Some(FLIGHT_ONLY));
     assert_eq!(plain_snapshot, traced_snapshot, "trained state diverged");
     assert_eq!(plain_eval, traced_eval, "evaluation diverged");
+}
+
+/// The window's lifecycle: closing a window that was never opened
+/// returns nothing, and once `take_task` closes a window, later
+/// episodes on the same thread record nothing.
+#[test]
+fn telemetry_window_records_only_while_open() {
+    assert_eq!(telemetry::take_task(), RunTelemetry::default());
+    let cycle = StandardCycle::Oscar.cycle();
+    let mut hev = experiments::fresh_hev(0.6);
+    let episode = |hev: &mut ParallelHev| {
+        hev.reset_soc(0.6);
+        let mut rule = RuleBasedController::default();
+        simulate(hev, &cycle, &mut rule, &RewardConfig::default());
+    };
+    let config = TelemetryConfig {
+        metrics: true,
+        trace_sample: Some(1),
+    };
+    telemetry::begin_task("open", config);
+    episode(&mut hev);
+    let run = telemetry::take_task();
+    assert_eq!(run.label, "open");
+    assert_eq!(run.metrics_lines.len(), 1);
+    assert_eq!(run.trace_lines.len(), cycle.len());
+    episode(&mut hev);
+    assert_eq!(telemetry::take_task(), RunTelemetry::default());
 }
 
 /// A policy that asks its inner joint controller for a decision, then
@@ -176,21 +207,9 @@ fn forced_degradation_dumps_flight_recorder_with_decision_context() {
     agent.set_training(false);
     let mut supervised = SupervisedPolicy::new(Corrupt { inner: agent });
     let mut hev = experiments::fresh_hev(0.6);
-    let telemetry = TelemetryConfig {
-        metrics: false,
-        trace_sample: 0,
-        flight_capacity: 16,
-    };
-    let mut collector = EpisodeTelemetry::new("forced", telemetry);
-    simulate_instrumented(
-        &mut hev,
-        &cycle,
-        &mut supervised,
-        &RewardConfig::default(),
-        None,
-        Some(&mut collector),
-    );
-    let run = collector.into_run();
+    telemetry::begin_task("forced", FLIGHT_ONLY);
+    simulate(&mut hev, &cycle, &mut supervised, &RewardConfig::default());
+    let run = telemetry::take_task();
     let dump = run
         .trace_lines
         .iter()
@@ -231,24 +250,12 @@ fn forced_degradation_dump_carries_the_active_span_path_while_profiling() {
     agent.set_training(false);
     let mut supervised = SupervisedPolicy::new(Corrupt { inner: agent });
     let mut hev = experiments::fresh_hev(0.6);
-    let telemetry = TelemetryConfig {
-        metrics: false,
-        trace_sample: 0,
-        flight_capacity: 16,
-    };
-    let mut collector = EpisodeTelemetry::new("forced", telemetry);
+    telemetry::begin_task("forced", FLIGHT_ONLY);
     hev_trace::span::begin_task();
-    simulate_instrumented(
-        &mut hev,
-        &cycle,
-        &mut supervised,
-        &RewardConfig::default(),
-        None,
-        Some(&mut collector),
-    );
+    simulate(&mut hev, &cycle, &mut supervised, &RewardConfig::default());
     let tree = hev_trace::span::take_tree();
     assert!(tree.root.children.contains_key("control.step"));
-    let run = collector.into_run();
+    let run = telemetry::take_task();
     let dump = run
         .trace_lines
         .iter()

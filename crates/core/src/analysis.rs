@@ -5,7 +5,9 @@
 //! energy flows engineers actually inspect (engine output, electric
 //! drive, regeneration, friction losses, auxiliary draw).
 
-use crate::sim::{HevPolicy, Observation};
+use crate::metrics::DegradationReport;
+use crate::sim::{ControlError, HevPolicy, Observation};
+use crate::telemetry::{DecisionInfo, PolicyTelemetry};
 use hev_model::{ControlInput, ParallelHev, StepOutcome};
 use serde::{Deserialize, Serialize};
 
@@ -104,6 +106,26 @@ impl<P: HevPolicy> HevPolicy for Recorder<P> {
     fn end_episode(&mut self) {
         self.inner.end_episode();
     }
+
+    fn take_control_error(&mut self) -> Option<ControlError> {
+        self.inner.take_control_error()
+    }
+
+    fn degradation(&self) -> Option<DegradationReport> {
+        self.inner.degradation()
+    }
+
+    fn set_record_decisions(&mut self, on: bool) {
+        self.inner.set_record_decisions(on);
+    }
+
+    fn last_decision(&self) -> Option<DecisionInfo> {
+        self.inner.last_decision()
+    }
+
+    fn telemetry_snapshot(&self) -> Option<PolicyTelemetry> {
+        self.inner.telemetry_snapshot()
+    }
 }
 
 /// Aggregated energy flows of one episode, in watt-hours.
@@ -195,6 +217,7 @@ mod tests {
     use crate::baseline::rule_based::RuleBasedController;
     use crate::reward::RewardConfig;
     use crate::sim::simulate;
+    use crate::supervisor::SupervisedPolicy;
     use drive_cycle::ProfileBuilder;
     use hev_model::HevParams;
 
@@ -251,6 +274,24 @@ mod tests {
         let mut rec = Recorder::new(RuleBasedController::default());
         simulate(&mut hev, &cycle, &mut rec, &RewardConfig::default());
         simulate(&mut hev, &cycle, &mut rec, &RewardConfig::default());
+        assert_eq!(rec.trace().len(), cycle.len());
+    }
+
+    #[test]
+    fn recorded_supervised_episode_keeps_its_degradation_report() {
+        let cycle = ProfileBuilder::new("short")
+            .idle(2.0)
+            .trip(20.0, 5.0, 5.0, 4.0, 2.0)
+            .build()
+            .unwrap();
+        let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6).unwrap();
+        let supervised = SupervisedPolicy::new(RuleBasedController::default());
+        let mut rec = Recorder::new(supervised);
+        let m = simulate(&mut hev, &cycle, &mut rec, &RewardConfig::default());
+        let report = m
+            .degradation
+            .expect("the supervisor's report survives the recorder");
+        assert_eq!(report.decisions, cycle.len());
         assert_eq!(rec.trace().len(), cycle.len());
     }
 

@@ -14,11 +14,10 @@ use crate::metrics::EpisodeMetrics;
 use crate::plan::CyclePlan;
 use crate::reward::RewardConfig;
 use crate::sim::{
-    fallback_control, simulate, simulate_instrumented, simulate_planned,
-    simulate_planned_instrumented, ControlError, HevPolicy, Observation,
+    fallback_control, simulate, simulate_planned, ControlError, HevPolicy, Observation,
 };
 use crate::state::{StateSample, StateSpace, StateSpaceConfig};
-use crate::telemetry::{DecisionInfo, EpisodeTelemetry, PolicyTelemetry};
+use crate::telemetry::{self, DecisionInfo, PolicyTelemetry};
 use drive_cycle::DriveCycle;
 use hev_model::{ControlInput, CurrentContext, ParallelHev, StepOutcome};
 use hev_predict::{Ewma, Predictor};
@@ -341,28 +340,8 @@ impl<P: Predictor> JointController<P> {
         self.training = true;
         hev.reset_soc(self.config.initial_soc);
         let reward = self.config.reward;
+        telemetry::set_kind("train");
         simulate(hev, cycle, self, &reward)
-    }
-
-    /// [`JointController::train_episode`] with an optional telemetry
-    /// collector (labelled `"train"`). With `None` this delegates to the
-    /// plain path, bit-identically.
-    fn train_episode_instrumented(
-        &mut self,
-        hev: &mut ParallelHev,
-        cycle: &DriveCycle,
-        telemetry: Option<&mut EpisodeTelemetry>,
-    ) -> EpisodeMetrics {
-        match telemetry {
-            None => self.train_episode(hev, cycle),
-            Some(t) => {
-                self.training = true;
-                hev.reset_soc(self.config.initial_soc);
-                let reward = self.config.reward;
-                t.set_kind("train");
-                simulate_instrumented(hev, cycle, self, &reward, None, Some(t))
-            }
-        }
     }
 
     /// Trains for `episodes` episodes on a cycle, resetting the battery
@@ -387,22 +366,10 @@ impl<P: Predictor> JointController<P> {
         cycles: &[DriveCycle],
         rounds: usize,
     ) -> Vec<EpisodeMetrics> {
-        self.train_portfolio_instrumented(hev, cycles, rounds, None)
-    }
-
-    /// [`JointController::train_portfolio`] with an optional telemetry
-    /// collector shared by every episode.
-    pub fn train_portfolio_instrumented(
-        &mut self,
-        hev: &mut ParallelHev,
-        cycles: &[DriveCycle],
-        rounds: usize,
-        mut telemetry: Option<&mut EpisodeTelemetry>,
-    ) -> Vec<EpisodeMetrics> {
         let mut out = Vec::with_capacity(rounds * cycles.len());
         for _ in 0..rounds {
             for cycle in cycles {
-                out.push(self.train_episode_instrumented(hev, cycle, telemetry.as_deref_mut()));
+                out.push(self.train_episode(hev, cycle));
             }
         }
         out
@@ -415,27 +382,8 @@ impl<P: Predictor> JointController<P> {
         self.training = true;
         hev.reset_soc(self.config.initial_soc);
         let reward = self.config.reward;
+        telemetry::set_kind("train");
         simulate_planned(hev, plan, self, &reward)
-    }
-
-    /// [`JointController::train_episode_planned`] with an optional
-    /// telemetry collector (labelled `"train"`).
-    fn train_episode_planned_instrumented(
-        &mut self,
-        hev: &mut ParallelHev,
-        plan: &CyclePlan,
-        telemetry: Option<&mut EpisodeTelemetry>,
-    ) -> EpisodeMetrics {
-        match telemetry {
-            None => self.train_episode_planned(hev, plan),
-            Some(t) => {
-                self.training = true;
-                hev.reset_soc(self.config.initial_soc);
-                let reward = self.config.reward;
-                t.set_kind("train");
-                simulate_planned_instrumented(hev, plan, self, &reward, None, Some(t))
-            }
-        }
     }
 
     /// [`JointController::train_portfolio`] against precomputed plans
@@ -446,26 +394,10 @@ impl<P: Predictor> JointController<P> {
         plans: &[CyclePlan],
         rounds: usize,
     ) -> Vec<EpisodeMetrics> {
-        self.train_portfolio_planned_instrumented(hev, plans, rounds, None)
-    }
-
-    /// [`JointController::train_portfolio_planned`] with an optional
-    /// telemetry collector shared by every episode.
-    pub fn train_portfolio_planned_instrumented(
-        &mut self,
-        hev: &mut ParallelHev,
-        plans: &[CyclePlan],
-        rounds: usize,
-        mut telemetry: Option<&mut EpisodeTelemetry>,
-    ) -> Vec<EpisodeMetrics> {
         let mut out = Vec::with_capacity(rounds * plans.len());
         for _ in 0..rounds {
             for plan in plans {
-                out.push(self.train_episode_planned_instrumented(
-                    hev,
-                    plan,
-                    telemetry.as_deref_mut(),
-                ));
+                out.push(self.train_episode_planned(hev, plan));
             }
         }
         out
@@ -473,55 +405,22 @@ impl<P: Predictor> JointController<P> {
 
     /// [`JointController::evaluate`] against a precomputed [`CyclePlan`].
     pub fn evaluate_planned(&mut self, hev: &mut ParallelHev, plan: &CyclePlan) -> EpisodeMetrics {
-        self.evaluate_planned_instrumented(hev, plan, None)
-    }
-
-    /// [`JointController::evaluate_planned`] with an optional telemetry
-    /// collector (labelled `"eval"`).
-    pub fn evaluate_planned_instrumented(
-        &mut self,
-        hev: &mut ParallelHev,
-        plan: &CyclePlan,
-        telemetry: Option<&mut EpisodeTelemetry>,
-    ) -> EpisodeMetrics {
         self.training = false;
         hev.reset_soc(self.config.initial_soc);
         let reward = self.config.reward;
-        let metrics = match telemetry {
-            None => simulate_planned(hev, plan, self, &reward),
-            Some(t) => {
-                t.set_kind("eval");
-                simulate_planned_instrumented(hev, plan, self, &reward, None, Some(t))
-            }
-        };
+        telemetry::set_kind("eval");
+        let metrics = simulate_planned(hev, plan, self, &reward);
         self.training = true;
         metrics
     }
 
     /// Greedy evaluation on a cycle (no exploration, no learning).
     pub fn evaluate(&mut self, hev: &mut ParallelHev, cycle: &DriveCycle) -> EpisodeMetrics {
-        self.evaluate_instrumented(hev, cycle, None)
-    }
-
-    /// [`JointController::evaluate`] with an optional telemetry
-    /// collector (labelled `"eval"`). With `None` this delegates to the
-    /// plain path, bit-identically.
-    pub fn evaluate_instrumented(
-        &mut self,
-        hev: &mut ParallelHev,
-        cycle: &DriveCycle,
-        telemetry: Option<&mut EpisodeTelemetry>,
-    ) -> EpisodeMetrics {
         self.training = false;
         hev.reset_soc(self.config.initial_soc);
         let reward = self.config.reward;
-        let metrics = match telemetry {
-            None => simulate(hev, cycle, self, &reward),
-            Some(t) => {
-                t.set_kind("eval");
-                simulate_instrumented(hev, cycle, self, &reward, None, Some(t))
-            }
-        };
+        telemetry::set_kind("eval");
+        let metrics = simulate(hev, cycle, self, &reward);
         self.training = true;
         metrics
     }

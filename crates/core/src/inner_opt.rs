@@ -135,6 +135,29 @@ impl InnerOptimizer {
         })
     }
 
+    /// The feasible control with the best instantaneous reward over
+    /// `currents`, each resolved by [`InnerOptimizer::resolve_with`] in
+    /// order (strict `>`, first wins), or `None` when every current is
+    /// masked. The myopic tier of the supervisor and the serve ladder.
+    pub fn best_over_currents(
+        &self,
+        hev: &ParallelHev,
+        ctx: &StepContext,
+        currents: &[f64],
+        dt: f64,
+        reward: &RewardConfig,
+    ) -> Option<ControlInput> {
+        let mut best: Option<(f64, ControlInput)> = None;
+        for &current in currents {
+            if let Some(resolved) = self.resolve_with(hev, ctx, current, dt, reward) {
+                if best.as_ref().is_none_or(|(r, _)| resolved.reward > *r) {
+                    best = Some((resolved.reward, resolved.control));
+                }
+            }
+        }
+        best.map(|(_, control)| control)
+    }
+
     /// Cheap feasibility probe: is the current realizable in *any* gear
     /// with the preferred auxiliary power? The demand-level form of the
     /// per-step action mask ([`InnerOptimizer::fill_mask`]).

@@ -24,8 +24,9 @@
 //!   worker count, with multi-run aggregation ([`MetricsSummary`]);
 //! * the deterministic **telemetry layer** ([`telemetry`]): per-episode
 //!   metrics registries, sampled decision traces, and a degradation
-//!   flight recorder collected in memory per run ([`EpisodeTelemetry`])
-//!   so emitted files stay byte-identical across worker counts.
+//!   flight recorder collected in memory per task window
+//!   ([`telemetry::begin_task`]) so emitted files stay byte-identical
+//!   across worker counts.
 //!
 //! # Examples
 //!
@@ -95,11 +96,9 @@ pub use plan::CyclePlan;
 pub use policy_export::PolicyTable;
 pub use reward::RewardConfig;
 pub use sim::{
-    fallback_control, simulate, simulate_instrumented, simulate_planned,
-    simulate_planned_instrumented, simulate_with_faults, ControlError, HevPolicy, Observation,
+    fallback_control, simulate, simulate_planned, simulate_with_faults, ControlError, HevPolicy,
+    Observation,
 };
 pub use state::{StateSample, StateSpace, StateSpaceConfig};
 pub use supervisor::{SupervisedPolicy, SupervisorConfig};
-pub use telemetry::{
-    DecisionInfo, EpisodeTelemetry, PolicyTelemetry, RunTelemetry, TelemetryConfig,
-};
+pub use telemetry::{DecisionInfo, PolicyTelemetry, RunTelemetry, TelemetryConfig};

@@ -5,7 +5,7 @@ use crate::fault::FaultPlan;
 use crate::metrics::{DegradationReport, EpisodeMetrics};
 use crate::plan::CyclePlan;
 use crate::reward::RewardConfig;
-use crate::telemetry::{DecisionInfo, EpisodeTelemetry, PolicyTelemetry};
+use crate::telemetry::{self, DecisionInfo, PolicyTelemetry};
 use drive_cycle::DriveCycle;
 use hev_model::{ContextTable, ControlInput, ParallelHev, StepContext, StepOutcome, WheelDemand};
 use hev_trace::StepEvent;
@@ -236,28 +236,7 @@ pub fn simulate_with_faults(
     reward: &RewardConfig,
     faults: Option<&mut FaultPlan>,
 ) -> EpisodeMetrics {
-    simulate_instrumented(hev, cycle, controller, reward, faults, None)
-}
-
-/// [`simulate_with_faults`] with an optional telemetry collector.
-///
-/// With `telemetry: None` this *is* `simulate_with_faults`: no decision
-/// recording is switched on, no step events are built, and the episode
-/// is bit-identical to (and as cheap as) the un-instrumented harness.
-/// With a collector, each step is offered to the trace sampler and the
-/// flight ring, and the flight ring is dumped into the trace stream the
-/// first time a step degrades — a non-finite control reaches the plant
-/// or the supervisor's rejection count grows (see
-/// [`EpisodeTelemetry::note_step_health`]).
-pub fn simulate_instrumented(
-    hev: &mut ParallelHev,
-    cycle: &DriveCycle,
-    controller: &mut dyn HevPolicy,
-    reward: &RewardConfig,
-    faults: Option<&mut FaultPlan>,
-    telemetry: Option<&mut EpisodeTelemetry>,
-) -> EpisodeMetrics {
-    simulate_core(hev, cycle, None, controller, reward, faults, telemetry)
+    simulate_core(hev, cycle, None, controller, reward, faults)
 }
 
 /// [`simulate`] against a precomputed [`CyclePlan`]: bit-identical to the
@@ -270,39 +249,30 @@ pub fn simulate_planned(
     controller: &mut dyn HevPolicy,
     reward: &RewardConfig,
 ) -> EpisodeMetrics {
-    simulate_planned_instrumented(hev, plan, controller, reward, None, None)
-}
-
-/// [`simulate_instrumented`] against a precomputed [`CyclePlan`].
-///
-/// Fault-injected steps whose motor derate is active bypass the table
-/// for exactly those steps (the derated envelope changes the per-gear
-/// torque tables) and rebuild locally — counted, because those rebuilds
-/// are real; every healthy step reads the shared table and records
-/// nothing.
-pub fn simulate_planned_instrumented(
-    hev: &mut ParallelHev,
-    plan: &CyclePlan,
-    controller: &mut dyn HevPolicy,
-    reward: &RewardConfig,
-    faults: Option<&mut FaultPlan>,
-    telemetry: Option<&mut EpisodeTelemetry>,
-) -> EpisodeMetrics {
     simulate_core(
         hev,
         plan.cycle(),
         Some(plan.table()),
         controller,
         reward,
-        faults,
-        telemetry,
+        None,
     )
 }
 
 /// The one simulation loop behind every public entry point. With
 /// `table: None` each step derives its demand and rebuilds its context;
-/// with a table both come precomputed, and a local (counted) rebuild
-/// happens only on steps whose motor derate is active.
+/// with a table both come precomputed. Fault-injected steps whose motor
+/// derate is active bypass the table for exactly those steps (the
+/// derated envelope changes the per-gear torque tables) and rebuild
+/// locally — counted, because those rebuilds are real.
+///
+/// When a telemetry window is open on this thread
+/// ([`crate::telemetry::begin_task`]), the episode records into it:
+/// each step is offered to the trace sampler and the flight ring, and
+/// the flight ring is dumped into the trace stream the first time a
+/// step degrades — a non-finite control reaches the plant or the
+/// supervisor's rejection count grows. With no window open, no decision
+/// recording is switched on and no step events are built.
 fn simulate_core(
     hev: &mut ParallelHev,
     cycle: &DriveCycle,
@@ -310,8 +280,8 @@ fn simulate_core(
     controller: &mut dyn HevPolicy,
     reward: &RewardConfig,
     mut faults: Option<&mut FaultPlan>,
-    mut telemetry: Option<&mut EpisodeTelemetry>,
 ) -> EpisodeMetrics {
+    let mut collector = telemetry::take_collector();
     let dt = cycle.dt();
     let mut metrics = EpisodeMetrics::new(hev.soc());
     // One step context per step, its gear table reused across the whole
@@ -322,7 +292,7 @@ fn simulate_core(
     if let Some(plan) = faults.as_deref_mut() {
         plan.begin_episode(cycle.duration_s());
     }
-    if let Some(t) = telemetry.as_deref_mut() {
+    if let Some(t) = collector.as_mut() {
         controller.set_record_decisions(true);
         t.begin_episode();
     }
@@ -383,11 +353,11 @@ fn simulate_core(
             point.speed_mps * dt,
             was_fallback,
         );
-        if let Some(t) = telemetry.as_deref_mut() {
+        if let Some(t) = collector.as_mut() {
             let info = controller.last_decision();
             t.record_step(&StepEvent {
-                episode: t.episode(),
-                kind: t.kind(),
+                episode: t.episode,
+                kind: t.kind,
                 step: step as u64,
                 time_s: point.time_s,
                 p_dem_w: observed_demand.power_demand_w,
@@ -420,9 +390,10 @@ fn simulate_core(
     }
     controller.end_episode();
     metrics.degradation = controller.degradation();
-    if let Some(t) = telemetry {
+    if let Some(mut t) = collector {
         t.end_episode(&metrics, reward, controller.telemetry_snapshot());
         controller.set_record_decisions(false);
+        telemetry::restore_collector(t);
     }
     metrics
 }
@@ -710,13 +681,13 @@ mod tests {
         let mut planned_hev = hev();
         let plan = CyclePlan::new(&planned_hev, &cycle);
         let mut faults = FaultPlan::new(config, 7);
-        let planned = simulate_planned_instrumented(
+        let planned = simulate_core(
             &mut planned_hev,
-            &plan,
+            plan.cycle(),
+            Some(plan.table()),
             &mut Passive,
             &RewardConfig::default(),
             Some(&mut faults),
-            None,
         );
         assert_metrics_bit_identical(&baseline, &planned);
     }

@@ -135,26 +135,6 @@ impl<P: HevPolicy> SupervisedPolicy<P> {
     pub fn report(&self) -> &DegradationReport {
         &self.report
     }
-
-    /// Tier 2: the feasible control with the best instantaneous
-    /// inner-optimized reward over the current ladder.
-    fn myopic_control(
-        &self,
-        hev: &ParallelHev,
-        ctx: &StepContext,
-        dt: f64,
-    ) -> Option<ControlInput> {
-        let mut best: Option<(f64, ControlInput)> = None;
-        let inner = self.config.inner;
-        for &current in &self.config.currents {
-            if let Some(resolved) = inner.resolve_with(hev, ctx, current, dt, &self.config.reward) {
-                if best.as_ref().is_none_or(|(r, _)| resolved.reward > *r) {
-                    best = Some((resolved.reward, resolved.control));
-                }
-            }
-        }
-        best.map(|(_, control)| control)
-    }
 }
 
 impl<P: HevPolicy> HevPolicy for SupervisedPolicy<P> {
@@ -177,7 +157,13 @@ impl<P: HevPolicy> HevPolicy for SupervisedPolicy<P> {
             Err(Rejection::NonFinite) => self.report.non_finite += 1,
             Err(Rejection::Infeasible) => self.report.infeasible += 1,
         }
-        if let Some(control) = self.myopic_control(hev, obs.ctx, dt) {
+        // Tier 2: the best instantaneous inner-optimized reward over the
+        // current ladder.
+        let c = &self.config;
+        if let Some(control) = c
+            .inner
+            .best_over_currents(hev, obs.ctx, &c.currents, dt, &c.reward)
+        {
             if validate(hev, obs.ctx, &control, dt).is_ok() {
                 self.report.myopic_rescues += 1;
                 return control;

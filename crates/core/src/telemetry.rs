@@ -1,9 +1,11 @@
 //! Deterministic run telemetry: the glue between the simulation loop and
 //! the `hev-trace` recording primitives.
 //!
-//! An [`EpisodeTelemetry`] collector rides through
-//! [`crate::sim::simulate_instrumented`] and gathers, entirely in
-//! memory:
+//! A task opens a per-thread window with [`begin_task`] and closes it
+//! with [`take_task`], the same shape as `hev_trace::span`. While the
+//! window is open, every episode of the simulation loop
+//! ([`crate::sim::simulate`] and its siblings) records into it,
+//! entirely in memory:
 //!
 //! * a per-episode [`MetricsRegistry`] snapshot (TD-error statistics,
 //!   exploration rate, Q-table occupancy, the fuel vs `w·f_aux(p_aux)`
@@ -26,50 +28,73 @@ use hev_rl::{QStats, TdStats, TD_ABS_DELTA_BOUNDS};
 use hev_trace::evals::Counts;
 use hev_trace::json;
 use hev_trace::{FlightRecorder, MetricsRegistry, StepEvent, TraceSampler};
+use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
-/// What telemetry a run collects. The default is fully disabled — the
-/// simulation loop then skips every recording branch, keeping the
-/// un-instrumented paths bit-identical and cost-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Flight-recorder ring capacity in steps, active whenever a trace is
+/// collected.
+const FLIGHT_CAPACITY: usize = 64;
+
+/// What telemetry a run collects. The default is fully disabled — no
+/// window is opened, so the simulation loop skips every recording
+/// branch and stays bit-identical and cost-free.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
     /// Collect the per-episode metrics registry and emit
     /// `episode_metrics` lines.
     pub metrics: bool,
-    /// Record every `trace_sample`-th step as a trace line (`0` = none).
-    pub trace_sample: u64,
-    /// Flight-recorder ring capacity in steps (`0` = disabled).
-    pub flight_capacity: usize,
+    /// `None`: no trace. `Some(0)`: flight dumps only. `Some(n)`: every
+    /// n-th step as a trace line, plus flight dumps.
+    pub trace_sample: Option<u64>,
 }
 
 impl TelemetryConfig {
-    /// Everything off (the default).
-    pub fn disabled() -> Self {
-        Self {
-            metrics: false,
-            trace_sample: 0,
-            flight_capacity: 0,
-        }
-    }
-
-    /// Metrics on, every step traced, a 64-step flight ring.
-    pub fn enabled() -> Self {
-        Self {
-            metrics: true,
-            trace_sample: 1,
-            flight_capacity: 64,
-        }
-    }
-
     /// Whether any collection is configured.
     pub fn is_enabled(&self) -> bool {
-        self.metrics || self.trace_sample != 0 || self.flight_capacity != 0
+        self.metrics || self.trace_sample.is_some()
     }
 }
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self::disabled()
-    }
+thread_local! {
+    static WINDOW: RefCell<Option<EpisodeTelemetry>> = const { RefCell::new(None) };
+}
+
+/// Opens this thread's telemetry window for one labelled task (e.g.
+/// `fig2/UDDS/with/run0`), replacing any window left open.
+pub fn begin_task(label: impl Into<String>, config: TelemetryConfig) {
+    let collector = EpisodeTelemetry::new(label, config);
+    WINDOW.with(|w| *w.borrow_mut() = Some(collector));
+}
+
+/// Closes this thread's window and returns what it recorded; an empty
+/// [`RunTelemetry`] when no window was open.
+pub fn take_task() -> RunTelemetry {
+    WINDOW
+        .with(|w| w.borrow_mut().take())
+        .map(EpisodeTelemetry::into_run)
+        .unwrap_or_default()
+}
+
+/// Labels the upcoming episodes of the open window as `"train"` or
+/// `"eval"`; does nothing when no window is open.
+pub fn set_kind(kind: &'static str) {
+    WINDOW.with(|w| {
+        if let Some(t) = w.borrow_mut().as_mut() {
+            t.kind = kind;
+        }
+    });
+}
+
+/// Takes the open window's collector for the length of one episode, so
+/// the simulation loop reads the thread-local once per episode (and a
+/// nested simulation records nothing).
+pub(crate) fn take_collector() -> Option<EpisodeTelemetry> {
+    WINDOW.with(|w| w.borrow_mut().take())
+}
+
+/// Returns a collector taken by [`take_collector`] to the window.
+pub(crate) fn restore_collector(collector: EpisodeTelemetry) {
+    WINDOW.with(|w| *w.borrow_mut() = Some(collector));
 }
 
 /// What a deciding policy recorded about its most recent decision (only
@@ -113,16 +138,15 @@ pub struct RunTelemetry {
     pub prometheus: String,
 }
 
-/// The per-run collector threaded through
-/// [`crate::sim::simulate_instrumented`]. One collector covers a whole
-/// run (many episodes); episode boundaries reset the registry and the
-/// flight ring but keep accumulating lines.
+/// The per-task collector behind the telemetry window. One collector
+/// covers a whole task (many episodes); episode boundaries reset the
+/// registry and the flight ring but keep accumulating lines.
 #[derive(Debug)]
-pub struct EpisodeTelemetry {
+pub(crate) struct EpisodeTelemetry {
     config: TelemetryConfig,
     run: String,
-    episode: u64,
-    kind: &'static str,
+    pub(crate) episode: u64,
+    pub(crate) kind: &'static str,
     registry: MetricsRegistry,
     sampler: TraceSampler,
     flight: FlightRecorder,
@@ -135,16 +159,15 @@ pub struct EpisodeTelemetry {
 }
 
 impl EpisodeTelemetry {
-    /// A collector for the labelled run.
-    pub fn new(run: impl Into<String>, config: TelemetryConfig) -> Self {
+    fn new(run: impl Into<String>, config: TelemetryConfig) -> Self {
         Self {
             config,
             run: run.into(),
             episode: 0,
             kind: "train",
             registry: MetricsRegistry::new(),
-            sampler: TraceSampler::new(config.trace_sample),
-            flight: FlightRecorder::new(config.flight_capacity),
+            sampler: TraceSampler::new(config.trace_sample.unwrap_or(0)),
+            flight: FlightRecorder::new(config.trace_sample.map_or(0, |_| FLIGHT_CAPACITY)),
             metrics_lines: Vec::new(),
             trace_lines: Vec::new(),
             prometheus: String::new(),
@@ -154,34 +177,9 @@ impl EpisodeTelemetry {
         }
     }
 
-    /// The configuration this collector was built with.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
-    }
-
-    /// The index of the episode currently being recorded.
-    pub fn episode(&self) -> u64 {
-        self.episode
-    }
-
-    /// The current episode kind (`"train"` or `"eval"`).
-    pub fn kind(&self) -> &'static str {
-        self.kind
-    }
-
-    /// Labels the upcoming episode(s) as training or evaluation.
-    pub fn set_kind(&mut self, kind: &'static str) {
-        self.kind = kind;
-    }
-
-    /// The current episode's registry (for exposition or inspection).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     /// Resets per-episode state; called by the simulation loop at the
     /// top of each instrumented episode.
-    pub fn begin_episode(&mut self) {
+    pub(crate) fn begin_episode(&mut self) {
         self.registry.clear();
         self.flight.clear();
         self.counts_at_start = hev_trace::evals::counts();
@@ -191,7 +189,7 @@ impl EpisodeTelemetry {
 
     /// Records one simulated step: always into the flight ring, and into
     /// the trace stream when the sampler picks the step index.
-    pub fn record_step(&mut self, ev: &StepEvent) {
+    pub(crate) fn record_step(&mut self, ev: &StepEvent) {
         let sampled = self.sampler.samples(ev.step);
         if !sampled && !self.flight.is_enabled() {
             return;
@@ -215,7 +213,7 @@ impl EpisodeTelemetry {
     /// `rejections` is the supervising policy's cumulative
     /// [`crate::DegradationReport::rejections`] for the episode (0 when
     /// unsupervised).
-    pub fn note_step_health(&mut self, step: u64, control_finite: bool, rejections: usize) {
+    pub(crate) fn note_step_health(&mut self, step: u64, control_finite: bool, rejections: usize) {
         let trigger = if !control_finite {
             Some("non_finite_control")
         } else if rejections > self.last_rejections {
@@ -239,7 +237,7 @@ impl EpisodeTelemetry {
     /// metrics and the policy's learning snapshot, emits the
     /// `episode_metrics` JSONL line, refreshes the Prometheus
     /// exposition, and advances the episode index.
-    pub fn end_episode(
+    pub(crate) fn end_episode(
         &mut self,
         metrics: &EpisodeMetrics,
         reward: &RewardConfig,
@@ -332,7 +330,7 @@ impl EpisodeTelemetry {
     }
 
     /// Consumes the collector into its collected lines.
-    pub fn into_run(self) -> RunTelemetry {
+    fn into_run(self) -> RunTelemetry {
         RunTelemetry {
             label: self.run,
             metrics_lines: self.metrics_lines,
@@ -372,7 +370,7 @@ mod tests {
 
     #[test]
     fn disabled_config_collects_nothing() {
-        let mut t = EpisodeTelemetry::new("r", TelemetryConfig::disabled());
+        let mut t = EpisodeTelemetry::new("r", TelemetryConfig::default());
         t.begin_episode();
         t.record_step(&step_event(0));
         t.note_step_health(0, true, 0);
@@ -385,8 +383,10 @@ mod tests {
 
     #[test]
     fn sampling_picks_every_nth_step() {
-        let mut cfg = TelemetryConfig::disabled();
-        cfg.trace_sample = 2;
+        let cfg = TelemetryConfig {
+            trace_sample: Some(2),
+            ..Default::default()
+        };
         let mut t = EpisodeTelemetry::new("r", cfg);
         t.begin_episode();
         for step in 0..5 {
@@ -397,42 +397,55 @@ mod tests {
         assert!(run.trace_lines[1].contains("\"step\":2"));
     }
 
+    const FLIGHT_ONLY: TelemetryConfig = TelemetryConfig {
+        metrics: false,
+        trace_sample: Some(0),
+    };
+
     #[test]
     fn flight_dump_fires_once_on_degradation_and_contains_recent_steps() {
-        let mut cfg = TelemetryConfig::disabled();
-        cfg.flight_capacity = 2;
-        let mut t = EpisodeTelemetry::new("r", cfg);
+        let healthy_steps = FLIGHT_CAPACITY as u64 + 6;
+        let mut t = EpisodeTelemetry::new("r", FLIGHT_ONLY);
         t.begin_episode();
-        for step in 0..4 {
+        for step in 0..healthy_steps {
             t.record_step(&step_event(step));
             t.note_step_health(step, true, 0);
         }
         assert!(t.into_run().trace_lines.is_empty(), "healthy: no dump");
 
-        let mut t = EpisodeTelemetry::new("r", cfg);
+        let mut t = EpisodeTelemetry::new("r", FLIGHT_ONLY);
         t.begin_episode();
-        t.record_step(&step_event(0));
-        t.note_step_health(0, true, 0);
-        t.record_step(&step_event(1));
-        t.note_step_health(1, true, 1); // supervisor rejected something
-        t.record_step(&step_event(2));
-        t.note_step_health(2, true, 1); // count stable: no second dump
+        for step in 0..healthy_steps {
+            t.record_step(&step_event(step));
+            t.note_step_health(step, true, 0);
+        }
+        let degraded = healthy_steps;
+        t.record_step(&step_event(degraded));
+        t.note_step_health(degraded, true, 1); // supervisor rejected something
+        t.record_step(&step_event(degraded + 1));
+        t.note_step_health(degraded + 1, true, 1); // count stable: no second dump
         let run = t.into_run();
         assert_eq!(run.trace_lines.len(), 1);
         let dump = &run.trace_lines[0];
         assert!(dump.contains("\"event\":\"flight_dump\""));
         assert!(dump.contains("\"trigger\":\"supervisor_degradation\""));
-        assert!(dump.contains("\"step\":1"));
+        // The ring holds exactly the last FLIGHT_CAPACITY steps.
+        let oldest = degraded + 1 - FLIGHT_CAPACITY as u64;
+        assert!(dump.contains(&format!("\"step\":{degraded},")));
+        assert!(dump.contains(&format!("\"step\":{oldest},")));
+        assert!(!dump.contains(&format!("\"step\":{},", oldest - 1)));
+        assert_eq!(dump.matches("\"event\":\"step\"").count(), FLIGHT_CAPACITY);
     }
 
     #[test]
     fn non_finite_control_also_triggers_a_dump() {
-        let mut cfg = TelemetryConfig::disabled();
-        cfg.flight_capacity = 4;
-        let mut t = EpisodeTelemetry::new("r", cfg);
+        let mut t = EpisodeTelemetry::new("r", FLIGHT_ONLY);
         t.begin_episode();
-        t.record_step(&step_event(0));
-        t.note_step_health(0, false, 0);
+        let steps = FLIGHT_CAPACITY as u64 + 1;
+        for step in 0..steps {
+            t.record_step(&step_event(step));
+            t.note_step_health(step, step + 1 < steps, 0);
+        }
         let run = t.into_run();
         assert_eq!(run.trace_lines.len(), 1);
         assert!(run.trace_lines[0].contains("\"trigger\":\"non_finite_control\""));
@@ -440,8 +453,10 @@ mod tests {
 
     #[test]
     fn episode_metrics_line_carries_the_registry_snapshot() {
-        let mut cfg = TelemetryConfig::disabled();
-        cfg.metrics = true;
+        let cfg = TelemetryConfig {
+            metrics: true,
+            ..Default::default()
+        };
         let mut t = EpisodeTelemetry::new("fig2/run0", cfg);
         t.begin_episode();
         let mut m = EpisodeMetrics::new(0.6);
@@ -470,8 +485,10 @@ mod tests {
 
     #[test]
     fn episode_index_advances_per_episode() {
-        let mut cfg = TelemetryConfig::disabled();
-        cfg.metrics = true;
+        let cfg = TelemetryConfig {
+            metrics: true,
+            ..Default::default()
+        };
         let mut t = EpisodeTelemetry::new("r", cfg);
         for _ in 0..2 {
             t.begin_episode();

@@ -40,7 +40,6 @@ pub mod drivetrain;
 pub mod dynamics;
 pub mod error;
 pub mod ice;
-mod instrument;
 pub mod motor;
 pub mod params;
 pub mod plan;

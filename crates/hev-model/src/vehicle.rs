@@ -457,7 +457,7 @@ impl ParallelHev {
         control: &ControlInput,
         dt: f64,
     ) -> Result<StepOutcome, InfeasibleControl> {
-        crate::instrument::record_eval();
+        hev_trace::evals::record();
         self.drivetrain.ratio(control.gear)?;
         self.aux.check_power(control.p_aux_w)?;
 
@@ -498,7 +498,7 @@ impl ParallelHev {
     /// (cycle, vehicle-config) pair.
     pub fn rebuild_context(&self, ctx: &mut StepContext, demand: &WheelDemand) {
         let _span = hev_trace::span::enter("model.ctx_build");
-        crate::instrument::record_ctx_rebuild();
+        hev_trace::evals::record_ctx_rebuild();
         self.rebuild_context_untracked(ctx, demand);
     }
 
@@ -587,7 +587,7 @@ impl ParallelHev {
         cur: &CurrentContext,
         control: &ControlInput,
     ) -> Result<StepOutcome, InfeasibleControl> {
-        crate::instrument::record_eval();
+        hev_trace::evals::record();
         self.drivetrain.ratio(control.gear)?;
         self.aux.check_power(control.p_aux_w)?;
         debug_assert!(

@@ -94,30 +94,6 @@ fn validate(hev: &ParallelHev, ctx: &StepContext, control: &ControlInput, dt: f6
     control.is_finite() && hev.peek_with_context(ctx, control, dt).is_ok()
 }
 
-/// The feasible control with the best instantaneous inner-optimized
-/// reward over `currents` (the supervisor's myopic tier, parameterized
-/// by the current set).
-fn best_over_currents(
-    hev: &ParallelHev,
-    ctx: &StepContext,
-    currents: &[f64],
-    config: &LadderConfig,
-    dt: f64,
-) -> Option<ControlInput> {
-    let mut best: Option<(f64, ControlInput)> = None;
-    for &current in currents {
-        if let Some(resolved) = config
-            .inner
-            .resolve_with(hev, ctx, current, dt, &config.reward)
-        {
-            if best.as_ref().is_none_or(|(r, _)| resolved.reward > *r) {
-                best = Some((resolved.reward, resolved.control));
-            }
-        }
-    }
-    best.map(|(_, control)| control)
-}
-
 /// Walks the ladder under `budget` evals and returns the first tier
 /// whose candidate validates, or `None` when even limp-home is
 /// infeasible (the caller maps that to a typed error — it is never a
@@ -146,7 +122,9 @@ pub fn decide(
         let _span = hev_trace::span::enter("serve.ladder.full");
         trail.push(Rung::Full);
         let tier = evals::count();
-        let candidate = best_over_currents(hev, ctx, &config.currents, config, dt)
+        let candidate = config
+            .inner
+            .best_over_currents(hev, ctx, &config.currents, dt, &config.reward)
             .filter(|control| validate(hev, ctx, control, dt));
         trail_evals.push(evals::since(tier));
         if let Some(control) = candidate {
@@ -164,7 +142,9 @@ pub fn decide(
         let _span = hev_trace::span::enter("serve.ladder.myopic");
         trail.push(Rung::Myopic);
         let tier = evals::count();
-        let candidate = best_over_currents(hev, ctx, &config.myopic_currents, config, dt)
+        let candidate = config
+            .inner
+            .best_over_currents(hev, ctx, &config.myopic_currents, dt, &config.reward)
             .filter(|control| validate(hev, ctx, control, dt));
         trail_evals.push(evals::since(tier));
         if let Some(control) = candidate {
