@@ -244,11 +244,13 @@ fn main() -> ExitCode {
     for t in &targets {
         let t0 = Instant::now();
         runlog::emit(&RunEvent::new("target_start", t.as_str()).jobs(cfg.harness().jobs()));
+        let csv = csv_dir.as_deref();
+        let mut outcome = Ok(());
         match t.as_str() {
             "table1" => table1(),
-            "fig2" => collected.extend(fig2_target(&cfg, csv_dir.as_deref())),
-            "table2" => collected.extend(table2_target(&cfg, csv_dir.as_deref())),
-            "fig3" => collected.extend(fig3_target(&cfg, csv_dir.as_deref())),
+            "fig2" => outcome = fig2_target(&cfg, csv).map(|runs| collected.extend(runs)),
+            "table2" => outcome = table2_target(&cfg, csv).map(|runs| collected.extend(runs)),
+            "fig3" => outcome = fig3_target(&cfg, csv).map(|runs| collected.extend(runs)),
             "dp-bound" => dp_bound(&cfg),
             "learning-curve" => learning_curve(&cfg),
             "ablation-action-space" => ablation(
@@ -270,31 +272,30 @@ fn main() -> ExitCode {
                 "A5: predictor comparison",
                 ablations::ablation_predictor(&cfg),
             ),
-            "robustness" => robustness_target(&cfg, csv_dir.as_deref(), checkpoint.as_ref()),
+            "robustness" => outcome = robustness_target(&cfg, csv, checkpoint.as_ref()),
             "serve-bench" => {
-                if let Err(code) = serve_bench_target(
+                outcome = serve_bench_target(
                     &cfg,
                     serve_chaos,
                     serve_shards,
                     serve_out.as_deref(),
                     serve_report.as_deref(),
-                    csv_dir.as_deref(),
+                    csv,
                     &mut collected,
-                ) {
-                    return code;
-                }
+                )
             }
             "profile" => {
-                if let Err(code) = profile_target(
+                outcome = profile_target(
                     &cfg,
                     profile_json.as_deref(),
                     profile_trace.as_deref(),
                     &mut collected,
-                ) {
-                    return code;
-                }
+                )
             }
             other => return usage(&format!("unknown target {other}")),
+        }
+        if let Err(code) = outcome {
+            return code;
         }
         runlog::emit(
             &RunEvent::new("target_end", t.as_str())
@@ -425,7 +426,7 @@ fn serve_bench_target(
         "serve_degradation",
         result.degradation_header,
         &result.degradation_rows,
-    );
+    )?;
     // Route the health line, flight dumps, and Prometheus exposition
     // through the shared telemetry writer (--metrics-json/--trace/
     // --metrics-prom).
@@ -562,8 +563,13 @@ fn table1() {
 }
 
 /// Writes rows to `<dir>/<name>.csv` when a CSV directory was requested.
-fn write_csv(dir: Option<&std::path::Path>, name: &str, header: &str, rows: &[String]) {
-    let Some(dir) = dir else { return };
+fn write_csv(
+    dir: Option<&std::path::Path>,
+    name: &str,
+    header: &str,
+    rows: &[String],
+) -> Result<(), ExitCode> {
+    let Some(dir) = dir else { return Ok(()) };
     let mut text = String::from(header);
     text.push('\n');
     for r in rows {
@@ -571,13 +577,18 @@ fn write_csv(dir: Option<&std::path::Path>, name: &str, header: &str, rows: &[St
         text.push('\n');
     }
     let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, text) {
-        Ok(()) => println!("(wrote {})", path.display()),
-        Err(e) => eprintln!("error: cannot write {}: {e}", path.display()),
-    }
+    std::fs::write(&path, text).map_err(|e| {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        ExitCode::FAILURE
+    })?;
+    println!("(wrote {})", path.display());
+    Ok(())
 }
 
-fn fig2_target(cfg: &ExperimentConfig, csv: Option<&std::path::Path>) -> Vec<RunTelemetry> {
+fn fig2_target(
+    cfg: &ExperimentConfig,
+    csv: Option<&std::path::Path>,
+) -> Result<Vec<RunTelemetry>, ExitCode> {
     let (rows, runs) = experiments::fig2(cfg);
     write_csv(
         csv,
@@ -592,9 +603,9 @@ fn fig2_target(cfg: &ExperimentConfig, csv: Option<&std::path::Path>) -> Vec<Run
                 )
             })
             .collect::<Vec<_>>(),
-    );
+    )?;
     fig2_print(cfg, &rows);
-    runs
+    Ok(runs)
 }
 
 fn fig2_print(cfg: &ExperimentConfig, rows: &[experiments::Fig2Row]) {
@@ -622,7 +633,10 @@ fn fig2_print(cfg: &ExperimentConfig, rows: &[experiments::Fig2Row]) {
     println!("(paper: prediction-only fuel saving up to 12%)");
 }
 
-fn table2_target(cfg: &ExperimentConfig, csv: Option<&std::path::Path>) -> Vec<RunTelemetry> {
+fn table2_target(
+    cfg: &ExperimentConfig,
+    csv: Option<&std::path::Path>,
+) -> Result<Vec<RunTelemetry>, ExitCode> {
     let (rows, runs) = experiments::table2(cfg);
     write_csv(
         csv,
@@ -643,9 +657,9 @@ fn table2_target(cfg: &ExperimentConfig, csv: Option<&std::path::Path>) -> Vec<R
                 )
             })
             .collect::<Vec<_>>(),
-    );
+    )?;
     table2_print(cfg, &rows);
-    runs
+    Ok(runs)
 }
 
 fn table2_print(cfg: &ExperimentConfig, rows: &[experiments::Table2Row]) {
@@ -678,7 +692,10 @@ fn table2_print(cfg: &ExperimentConfig, rows: &[experiments::Table2Row]) {
     );
 }
 
-fn fig3_target(cfg: &ExperimentConfig, csv: Option<&std::path::Path>) -> Vec<RunTelemetry> {
+fn fig3_target(
+    cfg: &ExperimentConfig,
+    csv: Option<&std::path::Path>,
+) -> Result<Vec<RunTelemetry>, ExitCode> {
     let (rows, runs) = experiments::fig3(cfg);
     write_csv(
         csv,
@@ -693,9 +710,9 @@ fn fig3_target(cfg: &ExperimentConfig, csv: Option<&std::path::Path>) -> Vec<Run
                 )
             })
             .collect::<Vec<_>>(),
-    );
+    )?;
     fig3_print(cfg, &rows);
-    runs
+    Ok(runs)
 }
 
 fn fig3_print(cfg: &ExperimentConfig, rows: &[experiments::Fig3Row]) {
@@ -768,7 +785,7 @@ fn robustness_target(
     cfg: &ExperimentConfig,
     csv: Option<&std::path::Path>,
     checkpoint: Option<&CheckpointOptions>,
-) {
+) -> Result<(), ExitCode> {
     let rows = robustness::robustness_with(cfg, &robustness::DEFAULT_SEVERITIES, checkpoint);
     write_csv(
         csv,
@@ -795,7 +812,7 @@ fn robustness_target(
                 )
             })
             .collect::<Vec<_>>(),
-    );
+    )?;
     println!(
         "\n== Robustness: fault-severity degradation sweep on OSCAR \
          ({} episodes, supervised proposed vs rule-based) ==",
@@ -834,6 +851,7 @@ fn robustness_target(
         "(sensor + plant faults per FaultConfig::at_severity; the supervised controller must \
          complete every faulted cycle)"
     );
+    Ok(())
 }
 
 fn ablation(title: &str, rows: Vec<hev_bench::AblationRow>) {

@@ -46,3 +46,25 @@ fn checkpoint_flags_need_a_checkpoint_dir() {
         "--checkpoint-every needs --checkpoint-dir",
     );
 }
+
+#[test]
+fn a_failed_csv_write_fails_the_run() {
+    let dir = std::env::temp_dir().join(format!("repro-csv-fail-{}", std::process::id()));
+    // A directory where the CSV file should go makes the write fail.
+    std::fs::create_dir_all(dir.join("serve_degradation.csv")).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "--csv",
+            dir.to_str().expect("utf-8 temp path"),
+            "serve-bench",
+        ])
+        .output()
+        .expect("repro runs");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        !out.status.success(),
+        "a failed --csv write must fail the run"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot write"), "{stderr}");
+}

@@ -83,19 +83,26 @@ fn chaos_never_panics_and_answers_every_request_exactly_once() {
             served += 1;
         }
     }
+    let totals = output.totals();
+    assert_eq!(served, totals.served);
     let stats_served: u64 = output.stats.values().map(|s| s.served).sum();
     assert_eq!(served, stats_served);
 
     // The chaos stream's attack shapes all left traces: quarantines from
     // crash flags, shedding from bursts, typed errors from malformed
-    // requests.
-    assert!(output.quarantines > 0, "crash flags must quarantine");
-    let shed: u64 = output.stats.values().map(|s| s.shed).sum();
-    assert!(shed > 0, "bursts must shed");
-    let errors: u64 = output.stats.values().map(|s| s.errors).sum();
+    // requests (an unknown session id among them).
+    assert!(totals.quarantines > 0, "crash flags must quarantine");
+    assert!(totals.shed > 0, "bursts must shed");
     assert!(
-        errors + output.unknown_session > 0,
+        totals.errors > 0,
         "malformed requests must yield typed errors"
+    );
+    assert!(output.unknown_session() > 0);
+    let row_errors: u64 = output.stats.values().map(|s| s.errors).sum();
+    assert_eq!(row_errors + output.unknown_session(), totals.errors);
+    assert_eq!(
+        totals.served + totals.shed + totals.errors,
+        requests.len() as u64
     );
 }
 
@@ -107,4 +114,50 @@ fn report_json_is_versioned_and_deterministic() {
     let b = run_serve_bench(&fleet(true), &at_shards(4)).unwrap();
     assert_eq!(a.report.to_json(), b.report.to_json());
     assert!(a.report.to_json().starts_with("{\"version\":2,"));
+}
+
+/// FNV-1a (64-bit) of a byte string: a stable fingerprint for pinning
+/// large artifacts as literals.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins a small chaos fleet's artifacts across commits (the tests
+/// above compare only shard against shard): the health line and the
+/// deterministic report as literals, the response stream, degradation
+/// CSV and Prometheus text as FNV-1a fingerprints. The stream contains
+/// every disposition: served on three rungs, shed by a burst, typed
+/// errors including an unknown session id, and crash quarantines.
+#[test]
+fn small_chaos_fleet_artifacts_are_pinned() {
+    let fleet = FleetConfig {
+        sessions: 4,
+        requests: 120,
+        seed: 13,
+        chaos: true,
+    };
+    let run = run_serve_bench(&fleet, &at_shards(2)).unwrap();
+    let mut csv = format!("{}\n", run.degradation_header);
+    for row in &run.degradation_rows {
+        csv.push_str(row);
+        csv.push('\n');
+    }
+    assert_eq!(
+        run.health_json,
+        "{\"state\":\"critical\",\"requests\":120,\"shed_ratio\":0.058333333333333334,\
+         \"error_ratio\":0.041666666666666664,\"quarantines\":4}"
+    );
+    assert_eq!(
+        run.report.to_json(),
+        "{\"version\":2,\"sessions\":4,\"requests\":120,\"served\":108,\"shed\":7,\
+         \"errors\":5,\"rung_full\":43,\"rung_myopic\":22,\"rung_rule\":43,\
+         \"rung_limp_home\":0,\"quarantines\":4,\"crashed_requests\":2,\
+         \"shed_rate\":0.058333333333333334,\"eval_p50\":498,\"eval_p90\":1862,\
+         \"eval_p99\":2327,\"eval_p999\":2327,\"shed_depth\":[0,0,0,7,0]}"
+    );
+    assert_eq!(fnv1a(run.response_stream.as_bytes()), 0x9927_b145_bc91_9373);
+    assert_eq!(fnv1a(csv.as_bytes()), 0xb6d1_ce03_705e_5cda);
+    assert_eq!(fnv1a(run.prometheus.as_bytes()), 0x0cd9_5e72_7005_e1ae);
 }

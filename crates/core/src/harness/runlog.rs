@@ -169,6 +169,12 @@ fn global() -> Option<&'static RunLog> {
     GLOBAL.get()
 }
 
+/// Whether a run log is installed, so callers can skip building events
+/// nobody reads.
+pub fn is_installed() -> bool {
+    global().is_some()
+}
+
 /// Emits to the installed run log, if any.
 pub fn emit(event: &RunEvent) {
     if let Some(log) = global() {

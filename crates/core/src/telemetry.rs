@@ -140,7 +140,8 @@ pub struct RunTelemetry {
 
 /// The per-task collector behind the telemetry window. One collector
 /// covers a whole task (many episodes); episode boundaries reset the
-/// registry and the flight ring but keep accumulating lines.
+/// flight ring but keep accumulating lines, and the registry holds the
+/// last closed episode's metrics.
 #[derive(Debug)]
 pub(crate) struct EpisodeTelemetry {
     config: TelemetryConfig,
@@ -152,7 +153,6 @@ pub(crate) struct EpisodeTelemetry {
     flight: FlightRecorder,
     metrics_lines: Vec<String>,
     trace_lines: Vec<String>,
-    prometheus: String,
     counts_at_start: Counts,
     last_rejections: usize,
     dumped: bool,
@@ -170,7 +170,6 @@ impl EpisodeTelemetry {
             flight: FlightRecorder::new(config.trace_sample.map_or(0, |_| FLIGHT_CAPACITY)),
             metrics_lines: Vec::new(),
             trace_lines: Vec::new(),
-            prometheus: String::new(),
             counts_at_start: Counts::default(),
             last_rejections: 0,
             dumped: false,
@@ -180,7 +179,6 @@ impl EpisodeTelemetry {
     /// Resets per-episode state; called by the simulation loop at the
     /// top of each instrumented episode.
     pub(crate) fn begin_episode(&mut self) {
-        self.registry.clear();
         self.flight.clear();
         self.counts_at_start = hev_trace::evals::counts();
         self.last_rejections = 0;
@@ -233,10 +231,9 @@ impl EpisodeTelemetry {
         }
     }
 
-    /// Closes the episode: populates the registry from the episode's
+    /// Closes the episode: repopulates the registry from the episode's
     /// metrics and the policy's learning snapshot, emits the
-    /// `episode_metrics` JSONL line, refreshes the Prometheus
-    /// exposition, and advances the episode index.
+    /// `episode_metrics` JSONL line, and advances the episode index.
     pub(crate) fn end_episode(
         &mut self,
         metrics: &EpisodeMetrics,
@@ -244,29 +241,30 @@ impl EpisodeTelemetry {
         policy: Option<PolicyTelemetry>,
     ) {
         if self.config.metrics {
+            self.registry.clear();
             self.populate_registry(metrics, reward, policy);
+            let snapshot = self.registry.snapshot_json();
             let line = json::Obj::new()
                 .u64("v", u64::from(hev_trace::TRACE_SCHEMA_VERSION))
                 .str("event", "episode_metrics")
                 .str("run", &self.run)
                 .u64("episode", self.episode)
                 .str("kind", self.kind)
-                .raw("metrics", &self.registry.snapshot_json())
+                .raw("metrics", &snapshot)
                 .finish();
             self.metrics_lines.push(line);
-            self.prometheus = self.registry.to_prometheus("hev_");
             // Mirror the snapshot into the run log (schema v3) so live
             // progress consumers see it without waiting for the batch's
             // telemetry files. The run log is the nondeterministic side
             // channel; the deterministic copy is `metrics_lines`.
-            if let Ok(snapshot) =
-                serde_json::from_str::<serde::Value>(&self.registry.snapshot_json())
-            {
-                runlog::emit(
-                    &RunEvent::new("episode_metrics", self.run.clone())
-                        .index(self.episode as usize)
-                        .metrics(snapshot),
-                );
+            if runlog::is_installed() {
+                if let Ok(snapshot) = serde_json::from_str::<serde::Value>(&snapshot) {
+                    runlog::emit(
+                        &RunEvent::new("episode_metrics", self.run.clone())
+                            .index(self.episode as usize)
+                            .metrics(snapshot),
+                    );
+                }
             }
         }
         self.episode += 1;
@@ -329,13 +327,15 @@ impl EpisodeTelemetry {
         }
     }
 
-    /// Consumes the collector into its collected lines.
+    /// Consumes the collector into its collected lines and the
+    /// Prometheus exposition of the last closed episode (empty when no
+    /// metrics were collected).
     fn into_run(self) -> RunTelemetry {
         RunTelemetry {
             label: self.run,
             metrics_lines: self.metrics_lines,
             trace_lines: self.trace_lines,
-            prometheus: self.prometheus,
+            prometheus: self.registry.to_prometheus("hev_"),
         }
     }
 }

@@ -12,7 +12,7 @@ use crate::fleet::{build_requests, build_sessions, FleetConfig};
 use crate::report::{degradation_csv_rows, ServeReport, DEGRADATION_CSV_HEADER};
 use crate::service::{serve, ServeConfig};
 use hev_model::ParamError;
-use hev_trace::{HealthSummary, MetricsRegistry};
+use hev_trace::MetricsRegistry;
 use std::time::Instant;
 
 /// Everything one serve-bench run produced.
@@ -29,7 +29,7 @@ pub struct ServeBenchResult {
     pub degradation_header: &'static str,
     /// Prometheus exposition of the serve counters and histograms.
     pub prometheus: String,
-    /// The service health summary derived from the same registry.
+    /// The service health line ([`ServeReport::health_json`]).
     pub health_json: String,
     /// Flight-recorder dumps emitted by quarantines.
     pub flight_dumps: Vec<String>,
@@ -58,7 +58,6 @@ pub fn run_serve_bench(
     let report = ServeReport::from_output(&output, sessions.len() as u64);
     let mut registry = MetricsRegistry::new();
     output.record_metrics(&mut registry);
-    let health = HealthSummary::from_registry(&registry, "serve.");
 
     Ok(ServeBenchResult {
         report_json: report.to_json_with_throughput(wall_s),
@@ -66,7 +65,7 @@ pub fn run_serve_bench(
         degradation_rows: degradation_csv_rows(&output),
         degradation_header: DEGRADATION_CSV_HEADER,
         prometheus: registry.to_prometheus("hev_"),
-        health_json: health.to_json(),
+        health_json: report.health_json(),
         flight_dumps: output.flight_dumps,
         span_tree: output.span_tree,
         request_traces: output.request_traces,
@@ -92,22 +91,6 @@ mod tests {
         assert!(result.prometheus.contains("hev_serve_requests"));
         assert!(result.health_json.contains("\"state\":"));
         assert_eq!(result.degradation_rows.len(), 3);
-    }
-
-    #[test]
-    fn report_json_reads_back_to_the_deterministic_report() {
-        let fleet = FleetConfig {
-            sessions: 2,
-            requests: 24,
-            seed: 5,
-            chaos: false,
-        };
-        let result = run_serve_bench(&fleet, &ServeConfig::default()).unwrap();
-        // The throughput wrapper only appends wall-clock fields, which
-        // the reader ignores, so the read-back equals the deterministic
-        // report exactly.
-        let read = ServeReport::from_json(&result.report_json).expect("report line parses");
-        assert_eq!(read, result.report);
     }
 
     #[test]

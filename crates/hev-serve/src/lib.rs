@@ -38,7 +38,9 @@
 //! response scattering are sequential; the parallel unit is a
 //! per-session batch whose content is shard-independent, and eval
 //! budgets are differenced within a single task (each task runs
-//! entirely on one worker thread).
+//! entirely on one worker thread). Every serve summary — the
+//! degradation rows, the [`ServeReport`] with its health line, and the
+//! Prometheus counters — is a fold over the response stream.
 //!
 //! # Examples
 //!

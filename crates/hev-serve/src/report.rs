@@ -3,16 +3,19 @@
 //! The report splits into a deterministic core — request/verdict
 //! counts, per-rung totals, shed rate, and eval-budget percentiles, all
 //! pure functions of the response stream — and wall-clock throughput
-//! fields the Harness-role driver adds on top. CI compares only the
-//! deterministic artifacts (response stream and degradation CSV) across
-//! shard counts.
+//! fields the Harness-role driver adds on top. The service health line
+//! ([`ServeReport::health_json`]) is a function of the deterministic
+//! core. CI compares only the deterministic artifacts (response stream,
+//! degradation CSV, health line and Prometheus text) across shard
+//! counts.
 
 use crate::service::ServeOutput;
 use crate::wire::Verdict;
 use hev_trace::json::{self, Obj};
+use hev_trace::Histogram;
 
 /// Version of the serve-bench report schema, written as the `version`
-/// field. [`ServeReport::from_json`] reads only this version.
+/// field.
 pub const SERVE_REPORT_VERSION: u32 = 2;
 
 /// Shed-depth histogram bounds (queue depth at shed time); the counts
@@ -53,6 +56,19 @@ pub struct ServeReport {
     pub shed_depth_counts: [u64; 5],
 }
 
+/// Shed or error share of the stream beyond which the service counts
+/// as critical.
+const CRITICAL_RATIO: f64 = 0.25;
+
+/// `n` as a fraction of `requests` (0 for an empty stream).
+fn ratio(n: u64, requests: u64) -> f64 {
+    if requests == 0 {
+        0.0
+    } else {
+        n as f64 / requests as f64
+    }
+}
+
 /// Nearest-rank percentile of a sorted slice (0 for an empty one).
 /// Integer percent keeps the rank computation in exact integer math.
 fn percentile(sorted: &[u64], pct: usize) -> u64 {
@@ -78,86 +94,31 @@ fn permille(sorted: &[u64], pm: usize) -> u64 {
 impl ServeReport {
     /// Summarizes one serve run over a fleet of `sessions` vehicles.
     pub fn from_output(output: &ServeOutput, sessions: u64) -> Self {
-        let mut served = 0u64;
-        let mut shed = 0u64;
-        let mut errors = output.unknown_session;
-        let mut crashed = 0u64;
-        let mut rung_counts = [0u64; 4];
-        for s in output.stats.values() {
-            served += s.served;
-            shed += s.shed;
-            errors += s.errors;
-            crashed += s.crashed;
-            for (acc, r) in rung_counts.iter_mut().zip(s.rungs.iter()) {
-                *acc += r;
-            }
-        }
-        let requests = output.responses.len() as u64;
+        let totals = output.totals();
         let mut evals = output.served_evals();
         evals.sort_unstable();
-        let mut shed_depth_counts = [0u64; 5];
+        let mut shed_depth = Histogram::new(&SHED_DEPTH_BOUNDS);
         for r in &output.responses {
             if let Verdict::Shed { depth } = r.verdict {
-                let bucket = SHED_DEPTH_BOUNDS
-                    .iter()
-                    .position(|&b| depth as f64 <= b)
-                    .unwrap_or(SHED_DEPTH_BOUNDS.len());
-                if let Some(slot) = shed_depth_counts.get_mut(bucket) {
-                    *slot += 1;
-                }
+                shed_depth.observe(depth as f64);
             }
         }
         Self {
             sessions,
-            requests,
-            served,
-            shed,
-            errors,
-            rung_counts,
-            quarantines: output.quarantines,
-            crashed_requests: crashed,
-            shed_rate: if requests == 0 {
-                0.0
-            } else {
-                shed as f64 / requests as f64
-            },
+            requests: totals.requests,
+            served: totals.served,
+            shed: totals.shed,
+            errors: totals.errors,
+            rung_counts: totals.rungs,
+            quarantines: totals.quarantines,
+            crashed_requests: totals.crashed,
+            shed_rate: ratio(totals.shed, totals.requests),
             eval_p50: percentile(&evals, 50),
             eval_p90: percentile(&evals, 90),
             eval_p99: percentile(&evals, 99),
             eval_p999: permille(&evals, 999),
-            shed_depth_counts,
+            shed_depth_counts: shed_depth.counts.try_into().unwrap_or_default(),
         }
-    }
-
-    /// Reads a report line back. Every field is required; returns
-    /// `None` on a malformed line or any version other than
-    /// [`SERVE_REPORT_VERSION`].
-    pub fn from_json(line: &str) -> Option<Self> {
-        if scan_u64(line, "version")? != u64::from(SERVE_REPORT_VERSION) {
-            return None;
-        }
-        let shed_depth_counts = scan_u64_array(line, "shed_depth")?.try_into().ok()?;
-        Some(Self {
-            sessions: scan_u64(line, "sessions")?,
-            requests: scan_u64(line, "requests")?,
-            served: scan_u64(line, "served")?,
-            shed: scan_u64(line, "shed")?,
-            errors: scan_u64(line, "errors")?,
-            rung_counts: [
-                scan_u64(line, "rung_full")?,
-                scan_u64(line, "rung_myopic")?,
-                scan_u64(line, "rung_rule")?,
-                scan_u64(line, "rung_limp_home")?,
-            ],
-            quarantines: scan_u64(line, "quarantines")?,
-            crashed_requests: scan_u64(line, "crashed_requests")?,
-            shed_rate: scan_f64(line, "shed_rate")?,
-            eval_p50: scan_u64(line, "eval_p50")?,
-            eval_p90: scan_u64(line, "eval_p90")?,
-            eval_p99: scan_u64(line, "eval_p99")?,
-            eval_p999: scan_u64(line, "eval_p999")?,
-            shed_depth_counts,
-        })
     }
 
     /// The deterministic report fields as one JSON object body (no
@@ -207,36 +168,30 @@ impl ServeReport {
             .f64("sessions_per_sec", sessions_per_sec)
             .finish()
     }
-}
 
-/// The raw text of a top-level `"key":` value in a report line (the
-/// report emitter nests nothing but the shed-depth array, so scanning
-/// to the next `,`/`}` is exact for scalar fields).
-fn scan_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = line.get(start..)?;
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest.get(..end)
-}
-
-fn scan_u64(line: &str, key: &str) -> Option<u64> {
-    scan_raw(line, key)?.parse().ok()
-}
-
-fn scan_f64(line: &str, key: &str) -> Option<f64> {
-    scan_raw(line, key)?.parse().ok()
-}
-
-fn scan_u64_array(line: &str, key: &str) -> Option<Vec<u64>> {
-    let pat = format!("\"{key}\":[");
-    let start = line.find(&pat)? + pat.len();
-    let rest = line.get(start..)?;
-    let body = rest.get(..rest.find(']')?)?;
-    if body.is_empty() {
-        return Some(Vec::new());
+    /// The service health line: `ok` when every request was served,
+    /// `critical` after any quarantine or when shed or errored requests
+    /// exceed 25 % of the stream, `degraded` otherwise.
+    pub fn health_json(&self) -> String {
+        let error_ratio = ratio(self.errors, self.requests);
+        let state = if self.quarantines > 0
+            || self.shed_rate > CRITICAL_RATIO
+            || error_ratio > CRITICAL_RATIO
+        {
+            "critical"
+        } else if self.shed > 0 || self.errors > 0 {
+            "degraded"
+        } else {
+            "ok"
+        };
+        Obj::new()
+            .str("state", state)
+            .u64("requests", self.requests)
+            .f64("shed_ratio", self.shed_rate)
+            .f64("error_ratio", error_ratio)
+            .u64("quarantines", self.quarantines)
+            .finish()
     }
-    body.split(',').map(|x| x.parse().ok()).collect()
 }
 
 /// Header of the per-session degradation CSV.
@@ -308,63 +263,58 @@ mod tests {
         assert!(with_wall.contains("\"requests_per_sec\":20.0"));
     }
 
-    #[test]
-    fn reports_round_trip_through_json() {
-        let fleet = FleetConfig {
-            sessions: 2,
-            requests: 30,
-            seed: 7,
-            chaos: true,
-        };
-        let sessions = build_sessions(&fleet);
-        let requests = build_requests(&fleet, sessions.len() as u64);
-        let config = ServeConfig {
-            queue_capacity: 2,
-            tick_requests: 12,
-            ..ServeConfig::default()
-        };
-        let out = serve(&config, &sessions, &requests).unwrap();
-        let report = ServeReport::from_output(&out, sessions.len() as u64);
-        let back = ServeReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back, report);
-        // Driver-appended wall-clock fields don't confuse the reader.
-        let back = ServeReport::from_json(&report.to_json_with_throughput(1.5)).unwrap();
-        assert_eq!(back, report);
+    /// A report over `requests` requests with the given dispositions
+    /// (the rest served).
+    fn report(requests: u64, shed: u64, errors: u64, quarantines: u64) -> ServeReport {
+        ServeReport {
+            sessions: 1,
+            requests,
+            served: requests - shed - errors,
+            shed,
+            errors,
+            rung_counts: [requests - shed - errors, 0, 0, 0],
+            quarantines,
+            crashed_requests: 0,
+            shed_rate: ratio(shed, requests),
+            eval_p50: 0,
+            eval_p90: 0,
+            eval_p99: 0,
+            eval_p999: 0,
+            shed_depth_counts: [0; 5],
+        }
     }
 
     #[test]
-    fn only_complete_current_version_lines_read_back() {
-        // A complete current-version line reads back.
-        let v2 = "{\"version\":2,\"sessions\":4,\"requests\":64,\"served\":60,\"shed\":3,\
-                  \"errors\":1,\"rung_full\":50,\"rung_myopic\":6,\"rung_rule\":3,\
-                  \"rung_limp_home\":1,\"quarantines\":2,\"crashed_requests\":1,\
-                  \"shed_rate\":0.046875,\"eval_p50\":2400,\"eval_p90\":3100,\
-                  \"eval_p99\":3900,\"eval_p999\":4000,\"shed_depth\":[0,1,2,0,0]}";
-        let report = ServeReport::from_json(v2).unwrap();
-        assert_eq!(report.requests, 64);
-        assert_eq!(report.rung_counts, [50, 6, 3, 1]);
-        assert_eq!(report.eval_p90, 3100);
-        assert_eq!(report.eval_p999, 4000);
-        assert_eq!(report.shed_depth_counts, [0, 1, 2, 0, 0]);
-        // A verbatim v1 line (no tail percentiles, no shed-depth
-        // histogram) and other versions are rejected.
-        let v1 = "{\"version\":1,\"sessions\":4,\"requests\":64,\"served\":60,\"shed\":3,\
-                  \"errors\":1,\"rung_full\":50,\"rung_myopic\":6,\"rung_rule\":3,\
-                  \"rung_limp_home\":1,\"quarantines\":2,\"crashed_requests\":1,\
-                  \"shed_rate\":0.046875,\"eval_p50\":2400,\"eval_p99\":3900}";
-        assert!(ServeReport::from_json(v1).is_none());
-        assert!(ServeReport::from_json(&v2.replace("\"version\":2", "\"version\":9")).is_none());
-        // A current-version line missing any v2 field is rejected, not
-        // defaulted.
-        for field in ["\"eval_p90\":3100,", "\"eval_p999\":4000,"] {
-            assert!(
-                ServeReport::from_json(&v2.replace(field, "")).is_none(),
-                "{field}"
-            );
-        }
-        assert!(ServeReport::from_json(&v2.replace(",\"shed_depth\":[0,1,2,0,0]", "")).is_none());
-        assert!(ServeReport::from_json(&v2.replace("[0,1,2,0,0]", "[0,1,2]")).is_none());
-        assert!(ServeReport::from_json("{\"version\":2}").is_none());
+    fn empty_report_is_healthy() {
+        let health = report(0, 0, 0, 0).health_json();
+        assert!(
+            health.starts_with("{\"state\":\"ok\",\"requests\":0,"),
+            "{health}"
+        );
+    }
+
+    #[test]
+    fn shedding_degrades_and_quarantines_are_critical() {
+        let health = report(100, 3, 0, 0).health_json();
+        assert!(health.contains("\"state\":\"degraded\""), "{health}");
+        assert!(health.contains("\"shed_ratio\":0.03,"), "{health}");
+        let health = report(100, 3, 0, 1).health_json();
+        assert!(health.contains("\"state\":\"critical\""), "{health}");
+    }
+
+    #[test]
+    fn heavy_shedding_is_critical_without_quarantines() {
+        let health = report(100, 30, 0, 0).health_json();
+        assert!(health.contains("\"state\":\"critical\""), "{health}");
+    }
+
+    #[test]
+    fn health_json_encoding_is_stable() {
+        assert_eq!(
+            report(4, 0, 1, 0).health_json(),
+            "{\"state\":\"degraded\",\"requests\":4,\"shed_ratio\":0.0,\
+             \"error_ratio\":0.25,\"quarantines\":0}"
+        );
     }
 
     #[test]

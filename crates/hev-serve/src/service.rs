@@ -25,6 +25,13 @@
 //!    [`RequestError::SessionCrashed`] and the session reseeds again.
 //!    The shard never stops serving and every request gets exactly one
 //!    response.
+//!
+//! Every stage answers through one slot store (`Answers::answer`), so
+//! the response stream is the service's one record: the per-session
+//! rows in [`ServeOutput::stats`] and the whole-stream
+//! [`ServeOutput::totals`] are folded from it once it is complete. Only
+//! quarantines are counted while serving, since a reseed's attempt
+//! number needs them.
 
 use crate::ladder::LadderConfig;
 use crate::session::{Session, SessionSpec};
@@ -71,21 +78,23 @@ impl Default for ServeConfig {
     }
 }
 
-/// Per-session serving statistics (the degradation report's rows).
+/// Serving statistics over a set of responses: one session's (the
+/// degradation report's rows) or the whole stream's
+/// ([`ServeOutput::totals`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Requests addressed to the session (admitted or shed).
+    /// Requests answered (served, shed or errored).
     pub requests: u64,
     /// Requests served with a control.
     pub served: u64,
     /// Requests shed by backpressure.
     pub shed: u64,
-    /// Requests answered with a typed error.
+    /// Requests answered with a typed error (including unknown ids).
     pub errors: u64,
     /// Served-request counts per ladder rung (full, myopic, rule,
     /// limp-home).
     pub rungs: [u64; 4],
-    /// Times the session was quarantined and reseeded.
+    /// Times a session was quarantined and reseeded.
     pub quarantines: u64,
     /// Requests answered `session_crashed` (panicked twice).
     pub crashed: u64,
@@ -115,12 +124,9 @@ impl SessionStats {
 pub struct ServeOutput {
     /// One response per request, in request stream order.
     pub responses: Vec<Response>,
-    /// Per-session statistics, in session-id order.
+    /// Per-session statistics, in session-id order, folded from
+    /// `responses` (quarantines are counted while serving).
     pub stats: BTreeMap<u64, SessionStats>,
-    /// Requests addressed to ids no session has.
-    pub unknown_session: u64,
-    /// Total quarantine events across all sessions.
-    pub quarantines: u64,
     /// Flight-recorder dumps and quarantine events, in occurrence order
     /// (deterministic: quarantines are scattered sequentially).
     pub flight_dumps: Vec<String>,
@@ -146,6 +152,26 @@ impl ServeOutput {
         out
     }
 
+    /// The whole-stream fold: every response's disposition, with
+    /// answers to unknown session ids counted as errors, plus the
+    /// sessions' quarantines.
+    pub fn totals(&self) -> SessionStats {
+        let mut totals = SessionStats::default();
+        for r in &self.responses {
+            totals.record(&r.verdict);
+        }
+        totals.quarantines = self.stats.values().map(|s| s.quarantines).sum();
+        totals
+    }
+
+    /// Requests answered [`RequestError::UnknownSession`].
+    pub fn unknown_session(&self) -> u64 {
+        self.responses
+            .iter()
+            .filter(|r| r.verdict == Verdict::Error(RequestError::UnknownSession))
+            .count() as u64
+    }
+
     /// Eval counts of every served request, in response order.
     pub fn served_evals(&self) -> Vec<u64> {
         self.responses
@@ -160,30 +186,17 @@ impl ServeOutput {
     /// Registers the serve counters and the eval-budget histogram in a
     /// metrics registry (Prometheus exposition comes with it).
     pub fn record_metrics(&self, registry: &mut MetricsRegistry) {
-        let mut served = 0u64;
-        let mut shed = 0u64;
-        let mut errors = 0u64;
-        let mut crashed = 0u64;
-        let mut rungs = [0u64; 4];
-        for s in self.stats.values() {
-            served += s.served;
-            shed += s.shed;
-            errors += s.errors;
-            crashed += s.crashed;
-            for (acc, r) in rungs.iter_mut().zip(s.rungs.iter()) {
-                *acc += r;
-            }
-        }
-        registry.counter_add("serve.requests", self.responses.len() as u64);
-        registry.counter_add("serve.served", served);
-        registry.counter_add("serve.shed", shed);
-        registry.counter_add("serve.errors", errors + self.unknown_session);
-        registry.counter_add("serve.unknown_session", self.unknown_session);
-        registry.counter_add("serve.quarantines", self.quarantines);
-        registry.counter_add("serve.crashed_requests", crashed);
+        let totals = self.totals();
+        registry.counter_add("serve.requests", totals.requests);
+        registry.counter_add("serve.served", totals.served);
+        registry.counter_add("serve.shed", totals.shed);
+        registry.counter_add("serve.errors", totals.errors);
+        registry.counter_add("serve.unknown_session", self.unknown_session());
+        registry.counter_add("serve.quarantines", totals.quarantines);
+        registry.counter_add("serve.crashed_requests", totals.crashed);
         for (rung, count) in [Rung::Full, Rung::Myopic, Rung::Rule, Rung::LimpHome]
             .iter()
-            .zip(rungs.iter())
+            .zip(totals.rungs.iter())
         {
             registry.counter_add(&format!("serve.rung.{}", rung.name()), *count);
         }
@@ -221,54 +234,6 @@ impl ServeOutput {
     }
 }
 
-/// Encodes one causal request-trace JSONL line: admission (`queued` =
-/// queue depth at enqueue), the ladder walk (`trail`, empty for
-/// requests that never reached it), and the outcome. The trace id is
-/// the request's stream slot.
-fn trace_line(
-    slot: usize,
-    session: u64,
-    index: u64,
-    queued: usize,
-    verdict: &Verdict,
-    trail: &[(Rung, u64)],
-    quarantined: bool,
-) -> String {
-    let mut obj = Obj::new()
-        .u64("trace", slot as u64)
-        .u64("session", session)
-        .u64("request", index)
-        .u64("queued", queued as u64);
-    match verdict {
-        Verdict::Served { rung, evals, .. } => {
-            obj = obj
-                .str("outcome", "served")
-                .str("rung", rung.name())
-                .u64("evals", *evals);
-        }
-        Verdict::Shed { depth } => {
-            obj = obj.str("outcome", "shed").u64("depth", *depth as u64);
-        }
-        Verdict::Error(err) => {
-            obj = obj.str("outcome", "error").str("error", err.code());
-        }
-    }
-    if quarantined {
-        obj = obj.bool("quarantined", true);
-    }
-    let rungs: Vec<String> = trail
-        .iter()
-        .map(|(rung, evals)| {
-            Obj::new()
-                .str("rung", rung.name())
-                .u64("evals", *evals)
-                .finish()
-        })
-        .collect();
-    obj.raw_seq("trail", rungs.iter().map(String::as_str))
-        .finish()
-}
-
 /// Encodes a request for a flight-recorder dump.
 fn request_event(req: &Request) -> String {
     Obj::new()
@@ -290,15 +255,86 @@ fn request_event(req: &Request) -> String {
 /// admitted `(slot, request)` queue.
 type SessionBatch = (u64, Session, Vec<(usize, Request)>);
 
-/// Stores `response` at stream slot `slot`. Slots are sized to the
-/// request count and slot ids come from stream position (never from a
-/// client-supplied field), so the write is always in range; `get_mut`
-/// keeps the path panic-free regardless, and a hole left by an
-/// out-of-range id would still be caught by the final
-/// every-request-answered check.
-fn place(slots: &mut [Option<Response>], slot: usize, response: Response) {
-    if let Some(s) = slots.get_mut(slot) {
-        *s = Some(response);
+/// The response slots of one [`serve`] call, addressed by stream
+/// position (never by a client-supplied field, so a hostile index
+/// cannot address memory), plus one causal trace line per slot when
+/// profiling.
+struct Answers {
+    responses: Vec<Option<Response>>,
+    /// Empty unless profiling.
+    traces: Vec<Option<String>>,
+}
+
+impl Answers {
+    fn new(requests: usize, profile: bool) -> Self {
+        Self {
+            responses: vec![None; requests],
+            traces: vec![None; if profile { requests } else { 0 }],
+        }
+    }
+
+    /// Answers the request at stream slot `slot`: stores its response
+    /// and, when profiling, its trace line — admission (`queued` = queue
+    /// depth at enqueue), the ladder walk (`trail`, empty for requests
+    /// that never reached it), and the outcome; the trace id is the
+    /// slot. `get_mut` keeps the path panic-free; a hole left by an
+    /// out-of-range slot would still be caught by the final
+    /// every-request-answered check.
+    #[allow(clippy::too_many_arguments)]
+    fn answer(
+        &mut self,
+        slot: usize,
+        session: u64,
+        index: u64,
+        queued: usize,
+        verdict: Verdict,
+        trail: &[(Rung, u64)],
+        quarantined: bool,
+    ) {
+        if let Some(t) = self.traces.get_mut(slot) {
+            let mut obj = Obj::new()
+                .u64("trace", slot as u64)
+                .u64("session", session)
+                .u64("request", index)
+                .u64("queued", queued as u64);
+            match &verdict {
+                Verdict::Served { rung, evals, .. } => {
+                    obj = obj
+                        .str("outcome", "served")
+                        .str("rung", rung.name())
+                        .u64("evals", *evals);
+                }
+                Verdict::Shed { depth } => {
+                    obj = obj.str("outcome", "shed").u64("depth", *depth as u64);
+                }
+                Verdict::Error(err) => {
+                    obj = obj.str("outcome", "error").str("error", err.code());
+                }
+            }
+            if quarantined {
+                obj = obj.bool("quarantined", true);
+            }
+            let rungs: Vec<String> = trail
+                .iter()
+                .map(|(rung, evals)| {
+                    Obj::new()
+                        .str("rung", rung.name())
+                        .u64("evals", *evals)
+                        .finish()
+                })
+                .collect();
+            *t = Some(
+                obj.raw_seq("trail", rungs.iter().map(String::as_str))
+                    .finish(),
+            );
+        }
+        if let Some(r) = self.responses.get_mut(slot) {
+            *r = Some(Response {
+                index,
+                session,
+                verdict,
+            });
+        }
     }
 }
 
@@ -321,29 +357,21 @@ pub fn serve(
         stats.insert(spec.id, SessionStats::default());
     }
 
-    let mut slots: Vec<Option<Response>> = vec![None; requests.len()];
-    let mut unknown_session = 0u64;
-    let mut quarantines = 0u64;
-    let mut flight_dumps = Vec::new();
     let profile = config.profile;
+    let mut answers = Answers::new(requests.len(), profile);
+    let mut flight_dumps = Vec::new();
     let mut span_tree = SpanTree::default();
     // Partial span trees salvaged from crashed tasks (see the execution
     // closure); a Mutex because workers may crash concurrently, merged
     // once at the end — merge order is irrelevant (commutative).
     let salvaged: std::sync::Mutex<SpanTree> = std::sync::Mutex::new(SpanTree::default());
-    let mut trace_slots: Vec<Option<String>> = if profile {
-        vec![None; requests.len()]
-    } else {
-        Vec::new()
-    };
     let tick = config.tick_requests.max(1);
 
     for (tick_index, chunk) in requests.chunks(tick).enumerate() {
         // Stage 1: sequential admission into bounded per-session queues.
-        // Slots are addressed by stream position, never by the
-        // client-supplied index field. When profiling, admission is its
-        // own caller-thread span window (execution tasks open their own
-        // windows, inline at shards == 1, so the stages never share one).
+        // When profiling, admission is its own caller-thread span window
+        // (execution tasks open their own windows, inline at shards == 1,
+        // so the stages never share one).
         if profile {
             span::begin_task();
         }
@@ -352,60 +380,17 @@ pub fn serve(
             let _admission = span::enter("serve.admission");
             for (offset, req) in chunk.iter().enumerate() {
                 let slot = tick_index * tick + offset;
-                if !table.contains_key(&req.session) {
-                    unknown_session += 1;
-                    let verdict = Verdict::Error(RequestError::UnknownSession);
-                    if let Some(t) = trace_slots.get_mut(slot) {
-                        *t = Some(trace_line(
-                            slot,
-                            req.session,
-                            req.index,
-                            0,
-                            &verdict,
-                            &[],
-                            false,
-                        ));
+                let (queued, verdict) = if table.contains_key(&req.session) {
+                    let queue = queues.entry(req.session).or_default();
+                    if queue.len() < config.queue_capacity {
+                        queue.push((slot, *req));
+                        continue;
                     }
-                    place(
-                        &mut slots,
-                        slot,
-                        Response {
-                            index: req.index,
-                            session: req.session,
-                            verdict,
-                        },
-                    );
-                    continue;
-                }
-                let queue = queues.entry(req.session).or_default();
-                if queue.len() >= config.queue_capacity {
-                    let verdict = Verdict::Shed { depth: queue.len() };
-                    if let Some(s) = stats.get_mut(&req.session) {
-                        s.record(&verdict);
-                    }
-                    if let Some(t) = trace_slots.get_mut(slot) {
-                        *t = Some(trace_line(
-                            slot,
-                            req.session,
-                            req.index,
-                            queue.len(),
-                            &verdict,
-                            &[],
-                            false,
-                        ));
-                    }
-                    place(
-                        &mut slots,
-                        slot,
-                        Response {
-                            index: req.index,
-                            session: req.session,
-                            verdict,
-                        },
-                    );
+                    (queue.len(), Verdict::Shed { depth: queue.len() })
                 } else {
-                    queue.push((slot, *req));
-                }
+                    (0, Verdict::Error(RequestError::UnknownSession))
+                };
+                answers.answer(slot, req.session, req.index, queued, verdict, &[], false);
             }
         }
         if profile {
@@ -475,23 +460,7 @@ pub fn serve(
                     }
                     table.insert(id_back, session);
                     for (pos, (slot, index, verdict, trail)) in verdicts.into_iter().enumerate() {
-                        if let Some(s) = stats.get_mut(&id_back) {
-                            s.record(&verdict);
-                        }
-                        if let Some(t) = trace_slots.get_mut(slot) {
-                            *t = Some(trace_line(
-                                slot, id_back, index, pos, &verdict, &trail, false,
-                            ));
-                        }
-                        place(
-                            &mut slots,
-                            slot,
-                            Response {
-                                index,
-                                session: id_back,
-                                verdict,
-                            },
-                        );
+                        answers.answer(slot, id_back, index, pos, verdict, &trail, false);
                     }
                 }
                 RunOutcome::Panicked { message } => {
@@ -502,7 +471,6 @@ pub fn serve(
                         span::begin_task();
                     }
                     let quarantine_span = span::enter("serve.quarantine");
-                    quarantines += 1;
                     let stat = stats.entry(id).or_default();
                     stat.quarantines += 1;
                     let mut attempt = stat.quarantines;
@@ -560,7 +528,6 @@ pub fn serve(
                                         // for the rest of the queue.
                                         attempt += 1;
                                         stat.quarantines += 1;
-                                        quarantines += 1;
                                         session = match spec {
                                             Some(spec) => Some(Session::new(spec, attempt)?),
                                             None => None,
@@ -571,21 +538,7 @@ pub fn serve(
                             }
                             None => Verdict::Error(RequestError::UnknownSession),
                         };
-                        stat.record(&verdict);
-                        if let Some(t) = trace_slots.get_mut(*slot) {
-                            *t = Some(trace_line(
-                                *slot, id, req.index, pos, &verdict, &trail, true,
-                            ));
-                        }
-                        place(
-                            &mut slots,
-                            *slot,
-                            Response {
-                                index: req.index,
-                                session: id,
-                                verdict,
-                            },
-                        );
+                        answers.answer(*slot, id, req.index, pos, verdict, &trail, true);
                     }
                     if let Some(live) = session {
                         table.insert(id, live);
@@ -599,20 +552,25 @@ pub fn serve(
         }
     }
 
-    let responses: Vec<Response> = slots
+    let responses: Vec<Response> = answers
+        .responses
         .into_iter()
-        // hevlint::allow(panic, every admitted request is placed exactly once by construction (unknown-session answer, shed, batch verdict, or quarantine replay); a hole would be a service bug, never a request-reachable state)
+        // hevlint::allow(panic, every request is answered exactly once by construction (unknown-session answer, shed, batch verdict, or quarantine replay); a hole would be a service bug, never a request-reachable state)
         .map(|slot| slot.expect("request left without a response"))
         .collect();
-    // Every request that got a response also got a trace line by the
-    // same placement sites; `flatten` keeps the path panic-free.
-    let request_traces: Vec<String> = trace_slots.into_iter().flatten().collect();
+    // Every answer writes its trace line alongside its response;
+    // `flatten` keeps the path panic-free.
+    let request_traces: Vec<String> = answers.traces.into_iter().flatten().collect();
     span_tree.merge(&salvaged.into_inner().unwrap_or_default());
+    // The per-session fold; answers to unknown ids have no row.
+    for r in &responses {
+        if let Some(s) = stats.get_mut(&r.session) {
+            s.record(&r.verdict);
+        }
+    }
     Ok(ServeOutput {
         responses,
         stats,
-        unknown_session,
-        quarantines,
         flight_dumps,
         span_tree,
         request_traces,
@@ -702,7 +660,9 @@ mod tests {
     fn unknown_sessions_are_answered_not_dropped() {
         let requests = vec![request(0, 0), request(1, 77)];
         let out = serve(&config(), &specs(1), &requests).unwrap();
-        assert_eq!(out.unknown_session, 1);
+        assert_eq!(out.unknown_session(), 1);
+        assert_eq!(out.totals().errors, 1);
+        assert!(!out.stats.contains_key(&77));
         assert_eq!(
             out.responses[1].verdict,
             Verdict::Error(RequestError::UnknownSession)
@@ -715,7 +675,7 @@ mod tests {
         requests[2].crash = true; // session 0's second request
         let out = serve(&config(), &specs(2), &requests).unwrap();
         assert_eq!(out.responses.len(), 6);
-        assert!(out.quarantines >= 1);
+        assert!(out.totals().quarantines >= 1);
         assert_eq!(
             out.responses[2].verdict,
             Verdict::Error(RequestError::SessionCrashed)

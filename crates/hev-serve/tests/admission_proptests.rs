@@ -92,12 +92,20 @@ proptest! {
         }
         // The disposition counters reconcile: every request is exactly
         // one of served / shed / typed error (unknown sessions count as
-        // errors).
-        let served: u64 = output.stats.values().map(|s| s.served).sum();
-        let shed: u64 = output.stats.values().map(|s| s.shed).sum();
-        let errors: u64 =
-            output.stats.values().map(|s| s.errors).sum::<u64>() + output.unknown_session;
-        prop_assert_eq!(served + shed + errors, requests.len() as u64);
+        // errors), and the per-session rows plus the unknown-id answers
+        // add up to the whole-stream totals.
+        let totals = output.totals();
+        prop_assert_eq!(totals.requests, requests.len() as u64);
+        prop_assert_eq!(totals.served + totals.shed + totals.errors, totals.requests);
+        let unknown = requests
+            .iter()
+            .filter(|r| r.session >= SESSIONS as u64)
+            .count() as u64;
+        prop_assert_eq!(output.unknown_session(), unknown);
+        let rows: u64 = output.stats.values().map(|s| s.requests).sum();
+        let row_errors: u64 = output.stats.values().map(|s| s.errors).sum();
+        prop_assert_eq!(rows + unknown, totals.requests);
+        prop_assert_eq!(row_errors + unknown, totals.errors);
     }
 
     /// Every verdict is well-formed: shed responses carry a depth at or

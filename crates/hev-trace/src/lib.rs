@@ -16,8 +16,6 @@
 //!   panic (the flight recorder);
 //! * [`evals`] — the thread-local peek-equivalent evaluation counter
 //!   (migrated here from `hev_model::instrument`);
-//! * [`health`] — a three-state service health verdict folded from
-//!   serving counters (requests, shed, errors, quarantines);
 //! * [`span`] — a hierarchical span profiler on the eval-count virtual
 //!   clock, with per-phase cost attribution, Chrome-trace export, and a
 //!   wall-clock lane installable only from the harness layer;
@@ -40,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod evals;
-pub mod health;
 pub mod json;
 pub mod recorder;
 pub mod registry;
@@ -49,7 +46,6 @@ pub mod span;
 pub mod trace;
 pub mod wallclock;
 
-pub use health::{HealthState, HealthSummary};
 pub use recorder::FlightRecorder;
 pub use registry::{Histogram, MetricValue, MetricsRegistry};
 pub use span::{SpanGuard, SpanNode, SpanTree};
