@@ -1,9 +1,9 @@
 //! Ablation studies over the design choices DESIGN.md calls out.
 
-use crate::experiments::{corrected_mpg, fresh_hev, train_eval, ExperimentConfig};
+use crate::experiments::{corrected_mpg, train_eval, train_eval_seeded, ExperimentConfig};
 use drive_cycle::{DriveCycle, StandardCycle};
 use hev_control::{EpisodeMetrics, JointController, JointControllerConfig, RunSpec, SeedSequence};
-use hev_predict::{Ewma, MarkovChain, MlpPredictor, MovingAverage};
+use hev_predict::{MarkovChain, MlpPredictor, MovingAverage};
 use serde::{Deserialize, Serialize};
 
 /// A generic ablation row: a swept value and the resulting metrics.
@@ -120,44 +120,19 @@ pub fn ablation_weight(cfg: &ExperimentConfig) -> Vec<AblationRow> {
 pub fn ablation_predictor(cfg: &ExperimentConfig) -> Vec<AblationRow> {
     let cycle = ablation_cycle();
     let seed = SeedSequence::new(cfg.seed).child(0);
-    let base = {
-        let mut c = JointControllerConfig::proposed();
-        c.initial_soc = cfg.initial_soc;
-        c.seed = seed;
-        c
-    };
-    let portfolio = crate::experiments::jitter_portfolio(&cycle, seed, cfg);
-    let rounds = (cfg.episodes / portfolio.len()).max(1);
-
-    let train_with = |predictor_label: usize| -> EpisodeMetrics {
-        let mut hev = fresh_hev(cfg.initial_soc);
-        match predictor_label {
-            0 => {
-                let mut a = JointController::with_predictor(base.clone(), Ewma::new(0.3));
-                a.train_portfolio(&mut hev, &portfolio, rounds);
-                a.evaluate(&mut hev, &cycle)
-            }
-            1 => {
-                let mut a = JointController::with_predictor(base.clone(), MovingAverage::new(10));
-                a.train_portfolio(&mut hev, &portfolio, rounds);
-                a.evaluate(&mut hev, &cycle)
-            }
-            2 => {
-                let mut a = JointController::with_predictor(
-                    base.clone(),
-                    MarkovChain::new(-40_000.0, 60_000.0, 12),
-                );
-                a.train_portfolio(&mut hev, &portfolio, rounds);
-                a.evaluate(&mut hev, &cycle)
-            }
-            _ => {
-                let mut a = JointController::with_predictor(
-                    base.clone(),
-                    MlpPredictor::new(4, 8, 0.02, 20_000.0, seed),
-                );
-                a.train_portfolio(&mut hev, &portfolio, rounds);
-                a.evaluate(&mut hev, &cycle)
-            }
+    let train_with = |arm: usize| -> EpisodeMetrics {
+        let c = JointControllerConfig::proposed();
+        match arm {
+            0 => train_eval_seeded(c, &cycle, cfg, seed, JointController::new),
+            1 => train_eval_seeded(c, &cycle, cfg, seed, |c| {
+                JointController::with_predictor(c, MovingAverage::new(10))
+            }),
+            2 => train_eval_seeded(c, &cycle, cfg, seed, |c| {
+                JointController::with_predictor(c, MarkovChain::new(-40_000.0, 60_000.0, 12))
+            }),
+            _ => train_eval_seeded(c, &cycle, cfg, seed, |c| {
+                JointController::with_predictor(c, MlpPredictor::new(4, 8, 0.02, 20_000.0, seed))
+            }),
         }
     };
     let labels = [

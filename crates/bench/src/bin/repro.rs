@@ -324,27 +324,12 @@ fn write_telemetry(
     metrics_prom: Option<&std::path::Path>,
 ) -> Result<(), ExitCode> {
     if let Some(path) = metrics_json {
-        let lines: Vec<String> = collected
-            .iter()
-            .flat_map(|r| r.metrics_lines.iter().cloned())
-            .collect();
-        let report: hev_trace::sink::SinkReport = hev_trace::sink::write_jsonl(path, &lines)
-            .map_err(|e| {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                ExitCode::FAILURE
-            })?;
-        println!("(wrote {}: {} metrics lines)", path.display(), report.lines);
+        let lines = collected.iter().flat_map(|r| &r.metrics_lines).collect();
+        write_jsonl(path, "metrics", lines)?;
     }
     if let Some(path) = trace_path {
-        let lines: Vec<String> = collected
-            .iter()
-            .flat_map(|r| r.trace_lines.iter().cloned())
-            .collect();
-        let report = hev_trace::sink::write_jsonl(path, &lines).map_err(|e| {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            ExitCode::FAILURE
-        })?;
-        println!("(wrote {}: {} trace lines)", path.display(), report.lines);
+        let lines = collected.iter().flat_map(|r| &r.trace_lines).collect();
+        write_jsonl(path, "trace", lines)?;
     }
     if let Some(path) = metrics_prom {
         // A scrape file wants one sample per series, so expose the last
@@ -362,6 +347,18 @@ fn write_telemetry(
         })?;
         println!("(wrote {})", path.display());
     }
+    Ok(())
+}
+
+/// Writes `lines` to `path` as JSONL, one line each, and reports the
+/// count on stdout.
+fn write_jsonl(path: &std::path::Path, what: &str, lines: Vec<&String>) -> Result<(), ExitCode> {
+    let text: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    std::fs::write(path, text).map_err(|e| {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        ExitCode::FAILURE
+    })?;
+    println!("(wrote {}: {} {what} lines)", path.display(), lines.len());
     Ok(())
 }
 
@@ -786,7 +783,11 @@ fn robustness_target(
     csv: Option<&std::path::Path>,
     checkpoint: Option<&CheckpointOptions>,
 ) -> Result<(), ExitCode> {
-    let rows = robustness::robustness_with(cfg, &robustness::DEFAULT_SEVERITIES, checkpoint);
+    let rows = robustness::robustness_with(cfg, &robustness::DEFAULT_SEVERITIES, checkpoint)
+        .map_err(|e| {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        })?;
     write_csv(
         csv,
         "robustness",

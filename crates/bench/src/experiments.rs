@@ -10,6 +10,7 @@ use hev_control::{
     RunTelemetry, SeedSequence, TelemetryConfig,
 };
 use hev_model::{HevParams, ParallelHev, FUEL_LHV_J_PER_G};
+use hev_predict::Predictor;
 use serde::{Deserialize, Serialize};
 
 /// Fuel→battery path efficiency assumed by the state-of-charge MPG
@@ -425,6 +426,7 @@ pub fn train_eval(
         cycle,
         cfg,
         SeedSequence::new(cfg.seed).child(0),
+        JointController::new,
     )
 }
 
@@ -460,16 +462,22 @@ pub(crate) fn plan_portfolio(
         .collect()
 }
 
-fn train_eval_seeded(
+/// The one train-and-evaluate protocol: trains the controller `build`
+/// makes from `controller_cfg` (seeded with `seed`) on the jittered
+/// portfolio of `cycle`, then evaluates it greedily on the nominal
+/// cycle. `build` picks the predictor (`JointController::new` for the
+/// paper's EWMA).
+pub(crate) fn train_eval_seeded<P: Predictor>(
     mut controller_cfg: JointControllerConfig,
     cycle: &drive_cycle::DriveCycle,
     cfg: &ExperimentConfig,
     seed: u64,
+    build: impl FnOnce(JointControllerConfig) -> JointController<P>,
 ) -> EpisodeMetrics {
     controller_cfg.initial_soc = cfg.initial_soc;
     controller_cfg.seed = seed;
     let mut hev = fresh_hev(cfg.initial_soc);
-    let mut agent = JointController::new(controller_cfg);
+    let mut agent = build(controller_cfg);
     let plans = plan_portfolio(&hev, cycle, seed, cfg);
     let rounds = (cfg.episodes / plans.len()).max(1);
     agent.train_portfolio_planned(&mut hev, &plans, rounds);
@@ -487,7 +495,13 @@ pub fn train_eval_runs(
     let group = format!("train/{}", cycle.name());
     cfg.harness()
         .run_seeded(&group, cfg.seed, cfg.runs.max(1), |_, seed| {
-            train_eval_seeded(controller_cfg.clone(), cycle, cfg, seed)
+            train_eval_seeded(
+                controller_cfg.clone(),
+                cycle,
+                cfg,
+                seed,
+                JointController::new,
+            )
         })
 }
 
@@ -524,7 +538,13 @@ pub fn train_eval_grid(
             if enabled {
                 telemetry::begin_task(labels[i].as_str(), cfg.telemetry);
             }
-            let metrics = train_eval_seeded(variants[vi].1.clone(), &cycles[ci], cfg, seed);
+            let metrics = train_eval_seeded(
+                variants[vi].1.clone(),
+                &cycles[ci],
+                cfg,
+                seed,
+                JointController::new,
+            );
             (metrics, enabled.then(telemetry::take_task))
         })
         .into_iter()

@@ -18,8 +18,8 @@
 use crate::experiments::{self, corrected_fuel_g, ExperimentConfig};
 use drive_cycle::StandardCycle;
 use hev_control::{
-    simulate_with_faults, train_portfolio_checkpointed, CheckpointSpec, ControllerSnapshot,
-    DegradationReport, EpisodeMetrics, FaultConfig, FaultPlan, JointController,
+    simulate_with_faults, train_portfolio_checkpointed, CheckpointError, CheckpointSpec,
+    ControllerSnapshot, DegradationReport, EpisodeMetrics, FaultConfig, FaultPlan, JointController,
     JointControllerConfig, RewardConfig, RuleBasedController, SeedSequence, SupervisedPolicy,
 };
 use serde::{Deserialize, Serialize};
@@ -78,11 +78,12 @@ pub struct CheckpointOptions {
 /// `robustness_run<k>.json` under the checkpoint directory every `every`
 /// episodes, and — with `resume` — picks up a prior run's episode count
 /// instead of retraining from zero (resumed training is bit-identical
-/// to uninterrupted, see [`hev_control::checkpoint`]).
+/// to uninterrupted, see [`hev_control::checkpoint`]). The first failing
+/// run's checkpoint error, in run order, fails the whole sweep.
 fn train_clean_snapshots_with(
     cfg: &ExperimentConfig,
     ckpt: Option<&CheckpointOptions>,
-) -> Vec<ControllerSnapshot> {
+) -> Result<Vec<ControllerSnapshot>, CheckpointError> {
     let cycle = StandardCycle::Oscar.cycle();
     cfg.harness()
         .run_seeded("robustness/train", cfg.seed, cfg.runs.max(1), |k, seed| {
@@ -98,12 +99,11 @@ fn train_clean_snapshots_with(
                 every: c.every,
                 resume: c.resume,
             });
-            let (agent, _) =
-                train_portfolio_checkpointed(ccfg, &mut hev, &portfolio, episodes, spec.as_ref())
-                    // hevlint::allow(panic::expect, the experiment harness aborts on checkpoint I/O failure by design; training results would be unusable)
-                    .expect("checkpoint file IO failed");
-            agent.snapshot()
+            train_portfolio_checkpointed(ccfg, &mut hev, &portfolio, episodes, spec.as_ref())
+                .map(|(agent, _)| agent.snapshot())
         })
+        .into_iter()
+        .collect()
 }
 
 /// Evaluates one trained controller, supervised, on the faulted cycle.
@@ -150,26 +150,21 @@ fn eval_rule_based(
     )
 }
 
-/// The degradation sweep over the default severities.
-pub fn robustness(cfg: &ExperimentConfig) -> Vec<RobustnessRow> {
-    robustness_at(cfg, &DEFAULT_SEVERITIES)
-}
-
-/// The degradation sweep over explicit severity levels.
-fn robustness_at(cfg: &ExperimentConfig, severities: &[f64]) -> Vec<RobustnessRow> {
-    robustness_with(cfg, severities, None)
-}
-
 /// The degradation sweep with optional checkpointed training.
+///
+/// # Errors
+///
+/// Fails when a training run's checkpoint cannot be read or written, or
+/// holds more episodes than `cfg` asks for.
 pub fn robustness_with(
     cfg: &ExperimentConfig,
     severities: &[f64],
     ckpt: Option<&CheckpointOptions>,
-) -> Vec<RobustnessRow> {
+) -> Result<Vec<RobustnessRow>, CheckpointError> {
     let cycle = StandardCycle::Oscar.cycle();
-    let snapshots = train_clean_snapshots_with(cfg, ckpt);
+    let snapshots = train_clean_snapshots_with(cfg, ckpt)?;
     let plan_seeds = SeedSequence::new(cfg.seed ^ FAULT_SEED_TAG);
-    severities
+    Ok(severities
         .iter()
         .map(|&severity| {
             let fault_cfg = FaultConfig::at_severity(severity);
@@ -206,7 +201,7 @@ pub fn robustness_with(
                 degradation,
             }
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -224,7 +219,7 @@ mod tests {
 
     #[test]
     fn sweep_completes_every_faulted_cycle() {
-        let rows = robustness_at(&tiny(), &[0.0, 1.0]);
+        let rows = robustness_with(&tiny(), &[0.0, 1.0], None).unwrap();
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert_eq!(
@@ -242,8 +237,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_across_worker_counts() {
-        let serial = robustness_at(&ExperimentConfig { jobs: 1, ..tiny() }, &[0.5]);
-        let parallel = robustness_at(&ExperimentConfig { jobs: 4, ..tiny() }, &[0.5]);
+        let sweep = |jobs| robustness_with(&ExperimentConfig { jobs, ..tiny() }, &[0.5], None);
+        let (serial, parallel) = (sweep(1).unwrap(), sweep(4).unwrap());
         assert_eq!(serial, parallel);
     }
 }

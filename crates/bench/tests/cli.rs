@@ -68,3 +68,30 @@ fn a_failed_csv_write_fails_the_run() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot write"), "{stderr}");
 }
+
+#[test]
+fn resuming_a_checkpoint_ahead_of_the_request_fails() {
+    let dir = std::env::temp_dir().join(format!("repro-ckpt-ahead-{}", std::process::id()));
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let trained = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "--episodes",
+            "10",
+            "--checkpoint-dir",
+            dir_arg,
+            "robustness",
+        ])
+        .output()
+        .expect("repro runs");
+    assert!(trained.status.success(), "the 10-episode run must succeed");
+    let resume = [
+        "--episodes",
+        "5",
+        "--checkpoint-dir",
+        dir_arg,
+        "--resume",
+        "robustness",
+    ];
+    rejected(&resume, "more than the 5 requested");
+    std::fs::remove_dir_all(&dir).ok();
+}

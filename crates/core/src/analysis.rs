@@ -8,7 +8,7 @@
 use crate::metrics::DegradationReport;
 use crate::sim::{ControlError, HevPolicy, Observation};
 use crate::telemetry::{DecisionInfo, PolicyTelemetry};
-use hev_model::{ControlInput, ParallelHev, StepOutcome};
+use hev_model::{ControlInput, ParallelHev, StepOutcome, WheelDemand};
 use serde::{Deserialize, Serialize};
 
 /// One recorded step: the observation scalars plus the realized outcome.
@@ -20,6 +20,8 @@ pub struct TracePoint {
     pub speed_mps: f64,
     /// Propulsion power demand, W.
     pub power_demand_w: f64,
+    /// Wheel speed, rad/s (the vehicle's own wheel radius applied).
+    pub wheel_speed_rad_s: f64,
     /// The realized outcome.
     pub outcome: StepOutcome,
     /// The reward received.
@@ -48,7 +50,7 @@ pub struct TracePoint {
 pub struct Recorder<P> {
     inner: P,
     trace: Vec<TracePoint>,
-    pending: Option<(f64, f64, f64)>,
+    pending: Option<(f64, WheelDemand)>,
 }
 
 impl<P: HevPolicy> Recorder<P> {
@@ -80,7 +82,7 @@ impl<P: HevPolicy> HevPolicy for Recorder<P> {
     }
 
     fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
-        self.pending = Some((obs.time_s, obs.demand.speed_mps, obs.demand.power_demand_w));
+        self.pending = Some((obs.time_s, *obs.demand));
         self.inner.decide(hev, obs)
     }
 
@@ -91,11 +93,12 @@ impl<P: HevPolicy> HevPolicy for Recorder<P> {
         outcome: &StepOutcome,
         reward: f64,
     ) {
-        if let Some((time_s, speed_mps, power_demand_w)) = self.pending.take() {
+        if let Some((time_s, demand)) = self.pending.take() {
             self.trace.push(TracePoint {
                 time_s,
-                speed_mps,
-                power_demand_w,
+                speed_mps: demand.speed_mps,
+                power_demand_w: demand.power_demand_w,
+                wheel_speed_rad_s: demand.wheel_speed_rad_s,
                 outcome: *outcome,
                 reward,
             });
@@ -180,9 +183,8 @@ impl EnergyAudit {
             if o.battery_power_w < 0.0 {
                 audit.regen_wh += -o.battery_power_w * to_wh;
             }
-            // Friction torque acts at the wheels; the wheel's angular
-            // speed comes from the recorded vehicle speed.
-            audit.friction_wh += (-o.friction_brake_torque_nm) * wheel_speed_of(p) * to_wh;
+            // Friction torque acts at the wheels.
+            audit.friction_wh += (-o.friction_brake_torque_nm) * p.wheel_speed_rad_s * to_wh;
             audit.aux_wh += o.p_aux_w * to_wh;
             audit.battery_net_wh += o.battery_power_w * to_wh;
             if o.engine_started {
@@ -203,12 +205,6 @@ impl EnergyAudit {
             self.regen_wh / total
         }
     }
-}
-
-fn wheel_speed_of(p: &TracePoint) -> f64 {
-    // Wheel radius of the default chassis; traces carry speeds, not
-    // radii. 0.282 m matches `BodyParams::default()`.
-    p.speed_mps / 0.282
 }
 
 #[cfg(test)]
@@ -293,6 +289,36 @@ mod tests {
             .expect("the supervisor's report survives the recorder");
         assert_eq!(report.decisions, cycle.len());
         assert_eq!(rec.trace().len(), cycle.len());
+    }
+
+    #[test]
+    fn friction_energy_uses_the_vehicles_wheel_radius() {
+        let mut params = HevParams::default_parallel_hev();
+        params.body.wheel_radius_m = 0.35;
+        let cycle = ProfileBuilder::new("brake")
+            .idle(2.0)
+            .trip(50.0, 8.0, 5.0, 3.0, 2.0)
+            .build()
+            .unwrap();
+        let mut hev = ParallelHev::new(params, 0.75).unwrap();
+        let mut rec = Recorder::new(RuleBasedController::default());
+        simulate(&mut hev, &cycle, &mut rec, &RewardConfig::default());
+        let trace = rec.trace();
+        let dt = trace[1].time_s - trace[0].time_s;
+        let expected: f64 = trace
+            .iter()
+            .map(|p| -p.outcome.friction_brake_torque_nm * p.speed_mps / 0.35 * dt / 3600.0)
+            .sum();
+        let audit = EnergyAudit::of(trace);
+        assert!(
+            expected > 0.0,
+            "the cycle must brake on the friction brakes"
+        );
+        assert!(
+            (audit.friction_wh - expected).abs() <= 1e-9 * expected,
+            "audit {} Wh vs {expected} Wh",
+            audit.friction_wh
+        );
     }
 
     #[test]

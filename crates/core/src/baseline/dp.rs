@@ -9,8 +9,9 @@
 
 use crate::inner_opt::InnerOptimizer;
 use crate::metrics::EpisodeMetrics;
+use crate::plan::CyclePlan;
 use crate::reward::RewardConfig;
-use crate::sim::{fallback_control, simulate, HevPolicy, Observation};
+use crate::sim::{fallback_control, simulate_planned, HevPolicy, Observation};
 use drive_cycle::DriveCycle;
 use hev_model::{ControlInput, ParallelHev};
 use serde::{Deserialize, Serialize};
@@ -89,6 +90,11 @@ pub struct DpSolution {
 /// Solves the cycle by backward value iteration and simulates the
 /// resulting policy forward from `initial_soc`.
 ///
+/// Both passes run on one [`CyclePlan`]: its context is battery-state
+/// independent, so one per timestep serves the entire SoC grid of the
+/// backward sweep and then the forward pass, and the whole solve records
+/// a single `ctx_rebuilds` tick.
+///
 /// # Panics
 ///
 /// Panics if `config.soc_points < 2` or the currents list is empty.
@@ -97,21 +103,6 @@ pub fn solve(
     cycle: &DriveCycle,
     initial_soc: f64,
     config: &DpConfig,
-) -> DpSolution {
-    solve_impl(hev, cycle, initial_soc, config, true)
-}
-
-/// `use_table = true` tabulates every timestep's context once up front
-/// (one `ctx_rebuild` for the whole solve); `false` is the reference
-/// rebuilt-per-step path kept for differential testing — the two are
-/// bit-identical because the table stores exactly what the per-step
-/// rebuild would produce.
-fn solve_impl(
-    hev: &mut ParallelHev,
-    cycle: &DriveCycle,
-    initial_soc: f64,
-    config: &DpConfig,
-    use_table: bool,
 ) -> DpSolution {
     let _span = hev_trace::span::enter("dp.sweep");
     assert!(config.soc_points >= 2, "need at least two soc grid points");
@@ -141,36 +132,11 @@ fn solve_impl(
         value[j] * (1.0 - w) + value[j + 1] * w
     };
 
-    // Precompute every timestep's wheel demand in one batched sweep over
-    // the cycle (bit-identical to per-step construction).
-    let points: Vec<_> = cycle.points().collect();
-    let speeds: Vec<f64> = points.iter().map(|p| p.speed_mps).collect();
-    let accels: Vec<f64> = points.iter().map(|p| p.accel_mps2).collect();
-    let mut demands = Vec::new();
-    if points.iter().all(|p| p.grade == points[0].grade) {
-        hev.body()
-            .demands_into(&speeds, &accels, points[0].grade, &mut demands);
-    } else {
-        demands.extend(
-            points
-                .iter()
-                .map(|p| hev.demand(p.speed_mps, p.accel_mps2, p.grade)),
-        );
-    }
-    // The context is battery-state independent, so one per timestep
-    // serves the entire SOC grid: tabulate all of them up front and let
-    // the backward sweep index into the table.
-    let table = use_table.then(|| hev_model::ContextTable::build(hev, &demands, dt));
-    let mut rebuilt = hev_model::StepContext::default();
+    let plan = CyclePlan::new(hev, cycle);
+    let table = plan.table();
     for t in (0..t_len).rev() {
-        let demand = demands[t];
-        let ctx = match &table {
-            Some(tab) => tab.context(t),
-            None => {
-                hev.rebuild_context(&mut rebuilt, &demand);
-                &rebuilt
-            }
-        };
+        let demand = table.demand(t);
+        let ctx = table.context(t);
         let mut value_t = vec![f64::NEG_INFINITY; n];
         let mut row = Vec::with_capacity(n);
         #[allow(clippy::needless_range_loop)] // j indexes both value_t and the soc grid
@@ -189,7 +155,7 @@ fn solve_impl(
                     best_c = Some(r.control);
                 }
             }
-            let control = best_c.unwrap_or_else(|| fallback_control(hev, &demand, dt));
+            let control = best_c.unwrap_or_else(|| fallback_control(hev, demand, dt));
             if best_v == f64::NEG_INFINITY {
                 // Fallback value: simulate the fallback control.
                 if let Ok(o) = hev.peek_with_context(ctx, &control, dt) {
@@ -212,7 +178,7 @@ fn solve_impl(
         actions,
     };
     hev.reset_soc(initial_soc);
-    let metrics = simulate(hev, cycle, &mut policy, &config.reward);
+    let metrics = simulate_planned(hev, &plan, &mut policy, &config.reward);
     DpSolution {
         expected_reward,
         policy,
@@ -224,6 +190,7 @@ fn solve_impl(
 mod tests {
     use super::*;
     use crate::baseline::rule_based::RuleBasedController;
+    use crate::sim::simulate;
     use drive_cycle::ProfileBuilder;
     use hev_model::HevParams;
 
@@ -290,45 +257,16 @@ mod tests {
     }
 
     #[test]
-    fn tabulated_solve_is_bit_identical_to_rebuilt_per_step() {
+    fn solve_and_forward_pass_share_one_context_build() {
         let cycle = small_cycle();
-        let cfg = quick_config();
-        let tabulated = solve_impl(&mut hev(), &cycle, 0.6, &cfg, true);
-        let reference = solve_impl(&mut hev(), &cycle, 0.6, &cfg, false);
+        let before = hev_trace::evals::ctx_rebuilds();
+        let sol = solve(&mut hev(), &cycle, 0.6, &quick_config());
+        assert_eq!(sol.metrics.fallback_steps, 0);
         assert_eq!(
-            tabulated.expected_reward.to_bits(),
-            reference.expected_reward.to_bits(),
-            "cost-to-go must not move when contexts come from the table"
+            hev_trace::evals::ctx_rebuilds().wrapping_sub(before),
+            1,
+            "the sweep and the forward pass must both read the one plan"
         );
-        assert_eq!(tabulated.policy, reference.policy);
-        assert_eq!(
-            tabulated.metrics.total_reward.to_bits(),
-            reference.metrics.total_reward.to_bits()
-        );
-        assert_eq!(
-            tabulated.metrics.fuel_g.to_bits(),
-            reference.metrics.fuel_g.to_bits()
-        );
-    }
-
-    #[test]
-    fn tabulated_solve_rebuilds_context_once() {
-        let cycle = small_cycle();
-        let cfg = quick_config();
-        let before = hev_trace::evals::counts();
-        solve_impl(&mut hev(), &cycle, 0.6, &cfg, true);
-        let tabulated = hev_trace::evals::counts().since(&before);
-        let before = hev_trace::evals::counts();
-        solve_impl(&mut hev(), &cycle, 0.6, &cfg, false);
-        let reference = hev_trace::evals::counts().since(&before);
-        // The backward sweep collapses from one rebuild per timestep to a
-        // single table build; the forward pass is unchanged in both.
-        assert_eq!(
-            tabulated.ctx_rebuilds + cycle.len() as u64 - 1,
-            reference.ctx_rebuilds,
-            "tabulated {tabulated:?} vs reference {reference:?}"
-        );
-        assert_eq!(tabulated.evals, reference.evals);
     }
 
     #[test]

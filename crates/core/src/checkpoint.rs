@@ -25,6 +25,7 @@
 
 use crate::controller::{ControllerSnapshot, JointController, JointControllerConfig};
 use crate::metrics::EpisodeMetrics;
+use crate::plan::CyclePlan;
 use drive_cycle::DriveCycle;
 use hev_model::ParallelHev;
 use serde::{Deserialize, Serialize};
@@ -75,6 +76,15 @@ pub enum CheckpointError {
     /// The payload passed the frame checks but is not a valid
     /// checkpoint.
     Malformed(String),
+    /// The checkpoint already holds more trained episodes than the
+    /// resumed run asks for, so resuming would hand back a controller
+    /// trained longer than requested.
+    AheadOfRequest {
+        /// Episodes the checkpoint records as done.
+        episodes_done: usize,
+        /// Episodes the resumed run asked for.
+        requested: usize,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -91,6 +101,13 @@ impl std::fmt::Display for CheckpointError {
             ),
             Self::MalformedHeader => write!(f, "malformed checkpoint frame header"),
             Self::Malformed(e) => write!(f, "malformed checkpoint payload: {e}"),
+            Self::AheadOfRequest {
+                episodes_done,
+                requested,
+            } => write!(
+                f,
+                "checkpoint holds {episodes_done} trained episodes, more than the {requested} requested"
+            ),
         }
     }
 }
@@ -107,15 +124,6 @@ impl std::error::Error for CheckpointError {
 impl From<io::Error> for CheckpointError {
     fn from(e: io::Error) -> Self {
         Self::Io(e)
-    }
-}
-
-impl From<CheckpointError> for io::Error {
-    fn from(e: CheckpointError) -> Self {
-        match e {
-            CheckpointError::Io(e) => e,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        }
     }
 }
 
@@ -265,18 +273,31 @@ impl CheckpointSpec {
 ///
 /// Returns the trained controller and the metrics of the episodes run *by
 /// this invocation* (a resumed run returns only the remaining episodes).
+/// Every episode runs on a [`CyclePlan`]; the portfolio's plans are built
+/// once, before the first episode.
+///
+/// # Errors
+///
+/// Fails when the checkpoint cannot be read or written, and with
+/// [`CheckpointError::AheadOfRequest`] when the resumed checkpoint
+/// already holds more than `episodes` episodes.
 pub fn train_portfolio_checkpointed(
     config: JointControllerConfig,
     hev: &mut ParallelHev,
     cycles: &[DriveCycle],
     episodes: usize,
     spec: Option<&CheckpointSpec>,
-) -> io::Result<(JointController, Vec<EpisodeMetrics>)> {
+) -> Result<(JointController, Vec<EpisodeMetrics>), CheckpointError> {
     assert!(!cycles.is_empty(), "portfolio must contain a cycle");
     let (mut agent, start) = match spec {
         Some(s) if s.resume && s.path.exists() => {
-            let (ckpt, _recovered) =
-                TrainCheckpoint::load_or_recover(&s.path).map_err(io::Error::from)?;
+            let (ckpt, _recovered) = TrainCheckpoint::load_or_recover(&s.path)?;
+            if ckpt.episodes_done > episodes {
+                return Err(CheckpointError::AheadOfRequest {
+                    episodes_done: ckpt.episodes_done,
+                    requested: episodes,
+                });
+            }
             (
                 JointController::from_snapshot(ckpt.snapshot),
                 ckpt.episodes_done,
@@ -285,10 +306,10 @@ pub fn train_portfolio_checkpointed(
         _ => (JointController::new(config), 0),
     };
     agent.set_training(true);
-    let mut metrics = Vec::with_capacity(episodes.saturating_sub(start));
+    let plans: Vec<CyclePlan> = cycles.iter().map(|c| CyclePlan::new(hev, c)).collect();
+    let mut metrics = Vec::with_capacity(episodes - start);
     for e in start..episodes {
-        let cycle = &cycles[e % cycles.len()];
-        metrics.push(agent.train_episode(hev, cycle));
+        metrics.push(agent.train_episode(hev, &plans[e % plans.len()]));
         if let Some(s) = spec {
             let done = e + 1;
             if done % s.every == 0 || done == episodes {
@@ -385,6 +406,27 @@ mod tests {
         // its final state matches the uninterrupted run bit-for-bit.
         assert_eq!(tail.len(), 4);
         assert_eq!(resumed.snapshot(), reference.snapshot());
+    }
+
+    #[test]
+    fn resuming_a_checkpoint_ahead_of_the_request_is_an_error() {
+        let path = tmp_path("ahead");
+        cleanup(&path);
+        let spec = CheckpointSpec::new(&path, 2);
+        let cs = cycles();
+        let _ = train_portfolio_checkpointed(config(), &mut hev(), &cs, 4, Some(&spec)).unwrap();
+        let resumed = train_portfolio_checkpointed(config(), &mut hev(), &cs, 2, Some(&spec));
+        cleanup(&path);
+        match resumed {
+            Err(CheckpointError::AheadOfRequest {
+                episodes_done: 4,
+                requested: 2,
+            }) => {}
+            other => panic!(
+                "expected AheadOfRequest, got {:?}",
+                other.map(|(_, m)| m.len())
+            ),
+        }
     }
 
     #[test]

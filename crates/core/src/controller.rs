@@ -13,9 +13,7 @@ use crate::inner_opt::{InnerOptimizer, ResolvedAction};
 use crate::metrics::EpisodeMetrics;
 use crate::plan::CyclePlan;
 use crate::reward::RewardConfig;
-use crate::sim::{
-    fallback_control, simulate, simulate_planned, ControlError, HevPolicy, Observation,
-};
+use crate::sim::{fallback_control, simulate_planned, ControlError, HevPolicy, Observation};
 use crate::state::{StateSample, StateSpace, StateSpaceConfig};
 use crate::telemetry::{self, DecisionInfo, PolicyTelemetry};
 use drive_cycle::DriveCycle;
@@ -330,18 +328,18 @@ impl<P: Predictor> JointController<P> {
         }
     }
 
-    /// Trains a single episode on a cycle — the unit step of
+    /// Trains a single episode on a planned cycle — the unit step of
     /// [`JointController::train`] and
-    /// [`JointController::train_portfolio`], exposed so checkpointed
-    /// drivers ([`crate::checkpoint`]) can interleave episodes with
-    /// snapshots. Resets the battery to the configured initial state of
-    /// charge first.
-    pub fn train_episode(&mut self, hev: &mut ParallelHev, cycle: &DriveCycle) -> EpisodeMetrics {
+    /// [`JointController::train_portfolio_planned`], exposed so
+    /// checkpointed drivers ([`crate::checkpoint`]) can interleave
+    /// episodes with snapshots. Resets the battery to the configured
+    /// initial state of charge first.
+    pub fn train_episode(&mut self, hev: &mut ParallelHev, plan: &CyclePlan) -> EpisodeMetrics {
         self.training = true;
         hev.reset_soc(self.config.initial_soc);
         let reward = self.config.reward;
         telemetry::set_kind("train");
-        simulate(hev, cycle, self, &reward)
+        simulate_planned(hev, plan, self, &reward)
     }
 
     /// Trains for `episodes` episodes on a cycle, resetting the battery
@@ -353,8 +351,9 @@ impl<P: Predictor> JointController<P> {
         cycle: &DriveCycle,
         episodes: usize,
     ) -> Vec<EpisodeMetrics> {
+        let plan = CyclePlan::new(hev, cycle);
         (0..episodes)
-            .map(|_| self.train_episode(hev, cycle))
+            .map(|_| self.train_episode(hev, &plan))
             .collect()
     }
 
@@ -366,24 +365,8 @@ impl<P: Predictor> JointController<P> {
         cycles: &[DriveCycle],
         rounds: usize,
     ) -> Vec<EpisodeMetrics> {
-        let mut out = Vec::with_capacity(rounds * cycles.len());
-        for _ in 0..rounds {
-            for cycle in cycles {
-                out.push(self.train_episode(hev, cycle));
-            }
-        }
-        out
-    }
-
-    /// [`JointController::train_episode`] against a precomputed
-    /// [`CyclePlan`]: bit-identical, but the per-step context precompute
-    /// is amortized into the plan's one-time build.
-    fn train_episode_planned(&mut self, hev: &mut ParallelHev, plan: &CyclePlan) -> EpisodeMetrics {
-        self.training = true;
-        hev.reset_soc(self.config.initial_soc);
-        let reward = self.config.reward;
-        telemetry::set_kind("train");
-        simulate_planned(hev, plan, self, &reward)
+        let plans: Vec<CyclePlan> = cycles.iter().map(|c| CyclePlan::new(hev, c)).collect();
+        self.train_portfolio_planned(hev, &plans, rounds)
     }
 
     /// [`JointController::train_portfolio`] against precomputed plans
@@ -397,7 +380,7 @@ impl<P: Predictor> JointController<P> {
         let mut out = Vec::with_capacity(rounds * plans.len());
         for _ in 0..rounds {
             for plan in plans {
-                out.push(self.train_episode_planned(hev, plan));
+                out.push(self.train_episode(hev, plan));
             }
         }
         out
@@ -416,13 +399,8 @@ impl<P: Predictor> JointController<P> {
 
     /// Greedy evaluation on a cycle (no exploration, no learning).
     pub fn evaluate(&mut self, hev: &mut ParallelHev, cycle: &DriveCycle) -> EpisodeMetrics {
-        self.training = false;
-        hev.reset_soc(self.config.initial_soc);
-        let reward = self.config.reward;
-        telemetry::set_kind("eval");
-        let metrics = simulate(hev, cycle, self, &reward);
-        self.training = true;
-        metrics
+        let plan = CyclePlan::new(hev, cycle);
+        self.evaluate_planned(hev, &plan)
     }
 
     fn encode_state(&self, obs: &Observation<'_>) -> usize {

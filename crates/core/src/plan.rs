@@ -4,7 +4,7 @@
 //! Training replays the same cycle thousands of times; a [`CyclePlan`]
 //! performs the per-step demand and context precompute once and shares
 //! it immutably (via [`Arc`]) across episodes, harness workers, and the
-//! DP solver's state-of-charge sweep. The
+//! DP solver's state-of-charge sweep and forward pass. The
 //! planned simulation entry points ([`crate::sim::simulate_planned`] and
 //! friends) consume a plan instead of rebuilding per step; the
 //! `ctx_rebuilds` counter in [`hev_trace::evals`] proves the

@@ -18,7 +18,7 @@
 //!
 //! Nothing here touches a clock or a file: lines are pre-serialized
 //! strings collected per task and written afterwards in task order
-//! (see `hev_trace::sink`), which is what makes the emitted files
+//! (by `repro`), which is what makes the emitted files
 //! byte-identical across `--jobs` worker counts.
 
 use crate::harness::runlog::{self, RunEvent};

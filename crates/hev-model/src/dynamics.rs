@@ -100,27 +100,6 @@ impl VehicleBody {
             power_demand_w: f * speed_mps,
         }
     }
-
-    /// Batched form of [`VehicleBody::demand`]: appends one demand per
-    /// `(v, a)` sample of a cycle at constant `grade`, reusing `out`'s
-    /// allocation. Each element is exactly what the scalar call returns
-    /// for the same sample — consumers that precompute a whole cycle's
-    /// demands (the DP solver's per-timestep sweep) stay bit-identical
-    /// to per-step construction.
-    pub fn demands_into(
-        &self,
-        speeds_mps: &[f64],
-        accels_mps2: &[f64],
-        grade: f64,
-        out: &mut Vec<WheelDemand>,
-    ) {
-        out.clear();
-        let n = speeds_mps.len().min(accels_mps2.len());
-        out.reserve(n);
-        for k in 0..n {
-            out.push(self.demand(speeds_mps[k], accels_mps2[k], grade));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -185,19 +164,6 @@ mod tests {
     fn wheel_speed_scales_with_radius() {
         let b = body();
         assert!((b.wheel_speed(28.2) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn demands_into_matches_scalar_demand() {
-        let b = body();
-        let speeds = [0.0, 5.0, 15.0, 27.8];
-        let accels = [0.0, 1.2, -0.8, 0.0];
-        let mut out = vec![b.demand(99.0, 9.0, 0.0)]; // stale entry must be cleared
-        b.demands_into(&speeds, &accels, 0.01, &mut out);
-        assert_eq!(out.len(), 4);
-        for k in 0..4 {
-            assert_eq!(out[k], b.demand(speeds[k], accels[k], 0.01));
-        }
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //! One build records exactly **one** `ctx_rebuilds` tick in
 //! [`hev_trace::evals`], however long the cycle — that is the
 //! amortization the counter exists to prove. Per-step
-//! [`ParallelHev::rebuild_context`] calls record one tick each.
+//! [`ParallelHev::rebuild_context`] calls record one tick each. Both
+//! enter the `model.ctx_build` span once per call, so the span profiler
+//! attributes a table build where it happens.
 
 use crate::dynamics::WheelDemand;
 use crate::vehicle::{ParallelHev, StepContext};
@@ -50,8 +52,10 @@ impl ContextTable {
     /// Each entry is bit-identical to what
     /// [`ParallelHev::rebuild_context`] would produce for the same
     /// demand at the builder's motor derate, but the whole build records
-    /// a single `ctx_rebuilds` tick (see the module docs).
+    /// a single `ctx_rebuilds` tick and a single `model.ctx_build` span
+    /// call (see the module docs).
     pub fn build(hev: &ParallelHev, demands: &[WheelDemand], dt: f64) -> Self {
+        let _span = hev_trace::span::enter("model.ctx_build");
         hev_trace::evals::record_ctx_rebuild();
         let contexts = demands
             .iter()
@@ -124,14 +128,7 @@ mod tests {
         for (t, demand) in demands.iter().enumerate() {
             let mut fresh = StepContext::default();
             hev.rebuild_context(&mut fresh, demand);
-            let tabulated = table.context(t);
-            assert_eq!(tabulated.kind, fresh.kind, "step {t}");
-            assert_eq!(tabulated.gears.len(), fresh.gears.len(), "step {t}");
-            assert_eq!(
-                tabulated.demand().wheel_torque_nm.to_bits(),
-                fresh.demand().wheel_torque_nm.to_bits(),
-                "step {t}"
-            );
+            assert_eq!(table.context(t), &fresh, "step {t}");
             assert_eq!(
                 table.demand(t).wheel_torque_nm.to_bits(),
                 demand.wheel_torque_nm.to_bits()

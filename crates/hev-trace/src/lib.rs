@@ -19,13 +19,12 @@
 //! * [`span`] — a hierarchical span profiler on the eval-count virtual
 //!   clock, with per-phase cost attribution, Chrome-trace export, and a
 //!   wall-clock lane installable only from the harness layer;
-//! * [`sink`] / [`wallclock`] — the harness-role modules (the only ones
-//!   allowed to touch the wall clock and filesystem): file-writing
-//!   sinks, and the span profiler's wall-clock hook.
+//! * [`wallclock`] — the harness-role module (the only one allowed to
+//!   touch the wall clock): the span profiler's wall-clock hook.
 //!
 //! # Determinism contract
 //!
-//! Everything outside [`sink`] is a pure function of what was recorded:
+//! Everything outside [`wallclock`] is a pure function of what was recorded:
 //! no wall clock, no environment, no hashing collections. Emitted lines
 //! are therefore byte-identical across worker counts as long as callers
 //! collect them per task and concatenate in task order (the pattern
@@ -41,7 +40,6 @@ pub mod evals;
 pub mod json;
 pub mod recorder;
 pub mod registry;
-pub mod sink;
 pub mod span;
 pub mod trace;
 pub mod wallclock;

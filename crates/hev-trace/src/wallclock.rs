@@ -3,8 +3,8 @@
 //! [`crate::span`] keeps its own hands clean of machine state: it reads
 //! wall time only through an installable hook, so the library role's
 //! no-wall-clock rule holds for the profiler itself. This module is the
-//! one place the hook's `Instant` lives, registered (like
-//! `hev-trace/src/sink.rs`) under hevlint's Harness role. Harness code
+//! one place the hook's `Instant` lives, registered under hevlint's
+//! Harness role. Harness code
 //! installs the lane per worker thread around a profiled task; the
 //! recorded nanoseconds surface only in the human-facing attribution
 //! table, never in a determinism-compared artifact.

@@ -98,8 +98,6 @@ impl Report {
 /// The harness/bench/tooling layer — `crates/bench` (experiment runner,
 /// prints reports, measures wall-clock), `crates/core/src/harness`
 /// (timing + run-log layer), `crates/hevlint` itself (a CLI tool),
-/// `crates/hev-trace/src/sink.rs` (the telemetry file writer, the one
-/// hev-trace module allowed to touch the clock and filesystem),
 /// `crates/hev-trace/src/wallclock.rs` (the span profiler's optional
 /// wall-clock lane: the one module that installs a nanosecond hook —
 /// the span module itself reads no machine state), and
@@ -111,7 +109,6 @@ fn role_for(rel_path: &str) -> Role {
     if p.starts_with("crates/bench/")
         || p.starts_with("crates/hevlint/")
         || p.contains("/harness/")
-        || p == "crates/hev-trace/src/sink.rs"
         || p == "crates/hev-trace/src/wallclock.rs"
         || p == "crates/hev-serve/src/driver.rs"
     {
@@ -428,7 +425,6 @@ mod tests {
         assert_eq!(role_for("crates/bench/src/profile.rs"), Role::Harness);
         assert_eq!(role_for("crates/core/src/harness/mod.rs"), Role::Harness);
         assert_eq!(role_for("crates/hevlint/src/main.rs"), Role::Harness);
-        assert_eq!(role_for("crates/hev-trace/src/sink.rs"), Role::Harness);
         assert_eq!(role_for("crates/hev-trace/src/wallclock.rs"), Role::Harness);
         assert_eq!(role_for("crates/hev-trace/src/registry.rs"), Role::Library);
         assert_eq!(role_for("crates/hev-trace/src/span.rs"), Role::Library);
