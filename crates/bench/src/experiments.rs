@@ -415,7 +415,7 @@ pub fn learning_curve(cfg: &ExperimentConfig, stride: usize) -> Vec<LearningCurv
 
 /// Trains a joint controller on a cycle and returns the greedy
 /// evaluation of a single run — run 0 of the master seed's family, so
-/// it matches `train_eval_runs(..)[0]` exactly.
+/// it matches run 0 of a [`train_eval_grid`] cell exactly.
 pub fn train_eval(
     controller_cfg: JointControllerConfig,
     cycle: &drive_cycle::DriveCycle,
@@ -482,27 +482,6 @@ pub(crate) fn train_eval_seeded<P: Predictor>(
     let rounds = (cfg.episodes / plans.len()).max(1);
     agent.train_portfolio_planned(&mut hev, &plans, rounds);
     agent.evaluate_planned(&mut hev, &plans[0])
-}
-
-/// Trains `cfg.runs` independent controllers (seed-split from
-/// `cfg.seed`) and returns every greedy evaluation, fanned across
-/// `cfg.jobs` workers. Bit-identical at every worker count.
-pub fn train_eval_runs(
-    controller_cfg: &JointControllerConfig,
-    cycle: &drive_cycle::DriveCycle,
-    cfg: &ExperimentConfig,
-) -> Vec<EpisodeMetrics> {
-    let group = format!("train/{}", cycle.name());
-    cfg.harness()
-        .run_seeded(&group, cfg.seed, cfg.runs.max(1), |_, seed| {
-            train_eval_seeded(
-                controller_cfg.clone(),
-                cycle,
-                cfg,
-                seed,
-                JointController::new,
-            )
-        })
 }
 
 /// Trains every `(cycle × controller variant × run)` combination as one
@@ -667,9 +646,12 @@ mod tests {
             jitter_variants: 1,
             ..ExperimentConfig::default()
         };
-        let cycle = tiny_cycle();
-        let runs = train_eval_runs(&JointControllerConfig::proposed(), &cycle, &cfg);
-        let summary = hev_control::MetricsSummary::from_runs(&runs);
+        let cycles = [tiny_cycle()];
+        let variants = [("proposed", JointControllerConfig::proposed())];
+        let (grid, _) = train_eval_grid("summary", &cycles, &variants, &cfg);
+        let runs = &grid[0][0];
+        assert_eq!(runs.len(), cfg.runs);
+        let summary = hev_control::MetricsSummary::from_runs(runs);
         assert_eq!(summary.runs, runs.len());
         assert!(summary.fuel_g.mean.is_finite());
     }

@@ -55,18 +55,20 @@ fn q_tables_and_fuel_identical_across_worker_counts() {
 }
 
 #[test]
-fn train_eval_runs_identical_across_worker_counts() {
-    let cycle = StandardCycle::Oscar.cycle();
-    let controller = JointControllerConfig::proposed();
-    let serial = experiments::train_eval_runs(&controller, &cycle, &tiny(1));
+fn train_eval_grid_identical_across_worker_counts() {
+    let cycles = [StandardCycle::Oscar.cycle()];
+    let variants = [("proposed", JointControllerConfig::proposed())];
+    let grid =
+        |jobs| experiments::train_eval_grid("determinism", &cycles, &variants, &tiny(jobs)).0;
+    let serial = grid(1);
     for jobs in [2, 8] {
-        let parallel = experiments::train_eval_runs(&controller, &cycle, &tiny(jobs));
         assert_eq!(
-            serial, parallel,
+            serial,
+            grid(jobs),
             "metrics diverged between 1 and {jobs} workers"
         );
     }
-    assert_eq!(serial.len(), 3);
+    assert_eq!(serial[0][0].len(), 3);
 }
 
 /// Trains tiny controllers and evaluates them supervised under seeded
@@ -207,7 +209,7 @@ fn corrected_fuel_finite_positive_across_grid() {
 
 /// The deterministic eval clock of a fixed single-threaded workload,
 /// pinned exactly: four planned training episodes on UDDS plus one
-/// greedy evaluation (seed 42) cost exactly 751 175 peek-equivalent
+/// greedy evaluation (seed 42) cost exactly 512 311 peek-equivalent
 /// evaluations over 6 845 simulated steps, and the cycle's context
 /// table is built once for the whole workload. Any per-step work
 /// leaking into the disabled-telemetry hot loop, or a context rebuild
@@ -229,7 +231,7 @@ fn udds_workload_replays_the_pinned_eval_count() {
 
     let steps = metrics.steps as u64 * (train_episodes as u64 + 1);
     assert_eq!(steps, 6_845);
-    assert_eq!(counts.evals, 751_175);
+    assert_eq!(counts.evals, 512_311);
     assert_eq!(
         counts.ctx_rebuilds, 1,
         "expected one context-table build for the whole workload"

@@ -821,6 +821,25 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_with_retired_search_knobs_still_parses() {
+        // Snapshots from when the inner search was configurable carry
+        // `aux_grid` and `refine_iters`; they load and are ignored.
+        let mut hev = hev();
+        let mut agent = JointController::new(quick_config());
+        agent.train(&mut hev, &tiny_cycle(), 2);
+        let snapshot = agent.snapshot();
+        let json = serde_json::to_string(&snapshot).unwrap();
+        let current = r#""inner":{"fixed_aux_w":null}"#;
+        assert!(json.contains(current), "{json}");
+        let old = json.replace(
+            current,
+            r#""inner":{"aux_grid":7,"refine_iters":12,"fixed_aux_w":null}"#,
+        );
+        let parsed: ControllerSnapshot = serde_json::from_str(&old).unwrap();
+        assert_eq!(parsed, snapshot);
+    }
+
+    #[test]
     fn restored_controller_keeps_learning() {
         let mut hev = hev();
         let cycle = tiny_cycle();

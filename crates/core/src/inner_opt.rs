@@ -31,28 +31,32 @@ pub struct ResolvedAction {
     pub reward: f64,
 }
 
+/// Coarse grid points over the auxiliary power range.
+const AUX_GRID: usize = 7;
+
+/// Golden-section probes per gear after the grid: two interior points,
+/// then one per shrink, reusing the surviving interior probe. Twelve
+/// probes make eleven shrinks, a final bracket of `INV_PHI^11 ≈ 0.0050`
+/// of the initial one, no wider than twelve ternary iterations'
+/// `(2/3)^12 ≈ 0.0077` at half their 24 probes.
+const REFINE_PROBES: usize = 12;
+
+/// The golden-section ratio `(√5 − 1) / 2`.
+const INV_PHI: f64 = 0.618_033_988_749_894_8;
+
 /// The inner optimizer: maximizes the instantaneous reward over
 /// `(gear, p_aux)` for a given battery current.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// The search itself (a 7-point aux grid, then 12 golden-section probes
+/// per gear) is fixed by the algorithm, not configured: snapshots written
+/// when it was configurable still parse, and their `aux_grid` /
+/// `refine_iters` keys are ignored.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct InnerOptimizer {
-    /// Coarse grid points over the auxiliary power range.
-    pub aux_grid: usize,
-    /// Ternary-search refinement iterations around the best grid point.
-    pub refine_iters: usize,
     /// Locks the auxiliary power to a fixed value instead of optimizing
     /// it — this reproduces the powertrain-only RL baseline (ICCAD'14),
     /// which ignores auxiliary control.
     pub fixed_aux_w: Option<f64>,
-}
-
-impl Default for InnerOptimizer {
-    fn default() -> Self {
-        Self {
-            aux_grid: 7,
-            refine_iters: 12,
-            fixed_aux_w: None,
-        }
-    }
 }
 
 /// One probed candidate of a gear's aux search: the auxiliary power, the
@@ -69,7 +73,6 @@ impl InnerOptimizer {
     pub fn with_fixed_aux(p_aux_w: f64) -> Self {
         Self {
             fixed_aux_w: Some(p_aux_w),
-            ..Self::default()
         }
     }
 
@@ -94,11 +97,11 @@ impl InnerOptimizer {
     /// [`InnerOptimizer::resolve`] against a prebuilt [`StepContext`].
     ///
     /// Sweeps the viable gears in ascending order; per gear, either the
-    /// fixed auxiliary power or a coarse `aux_grid` sweep followed by a
-    /// ternary refinement around its best point. Comparisons are
-    /// strict-`>` and first-wins throughout. A moving step costs
-    /// `aux_grid` evaluations per viable gear plus the refinement probes;
-    /// a current that fails the pack limits costs none.
+    /// fixed auxiliary power or a coarse 7-point aux grid followed by a
+    /// golden-section refinement around its best point. Comparisons are
+    /// strict-`>` and first-wins throughout. A moving step costs at most
+    /// 7 + 12 evaluations per viable gear; a current that fails the pack
+    /// limits costs none.
     pub fn resolve_with(
         &self,
         hev: &ParallelHev,
@@ -121,7 +124,7 @@ impl InnerOptimizer {
                 best_gear(hev, ctx, |gear| probe(hev, ctx, &cur, gear, aux, reward))
             }
             None => best_gear(hev, ctx, |gear| {
-                self.best_aux_for_gear(hev, ctx, &cur, gear, reward)
+                best_aux_for_gear(hev, ctx, &cur, gear, reward)
             }),
         }?;
         Some(ResolvedAction {
@@ -232,71 +235,6 @@ impl InnerOptimizer {
         self.fixed_aux_w
             .unwrap_or_else(|| hev.aux().preferred_power())
     }
-
-    /// The best probe of one gear: coarse grid, then ternary refinement
-    /// around the best grid point.
-    #[inline(always)]
-    fn best_aux_for_gear(
-        &self,
-        hev: &ParallelHev,
-        ctx: &StepContext,
-        cur: &CurrentContext,
-        gear: usize,
-        reward: &RewardConfig,
-    ) -> Option<Probe> {
-        let (lo, hi) = hev.aux().power_range();
-        let n = self.aux_grid.max(2);
-        let (k_best, mut best) = {
-            let _grid = hev_trace::span::enter("control.grid");
-            let mut best: Option<(usize, Probe)> = None;
-            for k in 0..n {
-                let p = lo + (hi - lo) * k as f64 / (n - 1) as f64;
-                if let Some(c) = probe(hev, ctx, cur, gear, p, reward) {
-                    if best.is_none_or(|(_, b)| c.reward > b.reward) {
-                        best = Some((k, c));
-                    }
-                }
-            }
-            best?
-        };
-        // Ternary-search refinement in the bracket around the best grid
-        // point (the reward is uni-modal in p_aux in practice: fuel rises
-        // monotonically with p_aux while the utility is quasi-concave).
-        let _span = hev_trace::span::enter("control.refine");
-        let step = (hi - lo) / (n - 1) as f64;
-        let mut a = (lo + step * (k_best as f64 - 1.0)).max(lo);
-        let mut b = (lo + step * (k_best as f64 + 1.0)).min(hi);
-        for _ in 0..self.refine_iters {
-            let m1 = a + (b - a) / 3.0;
-            let m2 = b - (b - a) / 3.0;
-            let c1 = probe(hev, ctx, cur, gear, m1, reward);
-            let c2 = probe(hev, ctx, cur, gear, m2, reward);
-            let winner = match (c1, c2) {
-                (Some(x1), Some(x2)) => {
-                    if x1.reward >= x2.reward {
-                        b = m2;
-                        x1
-                    } else {
-                        a = m1;
-                        x2
-                    }
-                }
-                (Some(x1), None) => {
-                    b = m2;
-                    x1
-                }
-                (None, Some(x2)) => {
-                    a = m1;
-                    x2
-                }
-                (None, None) => break,
-            };
-            if winner.reward > best.reward {
-                best = winner;
-            }
-        }
-        Some(best)
-    }
 }
 
 /// The best `(gear, probe)` over the viable gears in ascending order
@@ -329,6 +267,98 @@ fn best_gear(
         }
     }
     best
+}
+
+/// The best probe of one gear: coarse grid, then golden-section
+/// refinement around the best grid point.
+#[inline(always)]
+fn best_aux_for_gear(
+    hev: &ParallelHev,
+    ctx: &StepContext,
+    cur: &CurrentContext,
+    gear: usize,
+    reward: &RewardConfig,
+) -> Option<Probe> {
+    let (lo, hi) = hev.aux().power_range();
+    let n = AUX_GRID;
+    let (k_best, mut best) = {
+        let _grid = hev_trace::span::enter("control.grid");
+        let mut best: Option<(usize, Probe)> = None;
+        for k in 0..n {
+            let p = lo + (hi - lo) * k as f64 / (n - 1) as f64;
+            if let Some(c) = probe(hev, ctx, cur, gear, p, reward) {
+                if best.is_none_or(|(_, b)| c.reward > b.reward) {
+                    best = Some((k, c));
+                }
+            }
+        }
+        best?
+    };
+    // Golden-section refinement in the bracket around the best grid
+    // point (the reward is uni-modal in p_aux in practice: fuel rises
+    // monotonically with p_aux while the utility is quasi-concave). Each
+    // shrink keeps the surviving interior probe and pays for one new
+    // one; every probe is kept if it beats the best seen (strict `>`).
+    let _span = hev_trace::span::enter("control.refine");
+    let sample = |p: f64, best: &mut Probe| {
+        let c = probe(hev, ctx, cur, gear, p, reward);
+        if let Some(c) = c.filter(|c| c.reward > best.reward) {
+            *best = c;
+        }
+        c
+    };
+    let step = (hi - lo) / (n - 1) as f64;
+    let mut a = (lo + step * (k_best as f64 - 1.0)).max(lo);
+    let mut b = (lo + step * (k_best as f64 + 1.0)).min(hi);
+    let mut x1 = b - INV_PHI * (b - a);
+    let mut x2 = a + INV_PHI * (b - a);
+    let mut c1 = sample(x1, &mut best);
+    let mut c2 = sample(x2, &mut best);
+    let mut probes = 2;
+    while probes < REFINE_PROBES {
+        let keep_left = match (&c1, &c2) {
+            (Some(y1), Some(y2)) => y1.reward >= y2.reward,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => {
+                // Feasibility bounds p_aux to an interval holding the best
+                // probe and neither interior point, so it lies wholly on
+                // the best probe's side of the pair: contract the bracket
+                // to that side and probe a fresh pair. A best probe
+                // between the pair (the grid point at the bracket's
+                // centre) ends the search.
+                if best.p_aux_w < x1 {
+                    b = x1;
+                } else if best.p_aux_w > x2 {
+                    a = x2;
+                } else {
+                    break;
+                }
+                if probes + 2 > REFINE_PROBES {
+                    break;
+                }
+                x1 = b - INV_PHI * (b - a);
+                x2 = a + INV_PHI * (b - a);
+                c1 = sample(x1, &mut best);
+                c2 = sample(x2, &mut best);
+                probes += 2;
+                continue;
+            }
+        };
+        if keep_left {
+            b = x2;
+            (x2, c2) = (x1, c1);
+            x1 = b - INV_PHI * (b - a);
+            c1 = sample(x1, &mut best);
+        } else {
+            a = x1;
+            (x1, c1) = (x2, c2);
+            x2 = a + INV_PHI * (b - a);
+            c2 = sample(x2, &mut best);
+        }
+        probes += 1;
+    }
+    Some(best)
 }
 
 /// Probes one `(gear, p_aux)` candidate against the prebuilt contexts;
@@ -527,11 +557,14 @@ mod tests {
         }
     }
 
+    /// 7 grid probes plus 12 golden-section probes.
+    const GEAR_COST: u64 = 19;
+
     /// Viable gears at `d`, after asserting both ends of the aux range are
     /// feasible in each at `i`. Every feasibility check bounds `p_aux` to
     /// an interval, so the whole range is then feasible: no refinement
-    /// pair can both fail, and each gear pays its full grid plus
-    /// `2 · refine_iters` probes.
+    /// pair can both fail, and each gear pays its full grid plus every
+    /// refinement probe: [`GEAR_COST`].
     fn fully_feasible_viable_gears(hev: &ParallelHev, d: &WheelDemand, i: f64) -> usize {
         let ctx = hev.step_context(d);
         let (lo, hi) = hev.aux().power_range();
@@ -561,10 +594,7 @@ mod tests {
         let ctx = hev.step_context(&d);
         let snap = hev_trace::evals::count();
         opt.resolve_with(&hev, &ctx, 10.0, 1.0, &cfg()).unwrap();
-        assert_eq!(
-            hev_trace::evals::since(snap),
-            (viable * (opt.aux_grid + 2 * opt.refine_iters)) as u64
-        );
+        assert_eq!(hev_trace::evals::since(snap), viable as u64 * GEAR_COST);
         // Fixed aux: one probe per viable gear.
         let snap = hev_trace::evals::count();
         InnerOptimizer::with_fixed_aux(600.0)
@@ -587,10 +617,7 @@ mod tests {
         let ctx = hev.step_context(&d);
         let snap = hev_trace::evals::count();
         opt.resolve_with(&hev, &ctx, 0.0, 1.0, &cfg()).unwrap();
-        assert_eq!(
-            hev_trace::evals::since(snap),
-            (opt.aux_grid + 2 * opt.refine_iters) as u64
-        );
+        assert_eq!(hev_trace::evals::since(snap), GEAR_COST);
     }
 
     #[test]

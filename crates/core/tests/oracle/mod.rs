@@ -2,9 +2,12 @@
 //!
 //! [`resolve`] makes every probe through demand-level
 //! [`ParallelHev::peek`], with no prebuilt step or battery context: every
-//! gear, the coarse aux grid then the ternary refinement, strict-`>`
+//! gear, the coarse aux grid then the golden-section refinement (with
+//! its contraction when both interior probes are infeasible), strict-`>`
 //! first-wins comparisons, and a final re-evaluation of the winner. The
-//! production resolve must return the bit-identical action.
+//! production resolve must return the bit-identical action. The search
+//! sizes are restated here rather than shared, so a change to the
+//! production search shows up as a divergence.
 //!
 //! Shared by the `inner_opt` unit tests and the supervisor property
 //! tests; the including module supplies `InnerOptimizer`,
@@ -12,6 +15,13 @@
 
 use super::{InnerOptimizer, ResolvedAction, RewardConfig};
 use hev_model::{ControlInput, ParallelHev, WheelDemand};
+
+/// Coarse aux grid points.
+const AUX_GRID: usize = 7;
+/// Golden-section probes per gear after the grid.
+const REFINE_PROBES: usize = 12;
+/// `(√5 − 1) / 2`.
+const INV_PHI: f64 = 0.618_033_988_749_894_8;
 
 /// The reference resolve of `battery_current_a` at `demand`.
 pub fn resolve(
@@ -36,7 +46,7 @@ pub fn resolve(
     for gear in 0..hev.drivetrain().num_gears() {
         let candidate = match opt.fixed_aux_w {
             Some(aux) => score(gear, aux).map(|r| (aux, r)),
-            None => best_aux(opt, hev, |p| score(gear, p)),
+            None => best_aux(hev, |p| score(gear, p)),
         };
         if let Some((p, r)) = candidate {
             if best.is_none_or(|(_, _, br)| r > br) {
@@ -59,13 +69,9 @@ pub fn resolve(
 }
 
 /// The best `(p_aux, reward)` of one gear under `score`.
-fn best_aux(
-    opt: &InnerOptimizer,
-    hev: &ParallelHev,
-    score: impl Fn(f64) -> Option<f64>,
-) -> Option<(f64, f64)> {
+fn best_aux(hev: &ParallelHev, score: impl Fn(f64) -> Option<f64>) -> Option<(f64, f64)> {
     let (lo, hi) = hev.aux().power_range();
-    let n = opt.aux_grid.max(2);
+    let n = AUX_GRID;
     let mut best: Option<(usize, f64, f64)> = None;
     for k in 0..n {
         let p = lo + (hi - lo) * k as f64 / (n - 1) as f64;
@@ -75,38 +81,51 @@ fn best_aux(
             }
         }
     }
-    let (k, mut p_best, mut r_best) = best?;
+    let (k, p_best, r_best) = best?;
+    let mut best = (p_best, r_best);
+    let sample = |p: f64, best: &mut (f64, f64)| {
+        let r = score(p);
+        if let Some(r) = r.filter(|&r| r > best.1) {
+            *best = (p, r);
+        }
+        (p, r)
+    };
     let step = (hi - lo) / (n - 1) as f64;
     let mut a = (lo + step * (k as f64 - 1.0)).max(lo);
     let mut b = (lo + step * (k as f64 + 1.0)).min(hi);
-    for _ in 0..opt.refine_iters {
-        let m1 = a + (b - a) / 3.0;
-        let m2 = b - (b - a) / 3.0;
-        let (p, r) = match (score(m1), score(m2)) {
-            (Some(x1), Some(x2)) if x1 >= x2 => {
-                b = m2;
-                (m1, x1)
+    let mut p1 = sample(b - INV_PHI * (b - a), &mut best);
+    let mut p2 = sample(a + INV_PHI * (b - a), &mut best);
+    let mut probes = 2;
+    while probes < REFINE_PROBES {
+        if p1.1.is_none() && p2.1.is_none() {
+            if best.0 < p1.0 {
+                b = p1.0;
+            } else if best.0 > p2.0 {
+                a = p2.0;
+            } else {
+                break;
             }
-            (Some(_), Some(x2)) => {
-                a = m1;
-                (m2, x2)
+            if probes + 2 > REFINE_PROBES {
+                break;
             }
-            (Some(x1), None) => {
-                b = m2;
-                (m1, x1)
-            }
-            (None, Some(x2)) => {
-                a = m1;
-                (m2, x2)
-            }
-            (None, None) => break,
-        };
-        if r > r_best {
-            r_best = r;
-            p_best = p;
+            p1 = sample(b - INV_PHI * (b - a), &mut best);
+            p2 = sample(a + INV_PHI * (b - a), &mut best);
+            probes += 2;
+        } else if p1.1 >= p2.1 {
+            // `None` orders below every reward: a feasible left probe
+            // beats an infeasible right one, and ties keep the left.
+            b = p2.0;
+            p2 = p1;
+            p1 = sample(b - INV_PHI * (b - a), &mut best);
+            probes += 1;
+        } else {
+            a = p1.0;
+            p1 = p2;
+            p2 = sample(a + INV_PHI * (b - a), &mut best);
+            probes += 1;
         }
     }
-    Some((p_best, r_best))
+    Some(best)
 }
 
 /// Every field of a resolved action as raw bits, for exact comparison.

@@ -56,9 +56,13 @@ pub struct LadderConfig {
 impl Default for LadderConfig {
     fn default() -> Self {
         Self {
-            // The full tier costs ≈ gears × (aux grid + 2 × refine) per
-            // current ≈ 2.3k evals over the 15-current ladder; 4k leaves
-            // headroom for validation probes.
+            // The full tier costs at most gears × (7 grid + 12 refine
+            // probes) = 95 evals per current, 1 425 over the 15-current
+            // ladder, and the myopic tier 380 over its 4 currents; 4k
+            // leaves headroom for validation probes. `full_cost` and
+            // `myopic_cost` keep the values set when the search cost 155
+            // per current: they gate rung entry, so lowering them would
+            // change which rung answers a request.
             budget_evals: 4000,
             full_cost: 2500,
             myopic_cost: 700,

@@ -2,8 +2,8 @@
 //!
 //! Every control step of the RL controller pays many *peek-equivalent
 //! evaluations* — feasibility probes, inner-optimization grid points,
-//! ternary-search refinements — and the per-step evaluation count is the
-//! quantity the staged pipeline in `hev_model` amortizes. The vehicle
+//! golden-section refinement probes — and the per-step evaluation count
+//! is the quantity the staged pipeline in `hev_model` amortizes. The vehicle
 //! model records each evaluation here (migrated from the former
 //! `hev_model::instrument` module), and the telemetry layer reads
 //! per-episode deltas via [`count`] snapshots — deterministic because
