@@ -10,8 +10,9 @@
 use drive_cycle::StandardCycle;
 use hev_bench::experiments::{self, corrected_fuel_g, ExperimentConfig};
 use hev_control::{
-    simulate_with_faults, ControllerSnapshot, CyclePlan, EpisodeMetrics, FaultConfig, FaultPlan,
-    Harness, JointController, JointControllerConfig, RewardConfig, SeedSequence, SupervisedPolicy,
+    simulate_with_faults, solve_dp, ControllerSnapshot, CyclePlan, DpConfig, EpisodeMetrics,
+    FaultConfig, FaultPlan, Harness, JointController, JointControllerConfig, RewardConfig,
+    SeedSequence, SupervisedPolicy,
 };
 
 /// A budget small enough for CI but large enough that training leaves
@@ -235,5 +236,28 @@ fn udds_workload_replays_the_pinned_eval_count() {
     assert_eq!(
         counts.ctx_rebuilds, 1,
         "expected one context-table build for the whole workload"
+    );
+}
+
+/// The DP's eval-count pin: one `solve_dp` of nominal UDDS from SoC 0.6
+/// at `DpConfig::default()` (41 SoC points, 15 currents, 1 369 steps)
+/// costs exactly this many evaluations, backward sweep and forward pass
+/// together, on one context-table build. The sweep's candidate order,
+/// its stopped-step shortcut and its current-saturation skip all move
+/// this number.
+#[test]
+fn udds_dp_solve_costs_the_pinned_eval_count() {
+    let cycle = StandardCycle::Udds.cycle();
+    let mut hev = experiments::fresh_hev(0.6);
+
+    hev_trace::evals::reset();
+    let sol = solve_dp(&mut hev, &cycle, 0.6, &DpConfig::default());
+    let counts = hev_trace::evals::counts();
+
+    assert_eq!(sol.metrics.steps, 1_369);
+    assert_eq!(counts.evals, 1_879_680);
+    assert_eq!(
+        counts.ctx_rebuilds, 1,
+        "expected one context-table build for the whole solve"
     );
 }

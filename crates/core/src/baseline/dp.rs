@@ -7,13 +7,14 @@
 //! yardstick for how much of the offline optimum the RL controller
 //! recovers.
 
-use crate::inner_opt::InnerOptimizer;
 use crate::metrics::EpisodeMetrics;
 use crate::plan::CyclePlan;
 use crate::reward::RewardConfig;
-use crate::sim::{fallback_control, simulate_planned, HevPolicy, Observation};
+use crate::sim::{fallback_control, fallback_control_in, simulate_planned, HevPolicy, Observation};
 use drive_cycle::DriveCycle;
-use hev_model::{ControlInput, ParallelHev};
+use hev_model::{
+    ControlInput, InfeasibleControl, OperatingMode, ParallelHev, StepContext, StepOutcome,
+};
 use serde::{Deserialize, Serialize};
 
 /// DP solver configuration.
@@ -90,6 +91,11 @@ pub struct DpSolution {
 /// Solves the cycle by backward value iteration and simulates the
 /// resulting policy forward from `initial_soc`.
 ///
+/// Each `(t, SoC)` cell keeps the `(current, gear)` that maximizes the
+/// DP's own objective, the paper reward plus the interpolated value of
+/// the state it leads to, so the stored value is the argmax of the table
+/// the backup reads.
+///
 /// Both passes run on one [`CyclePlan`]: its context is battery-state
 /// independent, so one per timestep serves the entire SoC grid of the
 /// backward sweep and then the forward pass, and the whole solve records
@@ -115,7 +121,6 @@ pub fn solve(
     let soc_at = |j: usize| soc_min + (soc_max - soc_min) * j as f64 / (n - 1) as f64;
     let dt = cycle.dt();
     let t_len = cycle.len();
-    let inner = InnerOptimizer::with_fixed_aux(config.aux_power_w);
 
     // Terminal value: pay for ending below the initial charge.
     let mut value_next: Vec<f64> = (0..n)
@@ -134,39 +139,24 @@ pub fn solve(
 
     let plan = CyclePlan::new(hev, cycle);
     let table = plan.table();
+    let mut settled = vec![false; hev.drivetrain().num_gears()];
     for t in (0..t_len).rev() {
-        let demand = table.demand(t);
         let ctx = table.context(t);
-        let mut value_t = vec![f64::NEG_INFINITY; n];
-        let mut row = Vec::with_capacity(n);
-        #[allow(clippy::needless_range_loop)] // j indexes both value_t and the soc grid
-        for j in 0..n {
-            hev.reset_soc(soc_at(j));
-            let mut best_v = f64::NEG_INFINITY;
-            let mut best_c = None;
-            for &i in &config.currents {
-                let Some(r) = inner.resolve_with(hev, ctx, i, dt, &config.reward) else {
-                    continue;
-                };
-                let v = config.reward.paper_reward(&r.outcome)
-                    + interp(&value_next, r.outcome.soc_after);
-                if v > best_v {
-                    best_v = v;
-                    best_c = Some(r.control);
-                }
-            }
-            let control = best_c.unwrap_or_else(|| fallback_control(hev, demand, dt));
-            if best_v == f64::NEG_INFINITY {
-                // Fallback value: simulate the fallback control.
-                if let Ok(o) = hev.peek_with_context(ctx, &control, dt) {
-                    best_v = config.reward.paper_reward(&o) + interp(&value_next, o.soc_after);
-                } else {
-                    best_v = -1e6;
-                }
-            }
-            value_t[j] = best_v;
-            row.push(control);
-        }
+        let value =
+            |o: &StepOutcome| config.reward.paper_reward(o) + interp(&value_next, o.soc_after);
+        let (value_t, row) = (0..n)
+            .map(|j| {
+                hev.reset_soc(soc_at(j));
+                best_in_cell(hev, ctx, config, dt, &mut settled, value).unwrap_or_else(|| {
+                    // No candidate is feasible: score the fallback control.
+                    let control = fallback_control_in(hev, ctx, dt);
+                    let v = hev
+                        .peek_with_context(ctx, &control, dt)
+                        .map_or(-1e6, |o| value(&o));
+                    (v, control)
+                })
+            })
+            .unzip();
         actions[t] = row;
         value_next = value_t;
     }
@@ -184,6 +174,82 @@ pub fn solve(
         policy,
         metrics,
     }
+}
+
+/// The DP objective's argmax over one `(t, SoC)` cell: every viable
+/// `(current, gear)` candidate at the fixed auxiliary power, currents in
+/// the configured order and gears ascending within each, scored by
+/// `value` (strict `>`, first wins). `None` when no candidate is feasible.
+///
+/// A probe that lands in a regime a larger current cannot change settles
+/// its gear for the rest of the cell, and the gear's later candidates are
+/// skipped: each would replay the same outcome, a tie that loses, or fail.
+/// The regimes:
+/// * `EvOnly`: the EV completion ignores the commanded current;
+/// * friction braking at zero machine torque: a larger regen command
+///   clamps to zero as well;
+/// * a machine torque above the envelope: a larger current only raises it.
+///
+/// The machine-torque inversion and the engine torque are monotone in the
+/// terminal power, so a settled gear stays settled only while the
+/// terminal power strictly rises from one current to the next; any other
+/// step clears every gear, so an unsorted current list just skips less.
+/// A stopped step resolves independently of both current and gear, so
+/// its first probe decides the cell.
+fn best_in_cell(
+    hev: &ParallelHev,
+    ctx: &StepContext,
+    config: &DpConfig,
+    dt: f64,
+    settled: &mut [bool],
+    value: impl Fn(&StepOutcome) -> f64,
+) -> Option<(f64, ControlInput)> {
+    let mut best_v = f64::NEG_INFINITY;
+    let mut best_c = None;
+    let mut last_power = f64::NEG_INFINITY;
+    settled.fill(false);
+    for &i in &config.currents {
+        let cur = hev.current_context(i, dt);
+        let rising = cur.terminal_power_w() > last_power;
+        if !rising {
+            settled.fill(false);
+        }
+        last_power = cur.terminal_power_w();
+        if !ctx.is_stopped() && !cur.is_feasible() {
+            // Every moving-mode probe replays the pack-limit error.
+            continue;
+        }
+        for (gear, settled) in settled.iter_mut().enumerate() {
+            if *settled || !ctx.gear_is_viable(gear) {
+                continue;
+            }
+            let control = ControlInput {
+                battery_current_a: i,
+                gear,
+                p_aux_w: config.aux_power_w,
+            };
+            match hev.peek_with_contexts(ctx, &cur, &control) {
+                Ok(o) => {
+                    let v = value(&o);
+                    if v > best_v {
+                        best_v = v;
+                        best_c = Some(control);
+                    }
+                    // Braking clamps the machine torque to at most zero.
+                    *settled = o.mode == OperatingMode::EvOnly
+                        || (o.mode == OperatingMode::FrictionBraking && o.em_torque_nm >= 0.0);
+                }
+                Err(InfeasibleControl::MotorTorque {
+                    torque_nm, max_nm, ..
+                }) => *settled = torque_nm > max_nm,
+                Err(_) => {}
+            }
+            if ctx.is_stopped() {
+                return best_c.map(|c| (best_v, c));
+            }
+        }
+    }
+    best_c.map(|c| (best_v, c))
 }
 
 #[cfg(test)]

@@ -132,16 +132,12 @@ pub trait HevPolicy {
     }
 }
 
-/// Searches for any feasible control for the current demand: a coarse
+/// Searches for any feasible control for the context's demand: a coarse
 /// ladder first (preferring currents near zero), then a fine current scan
 /// over every gear, with the preferred and then the minimum auxiliary
 /// power.
-fn feasible_control(hev: &ParallelHev, demand: &WheelDemand, dt: f64) -> Option<ControlInput> {
+fn feasible_control(hev: &ParallelHev, ctx: &StepContext, dt: f64) -> Option<ControlInput> {
     let (aux_min, _) = hev.aux().power_range();
-    // One step context serves the whole scan (each `peek` used to rebuild
-    // it); verdicts and evaluation counts are unchanged — the staged
-    // pipeline's contract makes `peek_with_context` replay `peek` exactly.
-    let ctx = hev.step_context(demand);
     let coarse = [
         0.0, -4.0, 4.0, -8.0, 8.0, -15.0, 15.0, 25.0, -25.0, 50.0, 100.0,
     ];
@@ -153,7 +149,7 @@ fn feasible_control(hev: &ParallelHev, demand: &WheelDemand, dt: f64) -> Option<
                     gear,
                     p_aux_w: aux,
                 };
-                if hev.peek_with_context(&ctx, &c, dt).is_ok() {
+                if hev.peek_with_context(ctx, &c, dt).is_ok() {
                     return Some(c);
                 }
             }
@@ -169,7 +165,7 @@ fn feasible_control(hev: &ParallelHev, demand: &WheelDemand, dt: f64) -> Option<
                     gear,
                     p_aux_w: aux,
                 };
-                if hev.peek_with_context(&ctx, &c, dt).is_ok() {
+                if hev.peek_with_context(ctx, &c, dt).is_ok() {
                     return Some(c);
                 }
             }
@@ -179,12 +175,18 @@ fn feasible_control(hev: &ParallelHev, demand: &WheelDemand, dt: f64) -> Option<
     None
 }
 
-/// A last-resort control for the current demand: [`feasible_control`],
-/// falling back to a zero-current 1st-gear request when even the fine
-/// scan fails (the simulation harness then clips the demand — a "trace
-/// miss", as backward-looking simulators such as ADVISOR report).
+/// A last-resort control for the current demand: the first feasible
+/// control of a coarse, then a fine current scan over every gear, or a
+/// zero-current 1st-gear request when even the fine scan fails (the
+/// simulation harness then clips the demand — a "trace miss", as
+/// backward-looking simulators such as ADVISOR report).
 pub fn fallback_control(hev: &ParallelHev, demand: &WheelDemand, dt: f64) -> ControlInput {
-    feasible_control(hev, demand, dt).unwrap_or(ControlInput {
+    fallback_control_in(hev, &hev.step_context(demand), dt)
+}
+
+/// [`fallback_control`] against a prebuilt [`StepContext`].
+pub(crate) fn fallback_control_in(hev: &ParallelHev, ctx: &StepContext, dt: f64) -> ControlInput {
+    feasible_control(hev, ctx, dt).unwrap_or(ControlInput {
         battery_current_a: 0.0,
         gear: 0,
         p_aux_w: hev.aux().preferred_power(),
@@ -409,7 +411,7 @@ fn step_with_fallback(
     // The control was verified feasible, so `step` succeeds; on the
     // impossible failure we fall through to the clipping loop instead of
     // panicking the episode.
-    if let Some(c) = feasible_control(hev, demand, dt) {
+    if let Some(c) = feasible_control(hev, &hev.step_context(demand), dt) {
         if let Ok(outcome) = hev.step(demand, &c, dt) {
             return outcome;
         }
@@ -420,7 +422,7 @@ fn step_with_fallback(
     let mut factor = 0.9;
     for _ in 0..60 {
         let clipped = scale_demand(demand, factor);
-        if let Some(c) = feasible_control(hev, &clipped, dt) {
+        if let Some(c) = feasible_control(hev, &hev.step_context(&clipped), dt) {
             if let Ok(outcome) = hev.step(&clipped, &c, dt) {
                 return outcome;
             }

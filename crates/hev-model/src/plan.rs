@@ -1,6 +1,6 @@
 //! Cycle-level precomputation: the [`ContextTable`].
 //!
-//! A [`StepContext`](crate::StepContext) is a pure function of the
+//! A [`StepContext`] is a pure function of the
 //! vehicle's *configuration* (body, drivetrain, motor envelope at the
 //! current derate) and one timestep's wheel demand — it carries no
 //! battery state. Training replays the same drive cycle thousands of

@@ -280,6 +280,14 @@ impl CurrentContext {
         self.dt
     }
 
+    /// The pack's terminal power at the commanded current, W: the bus
+    /// power every moving-mode completion splits between the machine and
+    /// the auxiliaries.
+    #[inline]
+    pub fn terminal_power_w(&self) -> f64 {
+        self.p_batt_w
+    }
+
     /// Whether the commanded current passes the pack's current limits.
     /// When `false`, every moving-mode completion replays the same
     /// pre-resolved error (stopped mode ignores the commanded current).

@@ -8,13 +8,13 @@
 //! through), entering a tier only while its estimated cost still fits
 //! the remaining budget:
 //!
-//! 1. [`Rung::Full`](crate::wire::Rung::Full) — inner-optimized resolve
+//! 1. [`Rung::Full`] — inner-optimized resolve
 //!    over the full battery-current ladder;
-//! 2. [`Rung::Myopic`](crate::wire::Rung::Myopic) — the same resolve
+//! 2. [`Rung::Myopic`] — the same resolve
 //!    over a coarse current subset;
-//! 3. [`Rung::Rule`](crate::wire::Rung::Rule) — the rule-based
+//! 3. [`Rung::Rule`] — the rule-based
 //!    baseline's decision;
-//! 4. [`Rung::LimpHome`](crate::wire::Rung::LimpHome) — the feasibility
+//! 4. [`Rung::LimpHome`] — the feasibility
 //!    search of [`fallback_control`], attempted regardless of budget so
 //!    a response is always produced.
 //!

@@ -84,7 +84,8 @@ impl Obj {
         self
     }
 
-    /// Adds a float field (see [`write_f64`] for the encoding).
+    /// Adds a float field: shortest round-trip form for finite values
+    /// (forcing a `.0` on whole numbers), JSON strings for non-finite ones.
     pub fn f64(mut self, k: &str, v: f64) -> Self {
         self.key(k);
         write_f64(&mut self.buf, v);

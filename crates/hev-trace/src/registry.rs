@@ -66,8 +66,7 @@ impl Histogram {
     /// merge order — the property the serve layer relies on when it
     /// folds per-shard histograms into one exposition. The other
     /// histogram's buckets are matched by position; a tail beyond this
-    /// histogram's bucket count folds into the overflow bucket (the
-    /// [`Self::merge_counts`] contract).
+    /// histogram's bucket count folds into the overflow bucket.
     pub fn merge(&mut self, other: &Histogram) {
         self.merge_counts(&other.counts, other.sum, other.count);
     }
@@ -132,8 +131,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// Merges pre-aggregated bucket counts into the named histogram (see
-    /// [`Histogram::merge_counts`]).
+    /// Merges pre-aggregated bucket counts into the named histogram,
+    /// matched by position; a tail beyond its bucket count folds into the
+    /// overflow bucket (as [`Histogram::merge`] does).
     pub fn histogram_merge(
         &mut self,
         name: &str,

@@ -6,7 +6,7 @@
 //! schema and break byte-for-byte crash-recovery comparisons. Instead
 //! the controller owns a [`TdStats`] accumulator beside the learner and
 //! feeds it the TD error `δ` each `update` returns. [`QStats`] is the
-//! companion read-only summary computed from a [`QTable`](crate::QTable)
+//! companion read-only summary computed from a [`QTable`]
 //! at episode end.
 //!
 //! `TdStats` keeps a fixed-bound histogram of `|δ|` (bucket counts, not
