@@ -154,10 +154,10 @@ fn small_chaos_fleet_artifacts_are_pinned() {
         "{\"version\":2,\"sessions\":4,\"requests\":120,\"served\":108,\"shed\":7,\
          \"errors\":5,\"rung_full\":43,\"rung_myopic\":22,\"rung_rule\":43,\
          \"rung_limp_home\":0,\"quarantines\":4,\"crashed_requests\":2,\
-         \"shed_rate\":0.058333333333333334,\"eval_p50\":306,\"eval_p90\":1142,\
-         \"eval_p99\":1427,\"eval_p999\":1427,\"shed_depth\":[0,0,0,7,0]}"
+         \"shed_rate\":0.058333333333333334,\"eval_p50\":238,\"eval_p90\":857,\
+         \"eval_p99\":938,\"eval_p999\":971,\"shed_depth\":[0,0,0,7,0]}"
     );
-    assert_eq!(fnv1a(run.response_stream.as_bytes()), 0x1cc9_b0de_cb1c_bfa0);
+    assert_eq!(fnv1a(run.response_stream.as_bytes()), 0xb1e6_d001_8ee3_db87);
     assert_eq!(fnv1a(csv.as_bytes()), 0xb6d1_ce03_705e_5cda);
-    assert_eq!(fnv1a(run.prometheus.as_bytes()), 0xa7a2_4d25_4cca_01f1);
+    assert_eq!(fnv1a(run.prometheus.as_bytes()), 0x3b70_d939_ffe5_cf6f);
 }

@@ -89,7 +89,9 @@ impl CdCsController {
                 gear,
                 p_aux_w: aux,
             };
-            hev.peek_with_context(obs.ctx, &c, 1.0).is_ok().then_some(c)
+            hev.peek_with_context(obs.ctx, &c, obs.dt_s)
+                .is_ok()
+                .then_some(c)
         })
     }
 }
@@ -111,7 +113,7 @@ impl HevPolicy for CdCsController {
                     return c;
                 }
             }
-            return fallback_control(hev, obs.demand, 1.0);
+            return fallback_control(hev, obs.demand, obs.dt_s);
         }
         if self.is_depleting(obs.soc) && obs.demand.power_demand_w < cfg.cd_power_max_w {
             // Deplete: a descending discharge ladder — the largest bound
@@ -131,7 +133,7 @@ impl HevPolicy for CdCsController {
             0.0
         };
         Self::try_gears(hev, obs, current, cfg.aux_power_w)
-            .unwrap_or_else(|| fallback_control(hev, obs.demand, 1.0))
+            .unwrap_or_else(|| fallback_control(hev, obs.demand, obs.dt_s))
     }
 }
 

@@ -7,14 +7,13 @@
 //! yardstick for how much of the offline optimum the RL controller
 //! recovers.
 
+use crate::inner_opt::{Regime, SettledGears};
 use crate::metrics::EpisodeMetrics;
 use crate::plan::CyclePlan;
 use crate::reward::RewardConfig;
 use crate::sim::{fallback_control, fallback_control_in, simulate_planned, HevPolicy, Observation};
 use drive_cycle::DriveCycle;
-use hev_model::{
-    ControlInput, InfeasibleControl, OperatingMode, ParallelHev, StepContext, StepOutcome,
-};
+use hev_model::{ControlInput, ParallelHev, StepContext, StepOutcome};
 use serde::{Deserialize, Serialize};
 
 /// DP solver configuration.
@@ -70,7 +69,7 @@ impl DpPolicy {
 impl HevPolicy for DpPolicy {
     fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
         let Some(row) = self.actions.get(obs.step) else {
-            return fallback_control(hev, obs.demand, 1.0);
+            return fallback_control(hev, obs.demand, obs.dt_s);
         };
         row[self.soc_index(obs.soc, row.len())]
     }
@@ -139,7 +138,6 @@ pub fn solve(
 
     let plan = CyclePlan::new(hev, cycle);
     let table = plan.table();
-    let mut settled = vec![false; hev.drivetrain().num_gears()];
     for t in (0..t_len).rev() {
         let ctx = table.context(t);
         let value =
@@ -147,7 +145,7 @@ pub fn solve(
         let (value_t, row) = (0..n)
             .map(|j| {
                 hev.reset_soc(soc_at(j));
-                best_in_cell(hev, ctx, config, dt, &mut settled, value).unwrap_or_else(|| {
+                best_in_cell(hev, ctx, config, dt, value).unwrap_or_else(|| {
                     // No candidate is feasible: score the fallback control.
                     let control = fallback_control_in(hev, ctx, dt);
                     let v = hev
@@ -181,46 +179,35 @@ pub fn solve(
 /// the configured order and gears ascending within each, scored by
 /// `value` (strict `>`, first wins). `None` when no candidate is feasible.
 ///
-/// A probe that lands in a regime a larger current cannot change settles
-/// its gear for the rest of the cell, and the gear's later candidates are
-/// skipped: each would replay the same outcome, a tie that loses, or fail.
-/// The regimes:
-/// * `EvOnly`: the EV completion ignores the commanded current;
-/// * friction braking at zero machine torque: a larger regen command
-///   clamps to zero as well;
-/// * a machine torque above the envelope: a larger current only raises it.
-///
-/// The machine-torque inversion and the engine torque are monotone in the
-/// terminal power, so a settled gear stays settled only while the
-/// terminal power strictly rises from one current to the next; any other
-/// step clears every gear, so an unsorted current list just skips less.
-/// A stopped step resolves independently of both current and gear, so
-/// its first probe decides the cell.
+/// A probe that lands in a regime a larger current cannot change
+/// ([`Regime`]: EV-only, friction braking at zero machine torque, or a
+/// machine torque above the envelope) settles its gear for the rest of
+/// the cell, and the gear's later candidates are skipped: at the one
+/// fixed auxiliary power each would replay the same outcome, a tie that
+/// loses, or fail. A gear stays settled only while the terminal power
+/// strictly rises from one current to the next ([`SettledGears`]), so an
+/// unsorted current list just skips less. A stopped step resolves
+/// independently of both current and gear, so its first probe decides
+/// the cell.
 fn best_in_cell(
     hev: &ParallelHev,
     ctx: &StepContext,
     config: &DpConfig,
     dt: f64,
-    settled: &mut [bool],
     value: impl Fn(&StepOutcome) -> f64,
 ) -> Option<(f64, ControlInput)> {
     let mut best_v = f64::NEG_INFINITY;
     let mut best_c = None;
-    let mut last_power = f64::NEG_INFINITY;
-    settled.fill(false);
+    let mut settled = SettledGears::new();
     for &i in &config.currents {
         let cur = hev.current_context(i, dt);
-        let rising = cur.terminal_power_w() > last_power;
-        if !rising {
-            settled.fill(false);
-        }
-        last_power = cur.terminal_power_w();
+        settled.advance(&cur);
         if !ctx.is_stopped() && !cur.is_feasible() {
             // Every moving-mode probe replays the pack-limit error.
             continue;
         }
-        for (gear, settled) in settled.iter_mut().enumerate() {
-            if *settled || !ctx.gear_is_viable(gear) {
+        for gear in 0..hev.drivetrain().num_gears() {
+            if settled.regime(gear) != Regime::Open || !ctx.gear_is_viable(gear) {
                 continue;
             }
             let control = ControlInput {
@@ -228,21 +215,14 @@ fn best_in_cell(
                 gear,
                 p_aux_w: config.aux_power_w,
             };
-            match hev.peek_with_contexts(ctx, &cur, &control) {
-                Ok(o) => {
-                    let v = value(&o);
-                    if v > best_v {
-                        best_v = v;
-                        best_c = Some(control);
-                    }
-                    // Braking clamps the machine torque to at most zero.
-                    *settled = o.mode == OperatingMode::EvOnly
-                        || (o.mode == OperatingMode::FrictionBraking && o.em_torque_nm >= 0.0);
+            let result = hev.peek_with_contexts(ctx, &cur, &control);
+            settled.record(gear, Regime::of(&result));
+            if let Ok(o) = result {
+                let v = value(&o);
+                if v > best_v {
+                    best_v = v;
+                    best_c = Some(control);
                 }
-                Err(InfeasibleControl::MotorTorque {
-                    torque_nm, max_nm, ..
-                }) => *settled = torque_nm > max_nm,
-                Err(_) => {}
             }
             if ctx.is_stopped() {
                 return best_c.map(|c| (best_v, c));

@@ -95,7 +95,7 @@ impl HevPolicy for EcmsController {
                     gear,
                     p_aux_w: self.config.aux_power_w,
                 };
-                let Ok(o) = hev.peek_with_context(obs.ctx, &c, 1.0) else {
+                let Ok(o) = hev.peek_with_context(obs.ctx, &c, obs.dt_s) else {
                     continue;
                 };
                 // Equivalent fuel rate: chemical fuel plus (discounted)
@@ -109,7 +109,7 @@ impl HevPolicy for EcmsController {
         }
         match best {
             Some((_, c)) => c,
-            None => fallback_control(hev, obs.demand, 1.0),
+            None => fallback_control(hev, obs.demand, obs.dt_s),
         }
     }
 }

@@ -22,3 +22,78 @@ pub use cdcs::{CdCsConfig, CdCsController};
 pub use dp::{solve as solve_dp, DpConfig, DpPolicy, DpSolution};
 pub use ecms::{EcmsConfig, EcmsController};
 pub use rule_based::{RuleBasedConfig, RuleBasedController};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reward::RewardConfig;
+    use crate::sim::{simulate, HevPolicy, Observation};
+    use drive_cycle::DriveCycle;
+    use hev_model::{ControlInput, HevParams, ParallelHev};
+
+    /// Wraps a baseline, recording its first decision and checking that
+    /// every observation carries the cycle's step length.
+    struct FirstDecision<'a> {
+        policy: &'a mut dyn HevPolicy,
+        dt_s: f64,
+        first: Option<ControlInput>,
+    }
+
+    impl HevPolicy for FirstDecision<'_> {
+        fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
+            assert_eq!(obs.dt_s, self.dt_s);
+            let control = self.policy.decide(hev, obs);
+            self.first.get_or_insert(control);
+            control
+        }
+    }
+
+    #[test]
+    fn baselines_check_feasibility_over_the_cycle_step() {
+        // A hard stop from 15 m/s, resampled to half-second steps.
+        let cycle = DriveCycle::from_speeds_mps("stop", 1.0, vec![15.0, 13.5, 12.0, 10.5, 9.0])
+            .unwrap()
+            .resample(0.5);
+        assert_eq!(cycle.dt(), 0.5);
+        let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6).unwrap();
+        let p = cycle.points().next().unwrap();
+        let demand = hev.demand(p.speed_mps, p.accel_mps2, p.grade);
+        // Just under the top of the charge window, the strongest regen
+        // the baselines command fits a half-second step but overfills a
+        // one-second one.
+        let regen = ControlInput {
+            battery_current_a: -60.0,
+            gear: 3,
+            p_aux_w: 600.0,
+        };
+        let soc_max = hev.battery().params().soc_max;
+        let soc = (1..1000)
+            .map(|k| soc_max - 1e-5 * f64::from(k))
+            .find(|&soc| {
+                hev.reset_soc(soc);
+                hev.peek(&demand, &regen, 0.5).is_ok() && hev.peek(&demand, &regen, 1.0).is_err()
+            })
+            .expect("a state of charge separating the two step lengths");
+        let reward = RewardConfig::default();
+        let mut check = |name: &str, policy: &mut dyn HevPolicy| {
+            hev.reset_soc(soc);
+            let mut wrapped = FirstDecision {
+                policy,
+                dt_s: 0.5,
+                first: None,
+            };
+            let m = simulate(&mut hev, &cycle, &mut wrapped, &reward);
+            assert_eq!(m.fallback_steps, 0, "{name}");
+            let first = wrapped.first.unwrap();
+            hev.reset_soc(soc);
+            assert!(hev.peek(&demand, &first, 0.5).is_ok(), "{name}: {first:?}");
+            assert!(
+                hev.peek(&demand, &first, 1.0).is_err(),
+                "{name} checked its regen over a one-second step: {first:?}"
+            );
+        };
+        check("rule-based", &mut RuleBasedController::default());
+        check("ECMS", &mut EcmsController::default());
+        check("CDCS", &mut CdCsController::default());
+    }
+}

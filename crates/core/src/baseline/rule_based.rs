@@ -125,12 +125,12 @@ impl RuleBasedController {
                     gear: *g,
                     p_aux_w: aux,
                 };
-                if hev.peek_with_context(obs.ctx, &c, 1.0).is_ok() {
+                if hev.peek_with_context(obs.ctx, &c, obs.dt_s).is_ok() {
                     return c;
                 }
             }
         }
-        fallback_control(hev, obs.demand, 1.0)
+        fallback_control(hev, obs.demand, obs.dt_s)
     }
 }
 
@@ -160,12 +160,12 @@ impl HevPolicy for RuleBasedController {
                         gear: g,
                         p_aux_w: cfg.aux_power_w,
                     };
-                    if hev.peek_with_context(obs.ctx, &c, 1.0).is_ok() {
+                    if hev.peek_with_context(obs.ctx, &c, obs.dt_s).is_ok() {
                         return c;
                     }
                 }
             }
-            return fallback_control(hev, d, 1.0);
+            return fallback_control(hev, d, obs.dt_s);
         }
 
         // Electric launch / low-load EV while charge remains.

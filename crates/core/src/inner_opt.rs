@@ -14,9 +14,16 @@
 //! current, so the battery math is paid once per current. Each probe
 //! counts one peek-equivalent evaluation ([`hev_trace::evals`]); the
 //! winner's outcome is kept from the sweep rather than re-evaluated.
+//!
+//! A sweep over several currents ([`InnerOptimizer::best_over_currents`])
+//! also skips every gear search a larger current cannot change (see
+//! `SettledGears`); the DP's cell sweep reads the same classification.
 
 use crate::reward::RewardConfig;
-use hev_model::{ControlInput, CurrentContext, ParallelHev, StepContext, StepOutcome, WheelDemand};
+use hev_model::{
+    ControlInput, CurrentContext, InfeasibleControl, OperatingMode, ParallelHev, StepContext,
+    StepOutcome, WheelDemand,
+};
 use serde::{Deserialize, Serialize};
 
 /// A fully resolved action: the control input, the predicted outcome, and
@@ -118,15 +125,8 @@ impl InnerOptimizer {
             // sweep is masked without paying for a single one.
             return None;
         }
-        let (gear, best) = match self.fixed_aux_w {
-            Some(aux) => {
-                let _grid = hev_trace::span::enter("control.grid");
-                best_gear(hev, ctx, |gear| probe(hev, ctx, &cur, gear, aux, reward))
-            }
-            None => best_gear(hev, ctx, |gear| {
-                best_aux_for_gear(hev, ctx, &cur, gear, reward)
-            }),
-        }?;
+        let (gear, best) =
+            self.resolve_current::<false>(hev, ctx, &cur, reward, &mut SettledGears::new())?;
         Some(ResolvedAction {
             control: ControlInput {
                 battery_current_a,
@@ -139,9 +139,19 @@ impl InnerOptimizer {
     }
 
     /// The feasible control with the best instantaneous reward over
-    /// `currents`, each resolved by [`InnerOptimizer::resolve_with`] in
-    /// order (strict `>`, first wins), or `None` when every current is
+    /// `currents`, each resolved as [`InnerOptimizer::resolve_with`] does
+    /// in order (strict `>`, first wins), or `None` when every current is
     /// masked. The myopic tier of the supervisor and the serve ladder.
+    ///
+    /// Returns the control `resolve_with` per current would pick, at less
+    /// cost. Once a gear's search lands in a regime a larger current
+    /// cannot change (friction braking at zero machine torque, a machine
+    /// torque above the envelope, or EV-only), its search at the later
+    /// currents, while their terminal power strictly rises, would tie an
+    /// earlier current's (losing under strict `>`) or fail, so it is
+    /// skipped; an EV-only gear first pays one probe to confirm that it
+    /// stays EV-only. A stopped step, which ignores the commanded
+    /// current, resolves only the first one.
     pub fn best_over_currents(
         &self,
         hev: &ParallelHev,
@@ -151,14 +161,88 @@ impl InnerOptimizer {
         reward: &RewardConfig,
     ) -> Option<ControlInput> {
         let mut best: Option<(f64, ControlInput)> = None;
-        for &current in currents {
-            if let Some(resolved) = self.resolve_with(hev, ctx, current, dt, reward) {
-                if best.as_ref().is_none_or(|(r, _)| resolved.reward > *r) {
-                    best = Some((resolved.reward, resolved.control));
+        let mut settled = SettledGears::new();
+        for &battery_current_a in currents {
+            let _span = hev_trace::span::enter("control.resolve");
+            let cur = hev.current_context(battery_current_a, dt);
+            settled.advance(&cur);
+            if !ctx.is_stopped() && !cur.is_feasible() {
+                continue;
+            }
+            if let Some((gear, p)) =
+                self.resolve_current::<true>(hev, ctx, &cur, reward, &mut settled)
+            {
+                if best.as_ref().is_none_or(|(r, _)| p.reward > *r) {
+                    let control = ControlInput {
+                        battery_current_a,
+                        gear,
+                        p_aux_w: p.p_aux_w,
+                    };
+                    best = Some((p.reward, control));
                 }
+            }
+            if ctx.is_stopped() {
+                // Every later current replays this one: ties that lose.
+                break;
             }
         }
         best.map(|(_, control)| control)
+    }
+
+    /// The best `(gear, probe)` at one feasible current. In a `SWEEP`
+    /// over currents it skips the gears `settled` marks and records each
+    /// searched gear's regime; otherwise it is the plain per-current
+    /// search of [`InnerOptimizer::resolve_with`] and leaves `settled`
+    /// alone. The flag is a constant so that the plain search compiles
+    /// without the settle work.
+    #[inline(always)]
+    fn resolve_current<const SWEEP: bool>(
+        &self,
+        hev: &ParallelHev,
+        ctx: &StepContext,
+        cur: &CurrentContext,
+        reward: &RewardConfig,
+        settled: &mut SettledGears,
+    ) -> Option<(usize, Probe)> {
+        match self.fixed_aux_w {
+            Some(aux) => {
+                let _grid = hev_trace::span::enter("control.grid");
+                best_gear(hev, ctx, |gear| {
+                    // One probe per gear: a settled gear's probe replays
+                    // its earlier outcome or fails.
+                    if SWEEP && settled.regime(gear) != Regime::Open {
+                        return None;
+                    }
+                    let result = peek_at(hev, ctx, cur, gear, aux);
+                    if SWEEP {
+                        settled.record(gear, Regime::of(&result));
+                    }
+                    scored(result, aux, reward)
+                })
+            }
+            None => best_gear(hev, ctx, |gear| {
+                let regime = if SWEEP {
+                    settled.regime(gear)
+                } else {
+                    Regime::Open
+                };
+                if regime == Regime::Saturated {
+                    return None;
+                }
+                let (found, top) = best_aux_for_gear::<SWEEP>(
+                    hev,
+                    ctx,
+                    cur,
+                    gear,
+                    reward,
+                    regime == Regime::EvOnly,
+                );
+                if SWEEP {
+                    settled.record(gear, top);
+                }
+                found
+            }),
+        }
     }
 
     /// Cheap feasibility probe: is the current realizable in *any* gear
@@ -271,28 +355,58 @@ fn best_gear(
 
 /// The best probe of one gear: coarse grid, then golden-section
 /// refinement around the best grid point.
+///
+/// In a `SWEEP` over currents it also returns the [`Regime`] of the top
+/// grid probe (`p_aux = hi`; `Open` otherwise): that probe has the least
+/// machine power of the search, since each refinement bracket lies
+/// inside the range. There `ev_settled` marks a gear whose top probe was
+/// `EvOnly` at an earlier, lower terminal power. If the first grid probe
+/// (`p_aux = lo`, the most machine power) is `EvOnly` as well, every
+/// machine power of the search
+/// lies between those two EV operating points, so every probe would
+/// resolve in EV mode, which ignores the commanded current: the search
+/// replays the earlier one and the gear returns `None` after one eval.
+/// Otherwise that probe is the grid's first point and the search goes on.
 #[inline(always)]
-fn best_aux_for_gear(
+fn best_aux_for_gear<const SWEEP: bool>(
     hev: &ParallelHev,
     ctx: &StepContext,
     cur: &CurrentContext,
     gear: usize,
     reward: &RewardConfig,
-) -> Option<Probe> {
+    ev_settled: bool,
+) -> (Option<Probe>, Regime) {
     let (lo, hi) = hev.aux().power_range();
     let n = AUX_GRID;
+    let mut top = Regime::Open;
     let (k_best, mut best) = {
         let _grid = hev_trace::span::enter("control.grid");
         let mut best: Option<(usize, Probe)> = None;
         for k in 0..n {
             let p = lo + (hi - lo) * k as f64 / (n - 1) as f64;
-            if let Some(c) = probe(hev, ctx, cur, gear, p, reward) {
+            let result = peek_at(hev, ctx, cur, gear, p);
+            if SWEEP
+                && k == 0
+                && ev_settled
+                && result
+                    .as_ref()
+                    .is_ok_and(|o| o.mode == OperatingMode::EvOnly)
+            {
+                return (None, Regime::EvOnly);
+            }
+            if SWEEP && k == n - 1 {
+                top = Regime::of(&result);
+            }
+            if let Some(c) = scored(result, p, reward) {
                 if best.is_none_or(|(_, b)| c.reward > b.reward) {
                     best = Some((k, c));
                 }
             }
         }
-        best?
+        match best {
+            Some(best) => best,
+            None => return (None, top),
+        }
     };
     // Golden-section refinement in the bracket around the best grid
     // point (the reward is uni-modal in p_aux in practice: fuel rises
@@ -301,7 +415,7 @@ fn best_aux_for_gear(
     // one; every probe is kept if it beats the best seen (strict `>`).
     let _span = hev_trace::span::enter("control.refine");
     let sample = |p: f64, best: &mut Probe| {
-        let c = probe(hev, ctx, cur, gear, p, reward);
+        let c = scored(peek_at(hev, ctx, cur, gear, p), p, reward);
         if let Some(c) = c.filter(|c| c.reward > best.reward) {
             *best = c;
         }
@@ -358,31 +472,158 @@ fn best_aux_for_gear(
         }
         probes += 1;
     }
-    Some(best)
+    (Some(best), top)
 }
 
-/// Probes one `(gear, p_aux)` candidate against the prebuilt contexts;
-/// `None` when infeasible.
+/// Evaluates one `(gear, p_aux)` candidate against the prebuilt contexts.
 #[inline(always)]
-fn probe(
+fn peek_at(
     hev: &ParallelHev,
     ctx: &StepContext,
     cur: &CurrentContext,
     gear: usize,
     p_aux_w: f64,
-    reward: &RewardConfig,
-) -> Option<Probe> {
+) -> Result<StepOutcome, InfeasibleControl> {
     let control = ControlInput {
         battery_current_a: cur.battery_current_a(),
         gear,
         p_aux_w,
     };
-    let outcome = hev.peek_with_contexts(ctx, cur, &control).ok()?;
+    hev.peek_with_contexts(ctx, cur, &control)
+}
+
+/// Scores a feasible evaluation; `None` when infeasible.
+#[inline(always)]
+fn scored(
+    result: Result<StepOutcome, InfeasibleControl>,
+    p_aux_w: f64,
+    reward: &RewardConfig,
+) -> Option<Probe> {
+    let outcome = result.ok()?;
     Some(Probe {
         p_aux_w,
         reward: reward.reward(&outcome),
         outcome,
     })
+}
+
+/// What one evaluation of a gear says about the same gear at every
+/// larger terminal power of the same step, at the same or a lower
+/// auxiliary power, that is at no less machine power.
+///
+/// The arguments rest on monotonicity in that machine power: the
+/// machine-torque inversion (`torque_from_power`) is non-decreasing and,
+/// once it has a solution, keeps one; the engine torque
+/// `t_shaft − ρ·T_EM·η^α` is non-increasing in the machine torque.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Regime {
+    /// More machine power may change the outcome.
+    Open,
+    /// Every evaluation at more machine power replays this outcome or
+    /// fails:
+    /// * friction braking at zero machine torque: a larger regen command
+    ///   clamps to zero as well, and the realized current follows from
+    ///   the clamped torque and `p_aux` alone;
+    /// * a machine torque above the envelope: more power only raises it
+    ///   (through the EV branch's own torque check too).
+    Saturated,
+    /// EV-only: more machine power keeps the engine torque below the
+    /// engine-on threshold, so the step completes in EV mode, which
+    /// ignores the commanded current, or fails the torque envelope.
+    EvOnly,
+}
+
+impl Regime {
+    /// The regime of one evaluation.
+    #[inline(always)]
+    pub(crate) fn of(result: &Result<StepOutcome, InfeasibleControl>) -> Self {
+        match *result {
+            Ok(ref o) if o.mode == OperatingMode::EvOnly => Self::EvOnly,
+            // Braking clamps the machine torque to at most zero.
+            Ok(ref o) if o.mode == OperatingMode::FrictionBraking && o.em_torque_nm >= 0.0 => {
+                Self::Saturated
+            }
+            Err(InfeasibleControl::MotorTorque {
+                torque_nm, max_nm, ..
+            }) if torque_nm > max_nm => Self::Saturated,
+            _ => Self::Open,
+        }
+    }
+}
+
+/// The per-gear [`Regime`]s of a sweep over commanded currents at one
+/// step, on the stack: two bit sets over the first 64 gears (any further
+/// gear stays open).
+///
+/// A gear's regime holds only while the terminal power strictly rises
+/// from one current to the next: [`SettledGears::advance`] reopens every
+/// gear at any other step, so an unsorted or non-monotone current list
+/// just skips less. A skipped candidate would have tied an earlier one,
+/// which loses under strict `>` (first wins), or failed, so skipping
+/// never changes the sweep's argmax.
+#[derive(Debug)]
+pub(crate) struct SettledGears {
+    last_power_w: f64,
+    saturated: u64,
+    ev_only: u64,
+}
+
+impl SettledGears {
+    /// No gear settled, before the first current.
+    pub(crate) fn new() -> Self {
+        Self {
+            last_power_w: f64::NEG_INFINITY,
+            saturated: 0,
+            ev_only: 0,
+        }
+    }
+
+    /// Moves the sweep to `cur`, reopening every gear unless its terminal
+    /// power strictly exceeds the previous current's.
+    #[inline(always)]
+    pub(crate) fn advance(&mut self, cur: &CurrentContext) {
+        let rising = cur.terminal_power_w() > self.last_power_w;
+        if !rising {
+            self.saturated = 0;
+            self.ev_only = 0;
+        }
+        self.last_power_w = cur.terminal_power_w();
+    }
+
+    /// The regime recorded for `gear` at an earlier current.
+    #[inline(always)]
+    pub(crate) fn regime(&self, gear: usize) -> Regime {
+        let bit = Self::bit(gear);
+        if self.saturated & bit != 0 {
+            Regime::Saturated
+        } else if self.ev_only & bit != 0 {
+            Regime::EvOnly
+        } else {
+            Regime::Open
+        }
+    }
+
+    /// Records `gear`'s regime at the current one.
+    #[inline(always)]
+    pub(crate) fn record(&mut self, gear: usize, regime: Regime) {
+        let bit = Self::bit(gear);
+        self.saturated &= !bit;
+        self.ev_only &= !bit;
+        match regime {
+            Regime::Open => {}
+            Regime::Saturated => self.saturated |= bit,
+            Regime::EvOnly => self.ev_only |= bit,
+        }
+    }
+
+    /// `gear`'s bit, or no bit past the 64th gear.
+    #[inline(always)]
+    fn bit(gear: usize) -> u64 {
+        u32::try_from(gear)
+            .ok()
+            .and_then(|g| 1u64.checked_shl(g))
+            .unwrap_or(0)
+    }
 }
 
 #[cfg(test)]

@@ -59,6 +59,9 @@ pub struct Observation<'a> {
     pub step: usize,
     /// Time since cycle start, s.
     pub time_s: f64,
+    /// Step length, s: the interval every feasibility check of this
+    /// step's candidate controls covers.
+    pub dt_s: f64,
     /// Wheel-level demand (from the driver's pedals).
     pub demand: &'a WheelDemand,
     /// Battery state of charge.
@@ -185,7 +188,7 @@ pub fn fallback_control(hev: &ParallelHev, demand: &WheelDemand, dt: f64) -> Con
 }
 
 /// [`fallback_control`] against a prebuilt [`StepContext`].
-pub(crate) fn fallback_control_in(hev: &ParallelHev, ctx: &StepContext, dt: f64) -> ControlInput {
+pub fn fallback_control_in(hev: &ParallelHev, ctx: &StepContext, dt: f64) -> ControlInput {
     feasible_control(hev, ctx, dt).unwrap_or(ControlInput {
         battery_current_a: 0.0,
         gear: 0,
@@ -331,6 +334,7 @@ fn simulate_core(
         let obs = Observation {
             step,
             time_s: point.time_s,
+            dt_s: dt,
             demand: &observed_demand,
             soc: observed_soc,
             ctx: ctx_ref,
@@ -502,7 +506,7 @@ mod tests {
 
     impl HevPolicy for Passive {
         fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
-            fallback_control(hev, obs.demand, 1.0)
+            fallback_control(hev, obs.demand, obs.dt_s)
         }
     }
 

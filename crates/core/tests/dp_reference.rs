@@ -144,6 +144,7 @@ fn assert_matches_reference(cycle: &DriveCycle, config: &DpConfig) {
             let obs = Observation {
                 step: t,
                 time_s: t as f64 * cycle.dt(),
+                dt_s: cycle.dt(),
                 demand: plan.table().demand(t),
                 soc: socs[j],
                 ctx: plan.table().context(t),

@@ -9,9 +9,9 @@
 //! sizes are restated here rather than shared, so a change to the
 //! production search shows up as a divergence.
 //!
-//! Shared by the `inner_opt` unit tests and the supervisor property
-//! tests; the including module supplies `InnerOptimizer`,
-//! `ResolvedAction` and `RewardConfig`.
+//! Shared by the `inner_opt` unit tests, the supervisor property tests
+//! and the current-sweep reference; the including module supplies
+//! `InnerOptimizer`, `ResolvedAction` and `RewardConfig`.
 
 use super::{InnerOptimizer, ResolvedAction, RewardConfig};
 use hev_model::{ControlInput, ParallelHev, WheelDemand};
@@ -129,6 +129,7 @@ fn best_aux(hev: &ParallelHev, score: impl Fn(f64) -> Option<f64>) -> Option<(f6
 }
 
 /// Every field of a resolved action as raw bits, for exact comparison.
+#[allow(dead_code)] // a sweep test compares only the winning control
 pub fn bits(r: &ResolvedAction) -> Vec<u64> {
     let o = &r.outcome;
     vec![

@@ -15,8 +15,8 @@
 //! 3. [`Rung::Rule`] — the rule-based
 //!    baseline's decision;
 //! 4. [`Rung::LimpHome`] — the feasibility
-//!    search of [`fallback_control`], attempted regardless of budget so
-//!    a response is always produced.
+//!    search of [`fallback_control_in`] on the request's context,
+//!    attempted regardless of budget so a response is always produced.
 //!
 //! Every candidate is validated the supervisor's way — finite fields
 //! plus a `peek_with_context` feasibility probe — so a served control
@@ -25,7 +25,7 @@
 //! proptests pin).
 
 use crate::wire::Rung;
-use hev_control::sim::{fallback_control, HevPolicy, Observation};
+use hev_control::sim::{fallback_control_in, HevPolicy, Observation};
 use hev_control::{default_currents, InnerOptimizer, RewardConfig, RuleBasedController};
 use hev_model::{ControlInput, ParallelHev, StepContext, WheelDemand};
 use hev_trace::evals;
@@ -59,10 +59,11 @@ impl Default for LadderConfig {
             // The full tier costs at most gears × (7 grid + 12 refine
             // probes) = 95 evals per current, 1 425 over the 15-current
             // ladder, and the myopic tier 380 over its 4 currents; 4k
-            // leaves headroom for validation probes. `full_cost` and
-            // `myopic_cost` keep the values set when the search cost 155
-            // per current: they gate rung entry, so lowering them would
-            // change which rung answers a request.
+            // leaves headroom for validation probes. The sweep's skip of
+            // settled gears only lowers the real cost, so `full_cost` and
+            // `myopic_cost` are upper bounds, kept at the values set when
+            // the search cost 155 per current: they gate rung entry, so
+            // lowering them would change which rung answers a request.
             budget_evals: 4000,
             full_cost: 2500,
             myopic_cost: 700,
@@ -169,6 +170,7 @@ pub fn decide(
         let obs = Observation {
             step,
             time_s,
+            dt_s: dt,
             demand,
             soc: obs_soc,
             ctx,
@@ -192,7 +194,7 @@ pub fn decide(
     let _span = hev_trace::span::enter("serve.ladder.limp_home");
     trail.push(Rung::LimpHome);
     let tier = evals::count();
-    let control = fallback_control(hev, demand, dt);
+    let control = fallback_control_in(hev, ctx, dt);
     let ok = validate(hev, ctx, &control, dt);
     trail_evals.push(evals::since(tier));
     if ok {
@@ -261,9 +263,13 @@ mod tests {
 
     #[test]
     fn zero_budget_still_serves_limp_home() {
+        let before = evals::ctx_rebuilds();
         let out = walk(0, 5.0, 0.1).expect("limp-home always answers feasible demands");
         assert_eq!(out.rung, Rung::LimpHome);
         assert_eq!(out.trail, vec![Rung::LimpHome]);
+        // The feasibility search completes against the request's context,
+        // the only one the walk builds.
+        assert_eq!(evals::ctx_rebuilds().wrapping_sub(before), 1);
     }
 
     #[test]
