@@ -113,7 +113,7 @@ impl HevPolicy for CdCsController {
                     return c;
                 }
             }
-            return fallback_control(hev, obs.demand, obs.dt_s);
+            return fallback_control(hev, obs.ctx, obs.dt_s);
         }
         if self.is_depleting(obs.soc) && obs.demand.power_demand_w < cfg.cd_power_max_w {
             // Deplete: a descending discharge ladder — the largest bound
@@ -133,7 +133,7 @@ impl HevPolicy for CdCsController {
             0.0
         };
         Self::try_gears(hev, obs, current, cfg.aux_power_w)
-            .unwrap_or_else(|| fallback_control(hev, obs.demand, obs.dt_s))
+            .unwrap_or_else(|| fallback_control(hev, obs.ctx, obs.dt_s))
     }
 }
 

@@ -11,7 +11,7 @@ use crate::inner_opt::{Regime, SettledGears};
 use crate::metrics::EpisodeMetrics;
 use crate::plan::CyclePlan;
 use crate::reward::RewardConfig;
-use crate::sim::{fallback_control, fallback_control_in, simulate_planned, HevPolicy, Observation};
+use crate::sim::{fallback_control, simulate_planned, HevPolicy, Observation};
 use drive_cycle::DriveCycle;
 use hev_model::{ControlInput, ParallelHev, StepContext, StepOutcome};
 use serde::{Deserialize, Serialize};
@@ -69,7 +69,7 @@ impl DpPolicy {
 impl HevPolicy for DpPolicy {
     fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
         let Some(row) = self.actions.get(obs.step) else {
-            return fallback_control(hev, obs.demand, obs.dt_s);
+            return fallback_control(hev, obs.ctx, obs.dt_s);
         };
         row[self.soc_index(obs.soc, row.len())]
     }
@@ -147,7 +147,7 @@ pub fn solve(
                 hev.reset_soc(soc_at(j));
                 best_in_cell(hev, ctx, config, dt, value).unwrap_or_else(|| {
                     // No candidate is feasible: score the fallback control.
-                    let control = fallback_control_in(hev, ctx, dt);
+                    let control = fallback_control(hev, ctx, dt);
                     let v = hev
                         .peek_with_context(ctx, &control, dt)
                         .map_or(-1e6, |o| value(&o));

@@ -109,7 +109,7 @@ impl HevPolicy for EcmsController {
         }
         match best {
             Some((_, c)) => c,
-            None => fallback_control(hev, obs.demand, obs.dt_s),
+            None => fallback_control(hev, obs.ctx, obs.dt_s),
         }
     }
 }

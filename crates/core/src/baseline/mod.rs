@@ -31,6 +31,15 @@ mod tests {
     use drive_cycle::DriveCycle;
     use hev_model::{ControlInput, HevParams, ParallelHev};
 
+    /// Always proposes the same control.
+    struct Always(ControlInput);
+
+    impl HevPolicy for Always {
+        fn decide(&mut self, _hev: &ParallelHev, _obs: &Observation<'_>) -> ControlInput {
+            self.0
+        }
+    }
+
     /// Wraps a baseline, recording its first decision and checking that
     /// every observation carries the cycle's step length.
     struct FirstDecision<'a> {
@@ -95,5 +104,11 @@ mod tests {
         check("rule-based", &mut RuleBasedController::default());
         check("ECMS", &mut EcmsController::default());
         check("CDCS", &mut CdCsController::default());
+        // The supervisor validates over the same step: it passes the
+        // regen through rather than rescuing it.
+        check(
+            "supervised",
+            &mut crate::SupervisedPolicy::new(Always(regen)),
+        );
     }
 }

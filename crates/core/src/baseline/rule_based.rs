@@ -130,7 +130,7 @@ impl RuleBasedController {
                 }
             }
         }
-        fallback_control(hev, obs.demand, obs.dt_s)
+        fallback_control(hev, obs.ctx, obs.dt_s)
     }
 }
 
@@ -165,7 +165,7 @@ impl HevPolicy for RuleBasedController {
                     }
                 }
             }
-            return fallback_control(hev, d, obs.dt_s);
+            return fallback_control(hev, obs.ctx, obs.dt_s);
         }
 
         // Electric launch / low-load EV while charge remains.

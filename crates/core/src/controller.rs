@@ -557,7 +557,7 @@ impl<P: Predictor> HevPolicy for JointController<P> {
             // No discrete action feasible (rare): let the harness fall
             // back; no learning credit this step.
             self.awaiting_reward = None;
-            return fallback_control(hev, obs.demand, self.config.reward.dt_s);
+            return fallback_control(hev, obs.ctx, self.config.reward.dt_s);
         }
         // Flush the pending transition now that the successor state and
         // its feasible set are known (Algorithm 1, lines 5–10).
@@ -586,7 +586,7 @@ impl<P: Predictor> HevPolicy for JointController<P> {
                     Some(a) => a,
                     None => {
                         self.awaiting_reward = None;
-                        return fallback_control(hev, obs.demand, self.config.reward.dt_s);
+                        return fallback_control(hev, obs.ctx, self.config.reward.dt_s);
                     }
                 },
             }
@@ -610,7 +610,7 @@ impl<P: Predictor> HevPolicy for JointController<P> {
             }
             None => {
                 self.awaiting_reward = None;
-                fallback_control(hev, obs.demand, self.config.reward.dt_s)
+                fallback_control(hev, obs.ctx, self.config.reward.dt_s)
             }
         }
     }

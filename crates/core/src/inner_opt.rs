@@ -83,25 +83,9 @@ impl InnerOptimizer {
         }
     }
 
-    /// Resolves the best `(gear, p_aux)` for the given battery current,
-    /// or `None` when no combination is feasible (the action is masked).
-    ///
-    /// Builds a [`StepContext`] internally. Callers that resolve several
-    /// currents against one demand should build the context once and use
-    /// [`InnerOptimizer::resolve_with`].
-    pub fn resolve(
-        &self,
-        hev: &ParallelHev,
-        demand: &WheelDemand,
-        battery_current_a: f64,
-        dt: f64,
-        reward: &RewardConfig,
-    ) -> Option<ResolvedAction> {
-        let ctx = hev.step_context(demand);
-        self.resolve_with(hev, &ctx, battery_current_a, dt, reward)
-    }
-
-    /// [`InnerOptimizer::resolve`] against a prebuilt [`StepContext`].
+    /// Resolves the best `(gear, p_aux)` for the given battery current
+    /// against the step's context, or `None` when no combination is
+    /// feasible (the action is masked).
     ///
     /// Sweeps the viable gears in ascending order; per gear, either the
     /// fixed auxiliary power or a coarse 7-point aux grid followed by a
@@ -643,13 +627,22 @@ mod tests {
         RewardConfig::default()
     }
 
+    /// Resolves `current` over a one-second step against a context built
+    /// for `d`.
+    fn resolve(
+        opt: &InnerOptimizer,
+        hev: &ParallelHev,
+        d: &WheelDemand,
+        current: f64,
+    ) -> Option<ResolvedAction> {
+        opt.resolve_with(hev, &hev.step_context(d), current, 1.0, &cfg())
+    }
+
     #[test]
     fn resolves_cruise_current() {
         let hev = hev();
         let d = hev.demand(20.0, 0.0, 0.0);
-        let r = InnerOptimizer::default()
-            .resolve(&hev, &d, 2.0, 1.0, &cfg())
-            .unwrap();
+        let r = resolve(&InnerOptimizer::default(), &hev, &d, 2.0).unwrap();
         assert!(r.outcome.fuel_g > 0.0);
         assert!(r.control.gear < 5);
         let (lo, hi) = hev.aux().power_range();
@@ -662,9 +655,7 @@ mod tests {
         // optimum should be near (slightly below) the preferred 600 W.
         let hev = hev();
         let d = hev.demand(0.0, 0.0, 0.0);
-        let r = InnerOptimizer::default()
-            .resolve(&hev, &d, 0.0, 1.0, &cfg())
-            .unwrap();
+        let r = resolve(&InnerOptimizer::default(), &hev, &d, 0.0).unwrap();
         assert!(
             (400.0..=650.0).contains(&r.control.p_aux_w),
             "p_aux {}",
@@ -677,7 +668,7 @@ mod tests {
         let hev = hev();
         let d = hev.demand(15.0, 0.3, 0.0);
         let opt = InnerOptimizer::default();
-        let best = opt.resolve(&hev, &d, 10.0, 1.0, &cfg()).unwrap();
+        let best = resolve(&opt, &hev, &d, 10.0).unwrap();
         // Exhaustive check over a fine (gear, aux) grid.
         for gear in 0..5 {
             for k in 0..30 {
@@ -701,9 +692,7 @@ mod tests {
     fn fixed_aux_pins_power() {
         let hev = hev();
         let d = hev.demand(15.0, 0.3, 0.0);
-        let r = InnerOptimizer::with_fixed_aux(600.0)
-            .resolve(&hev, &d, 10.0, 1.0, &cfg())
-            .unwrap();
+        let r = resolve(&InnerOptimizer::with_fixed_aux(600.0), &hev, &d, 10.0).unwrap();
         assert_eq!(r.control.p_aux_w, 600.0);
     }
 
@@ -714,7 +703,7 @@ mod tests {
         let hev = ParallelHev::new(hev_model::HevParams::default_parallel_hev(), 0.400001).unwrap();
         let d = hev.demand(3.0, 0.3, 0.0); // gentle EV-capable launch
         let opt = InnerOptimizer::default();
-        assert!(opt.resolve(&hev, &d, 100.0, 1.0, &cfg()).is_none());
+        assert!(resolve(&opt, &hev, &d, 100.0).is_none());
         assert!(!opt.feasible(&hev, &d, 100.0, 1.0));
     }
 
@@ -732,7 +721,7 @@ mod tests {
             let d = hev.demand(v, a, 0.0);
             for i in [-40.0, -8.0, 0.0, 8.0, 40.0, 100.0] {
                 let probe = opt.feasible(&hev, &d, i, 1.0);
-                let full = opt.resolve(&hev, &d, i, 1.0, &cfg()).is_some();
+                let full = resolve(&opt, &hev, &d, i).is_some();
                 // The probe may be conservative (false negatives possible
                 // in principle) but must never claim feasibility the full
                 // resolve cannot deliver.
@@ -909,9 +898,7 @@ mod tests {
     fn regen_braking_resolves() {
         let hev = hev();
         let d = hev.demand(15.0, -1.5, 0.0);
-        let r = InnerOptimizer::default()
-            .resolve(&hev, &d, -25.0, 1.0, &cfg())
-            .unwrap();
+        let r = resolve(&InnerOptimizer::default(), &hev, &d, -25.0).unwrap();
         assert!(r.outcome.em_torque_nm < 0.0);
         assert_eq!(r.outcome.fuel_g, 0.0);
     }

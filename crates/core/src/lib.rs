@@ -100,5 +100,5 @@ pub use sim::{
     Observation,
 };
 pub use state::{StateSample, StateSpace, StateSpaceConfig};
-pub use supervisor::{SupervisedPolicy, SupervisorConfig};
+pub use supervisor::{LadderConfig, Rung, SupervisedPolicy, Tier};
 pub use telemetry::{DecisionInfo, PolicyTelemetry, RunTelemetry, TelemetryConfig};

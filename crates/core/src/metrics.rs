@@ -27,7 +27,8 @@ pub struct DegradationReport {
     /// Typed control errors (`ControlError`) the wrapped policy reported
     /// while deciding.
     pub control_errors: usize,
-    /// Rejections recovered by the myopic-argmax tier.
+    /// Rejections recovered by an inner-optimized (myopic-argmax) tier:
+    /// rung full or myopic of the degradation chain.
     pub myopic_rescues: usize,
     /// Rejections recovered by the rule-based tier.
     pub rule_rescues: usize,

@@ -178,17 +178,12 @@ fn feasible_control(hev: &ParallelHev, ctx: &StepContext, dt: f64) -> Option<Con
     None
 }
 
-/// A last-resort control for the current demand: the first feasible
+/// A last-resort control for the step's context: the first feasible
 /// control of a coarse, then a fine current scan over every gear, or a
 /// zero-current 1st-gear request when even the fine scan fails (the
 /// simulation harness then clips the demand — a "trace miss", as
 /// backward-looking simulators such as ADVISOR report).
-pub fn fallback_control(hev: &ParallelHev, demand: &WheelDemand, dt: f64) -> ControlInput {
-    fallback_control_in(hev, &hev.step_context(demand), dt)
-}
-
-/// [`fallback_control`] against a prebuilt [`StepContext`].
-pub fn fallback_control_in(hev: &ParallelHev, ctx: &StepContext, dt: f64) -> ControlInput {
+pub fn fallback_control(hev: &ParallelHev, ctx: &StepContext, dt: f64) -> ControlInput {
     feasible_control(hev, ctx, dt).unwrap_or(ControlInput {
         battery_current_a: 0.0,
         gear: 0,
@@ -350,7 +345,7 @@ fn simulate_core(
         }
         let (outcome, was_fallback) = match hev.step_with_context(ctx_ref, &control, dt) {
             Ok(o) => (o, false),
-            Err(_) => (step_with_fallback(hev, demand, dt, &mut metrics), true),
+            Err(_) => (step_with_fallback(hev, ctx_ref, dt, &mut metrics), true),
         };
         let r = reward.reward(&outcome);
         metrics.record(
@@ -404,22 +399,23 @@ fn simulate_core(
     metrics
 }
 
-/// Applies the best feasible control, clipping the demand when the
-/// powertrain cannot deliver it at all (trace miss).
+/// Applies the best feasible control on the step's context, clipping
+/// the demand when the powertrain cannot deliver it at all (trace miss).
 fn step_with_fallback(
     hev: &mut ParallelHev,
-    demand: &WheelDemand,
+    ctx: &StepContext,
     dt: f64,
     metrics: &mut EpisodeMetrics,
 ) -> StepOutcome {
     // The control was verified feasible, so `step` succeeds; on the
     // impossible failure we fall through to the clipping loop instead of
     // panicking the episode.
-    if let Some(c) = feasible_control(hev, &hev.step_context(demand), dt) {
-        if let Ok(outcome) = hev.step(demand, &c, dt) {
+    if let Some(c) = feasible_control(hev, ctx, dt) {
+        if let Ok(outcome) = hev.step_with_context(ctx, &c, dt) {
             return outcome;
         }
     }
+    let demand = ctx.demand();
     // Trace miss: the demand exceeds the powertrain's capability; deliver
     // as much as possible (ADVISOR reports the same condition).
     metrics.trace_miss_steps += 1;
@@ -506,7 +502,7 @@ mod tests {
 
     impl HevPolicy for Passive {
         fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
-            fallback_control(hev, obs.demand, obs.dt_s)
+            fallback_control(hev, obs.ctx, obs.dt_s)
         }
     }
 
@@ -549,7 +545,7 @@ mod tests {
             (5.0, -1.0),
         ] {
             let d = hev.demand(v, a, 0.0);
-            let c = fallback_control(&hev, &d, 1.0);
+            let c = fallback_control(&hev, &hev.step_context(&d), 1.0);
             assert!(hev.peek(&d, &c, 1.0).is_ok(), "v={v} a={a}");
         }
     }
@@ -586,7 +582,8 @@ mod tests {
             power_demand_w: 1e18,
         };
         let mut m = EpisodeMetrics::new(hev.soc());
-        let outcome = step_with_fallback(&mut hev, &hostile, 1.0, &mut m);
+        let ctx = hev.step_context(&hostile);
+        let outcome = step_with_fallback(&mut hev, &ctx, 1.0, &mut m);
         assert_eq!(m.trace_miss_steps, 1);
         assert!(outcome.soc_after.is_finite());
         assert!(outcome.fuel_g.is_finite());
@@ -644,10 +641,9 @@ mod tests {
 
     #[test]
     fn planned_episode_skips_the_loop_rebuilds() {
-        // `Passive` decides via `fallback_control`, whose scan builds one
-        // (counted) step context per step in both paths; the per-step
-        // loop's own rebuild is what the plan amortizes away. So the
-        // planned episode must record exactly `len` fewer rebuilds.
+        // `Passive` decides via `fallback_control` on the step's own
+        // context, so the per-step loop's rebuild is the only one, and
+        // the plan amortizes it away.
         let cycle = short_cycle();
         let mut a = hev();
         let before = hev_trace::evals::ctx_rebuilds();
@@ -658,7 +654,8 @@ mod tests {
         let before = hev_trace::evals::ctx_rebuilds();
         simulate_planned(&mut b, &plan, &mut Passive, &RewardConfig::default());
         let planned = hev_trace::evals::ctx_rebuilds().wrapping_sub(before);
-        assert_eq!(planned, unplanned - cycle.len() as u64);
+        assert_eq!(unplanned, cycle.len() as u64);
+        assert_eq!(planned, 0);
     }
 
     #[test]

@@ -1,28 +1,39 @@
-//! Supervised fallback control: a safety wrapper around any
-//! [`HevPolicy`].
+//! The degradation chain, and [`SupervisedPolicy`], a safety wrapper
+//! around any [`HevPolicy`] that walks it.
 //!
-//! A deployable energy-management controller must never hand the plant a
-//! control it cannot execute — yet a learned policy can emit one (an
-//! unvisited state, a malformed action, a NaN escaping the function
-//! approximator) and fault injection makes this routine: the policy
-//! decides on *observed* (noisy, drifted) state while feasibility is
-//! judged on the true plant. [`SupervisedPolicy`] validates every
-//! decision against the step's feasibility check and non-finite-field
-//! checks, and on violation degrades through a fixed fallback chain:
+//! A deployable controller must never hand the plant a control it
+//! cannot execute — yet a learned policy can emit one (an unvisited
+//! state, a malformed action, a NaN escaping the function approximator),
+//! and fault injection makes this routine: the policy decides on
+//! *observed* (noisy, drifted) state while feasibility is judged on the
+//! true plant. Every candidate is validated the same way: finite fields
+//! plus a [`ParallelHev::peek_with_context`] probe on the step's context
+//! over the observation's step length (the predicate the plant's `step`
+//! enforces).
 //!
-//! 1. **wrapped policy** — the decision as made;
-//! 2. **myopic argmax** — the best instantaneous inner-optimized reward
-//!    over a battery-current ladder (the same move an untrained
-//!    [`crate::JointController`] makes in a never-visited state);
-//! 3. **rule-based** — the [`RuleBasedController`] baseline's decision;
-//! 4. **limp-home** — [`fallback_control`]'s feasibility search
-//!    (whose zero-current request the simulation harness resolves by
-//!    demand clipping if even that fails — a trace miss, never an
-//!    abort).
+//! [`walk`] is the one fallback chain of the supervisor and the
+//! `hev-serve` ladder. It returns the first candidate that validates,
+//! in strictly descending fidelity, entering a tier only while its entry
+//! cost fits the eval budget, and records a `(rung, evals)` trail:
 //!
-//! Each tier's activations are counted per episode in a
+//! 1. [`Rung::Full`], then [`Rung::Myopic`] — the best instantaneous
+//!    inner-optimized reward over each [`Tier`]'s battery currents (the
+//!    move an untrained [`crate::JointController`] makes in a
+//!    never-visited state);
+//! 2. [`Rung::Rule`] — the [`RuleBasedController`] baseline's decision;
+//! 3. [`Rung::LimpHome`] — [`fallback_control`] on the step's context,
+//!    attempted regardless of budget. If even it fails validation the
+//!    walk returns it as the error: the supervisor emits it and the
+//!    harness clips the demand (a trace miss, never an abort), while the
+//!    serve session answers a typed error.
+//!
+//! [`SupervisedPolicy`] walks [`LadderConfig::unbudgeted`] (one tier,
+//! no budget limit) and counts the answering rung in its
 //! [`DegradationReport`], which the simulation loop attaches to
-//! [`crate::EpisodeMetrics::degradation`].
+//! [`crate::EpisodeMetrics::degradation`]: full or myopic →
+//! `myopic_rescues`, rule → `rule_rescues`, limp-home → `limp_home`.
+//! The serve session walks [`LadderConfig::default`] under each
+//! request's budget.
 
 use crate::action::default_currents;
 use crate::baseline::RuleBasedController;
@@ -31,8 +42,51 @@ use crate::metrics::DegradationReport;
 use crate::reward::RewardConfig;
 use crate::sim::{fallback_control, ControlError, HevPolicy, Observation};
 use hev_model::{ControlInput, ParallelHev, StepContext, StepOutcome};
+use hev_trace::evals;
 
-/// Why the supervisor rejected a decision.
+/// One tier of the degradation chain, in descending order of fidelity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Rung {
+    /// The first inner-optimized tier.
+    Full,
+    /// A later inner-optimized tier (a coarser current subset).
+    Myopic,
+    /// The rule-based baseline's decision.
+    Rule,
+    /// The limp-home feasibility search.
+    LimpHome,
+}
+
+impl Rung {
+    /// Ladder position, 0 (full) through 3 (limp-home).
+    pub fn index(&self) -> usize {
+        *self as usize
+    }
+
+    /// A stable snake_case name for logs and wire encoding.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::Full => "full",
+            Self::Myopic => "myopic",
+            Self::Rule => "rule",
+            Self::LimpHome => "limp_home",
+        }
+    }
+
+    /// The profiling span a walk enters on this rung (named for the
+    /// serve ladder, whose profile reports them; under the supervisor
+    /// they nest in `control.supervise`).
+    fn span(&self) -> &'static str {
+        match self {
+            Self::Full => "serve.ladder.full",
+            Self::Myopic => "serve.ladder.myopic",
+            Self::Rule => "serve.ladder.rule",
+            Self::LimpHome => "serve.ladder.limp_home",
+        }
+    }
+}
+
+/// Why a candidate control failed validation.
 enum Rejection {
     /// A control field was non-finite.
     NonFinite,
@@ -58,28 +112,131 @@ fn validate(
     Ok(())
 }
 
-/// Configuration of the supervisor's own fallback tiers.
+/// An inner-optimized tier of the chain.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SupervisorConfig {
-    /// Reward definition for the myopic tier (also supplies the step
-    /// duration `dt_s` used by every feasibility check).
-    pub reward: RewardConfig,
-    /// Battery-current ladder the myopic tier optimizes over.
+pub struct Tier {
+    /// Battery currents the tier resolves gear and auxiliary power for.
     pub currents: Vec<f64>,
-    /// Inner optimizer resolving gear and auxiliary power per current.
-    pub inner: InnerOptimizer,
-    /// The rule-based tier's controller.
-    pub rule: RuleBasedController,
+    /// Eval cost that gates entry: an upper bound of the tier's search.
+    pub cost: u64,
 }
 
-impl Default for SupervisorConfig {
+/// The degradation chain's configuration: its inner-optimized tiers,
+/// the rule tier's entry cost, and the optimizers they run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LadderConfig {
+    /// The walk's eval budget (the serve ladder's default for a request
+    /// that carries none).
+    pub budget_evals: u64,
+    /// Inner-optimized tiers in walk order: the first answers as
+    /// [`Rung::Full`], later ones as [`Rung::Myopic`].
+    pub tiers: Vec<Tier>,
+    /// Eval cost that gates entry to the rule tier.
+    pub rule_cost: u64,
+    /// Inner optimizer resolving gear and auxiliary power per current.
+    pub inner: InnerOptimizer,
+    /// Reward definition the inner-optimized tiers maximize.
+    pub reward: RewardConfig,
+}
+
+impl Default for LadderConfig {
+    /// The serve ladder.
     fn default() -> Self {
         Self {
-            reward: RewardConfig::default(),
-            currents: default_currents(),
+            // The full tier costs at most gears × (7 grid + 12 refine
+            // probes) = 95 evals per current, 1 425 over the 15-current
+            // ladder, and the myopic tier 380 over its 4 currents; 4k
+            // leaves headroom for validation probes. The sweep's skip of
+            // settled gears only lowers the real cost, so the tier costs
+            // are upper bounds, kept at the values set when the search
+            // cost 155 per current: they gate rung entry, so lowering
+            // them would change which rung answers a request.
+            budget_evals: 4000,
+            tiers: vec![
+                Tier {
+                    currents: default_currents(),
+                    cost: 2500,
+                },
+                Tier {
+                    currents: vec![-25.0, 0.0, 25.0, 60.0],
+                    cost: 700,
+                },
+            ],
+            rule_cost: 50,
             inner: InnerOptimizer::default(),
-            rule: RuleBasedController::default(),
+            reward: RewardConfig::default(),
         }
+    }
+}
+
+impl LadderConfig {
+    /// The supervisor's chain: the serve ladder's full tier alone, with
+    /// no budget limit.
+    pub fn unbudgeted() -> Self {
+        let mut config = Self {
+            budget_evals: u64::MAX,
+            ..Self::default()
+        };
+        config.tiers.truncate(1);
+        config
+    }
+}
+
+/// Walks the chain on `obs` (its step context and step length) under
+/// `budget` evals, entering a tier only while its entry cost still fits
+/// what is left; limp-home is always attempted. Clears `trail`, then
+/// records each attempted rung with the evals it spent.
+///
+/// Returns the first candidate that validates with its rung, or — when
+/// even the limp-home control fails validation — that control as the
+/// error.
+pub fn walk(
+    hev: &ParallelHev,
+    obs: &Observation<'_>,
+    config: &LadderConfig,
+    rule: &mut RuleBasedController,
+    budget: u64,
+    trail: &mut Vec<(Rung, u64)>,
+) -> Result<(ControlInput, Rung), ControlInput> {
+    let (ctx, dt) = (obs.ctx, obs.dt_s);
+    let start = evals::count();
+    let fits = |cost: u64| evals::since(start).saturating_add(cost) <= budget;
+    trail.clear();
+    for (k, tier) in config.tiers.iter().enumerate() {
+        if !fits(tier.cost) {
+            continue;
+        }
+        let rung = if k == 0 { Rung::Full } else { Rung::Myopic };
+        let _span = hev_trace::span::enter(rung.span());
+        let entered = evals::count();
+        let candidate = config
+            .inner
+            .best_over_currents(hev, ctx, &tier.currents, dt, &config.reward)
+            .filter(|control| validate(hev, ctx, control, dt).is_ok());
+        trail.push((rung, evals::since(entered)));
+        if let Some(control) = candidate {
+            return Ok((control, rung));
+        }
+    }
+    if fits(config.rule_cost) {
+        let _span = hev_trace::span::enter(Rung::Rule.span());
+        let entered = evals::count();
+        let control = rule.decide(hev, obs);
+        let valid = validate(hev, ctx, &control, dt).is_ok();
+        trail.push((Rung::Rule, evals::since(entered)));
+        if valid {
+            return Ok((control, Rung::Rule));
+        }
+    }
+    let _span = hev_trace::span::enter(Rung::LimpHome.span());
+    let entered = evals::count();
+    let control = fallback_control(hev, ctx, dt);
+    let valid = validate(hev, ctx, &control, dt).is_ok();
+    trail.push((Rung::LimpHome, evals::since(entered)));
+    if valid {
+        Ok((control, Rung::LimpHome))
+    } else {
+        Err(control)
     }
 }
 
@@ -107,21 +264,23 @@ impl Default for SupervisorConfig {
 #[derive(Debug, Clone)]
 pub struct SupervisedPolicy<P> {
     policy: P,
-    config: SupervisorConfig,
+    config: LadderConfig,
+    rule: RuleBasedController,
     report: DegradationReport,
 }
 
 impl<P: HevPolicy> SupervisedPolicy<P> {
-    /// Wraps a policy with the default supervisor configuration.
+    /// Wraps a policy with the [`LadderConfig::unbudgeted`] chain.
     pub fn new(policy: P) -> Self {
-        Self::with_config(policy, SupervisorConfig::default())
+        Self::with_config(policy, LadderConfig::unbudgeted())
     }
 
-    /// Wraps a policy with an explicit supervisor configuration.
-    pub fn with_config(policy: P, config: SupervisorConfig) -> Self {
+    /// Wraps a policy with an explicit chain configuration.
+    pub fn with_config(policy: P, config: LadderConfig) -> Self {
         Self {
             policy,
             config,
+            rule: RuleBasedController::default(),
             report: DegradationReport::default(),
         }
     }
@@ -141,41 +300,31 @@ impl<P: HevPolicy> HevPolicy for SupervisedPolicy<P> {
     fn begin_episode(&mut self) {
         self.report = DegradationReport::default();
         self.policy.begin_episode();
-        self.config.rule.begin_episode();
+        self.rule.begin_episode();
     }
 
     fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
-        let dt = self.config.reward.dt_s;
         self.report.decisions += 1;
         let proposed = self.policy.decide(hev, obs);
         if self.policy.take_control_error().is_some() {
             self.report.control_errors += 1;
         }
         let _span = hev_trace::span::enter("control.supervise");
-        match validate(hev, obs.ctx, &proposed, dt) {
+        match validate(hev, obs.ctx, &proposed, obs.dt_s) {
             Ok(()) => return proposed,
             Err(Rejection::NonFinite) => self.report.non_finite += 1,
             Err(Rejection::Infeasible) => self.report.infeasible += 1,
         }
-        // Tier 2: the best instantaneous inner-optimized reward over the
-        // current ladder.
-        let c = &self.config;
-        if let Some(control) = c
-            .inner
-            .best_over_currents(hev, obs.ctx, &c.currents, dt, &c.reward)
-        {
-            if validate(hev, obs.ctx, &control, dt).is_ok() {
-                self.report.myopic_rescues += 1;
-                return control;
-            }
-        }
-        let rule_control = self.config.rule.decide(hev, obs);
-        if validate(hev, obs.ctx, &rule_control, dt).is_ok() {
-            self.report.rule_rescues += 1;
-            return rule_control;
-        }
-        self.report.limp_home += 1;
-        fallback_control(hev, obs.demand, dt)
+        // The report counts only the rung that answered, not the trail.
+        let (config, budget) = (&self.config, self.config.budget_evals);
+        let walked = walk(hev, obs, config, &mut self.rule, budget, &mut Vec::new());
+        let (control, counter) = match walked {
+            Ok((control, Rung::Full | Rung::Myopic)) => (control, &mut self.report.myopic_rescues),
+            Ok((control, Rung::Rule)) => (control, &mut self.report.rule_rescues),
+            Ok((control, Rung::LimpHome)) | Err(control) => (control, &mut self.report.limp_home),
+        };
+        *counter += 1;
+        control
     }
 
     fn feedback(
@@ -190,7 +339,7 @@ impl<P: HevPolicy> HevPolicy for SupervisedPolicy<P> {
 
     fn end_episode(&mut self) {
         self.policy.end_episode();
-        self.config.rule.end_episode();
+        self.rule.end_episode();
     }
 
     fn take_control_error(&mut self) -> Option<ControlError> {
@@ -319,5 +468,65 @@ mod tests {
         let m = simulate(&mut hev, &cycle, &mut supervised, &RewardConfig::default());
         // Second episode's report covers only its own steps.
         assert_eq!(m.degradation.unwrap().decisions, cycle.len());
+    }
+
+    /// Walks the serve ladder on a bare vehicle under `budget`.
+    fn serve_walk(
+        budget: u64,
+        speed: f64,
+        accel: f64,
+        trail: &mut Vec<(Rung, u64)>,
+    ) -> Result<(ControlInput, Rung), ControlInput> {
+        let hev = hev();
+        let demand = hev.demand(speed, accel, 0.0);
+        let ctx = hev.step_context(&demand);
+        let config = LadderConfig::default();
+        let obs = Observation {
+            step: 0,
+            time_s: 0.0,
+            dt_s: config.reward.dt_s,
+            demand: &demand,
+            soc: 0.6,
+            ctx: &ctx,
+        };
+        let mut rule = RuleBasedController::default();
+        rule.begin_episode();
+        walk(&hev, &obs, &config, &mut rule, budget, trail)
+    }
+
+    #[test]
+    fn budgets_degrade_monotonically_to_feasible_controls() {
+        // Budgets below each tier's entry cost must land on a lower rung.
+        let hev = hev();
+        let demand = hev.demand(12.0, 0.3, 0.0);
+        let mut trail = Vec::new();
+        for (budget, expected) in [
+            (100_000, Rung::Full),
+            (1500, Rung::Myopic),
+            (300, Rung::Rule),
+            (0, Rung::LimpHome),
+        ] {
+            let (control, rung) = serve_walk(budget, 12.0, 0.3, &mut trail).unwrap();
+            assert_eq!(rung, expected);
+            assert!(hev.peek(&demand, &control, 1.0).is_ok(), "{rung:?}");
+            // A trail never escalates back up and ends on the rung that
+            // answered, which spent evals of its own.
+            assert!(trail.windows(2).all(|pair| pair[0].0 < pair[1].0));
+            assert_eq!(trail.last().map(|&(r, _)| r), Some(expected));
+            assert!(trail.iter().all(|&(_, evals)| evals > 0));
+        }
+    }
+
+    #[test]
+    fn zero_budget_still_serves_limp_home() {
+        let before = hev_trace::evals::ctx_rebuilds();
+        let mut trail = Vec::new();
+        let (_, rung) =
+            serve_walk(0, 5.0, 0.1, &mut trail).expect("limp-home always answers feasible demands");
+        assert_eq!(rung, Rung::LimpHome);
+        assert_eq!(trail.len(), 1);
+        // The feasibility search completes against the step's context,
+        // the only one the walk builds.
+        assert_eq!(hev_trace::evals::ctx_rebuilds().wrapping_sub(before), 1);
     }
 }

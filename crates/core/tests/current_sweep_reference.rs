@@ -18,7 +18,7 @@ use hev_model::{ControlInput, HevParams, ParallelHev, WheelDemand};
 
 const DT: f64 = 1.0;
 
-/// The myopic tier's coarse current subset (`hev_serve::LadderConfig`).
+/// The myopic tier's coarse current subset (`LadderConfig::default`).
 const MYOPIC: [f64; 4] = [-25.0, 0.0, 25.0, 60.0];
 
 /// The default currents shuffled: the terminal power rises only in short

@@ -81,7 +81,7 @@ fn solve(hev: &mut ParallelHev, cycle: &DriveCycle, config: &DpConfig) -> Refere
                 }
             }
             let control = best_c.unwrap_or_else(|| {
-                let control = fallback_control(hev, demand, dt);
+                let control = fallback_control(hev, &hev.step_context(demand), dt);
                 best_v = score(&control).unwrap_or(-1e6);
                 control
             });

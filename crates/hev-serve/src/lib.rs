@@ -14,11 +14,14 @@
 //!   full queue is shed with an explicit backpressure verdict. Shedding
 //!   is a pure function of queue depth and request order, never of wall
 //!   clock or thread timing.
-//! * **Deadline budgets in virtual time** ([`ladder`]) — each request
+//! * **Deadline budgets in virtual time** ([`session`]) — each request
 //!   carries an eval-count budget (the `hev_trace::evals` counter is
-//!   the service's clock); the responder walks a degradation ladder —
-//!   full inner-opt resolve → myopic argmax → rule-based → limp-home —
-//!   and always produces a feasible, finite control.
+//!   the service's clock, so "time" is a pure function of the work
+//!   performed and deterministic at every shard count); the session
+//!   walks the degradation chain it shares with the supervised
+//!   controller ([`hev_control::supervisor::walk`]) — full inner-opt
+//!   resolve → myopic argmax → rule-based → limp-home — and never
+//!   serves an infeasible or non-finite control.
 //! * **Crash isolation and quarantine** ([`service`]) — a panicking
 //!   session is caught by the `run_indexed_caught` executor, its queued
 //!   requests are dumped through a flight recorder, and the session is
@@ -60,7 +63,6 @@
 
 pub mod driver;
 pub mod fleet;
-pub mod ladder;
 pub mod report;
 pub mod service;
 pub mod session;
@@ -68,7 +70,6 @@ pub mod wire;
 
 pub use driver::{run_serve_bench, ServeBenchResult};
 pub use fleet::FleetConfig;
-pub use ladder::{LadderConfig, LadderOutcome};
 pub use report::{ServeReport, SERVE_REPORT_VERSION, SHED_DEPTH_BOUNDS};
 pub use service::{serve, ServeConfig, ServeOutput, SessionStats};
 pub use session::{Session, SessionSpec};

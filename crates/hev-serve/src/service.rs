@@ -33,10 +33,10 @@
 //! quarantines are counted while serving, since a reseed's attempt
 //! number needs them.
 
-use crate::ladder::LadderConfig;
 use crate::session::{Session, SessionSpec};
 use crate::wire::{Request, RequestError, Response, Rung, Verdict};
 use hev_control::harness::{run_indexed_caught, RunOutcome};
+use hev_control::LadderConfig;
 use hev_model::ParamError;
 use hev_trace::json::Obj;
 use hev_trace::{span, FlightRecorder, MetricsRegistry, SpanTree};
@@ -52,7 +52,8 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Requests consumed per tick.
     pub tick_requests: usize,
-    /// The degradation-ladder configuration shared by every session.
+    /// The degradation chain every session walks (the serve ladder,
+    /// [`LadderConfig::default`]).
     pub ladder: LadderConfig,
     /// Span-profile the request lifecycle: collects a merged span tree
     /// (admission, ladder rungs, quarantine) plus one causal trace line

@@ -10,10 +10,12 @@
 //! typed stale-epoch error instead of silently talking to a different
 //! incarnation.
 
-use crate::ladder::{self, LadderConfig};
 use crate::wire::{self, Request, RequestError, Rung, Verdict};
-use hev_control::sim::HevPolicy;
-use hev_control::{split_seed, FaultConfig, FaultPlan, RuleBasedController, RETRY_SEED_TAG};
+use hev_control::sim::{HevPolicy, Observation};
+use hev_control::supervisor::walk;
+use hev_control::{
+    split_seed, FaultConfig, FaultPlan, LadderConfig, RuleBasedController, RETRY_SEED_TAG,
+};
 use hev_model::{HevParams, ParallelHev, ParamError};
 use hev_trace::evals;
 
@@ -118,8 +120,10 @@ impl Session {
     /// Hostile inputs (non-finite state, out-of-range SOC, stale epoch)
     /// return typed error verdicts. A chaos-flagged request panics
     /// deliberately — the shard executor catches it and quarantines the
-    /// session. Otherwise the degradation ladder produces a control
-    /// under the request's eval budget and the step is committed; a
+    /// session. Otherwise the degradation chain ([`walk`]) produces a
+    /// control under the request's eval budget (`config.budget_evals`
+    /// when it carries none), observing the true demand and the
+    /// sensor-faulted state of charge, and the step is committed; a
     /// demand even limp-home cannot step yields
     /// [`RequestError::Unsteppable`] with the plant untouched.
     pub fn process(&mut self, req: &Request, config: &LadderConfig) -> Verdict {
@@ -144,8 +148,9 @@ impl Session {
         let dt = config.reward.dt_s;
         let time_s = self.seq as f64 * dt;
         let true_demand = self.hev.demand(req.speed_mps, req.accel_mps2, req.grade);
-        // The sensor fault layer perturbs what the rule tier observes;
-        // feasibility and the committed step always use the truth.
+        // The sensor fault layer perturbs the state of charge the rule
+        // tier observes; feasibility and the committed step always use
+        // the true demand and its context.
         let (obs_soc, _obs_demand) = self.faults.sensor(time_s, self.hev.soc(), &true_demand);
         self.hev
             .set_motor_derate(self.faults.motor_derate_at(time_s));
@@ -156,40 +161,37 @@ impl Session {
             req.budget_evals
         };
 
+        let obs = Observation {
+            step: self.seq as usize,
+            time_s,
+            dt_s: dt,
+            demand: &true_demand,
+            soc: obs_soc,
+            ctx: &ctx,
+        };
         let start = evals::count();
-        let outcome = ladder::decide(
+        let walked = walk(
             &self.hev,
-            &ctx,
-            &true_demand,
+            &obs,
             config,
             &mut self.rule,
             budget,
-            self.seq as usize,
-            time_s,
-            obs_soc,
+            &mut self.last_trail,
         );
-        if let Some(out) = &outcome {
-            self.last_trail.extend(
-                out.trail
-                    .iter()
-                    .copied()
-                    .zip(out.trail_evals.iter().copied()),
-            );
-        }
-        match outcome {
-            Some(out) => match self.hev.step_with_context(&ctx, &out.control, dt) {
-                Ok(step) => {
-                    self.seq += 1;
-                    Verdict::Served {
-                        control: out.control,
-                        rung: out.rung,
-                        evals: evals::since(start),
-                        soc_after: step.soc_after,
-                    }
+        let Ok((control, rung)) = walked else {
+            return Verdict::Error(RequestError::Unsteppable);
+        };
+        match self.hev.step_with_context(&ctx, &control, dt) {
+            Ok(step) => {
+                self.seq += 1;
+                Verdict::Served {
+                    control,
+                    rung,
+                    evals: evals::since(start),
+                    soc_after: step.soc_after,
                 }
-                Err(_) => Verdict::Error(RequestError::Unsteppable),
-            },
-            None => Verdict::Error(RequestError::Unsteppable),
+            }
+            Err(_) => Verdict::Error(RequestError::Unsteppable),
         }
     }
 }

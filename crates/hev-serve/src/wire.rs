@@ -11,6 +11,7 @@
 //! out-of-range SOC, an unknown session id, or a stale epoch yields a
 //! typed [`RequestError`] verdict, never a panic.
 
+pub use hev_control::Rung;
 use hev_model::ControlInput;
 use hev_trace::json::Obj;
 
@@ -109,41 +110,6 @@ impl std::fmt::Display for RequestError {
 }
 
 impl std::error::Error for RequestError {}
-
-/// One tier of the degradation ladder, in descending order of fidelity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Rung {
-    /// Full inner-optimized resolve over the whole current ladder.
-    Full,
-    /// Myopic argmax over a coarse current subset.
-    Myopic,
-    /// The rule-based baseline's decision.
-    Rule,
-    /// The limp-home feasibility search.
-    LimpHome,
-}
-
-impl Rung {
-    /// Ladder position, 0 (full) through 3 (limp-home).
-    pub fn index(&self) -> usize {
-        match self {
-            Self::Full => 0,
-            Self::Myopic => 1,
-            Self::Rule => 2,
-            Self::LimpHome => 3,
-        }
-    }
-
-    /// A stable snake_case name for logs and wire encoding.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Full => "full",
-            Self::Myopic => "myopic",
-            Self::Rule => "rule",
-            Self::LimpHome => "limp_home",
-        }
-    }
-}
 
 /// How the service disposed of one request.
 #[derive(Debug, Clone, Copy, PartialEq)]

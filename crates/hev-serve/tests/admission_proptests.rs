@@ -4,10 +4,10 @@
 //! the backpressure depth that triggered them, and the degradation
 //! ladder only ever walks downward within a request.
 
-use hev_control::{HevPolicy, RuleBasedController};
+use hev_control::supervisor::walk;
+use hev_control::{HevPolicy, LadderConfig, Observation, RuleBasedController};
 use hev_model::{HevParams, ParallelHev};
 use hev_serve::fleet::{build_sessions, FleetConfig};
-use hev_serve::ladder::{decide, LadderConfig};
 use hev_serve::{serve, Request, RequestError, Rung, ServeConfig, Verdict};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -160,21 +160,29 @@ proptest! {
         let demand = hev.demand(speed, accel, 0.0);
         let ctx = hev.step_context(&demand);
         let config = LadderConfig::default();
+        let obs = Observation {
+            step: 0,
+            time_s: 0.0,
+            dt_s: config.reward.dt_s,
+            demand: &demand,
+            soc,
+            ctx: &ctx,
+        };
         let mut rule = RuleBasedController::default();
         rule.begin_episode();
-        let out = decide(&hev, &ctx, &demand, &config, &mut rule, budget, 0, 0.0, soc);
-        if let Some(out) = out {
-            for pair in out.trail.windows(2) {
+        let mut trail = Vec::new();
+        if let Ok((_, rung)) = walk(&hev, &obs, &config, &mut rule, budget, &mut trail) {
+            for pair in trail.windows(2) {
                 prop_assert!(
-                    pair[0].index() < pair[1].index(),
+                    pair[0].0.index() < pair[1].0.index(),
                     "trail escalated: {:?}",
-                    out.trail
+                    trail
                 );
             }
-            prop_assert_eq!(*out.trail.last().unwrap(), out.rung);
+            prop_assert_eq!(trail.last().unwrap().0, rung);
             // Entry gating: a sub-full budget can never serve Full.
-            if budget < config.full_cost {
-                prop_assert!(out.rung > Rung::Full);
+            if budget < config.tiers[0].cost {
+                prop_assert!(rung > Rung::Full);
             }
         }
     }

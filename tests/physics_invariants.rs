@@ -105,14 +105,14 @@ proptest! {
     ) {
         let hev = hev_at(soc);
         let demand = hev.demand(v, a, 0.0);
-        let control = fallback_control(&hev, &demand, 1.0);
+        let control = fallback_control(&hev, &hev.step_context(&demand), 1.0);
         if hev.peek(&demand, &control, 1.0).is_err() {
             // Demand beyond capability: clipping must converge.
             let mut ok = false;
             let mut factor = 0.9;
             for _ in 0..60 {
                 let clipped = hev.demand(v, a * factor, 0.0);
-                let c = fallback_control(&hev, &clipped, 1.0);
+                let c = fallback_control(&hev, &hev.step_context(&clipped), 1.0);
                 if hev.peek(&clipped, &c, 1.0).is_ok() {
                     ok = true;
                     break;
@@ -133,10 +133,9 @@ proptest! {
     ) {
         let hev = hev_at(0.6);
         let reward = RewardConfig::default();
-        let demand = hev.demand(v, a, 0.0);
-        let free = InnerOptimizer::default().resolve(&hev, &demand, i, 1.0, &reward);
-        let fixed = InnerOptimizer::with_fixed_aux(600.0)
-            .resolve(&hev, &demand, i, 1.0, &reward);
+        let ctx = hev.step_context(&hev.demand(v, a, 0.0));
+        let free = InnerOptimizer::default().resolve_with(&hev, &ctx, i, 1.0, &reward);
+        let fixed = InnerOptimizer::with_fixed_aux(600.0).resolve_with(&hev, &ctx, i, 1.0, &reward);
         if let (Some(f), Some(p)) = (free, fixed) {
             // The free optimizer's grid does not contain 600 W exactly;
             // its refinement gets within micro-reward of it.
