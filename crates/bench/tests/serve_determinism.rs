@@ -161,3 +161,26 @@ fn small_chaos_fleet_artifacts_are_pinned() {
     assert_eq!(fnv1a(csv.as_bytes()), 0xb6d1_ce03_705e_5cda);
     assert_eq!(fnv1a(run.prometheus.as_bytes()), 0x3b70_d939_ffe5_cf6f);
 }
+
+/// Pins the small chaos fleet's first quarantine dump: the
+/// `flight_dump` line listing the crashed session's queued requests,
+/// oldest first, written before the queue is replayed.
+#[test]
+fn small_chaos_fleet_quarantine_dump_is_pinned() {
+    let fleet = FleetConfig {
+        sessions: 4,
+        requests: 120,
+        seed: 13,
+        chaos: true,
+    };
+    let run = run_serve_bench(&fleet, &at_shards(2)).unwrap();
+    assert_eq!(
+        run.flight_dumps[0],
+        "{\"v\":1,\"event\":\"flight_dump\",\"run\":\"session-3\",\"episode\":0,\"trigger\":\"session_panic\",\"step\":1,\"events\":[{\
+         \"event\":\"queued_request\",\"index\":1,\"session\":3,\"epoch\":0,\"soc\":0.3892598366110661,\"speed_mps\":22.375586427240936,\"accel_mps2\":0.40839541876007246,\"grade\":0.025414797284734433,\"budget_evals\":6000,\"crash\":false},{\
+         \"event\":\"queued_request\",\"index\":4,\"session\":3,\"epoch\":0,\"soc\":0.7626581774952979,\"speed_mps\":15.980420368147609,\"accel_mps2\":-1.0284085661607345,\"grade\":0.012476160028314531,\"budget_evals\":80,\"crash\":false},{\
+         \"event\":\"queued_request\",\"index\":10,\"session\":3,\"epoch\":0,\"soc\":0.6833890764374114,\"speed_mps\":14.290332868597224,\"accel_mps2\":-0.14771081505523043,\"grade\":-0.02709660085796202,\"budget_evals\":0,\"crash\":false},{\
+         \"event\":\"queued_request\",\"index\":12,\"session\":3,\"epoch\":0,\"soc\":0.7624703723377897,\"speed_mps\":8.647646043143462,\"accel_mps2\":-0.8915065470981477,\"grade\":-0.021631946799070458,\"budget_evals\":1500,\"crash\":false},{\
+         \"event\":\"queued_request\",\"index\":13,\"session\":3,\"epoch\":0,\"soc\":0.8051693870980805,\"speed_mps\":18.00826495632211,\"accel_mps2\":0.13373567201096703,\"grade\":0.004614099631449278,\"budget_evals\":600,\"crash\":true}]}"
+    );
+}
