@@ -651,9 +651,7 @@ mod tests {
         let (grid, _) = train_eval_grid("summary", &cycles, &variants, &cfg);
         let runs = &grid[0][0];
         assert_eq!(runs.len(), cfg.runs);
-        let summary = hev_control::MetricsSummary::from_runs(runs);
-        assert_eq!(summary.runs, runs.len());
-        assert!(summary.fuel_g.mean.is_finite());
+        assert!(runs.iter().all(|m| m.fuel_g.is_finite()));
     }
 
     #[test]

@@ -13,12 +13,10 @@
 //! [`JointControllerConfig::powertrain_only`]:
 //! crate::JointControllerConfig::powertrain_only
 
-pub mod cdcs;
 pub mod dp;
 pub mod ecms;
 pub mod rule_based;
 
-pub use cdcs::{CdCsConfig, CdCsController};
 pub use dp::{solve as solve_dp, DpConfig, DpPolicy, DpSolution};
 pub use ecms::{EcmsConfig, EcmsController};
 pub use rule_based::{RuleBasedConfig, RuleBasedController};
@@ -28,8 +26,9 @@ mod tests {
     use super::*;
     use crate::reward::RewardConfig;
     use crate::sim::{simulate, HevPolicy, Observation};
+    use crate::{JointController, JointControllerConfig};
     use drive_cycle::DriveCycle;
-    use hev_model::{ControlInput, HevParams, ParallelHev};
+    use hev_model::{ControlInput, HevParams, ParallelHev, WheelDemand};
 
     /// Always proposes the same control.
     struct Always(ControlInput);
@@ -57,9 +56,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn baselines_check_feasibility_over_the_cycle_step() {
-        // A hard stop from 15 m/s, resampled to half-second steps.
+    /// The strongest regen the baselines command.
+    const REGEN: ControlInput = ControlInput {
+        battery_current_a: -60.0,
+        gear: 3,
+        p_aux_w: 600.0,
+    };
+
+    /// A hard stop from 15 m/s resampled to half-second steps, a vehicle,
+    /// the first step's demand, and a state of charge just under the top
+    /// of the charge window where [`REGEN`] fits a half-second step but
+    /// overfills a one-second one.
+    fn half_second_stop() -> (DriveCycle, ParallelHev, WheelDemand, f64) {
         let cycle = DriveCycle::from_speeds_mps("stop", 1.0, vec![15.0, 13.5, 12.0, 10.5, 9.0])
             .unwrap()
             .resample(0.5);
@@ -67,22 +75,20 @@ mod tests {
         let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6).unwrap();
         let p = cycle.points().next().unwrap();
         let demand = hev.demand(p.speed_mps, p.accel_mps2, p.grade);
-        // Just under the top of the charge window, the strongest regen
-        // the baselines command fits a half-second step but overfills a
-        // one-second one.
-        let regen = ControlInput {
-            battery_current_a: -60.0,
-            gear: 3,
-            p_aux_w: 600.0,
-        };
         let soc_max = hev.battery().params().soc_max;
         let soc = (1..1000)
             .map(|k| soc_max - 1e-5 * f64::from(k))
             .find(|&soc| {
                 hev.reset_soc(soc);
-                hev.peek(&demand, &regen, 0.5).is_ok() && hev.peek(&demand, &regen, 1.0).is_err()
+                hev.peek(&demand, &REGEN, 0.5).is_ok() && hev.peek(&demand, &REGEN, 1.0).is_err()
             })
             .expect("a state of charge separating the two step lengths");
+        (cycle, hev, demand, soc)
+    }
+
+    #[test]
+    fn baselines_check_feasibility_over_the_cycle_step() {
+        let (cycle, mut hev, demand, soc) = half_second_stop();
         let reward = RewardConfig::default();
         let mut check = |name: &str, policy: &mut dyn HevPolicy| {
             hev.reset_soc(soc);
@@ -103,12 +109,44 @@ mod tests {
         };
         check("rule-based", &mut RuleBasedController::default());
         check("ECMS", &mut EcmsController::default());
-        check("CDCS", &mut CdCsController::default());
         // The supervisor validates over the same step: it passes the
         // regen through rather than rescuing it.
         check(
             "supervised",
-            &mut crate::SupervisedPolicy::new(Always(regen)),
+            &mut crate::SupervisedPolicy::new(Always(REGEN)),
         );
+    }
+
+    #[test]
+    fn joint_controller_masks_over_the_observed_step() {
+        let (_, mut hev, demand, soc) = half_second_stop();
+        hev.reset_soc(soc);
+        let ctx = hev.step_context(&demand);
+        let cfg = JointControllerConfig::proposed();
+        let feasible_over = |dt: f64| {
+            cfg.action
+                .currents()
+                .iter()
+                .filter(|&&i| cfg.inner.feasible(&hev, &demand, i, dt))
+                .count()
+        };
+        assert!(feasible_over(0.5) > feasible_over(1.0));
+        for dt_s in [0.5, 1.0] {
+            let mut joint = JointController::new(cfg.clone());
+            joint.set_training(false);
+            joint.set_record_decisions(true);
+            let obs = Observation {
+                step: 0,
+                time_s: 0.0,
+                dt_s,
+                demand: &demand,
+                soc,
+                ctx: &ctx,
+            };
+            let control = joint.decide(&hev, &obs);
+            assert!(hev.peek(&demand, &control, dt_s).is_ok(), "dt {dt_s}");
+            let decision = joint.last_decision().expect("a masked decision");
+            assert_eq!(decision.feasible, feasible_over(dt_s), "dt {dt_s}");
+        }
     }
 }

@@ -425,7 +425,7 @@ impl<P: Predictor> JointController<P> {
     /// decodable action once and keeps its reward, which
     /// [`JointController::best_myopic_action`] then reuses for free.
     fn fill_action_mask(&mut self, hev: &ParallelHev, obs: &Observation<'_>) {
-        let dt = self.config.reward.dt_s;
+        let dt = obs.dt_s;
         match &self.config.action {
             ActionSpace::Reduced { currents } => {
                 self.config
@@ -479,7 +479,7 @@ impl<P: Predictor> JointController<P> {
         let resolved = self
             .config
             .inner
-            .resolve_with(hev, obs.ctx, current, reward.dt_s, &reward);
+            .resolve_with(hev, obs.ctx, current, obs.dt_s, &reward);
         self.scratch.resolved[action] = (self.scratch.epoch, resolved);
         resolved
     }
@@ -557,7 +557,7 @@ impl<P: Predictor> HevPolicy for JointController<P> {
             // No discrete action feasible (rare): let the harness fall
             // back; no learning credit this step.
             self.awaiting_reward = None;
-            return fallback_control(hev, obs.ctx, self.config.reward.dt_s);
+            return fallback_control(hev, obs.ctx, obs.dt_s);
         }
         // Flush the pending transition now that the successor state and
         // its feasible set are known (Algorithm 1, lines 5–10).
@@ -586,7 +586,7 @@ impl<P: Predictor> HevPolicy for JointController<P> {
                     Some(a) => a,
                     None => {
                         self.awaiting_reward = None;
-                        return fallback_control(hev, obs.ctx, self.config.reward.dt_s);
+                        return fallback_control(hev, obs.ctx, obs.dt_s);
                     }
                 },
             }
@@ -610,7 +610,7 @@ impl<P: Predictor> HevPolicy for JointController<P> {
             }
             None => {
                 self.awaiting_reward = None;
-                fallback_control(hev, obs.ctx, self.config.reward.dt_s)
+                fallback_control(hev, obs.ctx, obs.dt_s)
             }
         }
     }

@@ -31,8 +31,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Fault magnitudes, all scalable from a single severity knob
-/// ([`FaultConfig::at_severity`]). [`FaultConfig::off`] (= severity 0)
-/// disables every channel.
+/// ([`FaultConfig::at_severity`]); severity 0 disables every channel.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultConfig {
     /// SOC measurement noise amplitude (uniform ±, in SOC fraction).
@@ -60,7 +59,7 @@ pub struct FaultConfig {
 
 impl FaultConfig {
     /// No faults on any channel.
-    pub fn off() -> Self {
+    fn off() -> Self {
         Self {
             soc_noise: 0.0,
             soc_drift_per_1000s: 0.0,

@@ -21,9 +21,6 @@
 //! * `episode_metrics` — an instrumented episode finished; `metrics`
 //!   carries the telemetry registry snapshot (`null` on every other
 //!   kind).
-//!
-//! `error` is always `null`: it keeps the schema-v3 line layout of the
-//! retired panic-retry events.
 
 use serde::Serialize;
 use std::io::Write;
@@ -49,8 +46,6 @@ pub struct RunEvent {
     pub jobs: Option<u64>,
     /// Wall-clock duration, seconds. The only nondeterministic field.
     pub elapsed_s: Option<f64>,
-    /// Always `null` (see the module docs).
-    pub error: Option<String>,
     /// Registry snapshot of an `episode_metrics` event; `null`
     /// otherwise.
     pub metrics: Option<serde::Value>,
@@ -67,7 +62,6 @@ impl RunEvent {
             seed: None,
             jobs: None,
             elapsed_s: None,
-            error: None,
             metrics: None,
         }
     }
@@ -248,7 +242,6 @@ mod tests {
         for kind in ["batch_start", "run_start", "run_end", "target_end"] {
             let json = serde_json::to_string(&RunEvent::new(kind, "x")).unwrap();
             assert!(json.contains("\"metrics\":null"), "{kind}: {json}");
-            assert!(json.contains("\"error\":null"), "{kind}: {json}");
         }
     }
 

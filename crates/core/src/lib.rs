@@ -21,10 +21,10 @@
 //!   ([`simulate`], [`EpisodeMetrics`]);
 //! * the deterministic **parallel training harness** ([`harness`]):
 //!   seed-split multi-run execution that is bit-identical at every
-//!   worker count, with multi-run aggregation ([`MetricsSummary`]);
+//!   worker count;
 //! * the deterministic **telemetry layer** ([`telemetry`]): per-episode
-//!   metrics registries, sampled decision traces, and a degradation
-//!   flight recorder collected in memory per task window
+//!   metrics registries, sampled decision traces, and degradation
+//!   flight dumps collected in memory per task window
 //!   ([`telemetry::begin_task`]) so emitted files stay byte-identical
 //!   across worker counts.
 //!
@@ -69,7 +69,6 @@ pub mod harness;
 pub mod inner_opt;
 pub mod metrics;
 pub mod plan;
-pub mod policy_export;
 pub mod reward;
 pub mod sim;
 pub mod state;
@@ -79,8 +78,8 @@ pub mod telemetry;
 pub use action::{default_currents, ActionChoice, ActionSpace};
 pub use analysis::{EnergyAudit, Recorder, TracePoint};
 pub use baseline::{
-    solve_dp, CdCsConfig, CdCsController, DpConfig, DpPolicy, DpSolution, EcmsConfig,
-    EcmsController, RuleBasedConfig, RuleBasedController,
+    solve_dp, DpConfig, DpPolicy, DpSolution, EcmsConfig, EcmsController, RuleBasedConfig,
+    RuleBasedController,
 };
 pub use checkpoint::{
     train_portfolio_checkpointed, CheckpointError, CheckpointSpec, TrainCheckpoint,
@@ -91,9 +90,8 @@ pub use harness::{
     split_seed, Harness, RunEvent, RunLog, RunOutcome, RunSpec, SeedSequence, RETRY_SEED_TAG,
 };
 pub use inner_opt::{InnerOptimizer, ResolvedAction};
-pub use metrics::{mode_index, DegradationReport, EpisodeMetrics, MetricsSummary, StatSummary};
+pub use metrics::{mode_index, DegradationReport, EpisodeMetrics};
 pub use plan::CyclePlan;
-pub use policy_export::PolicyTable;
 pub use reward::RewardConfig;
 pub use sim::{
     fallback_control, simulate, simulate_planned, simulate_with_faults, ControlError, HevPolicy,

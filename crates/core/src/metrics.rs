@@ -188,150 +188,6 @@ impl EpisodeMetrics {
     }
 }
 
-/// Streaming summary of one scalar across runs: count, mean, extrema,
-/// and (Welford-form) variance. Supports associative [`merge`] so
-/// per-worker partial summaries reduce to the same result in any
-/// grouping order — the reduce step of the parallel harness.
-///
-/// [`merge`]: StatSummary::merge
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StatSummary {
-    /// Number of accumulated values.
-    pub count: usize,
-    /// Running mean.
-    pub mean: f64,
-    /// Sum of squared deviations from the mean (Welford's M2).
-    pub m2: f64,
-    /// Smallest value (∞ when empty).
-    pub min: f64,
-    /// Largest value (−∞ when empty).
-    pub max: f64,
-}
-
-impl Default for StatSummary {
-    fn default() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl StatSummary {
-    /// An empty summary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Summarizes a slice of values.
-    pub fn of(values: &[f64]) -> Self {
-        let mut s = Self::new();
-        for &v in values {
-            s.push(v);
-        }
-        s
-    }
-
-    /// Accumulates one value.
-    pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Combines two summaries (Chan et al. parallel variance update).
-    pub fn merge(&self, other: &Self) -> Self {
-        if self.count == 0 {
-            return *other;
-        }
-        if other.count == 0 {
-            return *self;
-        }
-        let count = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / count as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / count as f64;
-        Self {
-            count,
-            mean,
-            m2,
-            min: self.min.min(other.min),
-            max: self.max.max(other.max),
-        }
-    }
-
-    /// Population standard deviation (0 for fewer than two values).
-    pub fn std(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
-        }
-    }
-}
-
-/// Aggregate of [`EpisodeMetrics`] across independent runs — the
-/// merge/reduce step applied to a batch of parallel training runs.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct MetricsSummary {
-    /// Number of runs aggregated.
-    pub runs: usize,
-    /// Fuel burned per run, g.
-    pub fuel_g: StatSummary,
-    /// Distance covered per run, m.
-    pub distance_m: StatSummary,
-    /// Cumulative reward per run.
-    pub total_reward: StatSummary,
-    /// Auxiliary utility sum per run.
-    pub utility_sum: StatSummary,
-    /// Terminal state of charge per run.
-    pub soc_final: StatSummary,
-    /// Fallback-step count per run.
-    pub fallback_steps: StatSummary,
-}
-
-impl MetricsSummary {
-    /// Summarizes a batch of runs.
-    pub fn from_runs(runs: &[EpisodeMetrics]) -> Self {
-        runs.iter().fold(Self::default(), |acc, m| acc.push(m))
-    }
-
-    /// Accumulates one run.
-    #[must_use]
-    pub fn push(mut self, m: &EpisodeMetrics) -> Self {
-        self.runs += 1;
-        self.fuel_g.push(m.fuel_g);
-        self.distance_m.push(m.distance_m);
-        self.total_reward.push(m.total_reward);
-        self.utility_sum.push(m.utility_sum);
-        self.soc_final.push(m.soc_final);
-        self.fallback_steps.push(m.fallback_steps as f64);
-        self
-    }
-
-    /// Combines two partial aggregates (associative, order-insensitive
-    /// up to floating-point rounding).
-    pub fn merge(&self, other: &Self) -> Self {
-        Self {
-            runs: self.runs + other.runs,
-            fuel_g: self.fuel_g.merge(&other.fuel_g),
-            distance_m: self.distance_m.merge(&other.distance_m),
-            total_reward: self.total_reward.merge(&other.total_reward),
-            utility_sum: self.utility_sum.merge(&other.utility_sum),
-            soc_final: self.soc_final.merge(&other.soc_final),
-            fallback_steps: self.fallback_steps.merge(&other.fallback_steps),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,38 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn stat_summary_matches_naive_formulas() {
-        let values = [3.0, -1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let s = StatSummary::of(&values);
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-        assert_eq!(s.count, values.len());
-        assert!((s.mean - mean).abs() < 1e-12);
-        assert!((s.std() - var.sqrt()).abs() < 1e-12);
-        assert_eq!(s.min, -1.0);
-        assert_eq!(s.max, 9.0);
-    }
-
-    #[test]
-    fn stat_summary_merge_equals_sequential() {
-        let values: Vec<f64> = (0..50).map(|k| (k as f64).sin() * 10.0).collect();
-        let whole = StatSummary::of(&values);
-        for split in [1, 10, 25, 49] {
-            let merged =
-                StatSummary::of(&values[..split]).merge(&StatSummary::of(&values[split..]));
-            assert_eq!(merged.count, whole.count);
-            assert!((merged.mean - whole.mean).abs() < 1e-9);
-            assert!((merged.std() - whole.std()).abs() < 1e-9);
-            assert_eq!(merged.min, whole.min);
-            assert_eq!(merged.max, whole.max);
-        }
-        // Empty sides are identities.
-        assert_eq!(whole.merge(&StatSummary::new()).count, whole.count);
-        assert_eq!(StatSummary::new().merge(&whole).count, whole.count);
-    }
-
-    #[test]
     fn degradation_report_arithmetic() {
         let a = DegradationReport {
             decisions: 10,
@@ -493,34 +317,5 @@ mod tests {
         let doubled = a.merged(&a);
         assert_eq!(doubled.decisions, 20);
         assert_eq!(doubled.rejections(), 6);
-    }
-
-    #[test]
-    fn metrics_summary_aggregates_runs() {
-        let mut a = EpisodeMetrics::new(0.6);
-        a.record(
-            &outcome(2.0, OperatingMode::IceOnly, 0.58),
-            -2.0,
-            30.0,
-            false,
-        );
-        let mut b = EpisodeMetrics::new(0.6);
-        b.record(
-            &outcome(4.0, OperatingMode::IceOnly, 0.62),
-            -4.0,
-            30.0,
-            true,
-        );
-        let summary = MetricsSummary::from_runs(&[a.clone(), b.clone()]);
-        assert_eq!(summary.runs, 2);
-        assert!((summary.fuel_g.mean - 3.0).abs() < 1e-12);
-        assert_eq!(summary.fuel_g.min, 2.0);
-        assert_eq!(summary.fuel_g.max, 4.0);
-        assert!((summary.fallback_steps.mean - 0.5).abs() < 1e-12);
-        // Parallel reduce path agrees with the sequential one.
-        let merged = MetricsSummary::from_runs(&[a]).merge(&MetricsSummary::from_runs(&[b]));
-        assert_eq!(merged.runs, summary.runs);
-        assert!((merged.fuel_g.mean - summary.fuel_g.mean).abs() < 1e-12);
-        assert!((merged.soc_final.std() - summary.soc_final.std()).abs() < 1e-12);
     }
 }

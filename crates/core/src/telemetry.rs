@@ -12,9 +12,10 @@
 //!   reward decomposition, supervisor intervention counts, per-step
 //!   evaluation counts), emitted as one `episode_metrics` JSONL line;
 //! * sampled [`StepEvent`] trace lines (`--trace-sample N`);
-//! * a [`FlightRecorder`] ring of recent steps, dumped into the trace
-//!   stream when the supervisor rejects a decision or a non-finite
-//!   control reaches the plant.
+//! * a ring of the last 64 steps, encoded as one
+//!   [`hev_trace::flight_dump`] line in the trace stream when the
+//!   supervisor rejects a decision or a non-finite control reaches the
+//!   plant.
 //!
 //! Nothing here touches a clock or a file: lines are pre-serialized
 //! strings collected per task and written afterwards in task order
@@ -27,12 +28,12 @@ use crate::reward::RewardConfig;
 use hev_rl::{QStats, TdStats, TD_ABS_DELTA_BOUNDS};
 use hev_trace::evals::Counts;
 use hev_trace::json;
-use hev_trace::{FlightRecorder, MetricsRegistry, StepEvent, TraceSampler};
+use hev_trace::{MetricsRegistry, StepEvent};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 
-/// Flight-recorder ring capacity in steps, active whenever a trace is
-/// collected.
+/// Flight ring capacity in steps, active whenever a trace is collected.
 const FLIGHT_CAPACITY: usize = 64;
 
 /// What telemetry a run collects. The default is fully disabled — no
@@ -149,8 +150,11 @@ pub(crate) struct EpisodeTelemetry {
     pub(crate) episode: u64,
     pub(crate) kind: &'static str,
     registry: MetricsRegistry,
-    sampler: TraceSampler,
-    flight: FlightRecorder,
+    /// Trace every `trace_every`-th step; `0` traces none.
+    trace_every: u64,
+    /// The episode's last [`FLIGHT_CAPACITY`] steps, encoded only when
+    /// dumped; `None` when no trace is collected.
+    flight: Option<VecDeque<StepEvent>>,
     metrics_lines: Vec<String>,
     trace_lines: Vec<String>,
     counts_at_start: Counts,
@@ -166,8 +170,10 @@ impl EpisodeTelemetry {
             episode: 0,
             kind: "train",
             registry: MetricsRegistry::new(),
-            sampler: TraceSampler::new(config.trace_sample.unwrap_or(0)),
-            flight: FlightRecorder::new(config.trace_sample.map_or(0, |_| FLIGHT_CAPACITY)),
+            trace_every: config.trace_sample.unwrap_or(0),
+            flight: config
+                .trace_sample
+                .map(|_| VecDeque::with_capacity(FLIGHT_CAPACITY)),
             metrics_lines: Vec::new(),
             trace_lines: Vec::new(),
             counts_at_start: Counts::default(),
@@ -179,29 +185,28 @@ impl EpisodeTelemetry {
     /// Resets per-episode state; called by the simulation loop at the
     /// top of each instrumented episode.
     pub(crate) fn begin_episode(&mut self) {
-        self.flight.clear();
+        if let Some(ring) = &mut self.flight {
+            ring.clear();
+        }
         self.counts_at_start = hev_trace::evals::counts();
         self.last_rejections = 0;
         self.dumped = false;
     }
 
-    /// Records one simulated step: always into the flight ring, and into
-    /// the trace stream when the sampler picks the step index.
+    /// Records one simulated step: into the flight ring whenever a trace
+    /// is collected, and into the trace stream when its index is a
+    /// multiple of `trace_every`. Sampling is a pure function of the
+    /// step index.
     pub(crate) fn record_step(&mut self, ev: &StepEvent) {
-        let sampled = self.sampler.samples(ev.step);
-        if !sampled && !self.flight.is_enabled() {
-            return;
-        }
-        let line = ev.to_json(&self.run);
-        if self.flight.is_enabled() {
-            if sampled {
-                self.flight.record(line.clone());
-            } else {
-                self.flight.record(line);
-                return;
+        if let Some(ring) = &mut self.flight {
+            if ring.len() == FLIGHT_CAPACITY {
+                ring.pop_front();
             }
+            ring.push_back(ev.clone());
         }
-        self.trace_lines.push(line);
+        if self.trace_every != 0 && ev.step.is_multiple_of(self.trace_every) {
+            self.trace_lines.push(ev.to_json(&self.run));
+        }
     }
 
     /// Dumps the flight ring into the trace stream (at most once per
@@ -223,12 +228,19 @@ impl EpisodeTelemetry {
         if self.dumped {
             return;
         }
-        if let Some(trigger) = trigger {
-            if let Some(line) = self.flight.dump(&self.run, self.episode, trigger, step) {
-                self.trace_lines.push(line);
-                self.dumped = true;
-            }
-        }
+        let ring = self.flight.as_ref().filter(|ring| !ring.is_empty());
+        let (Some(trigger), Some(ring)) = (trigger, ring) else {
+            return;
+        };
+        let events: Vec<String> = ring.iter().map(|ev| ev.to_json(&self.run)).collect();
+        self.trace_lines.push(hev_trace::flight_dump(
+            &self.run,
+            self.episode,
+            trigger,
+            step,
+            events.iter().map(String::as_str),
+        ));
+        self.dumped = true;
     }
 
     /// Closes the episode: repopulates the registry from the episode's
@@ -253,7 +265,7 @@ impl EpisodeTelemetry {
                 .raw("metrics", &snapshot)
                 .finish();
             self.metrics_lines.push(line);
-            // Mirror the snapshot into the run log (schema v3) so live
+            // Mirror the snapshot into the run log (schema v4) so live
             // progress consumers see it without waiting for the batch's
             // telemetry files. The run log is the nondeterministic side
             // channel; the deterministic copy is `metrics_lines`.
@@ -373,7 +385,9 @@ mod tests {
         let mut t = EpisodeTelemetry::new("r", TelemetryConfig::default());
         t.begin_episode();
         t.record_step(&step_event(0));
-        t.note_step_health(0, true, 0);
+        // Without a trace there is no ring, so even a degraded step
+        // dumps nothing.
+        t.note_step_health(0, false, 1);
         t.end_episode(&EpisodeMetrics::new(0.6), &RewardConfig::default(), None);
         let run = t.into_run();
         assert!(run.metrics_lines.is_empty());
@@ -435,6 +449,24 @@ mod tests {
         assert!(dump.contains(&format!("\"step\":{oldest},")));
         assert!(!dump.contains(&format!("\"step\":{},", oldest - 1)));
         assert_eq!(dump.matches("\"event\":\"step\"").count(), FLIGHT_CAPACITY);
+    }
+
+    #[test]
+    fn each_episode_dumps_only_its_own_steps() {
+        let mut t = EpisodeTelemetry::new("r", FLIGHT_ONLY);
+        for episode in 0..2 {
+            t.begin_episode();
+            for step in 0..3 {
+                t.record_step(&step_event(step));
+            }
+            t.note_step_health(2, true, 1);
+            t.end_episode(&EpisodeMetrics::new(0.6), &RewardConfig::default(), None);
+            assert_eq!(t.trace_lines.len(), episode + 1, "one dump per episode");
+        }
+        let run = t.into_run();
+        for dump in &run.trace_lines {
+            assert_eq!(dump.matches("\"event\":\"step\"").count(), 3);
+        }
     }
 
     #[test]

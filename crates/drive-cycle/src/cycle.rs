@@ -301,45 +301,6 @@ impl DriveCycle {
         }
     }
 
-    /// Returns a copy with all speeds multiplied by `factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or non-finite.
-    pub fn scale_speed(&self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "scale factor must be non-negative"
-        );
-        Self {
-            name: self.name.clone(),
-            dt: self.dt,
-            speed_mps: self.speed_mps.iter().map(|v| v * factor).collect(),
-            grade: self.grade.clone(),
-        }
-    }
-
-    /// Returns a copy smoothed with a centered moving average of the given
-    /// odd window length (a window of 1 returns an identical cycle).
-    pub fn smooth(&self, window: usize) -> Self {
-        let w = window.max(1) | 1; // force odd
-        let half = w / 2;
-        let n = self.speed_mps.len();
-        let mut speeds = Vec::with_capacity(n);
-        for i in 0..n {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(n);
-            let sum: f64 = self.speed_mps[lo..hi].iter().sum();
-            speeds.push(sum / (hi - lo) as f64);
-        }
-        Self {
-            name: self.name.clone(),
-            dt: self.dt,
-            speed_mps: speeds,
-            grade: self.grade.clone(),
-        }
-    }
-
     /// Returns a copy with a synthetic rolling-hills grade profile: a
     /// sum of two sinusoids in *distance* (so hills have physical length
     /// regardless of speed), with the given peak grade.
@@ -417,35 +378,6 @@ impl DriveCycle {
             speed_mps: speeds,
             grade: self.grade.clone(),
         }
-    }
-
-    /// Splits the cycle into micro-trips: maximal segments separated by
-    /// idle periods (speed below `idle_threshold_mps`).
-    ///
-    /// Each returned range covers one driving segment including the idle
-    /// samples that follow it.
-    pub fn microtrip_ranges(&self, idle_threshold_mps: f64) -> Vec<std::ops::Range<usize>> {
-        let mut ranges = Vec::new();
-        let n = self.speed_mps.len();
-        let mut start = 0usize;
-        let mut seen_motion = false;
-        for i in 0..n {
-            let moving = self.speed_mps[i] > idle_threshold_mps;
-            if moving {
-                seen_motion = true;
-            }
-            // A trip ends when motion has been seen and the next sample
-            // begins a new acceleration out of idle.
-            if seen_motion && !moving && i + 1 < n && self.speed_mps[i + 1] > idle_threshold_mps {
-                ranges.push(start..i + 1);
-                start = i + 1;
-                seen_motion = false;
-            }
-        }
-        if start < n {
-            ranges.push(start..n);
-        }
-        ranges
     }
 }
 
@@ -553,39 +485,12 @@ mod tests {
     }
 
     #[test]
-    fn scale_speed_scales_distance() {
-        let c = ramp();
-        let d0 = c.distance_m();
-        let scaled = c.scale_speed(2.0);
-        assert!((scaled.distance_m() - 2.0 * d0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn smooth_preserves_length_and_reduces_peaks() {
-        let c = DriveCycle::from_speeds_mps("spiky", 1.0, vec![0.0, 10.0, 0.0, 10.0, 0.0]).unwrap();
-        let s = c.smooth(3);
-        assert_eq!(s.len(), c.len());
-        let max_s = s.speeds_mps().iter().cloned().fold(0.0, f64::max);
-        assert!(max_s < 10.0);
-    }
-
-    #[test]
     fn points_iterator_is_exact_size() {
         let c = ramp();
         let pts: Vec<_> = c.points().collect();
         assert_eq!(pts.len(), 5);
         assert!((pts[2].time_s - 2.0).abs() < 1e-12);
         assert!((pts[2].speed_mps - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn microtrips_split_on_idle() {
-        let speeds = vec![0.0, 5.0, 5.0, 0.0, 0.0, 6.0, 6.0, 0.0];
-        let c = DriveCycle::from_speeds_mps("mt", 1.0, speeds).unwrap();
-        let ranges = c.microtrip_ranges(0.1);
-        assert_eq!(ranges.len(), 2);
-        let total: usize = ranges.iter().map(|r| r.len()).sum();
-        assert_eq!(total, c.len());
     }
 
     #[test]

@@ -31,39 +31,6 @@ proptest! {
         prop_assert!((fine.speed_at(0) - c.speed_at(0)).abs() < 1e-12);
     }
 
-    /// Scaling speeds scales distance linearly.
-    #[test]
-    fn scale_scales_distance(speeds in arb_speeds(), factor in 0.1f64..3.0) {
-        let c = DriveCycle::from_speeds_mps("p", 1.0, speeds).unwrap();
-        let scaled = c.scale_speed(factor);
-        prop_assert!((scaled.distance_m() - factor * c.distance_m()).abs()
-            < 1e-6 * (1.0 + c.distance_m()));
-    }
-
-    /// Smoothing never raises the maximum speed and preserves length.
-    #[test]
-    fn smooth_contracts(speeds in arb_speeds(), window in 1usize..9) {
-        let c = DriveCycle::from_speeds_mps("p", 1.0, speeds).unwrap();
-        let s = c.smooth(window);
-        prop_assert_eq!(s.len(), c.len());
-        let max0 = c.speeds_mps().iter().cloned().fold(0.0, f64::max);
-        let max1 = s.speeds_mps().iter().cloned().fold(0.0, f64::max);
-        prop_assert!(max1 <= max0 + 1e-9);
-    }
-
-    /// Micro-trip ranges partition the cycle exactly.
-    #[test]
-    fn microtrips_partition(speeds in arb_speeds()) {
-        let c = DriveCycle::from_speeds_mps("p", 1.0, speeds).unwrap();
-        let ranges = c.microtrip_ranges(0.1);
-        let mut expected_start = 0usize;
-        for r in &ranges {
-            prop_assert_eq!(r.start, expected_start);
-            expected_start = r.end;
-        }
-        prop_assert_eq!(expected_start, c.len());
-    }
-
     /// Perturbation stays within the advertised envelope.
     #[test]
     fn perturbation_bounded(speeds in arb_speeds(), seed in 0u64..500, amp in 0.0f64..0.2) {

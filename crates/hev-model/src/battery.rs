@@ -31,9 +31,6 @@ use serde::{Deserialize, Serialize};
 pub struct Battery {
     params: BatteryParams,
     soc: f64,
-    /// Pack temperature, °C; tracked only when the thermal model is
-    /// enabled.
-    temperature_c: Option<f64>,
 }
 
 impl Battery {
@@ -54,11 +51,9 @@ impl Battery {
                 ),
             ));
         }
-        let temperature_c = params.thermal.map(|t| t.initial_c);
         Ok(Self {
             params,
             soc: initial_soc,
-            temperature_c,
         })
     }
 
@@ -108,31 +103,13 @@ impl Battery {
         self.params.ocv_at_empty_v + self.params.ocv_span_v * soc
     }
 
-    /// Internal resistance for the given current direction, Ω, scaled by
-    /// the thermal model's cold penalty when enabled.
+    /// Internal resistance for the given current direction, Ω.
     fn resistance(&self, current_a: f64) -> f64 {
-        let base = if current_a >= 0.0 {
+        if current_a >= 0.0 {
             self.params.resistance_discharge_ohm
         } else {
             self.params.resistance_charge_ohm
-        };
-        base * self.thermal_resistance_factor()
-    }
-
-    /// The multiplicative resistance factor from the thermal model
-    /// (1 when disabled or at/above the reference temperature).
-    fn thermal_resistance_factor(&self) -> f64 {
-        match (self.params.thermal, self.temperature_c) {
-            (Some(t), Some(temp)) => {
-                1.0 + t.cold_resistance_per_k * (t.reference_c - temp).max(0.0)
-            }
-            _ => 1.0,
         }
-    }
-
-    /// Pack temperature, °C; `None` when the thermal model is disabled.
-    pub fn temperature_c(&self) -> Option<f64> {
-        self.temperature_c
     }
 
     /// Terminal (bus) power for a commanded current, W:
@@ -148,11 +125,8 @@ impl Battery {
     /// (`V_oc²/4R` while discharging).
     pub fn current_for_power(&self, power_w: f64) -> Option<f64> {
         let v = self.ocv();
-        let r = if power_w >= 0.0 {
-            self.params.resistance_discharge_ohm
-        } else {
-            self.params.resistance_charge_ohm
-        } * self.thermal_resistance_factor();
+        // The current carries the power's sign.
+        let r = self.resistance(power_w);
         let disc = v * v - 4.0 * r * power_w;
         if disc < 0.0 {
             return None;
@@ -208,19 +182,7 @@ impl Battery {
             });
         }
         self.soc = soc_after;
-        if let (Some(t), Some(temp)) = (self.params.thermal, self.temperature_c) {
-            // Lumped thermal step: Joule heat in, Newtonian cooling out.
-            let heat_w = self.resistance(current_a) * current_a * current_a;
-            let cooling_w = t.cooling_w_per_k * (temp - t.ambient_c);
-            self.temperature_c = Some(temp + (heat_w - cooling_w) * dt / t.heat_capacity_j_per_k);
-        }
         Ok(())
-    }
-
-    /// Resets the pack temperature to the thermal model's initial value
-    /// (no-op when the model is disabled).
-    pub fn reset_temperature(&mut self) {
-        self.temperature_c = self.params.thermal.map(|t| t.initial_c);
     }
 }
 
@@ -333,70 +295,5 @@ mod tests {
     #[should_panic(expected = "soc must be in [0, 1]")]
     fn reset_panics_outside_physical_range() {
         pack().reset(1.5);
-    }
-
-    fn thermal_pack(initial_c: f64) -> Battery {
-        let params = BatteryParams {
-            thermal: Some(crate::params::BatteryThermalParams {
-                initial_c,
-                ..Default::default()
-            }),
-            ..BatteryParams::default()
-        };
-        Battery::new(params, 0.6).unwrap()
-    }
-
-    #[test]
-    fn thermal_disabled_by_default() {
-        let b = pack();
-        assert_eq!(b.temperature_c(), None);
-        assert_eq!(b.thermal_resistance_factor(), 1.0);
-    }
-
-    #[test]
-    fn cold_pack_has_higher_resistance() {
-        let cold = thermal_pack(-15.0);
-        let warm = thermal_pack(25.0);
-        assert!(cold.resistance(50.0) > warm.resistance(50.0));
-        // −15 °C is 40 K below reference: factor 1 + 0.02·40 = 1.8.
-        assert!((cold.thermal_resistance_factor() - 1.8).abs() < 1e-12);
-        // At/above reference there is no penalty.
-        assert_eq!(warm.thermal_resistance_factor(), 1.0);
-    }
-
-    #[test]
-    fn sustained_current_warms_the_pack() {
-        let mut b = thermal_pack(0.0);
-        let t0 = b.temperature_c().unwrap();
-        for _ in 0..60 {
-            b.step(50.0, 1.0).unwrap();
-        }
-        let t1 = b.temperature_c().unwrap();
-        assert!(t1 > t0, "pack did not warm: {t0} -> {t1}");
-        // Warming reduces the cold penalty.
-        assert!(b.thermal_resistance_factor() < 1.5);
-    }
-
-    #[test]
-    fn idle_pack_relaxes_toward_ambient() {
-        let mut b = thermal_pack(50.0);
-        for _ in 0..600 {
-            b.step(0.0, 10.0).unwrap();
-        }
-        let t = b.temperature_c().unwrap();
-        assert!(
-            (t - 25.0).abs() < 2.0,
-            "temperature {t} did not relax to ambient"
-        );
-    }
-
-    #[test]
-    fn reset_temperature_restores_initial() {
-        let mut b = thermal_pack(-10.0);
-        for _ in 0..100 {
-            b.step(60.0, 1.0).unwrap();
-        }
-        b.reset_temperature();
-        assert_eq!(b.temperature_c(), Some(-10.0));
     }
 }

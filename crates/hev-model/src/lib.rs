@@ -53,9 +53,8 @@ pub use error::{InfeasibleControl, ParamError};
 pub use ice::Engine;
 pub use motor::Motor;
 pub use params::{
-    AuxParams, BatteryParams, BatteryThermalParams, BodyParams, DrivetrainParams, HevParams,
-    IceParams, MotorParams, AIR_DENSITY, FUEL_G_PER_GALLON, FUEL_LHV_J_PER_G, GRAVITY,
-    RPM_TO_RAD_S,
+    AuxParams, BatteryParams, BodyParams, DrivetrainParams, HevParams, IceParams, MotorParams,
+    AIR_DENSITY, FUEL_G_PER_GALLON, FUEL_LHV_J_PER_G, GRAVITY, RPM_TO_RAD_S,
 };
 pub use plan::ContextTable;
 pub use vehicle::{

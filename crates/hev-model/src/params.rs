@@ -279,66 +279,6 @@ impl Default for MotorParams {
     }
 }
 
-/// Optional lumped thermal model of the battery pack.
-///
-/// Joule heat `R·i²` warms the pack; Newtonian cooling relaxes it toward
-/// ambient; internal resistance scales with temperature (cold packs are
-/// stiffer). Disabled by default so the calibrated baseline behaviour is
-/// unchanged; enable via [`BatteryParams::thermal`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BatteryThermalParams {
-    /// Ambient temperature, °C.
-    pub ambient_c: f64,
-    /// Initial pack temperature, °C.
-    pub initial_c: f64,
-    /// Lumped heat capacity of the pack, J/K.
-    pub heat_capacity_j_per_k: f64,
-    /// Convective cooling coefficient, W/K.
-    pub cooling_w_per_k: f64,
-    /// Relative resistance increase per kelvin *below* the reference
-    /// temperature (cold penalty); resistance at and above the reference
-    /// is the nominal value.
-    pub cold_resistance_per_k: f64,
-    /// Reference temperature for the resistance law, °C.
-    pub reference_c: f64,
-}
-
-impl Default for BatteryThermalParams {
-    fn default() -> Self {
-        Self {
-            ambient_c: 25.0,
-            initial_c: 25.0,
-            heat_capacity_j_per_k: 30_000.0,
-            cooling_w_per_k: 15.0,
-            cold_resistance_per_k: 0.02,
-            reference_c: 25.0,
-        }
-    }
-}
-
-impl BatteryThermalParams {
-    /// Validates physical plausibility.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParamError`] naming the first violated field.
-    pub fn validate(&self) -> Result<(), ParamError> {
-        if self.heat_capacity_j_per_k <= 0.0 {
-            return Err(ParamError::new("heat_capacity_j_per_k", "must be positive"));
-        }
-        if self.cooling_w_per_k < 0.0 {
-            return Err(ParamError::new("cooling_w_per_k", "must be non-negative"));
-        }
-        if self.cold_resistance_per_k < 0.0 {
-            return Err(ParamError::new(
-                "cold_resistance_per_k",
-                "must be non-negative",
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Battery-pack parameters (Rint equivalent-circuit model).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BatteryParams {
@@ -360,8 +300,6 @@ pub struct BatteryParams {
     pub soc_min: f64,
     /// Upper bound of the charge-sustaining window (fraction of capacity).
     pub soc_max: f64,
-    /// Optional lumped thermal model; `None` (default) disables it.
-    pub thermal: Option<BatteryThermalParams>,
 }
 
 impl BatteryParams {
@@ -398,9 +336,6 @@ impl BatteryParams {
                 "need 0 <= soc_min < soc_max <= 1",
             ));
         }
-        if let Some(thermal) = &self.thermal {
-            thermal.validate()?;
-        }
         Ok(())
     }
 
@@ -423,7 +358,6 @@ impl Default for BatteryParams {
             max_charge_a: 80.0,
             soc_min: 0.40,
             soc_max: 0.80,
-            thermal: None,
         }
     }
 }
@@ -569,30 +503,6 @@ impl HevParams {
         Self::default()
     }
 
-    /// A plug-in variant: a 3× battery with a wide 20–90 % usable window
-    /// and a stronger machine. Exercises charge-depleting strategies
-    /// (e.g. [`CdCs`]-style control) the charge-sustaining default cannot.
-    ///
-    /// [`CdCs`]: https://en.wikipedia.org/wiki/Plug-in_hybrid
-    pub fn plugin_hybrid() -> Self {
-        let mut p = Self::default();
-        p.battery = BatteryParams {
-            capacity_ah: 78.0,
-            soc_min: 0.20,
-            soc_max: 0.90,
-            max_discharge_a: 180.0,
-            max_charge_a: 120.0,
-            ..p.battery
-        };
-        p.motor = MotorParams {
-            rated_power_w: 60_000.0,
-            max_torque_nm: 200.0,
-            copper_loss: 0.18,
-            ..p.motor
-        };
-        p
-    }
-
     /// Validates every component parameter set.
     ///
     /// # Errors
@@ -615,16 +525,6 @@ mod tests {
     #[test]
     fn default_params_validate() {
         HevParams::default_parallel_hev().validate().unwrap();
-    }
-
-    #[test]
-    fn plugin_hybrid_validates_and_is_bigger() {
-        let phev = HevParams::plugin_hybrid();
-        phev.validate().unwrap();
-        let hev = HevParams::default_parallel_hev();
-        assert!(phev.battery.nominal_energy_wh() > 2.0 * hev.battery.nominal_energy_wh());
-        assert!(phev.battery.soc_max - phev.battery.soc_min > 0.5);
-        assert!(phev.motor.rated_power_w > hev.motor.rated_power_w);
     }
 
     #[test]

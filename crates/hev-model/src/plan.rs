@@ -17,11 +17,11 @@
 //! identical to the builder's: same body, drivetrain, engine, and motor
 //! parameters, **at the same motor derate** (build tables healthy, at
 //! derate 1.0). Battery state never matters — contexts are
-//! battery-independent by construction — so capacity fade, state of
-//! charge, and thermal state do not invalidate a table. Callers that
-//! derate the motor mid-episode (fault injection) must bypass the table
-//! for exactly those steps and rebuild locally; the simulation loop's
-//! per-step gate does this.
+//! battery-independent by construction — so neither capacity fade nor
+//! state of charge invalidates a table. Callers that derate the motor
+//! mid-episode (fault injection) must bypass the table for exactly those
+//! steps and rebuild locally; the simulation loop's per-step gate does
+//! this.
 //!
 //! # Accounting
 //!

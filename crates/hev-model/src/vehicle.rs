@@ -192,7 +192,7 @@ pub(crate) struct GearPre {
 /// the context once and amortize the kinematics across all of them.
 ///
 /// The context is **battery-state independent**: completions read the live
-/// battery (SOC, thermal state) exactly like the monolithic path, so one
+/// battery (state of charge) exactly like the monolithic path, so one
 /// context stays valid across SOC sweeps (e.g. a DP solver's state grid)
 /// as long as the demand and the vehicle's static parameters are
 /// unchanged. Reuse the allocation across steps with
@@ -247,7 +247,7 @@ impl StepContext {
 /// is bit-identical to recomputing them in place.
 ///
 /// Unlike [`StepContext`], this **does** depend on the live battery state
-/// (open-circuit voltage, thermal resistance, state of charge) and on
+/// (open-circuit voltage and state of charge) and on
 /// `dt`; it is only valid until the battery state changes. Inner
 /// optimizers that evaluate one current against many `(gear, p_aux)`
 /// candidates build it once per current and amortize the battery math.
@@ -405,7 +405,6 @@ impl ParallelHev {
     /// Panics if `soc` is outside `[0, 1]`.
     pub fn reset_soc(&mut self, soc: f64) {
         self.battery.reset(soc);
-        self.battery.reset_temperature();
         self.engine_on = false;
     }
 
@@ -660,8 +659,7 @@ impl ParallelHev {
         dt: f64,
     ) -> Result<StepOutcome, InfeasibleControl> {
         let outcome = self.peek(demand, control, dt)?;
-        // Commit through the battery's own step so the Coulomb counter
-        // and (when enabled) the thermal state advance together. peek
+        // Commit through the battery's own Coulomb counter. peek
         // validated the step, so this cannot fail; propagating keeps the
         // path panic-free.
         self.battery.step(outcome.battery_current_a, dt)?;

@@ -24,7 +24,7 @@
 //!   serves an infeasible or non-finite control.
 //! * **Crash isolation and quarantine** ([`service`]) — a panicking
 //!   session is caught by the `run_indexed_caught` executor, its queued
-//!   requests are dumped through a flight recorder, and the session is
+//!   requests are dumped as one `flight_dump` line, and the session is
 //!   rebuilt with a `RETRY_SEED_TAG`-derived reseed while the shard
 //!   keeps serving every other session.
 //! * **Hostile-input handling** ([`wire`]) — NaN states, out-of-range

@@ -17,8 +17,8 @@
 //! 3. **Scatter & quarantine (sequential)** — verdicts land in the slot
 //!    of their request's stream position (never a client-supplied
 //!    field, so a hostile index cannot address memory). A panicked task
-//!    quarantines its session: the queued requests are dumped through a
-//!    [`FlightRecorder`], the session is rebuilt with a retry-tagged
+//!    quarantines its session: the queued requests are dumped as one
+//!    [`flight_dump`] line, the session is rebuilt with a retry-tagged
 //!    reseed (advancing its epoch), and the whole queue is replayed
 //!    sequentially with per-request crash isolation — a request that
 //!    panics the reseeded session too is answered
@@ -39,7 +39,7 @@ use hev_control::harness::{run_indexed_caught, RunOutcome};
 use hev_control::LadderConfig;
 use hev_model::ParamError;
 use hev_trace::json::Obj;
-use hev_trace::{span, FlightRecorder, MetricsRegistry, SpanTree};
+use hev_trace::{flight_dump, span, MetricsRegistry, SpanTree};
 use std::collections::BTreeMap;
 
 /// Service tuning.
@@ -128,7 +128,7 @@ pub struct ServeOutput {
     /// Per-session statistics, in session-id order, folded from
     /// `responses` (quarantines are counted while serving).
     pub stats: BTreeMap<u64, SessionStats>,
-    /// Flight-recorder dumps and quarantine events, in occurrence order
+    /// Flight dumps and quarantine events, in occurrence order
     /// (deterministic: quarantines are scattered sequentially).
     pub flight_dumps: Vec<String>,
     /// Merged span tree of the whole serve call (empty unless
@@ -475,20 +475,18 @@ pub fn serve(
                     let stat = stats.entry(id).or_default();
                     stat.quarantines += 1;
                     let mut attempt = stat.quarantines;
-                    // Dump the doomed queue through the flight recorder
-                    // before replaying it.
-                    let mut recorder = FlightRecorder::new(reqs.len().max(1));
-                    for (_, req) in &reqs {
-                        recorder.record(request_event(req));
-                    }
+                    // Dump the doomed queue before replaying it.
                     let first = reqs.first().map(|(_, r)| r.index).unwrap_or(0);
-                    if let Some(dump) = recorder.dump(
-                        &format!("session-{id}"),
-                        tick_index as u64,
-                        "session_panic",
-                        first,
-                    ) {
-                        flight_dumps.push(dump);
+                    if !reqs.is_empty() {
+                        let events: Vec<String> =
+                            reqs.iter().map(|(_, req)| request_event(req)).collect();
+                        flight_dumps.push(flight_dump(
+                            &format!("session-{id}"),
+                            tick_index as u64,
+                            "session_panic",
+                            first,
+                            events.iter().map(String::as_str),
+                        ));
                     }
                     flight_dumps.push(
                         Obj::new()

@@ -4,7 +4,7 @@
 //! Formatting matches the workspace's vendored `serde_json`: floats use
 //! Rust's shortest-round-trip `{:?}` with a forced `.0` on whole values,
 //! so `1.0` never collapses to `1` and re-parsing recovers the exact
-//! bits. Non-finite floats — which the flight recorder must be able to
+//! bits. Non-finite floats — which flight dumps must be able to
 //! record — become the JSON strings `"NaN"`, `"inf"`, `"-inf"` (JSON has
 //! no literal for them).
 

@@ -10,10 +10,9 @@
 //!   Prometheus text exposition;
 //! * [`trace`] — sampled structured step events (discretized state,
 //!   action-mask size, inner-opt winner, reward terms) encoded as
-//!   versioned JSONL;
-//! * [`recorder`] — a fixed-size ring buffer of recent step events that
-//!   dumps on supervisor degradation, non-finite control, or a caught
-//!   panic (the flight recorder);
+//!   versioned JSONL, and the `flight_dump` line that lists the recent
+//!   events when a supervisor degrades, a control goes non-finite, or a
+//!   serve session panics;
 //! * [`evals`] — the thread-local peek-equivalent evaluation counter
 //!   (migrated here from `hev_model::instrument`);
 //! * [`span`] — a hierarchical span profiler on the eval-count virtual
@@ -30,7 +29,7 @@
 //! collect them per task and concatenate in task order (the pattern
 //! `hev_bench::experiments` uses). Floats are formatted with Rust's
 //! shortest-round-trip `{:?}` (matching the vendored `serde_json`), and
-//! non-finite values — which the flight recorder exists to capture —
+//! non-finite values — which flight dumps exist to capture —
 //! are encoded as the JSON strings `"NaN"`, `"inf"`, `"-inf"`.
 
 #![forbid(unsafe_code)]
@@ -38,13 +37,11 @@
 
 pub mod evals;
 pub mod json;
-pub mod recorder;
 pub mod registry;
 pub mod span;
 pub mod trace;
 pub mod wallclock;
 
-pub use recorder::FlightRecorder;
 pub use registry::{Histogram, MetricValue, MetricsRegistry};
 pub use span::{SpanGuard, SpanNode, SpanTree};
-pub use trace::{StepEvent, TraceSampler, TRACE_SCHEMA_VERSION};
+pub use trace::{flight_dump, StepEvent, TRACE_SCHEMA_VERSION};

@@ -100,24 +100,34 @@ impl StepEvent {
     }
 }
 
-/// Deterministic step sampling: record every `every`-th step of an
-/// episode (`0` disables step tracing entirely).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceSampler {
-    /// Record steps whose index is a multiple of this; `0` = none.
-    pub every: u64,
-}
-
-impl TraceSampler {
-    /// A sampler recording every `every`-th step (`0` = none).
-    pub fn new(every: u64) -> Self {
-        Self { every }
+/// Encodes one `flight_dump` JSONL line: the trigger, the offending
+/// step, and the given pre-encoded events, oldest first. The dump is a
+/// pure function of its arguments, so trace files stay byte-identical
+/// across worker counts.
+///
+/// When the span profiler is active on this thread and a span is open,
+/// the dump also carries the active span path (`span_path`), so a
+/// degradation event is attributable to the phase that produced it
+/// from the dump alone. With profiling off the field is absent and the
+/// line is byte-identical to the unprofiled run.
+pub fn flight_dump<'a>(
+    run: &str,
+    episode: u64,
+    trigger: &str,
+    step: u64,
+    events: impl IntoIterator<Item = &'a str>,
+) -> String {
+    let mut obj = json::Obj::new()
+        .u64("v", u64::from(TRACE_SCHEMA_VERSION))
+        .str("event", "flight_dump")
+        .str("run", run)
+        .u64("episode", episode)
+        .str("trigger", trigger)
+        .u64("step", step);
+    if let Some(path) = crate::span::current_path() {
+        obj = obj.str("span_path", &path);
     }
-
-    /// Whether the given step index is sampled.
-    pub fn samples(&self, step: u64) -> bool {
-        self.every != 0 && step.is_multiple_of(self.every)
-    }
+    obj.raw_seq("events", events).finish()
 }
 
 #[cfg(test)]
@@ -170,11 +180,19 @@ mod tests {
     }
 
     #[test]
-    fn sampler_is_a_pure_function_of_the_step_index() {
-        let s = TraceSampler::new(4);
-        let picks: Vec<u64> = (0..10).filter(|&k| s.samples(k)).collect();
-        assert_eq!(picks, vec![0, 4, 8]);
-        assert!(!TraceSampler::new(0).samples(0));
-        assert!(TraceSampler::new(1).samples(7));
+    fn flight_dump_carries_the_active_span_path_only_while_profiling() {
+        let events = ["{\"step\":3}"];
+        crate::span::begin_task();
+        let dumped = {
+            let _outer = crate::span::enter("control.step");
+            let _inner = crate::span::enter("control.supervise");
+            flight_dump("run", 1, "supervisor_degradation", 3, events)
+        };
+        let _ = crate::span::take_tree();
+        assert!(dumped.contains("\"span_path\":\"control.step/control.supervise\""));
+        // Profiling off: the field is absent, byte-identical to the
+        // unprofiled artifact.
+        let bare = flight_dump("run", 1, "supervisor_degradation", 3, events);
+        assert!(!bare.contains("span_path"));
     }
 }

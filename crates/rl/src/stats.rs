@@ -65,7 +65,7 @@ impl TdStats {
     ///
     /// Non-finite deltas count into the overflow bucket and leave the
     /// running sums untouched, so a single NaN spike cannot poison the
-    /// episode aggregates (the flight recorder captures the offending
+    /// episode aggregates (a flight dump captures the offending
     /// step separately).
     pub fn record(&mut self, delta: f64) {
         self.updates += 1;

@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release --example taxi_shift`
 
 use hev_joint_control::control::{
-    simulate, CdCsController, EcmsController, EpisodeMetrics, HevPolicy, JointController,
-    JointControllerConfig, RewardConfig, RuleBasedController,
+    simulate, EcmsController, EpisodeMetrics, HevPolicy, JointController, JointControllerConfig,
+    RewardConfig, RuleBasedController,
 };
 use hev_joint_control::cycle::{DriveCycle, MicroTripConfig, MicroTripGenerator};
 use hev_joint_control::model::{HevParams, ParallelHev};
@@ -59,9 +59,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut ecms = EcmsController::default();
     evaluate("ecms", &mut ecms, &afternoon)?;
 
-    let mut cdcs = CdCsController::default();
-    evaluate("cd/cs", &mut cdcs, &afternoon)?;
-
     // The joint RL agent: trained on the morning, frozen for the
     // afternoon.
     let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6)?;
@@ -73,6 +70,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n(the RL agent never saw the afternoon shift — its numbers reflect pure");
     println!("generalization from the morning's randomized traffic. ECMS consults the");
     println!("full component models at every step, so it is the strong model-based");
-    println!("ceiling here; the heuristics below it have no such knowledge)");
+    println!("ceiling here; the rule-based heuristic has no such knowledge)");
     Ok(())
 }
