@@ -222,7 +222,7 @@ fn forced_degradation_dumps_flight_recorder_with_decision_context() {
     assert_eq!(
         dump,
         "{\"v\":1,\"event\":\"flight_dump\",\"run\":\"forced\",\"episode\":0,\"trigger\":\"supervisor_degradation\",\"step\":0,\"events\":[{\
-         \"v\":1,\"event\":\"step\",\"run\":\"forced\",\"episode\":0,\"kind\":\"train\",\"step\":0,\"time_s\":0.0,\"p_dem_w\":0.0,\"speed_mps\":0.0,\"soc\":0.6,\"prediction_w\":0.0,\
+         \"v\":1,\"event\":\"step\",\"run\":\"forced\",\"episode\":0,\"kind\":\"eval\",\"step\":0,\"time_s\":0.0,\"p_dem_w\":0.0,\"speed_mps\":0.0,\"soc\":0.6,\"prediction_w\":0.0,\
          \"state\":3616,\"feasible\":15,\"action\":0,\"current_a\":-60.0,\"gear\":0,\"p_aux_w\":562.147733243768,\"reward\":-0.049105219631363085,\"fuel_g\":0.0,\
          \"aux_term\":-0.0015919934428721616,\"soc_after\":0.5999803375558571,\"fallback\":false}]}"
     );

@@ -101,15 +101,14 @@ impl RuleBasedController {
     }
 
     /// Tries the intended control, then nearby gears, then currents
-    /// backed toward zero; falls back to the harness ladder if nothing
-    /// fits.
+    /// backed toward zero; `None` if nothing fits.
     fn first_feasible(
         &self,
         hev: &ParallelHev,
         obs: &Observation<'_>,
         current: f64,
         gear: usize,
-    ) -> ControlInput {
+    ) -> Option<ControlInput> {
         let aux = self.config.aux_power_w;
         let num_gears = hev.drivetrain().num_gears();
         let gear = gear.min(num_gears - 1);
@@ -126,26 +125,31 @@ impl RuleBasedController {
                     p_aux_w: aux,
                 };
                 if hev.peek_with_context(obs.ctx, &c, obs.dt_s).is_ok() {
-                    return c;
+                    return Some(c);
                 }
             }
         }
-        fallback_control(hev, obs.ctx, obs.dt_s)
+        None
     }
-}
 
-impl HevPolicy for RuleBasedController {
-    fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
+    /// The rules' decision, or `None` where they find no feasible
+    /// control and [`HevPolicy::decide`] falls back to the harness
+    /// ladder ([`fallback_control`]).
+    pub(crate) fn try_decide(
+        &self,
+        hev: &ParallelHev,
+        obs: &Observation<'_>,
+    ) -> Option<ControlInput> {
         let cfg = &self.config;
         let d = obs.demand;
 
         // Stopped: engine off, battery carries the auxiliary load.
         if d.speed_mps < STOP_SPEED_MPS {
-            return ControlInput {
+            return Some(ControlInput {
                 battery_current_a: 0.0,
                 gear: 0,
                 p_aux_w: cfg.aux_power_w,
-            };
+            });
         }
 
         let gear = self.schedule_gear(d.speed_mps);
@@ -161,11 +165,11 @@ impl HevPolicy for RuleBasedController {
                         p_aux_w: cfg.aux_power_w,
                     };
                     if hev.peek_with_context(obs.ctx, &c, obs.dt_s).is_ok() {
-                        return c;
+                        return Some(c);
                     }
                 }
             }
-            return fallback_control(hev, obs.ctx, obs.dt_s);
+            return None;
         }
 
         // Electric launch / low-load EV while charge remains.
@@ -174,8 +178,7 @@ impl HevPolicy for RuleBasedController {
             && obs.soc > cfg.soc_low
         {
             // A generous discharge bound lets the model resolve EV mode.
-            let c = self.first_feasible(hev, obs, 100.0, gear);
-            return c;
+            return self.first_feasible(hev, obs, 100.0, gear);
         }
 
         // Engine propulsion with load-leveling charge control.
@@ -187,6 +190,13 @@ impl HevPolicy for RuleBasedController {
             0.0
         };
         self.first_feasible(hev, obs, current, gear)
+    }
+}
+
+impl HevPolicy for RuleBasedController {
+    fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
+        self.try_decide(hev, obs)
+            .unwrap_or_else(|| fallback_control(hev, obs.ctx, obs.dt_s))
     }
 }
 

@@ -15,7 +15,7 @@ use crate::plan::CyclePlan;
 use crate::reward::RewardConfig;
 use crate::sim::{fallback_control, simulate_planned, ControlError, HevPolicy, Observation};
 use crate::state::{StateSample, StateSpace, StateSpaceConfig};
-use crate::telemetry::{self, DecisionInfo, PolicyTelemetry};
+use crate::telemetry::{DecisionInfo, PolicyTelemetry};
 use drive_cycle::DriveCycle;
 use hev_model::{ControlInput, CurrentContext, ParallelHev, StepOutcome};
 use hev_predict::{Ewma, Predictor};
@@ -338,7 +338,6 @@ impl<P: Predictor> JointController<P> {
         self.training = true;
         hev.reset_soc(self.config.initial_soc);
         let reward = self.config.reward;
-        telemetry::set_kind("train");
         simulate_planned(hev, plan, self, &reward)
     }
 
@@ -391,7 +390,6 @@ impl<P: Predictor> JointController<P> {
         self.training = false;
         hev.reset_soc(self.config.initial_soc);
         let reward = self.config.reward;
-        telemetry::set_kind("eval");
         let metrics = simulate_planned(hev, plan, self, &reward);
         self.training = true;
         metrics
@@ -646,6 +644,10 @@ impl<P: Predictor> HevPolicy for JointController<P> {
         self.pending = None;
         self.awaiting_reward = None;
         self.learner.end_episode();
+    }
+
+    fn is_learning(&self) -> bool {
+        self.training
     }
 
     fn set_record_decisions(&mut self, on: bool) {

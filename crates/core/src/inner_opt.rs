@@ -15,8 +15,11 @@
 //! counts one peek-equivalent evaluation ([`hev_trace::evals`]); the
 //! winner's outcome is kept from the sweep rather than re-evaluated.
 //!
-//! A sweep over several currents ([`InnerOptimizer::best_over_currents`])
-//! also skips every gear search a larger current cannot change (see
+//! Gears are searched from the highest down, and a gear whose first
+//! probe runs the engine stops there when a reward bound shows it cannot
+//! beat the best gear found so far (see `best_aux_for_gear`). A sweep
+//! over several currents ([`InnerOptimizer::best_over_currents`]) also
+//! skips every gear search a larger current cannot change (see
 //! `SettledGears`); the DP's cell sweep reads the same classification.
 
 use crate::reward::RewardConfig;
@@ -87,12 +90,15 @@ impl InnerOptimizer {
     /// against the step's context, or `None` when no combination is
     /// feasible (the action is masked).
     ///
-    /// Sweeps the viable gears in ascending order; per gear, either the
+    /// Sweeps the viable gears in descending order; per gear, either the
     /// fixed auxiliary power or a coarse 7-point aux grid followed by a
-    /// golden-section refinement around its best point. Comparisons are
-    /// strict-`>` and first-wins throughout. A moving step costs at most
-    /// 7 + 12 evaluations per viable gear; a current that fails the pack
-    /// limits costs none.
+    /// golden-section refinement around its best point. A gear replaces
+    /// the best one on a tie (`>=`), so the lowest of the tied gears wins,
+    /// as an ascending strict-`>` first-wins sweep picks; within a gear
+    /// comparisons are strict-`>` and first-wins. A moving step costs at
+    /// most 7 + 12 evaluations per viable gear, and one for a gear that
+    /// the reward bound prunes after its first probe; a current that
+    /// fails the pack limits costs none.
     pub fn resolve_with(
         &self,
         hev: &ParallelHev,
@@ -110,7 +116,7 @@ impl InnerOptimizer {
             return None;
         }
         let (gear, best) =
-            self.resolve_current::<false>(hev, ctx, &cur, reward, &mut SettledGears::new())?;
+            self.resolve_current::<false>(hev, ctx, &cur, reward, None, &mut SettledGears::new())?;
         Some(ResolvedAction {
             control: ControlInput {
                 battery_current_a,
@@ -134,7 +140,9 @@ impl InnerOptimizer {
     /// currents, while their terminal power strictly rises, would tie an
     /// earlier current's (losing under strict `>`) or fail, so it is
     /// skipped; an EV-only gear first pays one probe to confirm that it
-    /// stays EV-only. A stopped step, which ignores the commanded
+    /// stays EV-only. The reward bound also prunes a gear against the best
+    /// control of the earlier currents: a current whose every gear falls
+    /// below it cannot win. A stopped step, which ignores the commanded
     /// current, resolves only the first one.
     pub fn best_over_currents(
         &self,
@@ -153,8 +161,9 @@ impl InnerOptimizer {
             if !ctx.is_stopped() && !cur.is_feasible() {
                 continue;
             }
+            let floor = best.as_ref().map(|(r, _)| *r);
             if let Some((gear, p)) =
-                self.resolve_current::<true>(hev, ctx, &cur, reward, &mut settled)
+                self.resolve_current::<true>(hev, ctx, &cur, reward, floor, &mut settled)
             {
                 if best.as_ref().is_none_or(|(r, _)| p.reward > *r) {
                     let control = ControlInput {
@@ -173,7 +182,10 @@ impl InnerOptimizer {
         best.map(|(_, control)| control)
     }
 
-    /// The best `(gear, probe)` at one feasible current. In a `SWEEP`
+    /// The best `(gear, probe)` at one feasible current. Pruned gears
+    /// fall short of the incumbent, so when `floor` (the best reward of
+    /// earlier currents) prunes one, the result is exact only if it
+    /// beats `floor`: otherwise this current loses anyway. In a `SWEEP`
     /// over currents it skips the gears `settled` marks and records each
     /// searched gear's regime; otherwise it is the plain per-current
     /// search of [`InnerOptimizer::resolve_with`] and leaves `settled`
@@ -186,12 +198,13 @@ impl InnerOptimizer {
         ctx: &StepContext,
         cur: &CurrentContext,
         reward: &RewardConfig,
+        floor: Option<f64>,
         settled: &mut SettledGears,
     ) -> Option<(usize, Probe)> {
         match self.fixed_aux_w {
             Some(aux) => {
                 let _grid = hev_trace::span::enter("control.grid");
-                best_gear(hev, ctx, |gear| {
+                best_gear(hev, ctx, None, |gear, _| {
                     // One probe per gear: a settled gear's probe replays
                     // its earlier outcome or fails.
                     if SWEEP && settled.regime(gear) != Regime::Open {
@@ -204,28 +217,32 @@ impl InnerOptimizer {
                     scored(result, aux, reward)
                 })
             }
-            None => best_gear(hev, ctx, |gear| {
-                let regime = if SWEEP {
-                    settled.regime(gear)
-                } else {
-                    Regime::Open
-                };
-                if regime == Regime::Saturated {
-                    return None;
-                }
-                let (found, top) = best_aux_for_gear::<SWEEP>(
-                    hev,
-                    ctx,
-                    cur,
-                    gear,
-                    reward,
-                    regime == Regime::EvOnly,
-                );
-                if SWEEP {
-                    settled.record(gear, top);
-                }
-                found
-            }),
+            None => {
+                let utility = utility_bound(hev, reward);
+                best_gear(hev, ctx, floor, |gear, incumbent| {
+                    let regime = if SWEEP {
+                        settled.regime(gear)
+                    } else {
+                        Regime::Open
+                    };
+                    if regime == Regime::Saturated {
+                        return None;
+                    }
+                    let (found, top) = best_aux_for_gear::<SWEEP>(
+                        hev,
+                        ctx,
+                        cur,
+                        gear,
+                        reward,
+                        regime == Regime::EvOnly,
+                        utility.zip(incumbent),
+                    );
+                    if SWEEP {
+                        settled.record(gear, top);
+                    }
+                    found
+                })
+            }
         }
     }
 
@@ -305,33 +322,42 @@ impl InnerOptimizer {
     }
 }
 
-/// The best `(gear, probe)` over the viable gears in ascending order
-/// under strict `>` (first wins), where `search` scores one gear.
+/// The best `(gear, probe)` over the viable gears, searched in
+/// descending order, where `search` scores one gear given the incumbent:
+/// the best reward so far, `floor` included. A gear replaces the best
+/// one on a tie (`>=`), so the lowest tied gear wins, exactly as under
+/// an ascending strict-`>` first-wins sweep.
 ///
-/// A stopped step resolves independently of the gear: every later viable
-/// gear ties the first and loses the strict comparison, so only the
-/// first viable gear pays for its search.
+/// A stopped step resolves independently of the gear, and every gear is
+/// viable there: each other gear would tie gear 0 and lose, so only gear
+/// 0 pays for its search. `search` has one call site, so that it inlines.
 #[inline(always)]
 fn best_gear(
     hev: &ParallelHev,
     ctx: &StepContext,
-    mut search: impl FnMut(usize) -> Option<Probe>,
+    floor: Option<f64>,
+    mut search: impl FnMut(usize, Option<f64>) -> Option<Probe>,
 ) -> Option<(usize, Probe)> {
+    let num_gears = hev.drivetrain().num_gears();
+    let searched = if ctx.is_stopped() {
+        num_gears.min(1)
+    } else {
+        num_gears
+    };
     let mut best: Option<(usize, Probe)> = None;
-    for gear in 0..hev.drivetrain().num_gears() {
+    let mut incumbent = floor;
+    for gear in (0..searched).rev() {
         if !ctx.gear_is_viable(gear) {
             // A control-independent check already failed for this gear
             // during precomputation; no candidate here can be feasible,
             // so skipping cannot change the argmax.
             continue;
         }
-        if let Some(c) = search(gear) {
-            if best.is_none_or(|(_, b)| c.reward > b.reward) {
+        if let Some(c) = search(gear, incumbent) {
+            if best.is_none_or(|(_, b)| c.reward >= b.reward) {
                 best = Some((gear, c));
+                incumbent = Some(incumbent.map_or(c.reward, |r| r.max(c.reward)));
             }
-        }
-        if ctx.is_stopped() {
-            break;
         }
     }
     best
@@ -351,6 +377,16 @@ fn best_gear(
 /// resolve in EV mode, which ignores the commanded current: the search
 /// replays the earlier one and the gear returns `None` after one eval.
 /// Otherwise that probe is the grid's first point and the search goes on.
+///
+/// `prune` carries [`utility_bound`] and the incumbent reward. When the
+/// first grid probe runs the engine, every later probe, at less machine
+/// torque and so more engine torque, runs it too or fails, at the same
+/// battery power, state of charge after the step and restart penalty,
+/// and burns no less fuel. Its reward is then at most the first probe's
+/// with the aux utility replaced by the bound's, and a gear whose bound
+/// (plus a relative slack for rounding) cannot reach the incumbent stops
+/// after that probe. Its top probe would have been `Open` too: it runs
+/// the engine or fails below the torque envelope.
 #[inline(always)]
 fn best_aux_for_gear<const SWEEP: bool>(
     hev: &ParallelHev,
@@ -359,6 +395,7 @@ fn best_aux_for_gear<const SWEEP: bool>(
     gear: usize,
     reward: &RewardConfig,
     ev_settled: bool,
+    prune: Option<(f64, f64)>,
 ) -> (Option<Probe>, Regime) {
     let (lo, hi) = hev.aux().power_range();
     let n = AUX_GRID;
@@ -382,6 +419,13 @@ fn best_aux_for_gear<const SWEEP: bool>(
                 top = Regime::of(&result);
             }
             if let Some(c) = scored(result, p, reward) {
+                if k == 0
+                    && prune.is_some_and(|(utility, incumbent)| {
+                        runs_engine(c.outcome.mode) && bound_misses(&c, utility, incumbent, reward)
+                    })
+                {
+                    return (None, Regime::Open);
+                }
                 if best.is_none_or(|(_, b)| c.reward > b.reward) {
                     best = Some((k, c));
                 }
@@ -457,6 +501,44 @@ fn best_aux_for_gear<const SWEEP: bool>(
         probes += 1;
     }
     (Some(best), top)
+}
+
+/// The aux utility maximizing `aux_weight·f_aux` over the aux range
+/// (`f_aux` is uni-modal, so its peak clamped into the range for a
+/// non-negative weight, else the smaller end value), or `None` when the
+/// engine's fuel rate is not known to be non-decreasing in torque, and
+/// so no gear may be pruned.
+fn utility_bound(hev: &ParallelHev, reward: &RewardConfig) -> Option<f64> {
+    if !hev.engine().fuel_rate_monotone_in_torque() {
+        return None;
+    }
+    let aux = hev.aux();
+    let (lo, hi) = aux.power_range();
+    Some(if reward.aux_weight >= 0.0 {
+        aux.utility(aux.preferred_power().clamp(lo, hi))
+    } else {
+        aux.utility(lo).min(aux.utility(hi))
+    })
+}
+
+/// Whether a mode runs the engine (the engine-on completion's modes).
+#[inline(always)]
+fn runs_engine(mode: OperatingMode) -> bool {
+    matches!(
+        mode,
+        OperatingMode::HybridAssist | OperatingMode::RechargeDrive | OperatingMode::IceOnly
+    )
+}
+
+/// Whether the reward bound of an engine-on probe `c`, its reward with
+/// the aux utility replaced by `utility`, falls short of `incumbent` by
+/// more than a relative slack of 1e-9 that absorbs rounding. The reward
+/// is affine in the aux utility, with slope `aux_weight·dt_s`, so the
+/// bound reuses the probe's reward rather than scoring it again.
+#[inline(always)]
+fn bound_misses(c: &Probe, utility: f64, incumbent: f64, reward: &RewardConfig) -> bool {
+    let bound = c.reward + reward.aux_weight * (utility - c.outcome.aux_utility) * reward.dt_s;
+    bound + 1e-9 * (1.0 + bound.abs()) <= incumbent
 }
 
 /// Evaluates one `(gear, p_aux)` candidate against the prebuilt contexts.
@@ -793,8 +875,8 @@ mod tests {
     /// Viable gears at `d`, after asserting both ends of the aux range are
     /// feasible in each at `i`. Every feasibility check bounds `p_aux` to
     /// an interval, so the whole range is then feasible: no refinement
-    /// pair can both fail, and each gear pays its full grid plus every
-    /// refinement probe: [`GEAR_COST`].
+    /// pair can both fail, and each gear the reward bound does not prune
+    /// pays its full grid plus every refinement probe: [`GEAR_COST`].
     fn fully_feasible_viable_gears(hev: &ParallelHev, d: &WheelDemand, i: f64) -> usize {
         let ctx = hev.step_context(d);
         let (lo, hi) = hev.aux().power_range();
@@ -823,8 +905,18 @@ mod tests {
         assert!(viable >= 2, "the case must cover several gears");
         let ctx = hev.step_context(&d);
         let snap = hev_trace::evals::count();
-        opt.resolve_with(&hev, &ctx, 10.0, 1.0, &cfg()).unwrap();
-        assert_eq!(hev_trace::evals::since(snap), viable as u64 * GEAR_COST);
+        let best = opt.resolve_with(&hev, &ctx, 10.0, 1.0, &cfg()).unwrap();
+        // Gears descend, and the winner is the top viable gear here: it
+        // pays its full search, and every lower gear runs the engine at
+        // its first probe, whose reward bound prunes it after that eval.
+        let top = (0..hev.drivetrain().num_gears())
+            .rev()
+            .find(|&g| ctx.gear_is_viable(g));
+        assert_eq!(Some(best.control.gear), top);
+        assert_eq!(
+            hev_trace::evals::since(snap),
+            GEAR_COST + (viable as u64 - 1)
+        );
         // Fixed aux: one probe per viable gear.
         let snap = hev_trace::evals::count();
         InnerOptimizer::with_fixed_aux(600.0)

@@ -97,6 +97,13 @@ pub trait HevPolicy {
     /// Called once after each episode.
     fn end_episode(&mut self) {}
 
+    /// Whether the policy learns from the episode about to run; telemetry
+    /// labels the episode `"train"` when it does and `"eval"` otherwise.
+    /// Default: it does not.
+    fn is_learning(&self) -> bool {
+        false
+    }
+
     /// Takes (and clears) the most recent [`ControlError`] the controller
     /// recorded while deciding, if any. Default: controllers report none.
     fn take_control_error(&mut self) -> Option<ControlError> {
@@ -184,7 +191,18 @@ fn feasible_control(hev: &ParallelHev, ctx: &StepContext, dt: f64) -> Option<Con
 /// simulation harness then clips the demand — a "trace miss", as
 /// backward-looking simulators such as ADVISOR report).
 pub fn fallback_control(hev: &ParallelHev, ctx: &StepContext, dt: f64) -> ControlInput {
-    feasible_control(hev, ctx, dt).unwrap_or(ControlInput {
+    scan_fallback(hev, ctx, dt).unwrap_or_else(|default| default)
+}
+
+/// [`fallback_control`] with the scan's verdict: `Ok` with the first
+/// feasible control, or `Err` with the zero-current 1st-gear request
+/// when the scan finds none.
+pub(crate) fn scan_fallback(
+    hev: &ParallelHev,
+    ctx: &StepContext,
+    dt: f64,
+) -> Result<ControlInput, ControlInput> {
+    feasible_control(hev, ctx, dt).ok_or(ControlInput {
         battery_current_a: 0.0,
         gear: 0,
         p_aux_w: hev.aux().preferred_power(),
@@ -294,6 +312,11 @@ fn simulate_core(
     }
     if let Some(t) = collector.as_mut() {
         controller.set_record_decisions(true);
+        t.kind = if controller.is_learning() {
+            "train"
+        } else {
+            "eval"
+        };
         t.begin_episode();
     }
     controller.begin_episode();

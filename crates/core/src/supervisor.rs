@@ -20,12 +20,18 @@
 //!    inner-optimized reward over each [`Tier`]'s battery currents (the
 //!    move an untrained [`crate::JointController`] makes in a
 //!    never-visited state);
-//! 2. [`Rung::Rule`] — the [`RuleBasedController`] baseline's decision;
-//! 3. [`Rung::LimpHome`] — [`fallback_control`] on the step's context,
-//!    attempted regardless of budget. If even it fails validation the
-//!    walk returns it as the error: the supervisor emits it and the
-//!    harness clips the demand (a trace miss, never an abort), while the
-//!    serve session answers a typed error.
+//! 2. [`Rung::Rule`] — the [`RuleBasedController`] baseline's decision.
+//!    Where the rules find no control, the baseline falls back to the
+//!    limp-home scan, which this tier then runs in limp-home's place: a
+//!    control it finds answers as this rung, and a failed scan ends the
+//!    walk with a limp-home entry that spent nothing;
+//! 3. [`Rung::LimpHome`] — the scan of [`crate::fallback_control`] on
+//!    the step's context, attempted regardless of budget. Every control
+//!    it finds passed the validation predicate during the scan. If it
+//!    finds none the walk returns the default control as the error: the
+//!    supervisor emits it and the harness clips the demand (a trace
+//!    miss, never an abort), while the serve session answers a typed
+//!    error.
 //!
 //! [`SupervisedPolicy`] walks [`LadderConfig::unbudgeted`] (one tier,
 //! no budget limit) and counts the answering rung in its
@@ -40,7 +46,7 @@ use crate::baseline::RuleBasedController;
 use crate::inner_opt::InnerOptimizer;
 use crate::metrics::DegradationReport;
 use crate::reward::RewardConfig;
-use crate::sim::{fallback_control, ControlError, HevPolicy, Observation};
+use crate::sim::{scan_fallback, ControlError, HevPolicy, Observation};
 use hev_model::{ControlInput, ParallelHev, StepContext, StepOutcome};
 use hev_trace::evals;
 
@@ -147,10 +153,11 @@ impl Default for LadderConfig {
             // probes) = 95 evals per current, 1 425 over the 15-current
             // ladder, and the myopic tier 380 over its 4 currents; 4k
             // leaves headroom for validation probes. The sweep's skip of
-            // settled gears only lowers the real cost, so the tier costs
-            // are upper bounds, kept at the values set when the search
-            // cost 155 per current: they gate rung entry, so lowering
-            // them would change which rung answers a request.
+            // settled gears and the gear bound, which stops a gear after
+            // one probe, only lower the real cost, so the tier costs are
+            // upper bounds, kept at the values set when the search cost
+            // 155 per current: they gate rung entry, so lowering them
+            // would change which rung answers a request.
             budget_evals: 4000,
             tiers: vec![
                 Tier {
@@ -188,8 +195,8 @@ impl LadderConfig {
 /// records each attempted rung with the evals it spent.
 ///
 /// Returns the first candidate that validates with its rung, or — when
-/// even the limp-home control fails validation — that control as the
-/// error.
+/// the limp-home scan finds no feasible control — the default control as
+/// the error.
 pub fn walk(
     hev: &ParallelHev,
     obs: &Observation<'_>,
@@ -221,23 +228,28 @@ pub fn walk(
     if fits(config.rule_cost) {
         let _span = hev_trace::span::enter(Rung::Rule.span());
         let entered = evals::count();
-        let control = rule.decide(hev, obs);
-        let valid = validate(hev, ctx, &control, dt).is_ok();
+        let answer = match rule.try_decide(hev, obs) {
+            Some(control) => validate(hev, ctx, &control, dt)
+                .is_ok()
+                .then_some(Ok(control)),
+            None => Some(scan_fallback(hev, ctx, dt)),
+        };
         trail.push((Rung::Rule, evals::since(entered)));
-        if valid {
-            return Ok((control, Rung::Rule));
+        match answer {
+            Some(Ok(control)) => return Ok((control, Rung::Rule)),
+            Some(Err(control)) => {
+                // Limp-home would repeat the scan that just failed.
+                trail.push((Rung::LimpHome, 0));
+                return Err(control);
+            }
+            None => {}
         }
     }
     let _span = hev_trace::span::enter(Rung::LimpHome.span());
     let entered = evals::count();
-    let control = fallback_control(hev, ctx, dt);
-    let valid = validate(hev, ctx, &control, dt).is_ok();
+    let scanned = scan_fallback(hev, ctx, dt);
     trail.push((Rung::LimpHome, evals::since(entered)));
-    if valid {
-        Ok((control, Rung::LimpHome))
-    } else {
-        Err(control)
-    }
+    scanned.map(|control| (control, Rung::LimpHome))
 }
 
 /// A validating wrapper around any [`HevPolicy`] (see the module docs
@@ -346,6 +358,10 @@ impl<P: HevPolicy> HevPolicy for SupervisedPolicy<P> {
         self.policy.take_control_error()
     }
 
+    fn is_learning(&self) -> bool {
+        self.policy.is_learning()
+    }
+
     fn degradation(&self) -> Option<DegradationReport> {
         Some(self.report)
     }
@@ -366,7 +382,7 @@ impl<P: HevPolicy> HevPolicy for SupervisedPolicy<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::simulate;
+    use crate::sim::{fallback_control, simulate};
     use drive_cycle::{DriveCycle, ProfileBuilder};
     use hev_model::HevParams;
 
@@ -515,6 +531,31 @@ mod tests {
             assert_eq!(trail.last().map(|&(r, _)| r), Some(expected));
             assert!(trail.iter().all(|&(_, evals)| evals > 0));
         }
+    }
+
+    #[test]
+    fn an_unsteppable_demand_scans_for_a_fallback_once() {
+        // 2 m/s² at 30 m/s is beyond the powertrain's envelope: no tier
+        // finds a control, and the rule tier's own fallback scan fails.
+        let mut trail = Vec::new();
+        assert!(serve_walk(100_000, 30.0, 2.0, &mut trail).is_err());
+        let rungs: Vec<Rung> = trail.iter().map(|&(rung, _)| rung).collect();
+        assert_eq!(
+            rungs,
+            [Rung::Full, Rung::Myopic, Rung::Rule, Rung::LimpHome]
+        );
+        // Limp-home does not repeat the scan the rule tier just ran.
+        assert_eq!(trail[3], (Rung::LimpHome, 0));
+        let hev = hev();
+        let ctx = hev.step_context(&hev.demand(30.0, 2.0, 0.0));
+        let snap = hev_trace::evals::count();
+        fallback_control(&hev, &ctx, 1.0);
+        let scan = hev_trace::evals::since(snap);
+        assert!(
+            (scan..2 * scan).contains(&trail[2].1),
+            "rule tier spent {} evals, one scan costs {scan}",
+            trail[2].1
+        );
     }
 
     #[test]

@@ -76,16 +76,6 @@ pub fn take_task() -> RunTelemetry {
         .unwrap_or_default()
 }
 
-/// Labels the upcoming episodes of the open window as `"train"` or
-/// `"eval"`; does nothing when no window is open.
-pub fn set_kind(kind: &'static str) {
-    WINDOW.with(|w| {
-        if let Some(t) = w.borrow_mut().as_mut() {
-            t.kind = kind;
-        }
-    });
-}
-
 /// Takes the open window's collector for the length of one episode, so
 /// the simulation loop reads the thread-local once per episode (and a
 /// nested simulation records nothing).
@@ -148,6 +138,8 @@ pub(crate) struct EpisodeTelemetry {
     config: TelemetryConfig,
     run: String,
     pub(crate) episode: u64,
+    /// The running episode's label, set from its policy's
+    /// [`crate::sim::HevPolicy::is_learning`] when the episode begins.
     pub(crate) kind: &'static str,
     registry: MetricsRegistry,
     /// Trace every `trace_every`-th step; `0` traces none.

@@ -191,6 +191,22 @@ impl Engine {
                 * self.params.fuel_lhv_j_per_g)
     }
 
+    /// Whether the fuel rate is non-decreasing in torque over
+    /// `(0, T_max(ω)]` at every engine speed: true when the efficiency
+    /// peaks at a load ratio no larger than the load parabola's width
+    /// (`best_load_ratio ≤ load_span`).
+    ///
+    /// In the load ratio `x = T/T_max(ω)` the fuel rate is proportional
+    /// to `x/g(x)` with `g(x) = 1 − ((x − b)/s)²`, whose derivative has
+    /// the sign of `1 + (x² − b²)/s²`: non-negative for every `x ≥ 0`
+    /// once `b ≤ s`. The efficiency floor only takes the minimum with
+    /// `x` over a constant, and the speed parabola scales both terms.
+    /// Optimizers bound an engine-on search by its lowest-torque probe
+    /// only while this holds.
+    pub fn fuel_rate_monotone_in_torque(&self) -> bool {
+        self.params.best_load_ratio <= self.params.load_span
+    }
+
     /// The operating point `(T, ω)` is inside the feasible envelope of
     /// Eq. 2.
     pub fn operating_point_feasible(&self, torque_nm: f64, speed_rad_s: f64) -> bool {

@@ -155,6 +155,34 @@ proptest! {
         }
     }
 
+    /// On an engine map that `fuel_rate_monotone_in_torque` accepts, the
+    /// fuel rate is non-decreasing in torque from just above zero up to
+    /// wide-open throttle, at every engine speed (the idle fuel rate at
+    /// zero torque is the map's one exception, and no engine-on
+    /// operating point has zero torque).
+    #[test]
+    fn fuel_rate_is_monotone_in_torque_when_predicted(
+        best_load in 0.05f64..1.0,
+        extra_span in 0.0f64..1.0,
+        speed in 105.0f64..575.0,
+    ) {
+        let e = Engine::new(IceParams {
+            best_load_ratio: best_load,
+            load_span: best_load + extra_span,
+            ..IceParams::default()
+        })
+        .expect("valid map");
+        prop_assert!(e.fuel_rate_monotone_in_torque());
+        let wot = e.max_torque(speed);
+        let mut prev = 0.0;
+        for k in 1..=500 {
+            let torque = wot * k as f64 / 500.0;
+            let rate = e.fuel_rate(torque, speed);
+            prop_assert!(rate >= prev, "{} g/s at {} N·m after {} g/s", rate, torque, prev);
+            prev = rate;
+        }
+    }
+
     /// A committed step always reports soc_after equal to the vehicle's
     /// state, for any feasible action.
     #[test]
@@ -174,4 +202,28 @@ proptest! {
             prop_assert_eq!(hev.engine_on(), o.ice_speed_rad_s > 0.0);
         }
     }
+}
+
+/// An efficiency peak at a load ratio above the load parabola's width
+/// makes the fuel rate fall with torque somewhere, and the predicate
+/// says so.
+#[test]
+fn narrow_high_load_map_is_reported_non_monotone() {
+    let e = Engine::new(IceParams {
+        best_load_ratio: 0.95,
+        load_span: 0.3,
+        ..IceParams::default()
+    })
+    .expect("valid map");
+    assert!(!e.fuel_rate_monotone_in_torque());
+    assert!(engine().fuel_rate_monotone_in_torque());
+    let speed = e.params().best_speed_rad_s;
+    let wot = e.max_torque(speed);
+    let rates: Vec<f64> = (1..=100)
+        .map(|k| e.fuel_rate(wot * f64::from(k) / 100.0, speed))
+        .collect();
+    assert!(
+        rates.windows(2).any(|w| w[1] < w[0]),
+        "the fuel rate should fall with torque on this map"
+    );
 }
