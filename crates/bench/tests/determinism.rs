@@ -210,7 +210,7 @@ fn corrected_fuel_finite_positive_across_grid() {
 
 /// The deterministic eval clock of a fixed single-threaded workload,
 /// pinned exactly: four planned training episodes on UDDS plus one
-/// greedy evaluation (seed 42) cost exactly 432 373 peek-equivalent
+/// greedy evaluation (seed 42) cost exactly 431 905 peek-equivalent
 /// evaluations over 6 845 simulated steps, and the cycle's context
 /// table is built once for the whole workload. Any per-step work
 /// leaking into the disabled-telemetry hot loop, or a context rebuild
@@ -232,7 +232,7 @@ fn udds_workload_replays_the_pinned_eval_count() {
 
     let steps = metrics.steps as u64 * (train_episodes as u64 + 1);
     assert_eq!(steps, 6_845);
-    assert_eq!(counts.evals, 432_373);
+    assert_eq!(counts.evals, 431_905);
     assert_eq!(
         counts.ctx_rebuilds, 1,
         "expected one context-table build for the whole workload"

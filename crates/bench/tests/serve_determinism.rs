@@ -154,12 +154,12 @@ fn small_chaos_fleet_artifacts_are_pinned() {
         "{\"version\":2,\"sessions\":4,\"requests\":120,\"served\":108,\"shed\":7,\
          \"errors\":5,\"rung_full\":43,\"rung_myopic\":22,\"rung_rule\":43,\
          \"rung_limp_home\":0,\"quarantines\":4,\"crashed_requests\":2,\
-         \"shed_rate\":0.058333333333333334,\"eval_p50\":173,\"eval_p90\":686,\
-         \"eval_p99\":857,\"eval_p999\":876,\"shed_depth\":[0,0,0,7,0]}"
+         \"shed_rate\":0.058333333333333334,\"eval_p50\":173,\"eval_p90\":554,\
+         \"eval_p99\":767,\"eval_p999\":876,\"shed_depth\":[0,0,0,7,0]}"
     );
-    assert_eq!(fnv1a(run.response_stream.as_bytes()), 0x72a6_cfc9_95b9_6e5f);
+    assert_eq!(fnv1a(run.response_stream.as_bytes()), 0xdd34_3b2d_80ff_d483);
     assert_eq!(fnv1a(csv.as_bytes()), 0xb6d1_ce03_705e_5cda);
-    assert_eq!(fnv1a(run.prometheus.as_bytes()), 0xfd81_c3b7_c77d_3194);
+    assert_eq!(fnv1a(run.prometheus.as_bytes()), 0x44f4_a2e0_cd31_6767);
 }
 
 /// Pins the small chaos fleet's first quarantine dump: the

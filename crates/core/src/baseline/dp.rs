@@ -186,7 +186,10 @@ pub fn solve(
 /// fixed auxiliary power each would replay the same outcome, a tie that
 /// loses, or fail. A gear stays settled only while the terminal power
 /// strictly rises from one current to the next ([`SettledGears`]), so an
-/// unsorted current list just skips less. A stopped step resolves
+/// unsorted current list just skips less. [`Regime::of`] never reports
+/// the inner optimization's regen-floor clamp: a larger current must
+/// confirm that clamp with one probe, which here is the gear's whole
+/// candidate, so the DP gains nothing from it. A stopped step resolves
 /// independently of both current and gear, so its first probe decides
 /// the cell.
 fn best_in_cell(

@@ -190,36 +190,30 @@ fn decode_full_action(
     })
 }
 
-/// Reusable per-step working memory: the feasibility mask and the
-/// resolution cache. Reset at the top of each `decide`, so one allocation
-/// serves the whole episode, and each action's inner optimization runs at
-/// most once per step — masking, argmax, and acting share the entry.
+/// Reusable per-step working memory: the feasibility mask and the myopic
+/// argmax's inputs and winner. Reset at the top of each `decide`, so one
+/// allocation serves the whole episode.
 #[derive(Debug, Clone, Default)]
 struct StepScratch {
-    /// The current step's epoch; memo entries stamped with an older epoch
-    /// are stale, which makes the per-step reset O(1) instead of a memset
-    /// over the (large) memoized resolutions.
-    epoch: u64,
     /// Per-action feasibility for the current step.
     mask: Vec<bool>,
-    /// Per-action memoized inner-optimization result, valid only when its
-    /// stamp equals `epoch`; the payload `None` means resolved infeasible.
-    resolved: Vec<(u64, Option<ResolvedAction>)>,
     /// Full space only: each action's instantaneous reward from this
     /// step's mask sweep (`None` when infeasible or malformed), which the
     /// myopic argmax reuses instead of re-peeking.
     full_reward: Vec<Option<f64>>,
+    /// Reduced space only: the masked currents, in action order, that the
+    /// myopic argmax sweeps.
+    masked_currents: Vec<f64>,
+    /// Reduced space only: the myopic argmax's action and its resolution
+    /// this step, which acting reuses instead of resolving it again.
+    myopic: Option<(usize, ResolvedAction)>,
 }
 
 impl StepScratch {
     fn reset(&mut self, n_actions: usize) {
-        self.epoch += 1;
         self.mask.clear();
         self.mask.resize(n_actions, false);
-        if self.resolved.len() != n_actions {
-            self.resolved.clear();
-            self.resolved.resize(n_actions, (0, None));
-        }
+        self.myopic = None;
     }
 }
 
@@ -458,48 +452,45 @@ impl<P: Predictor> JointController<P> {
         }
     }
 
-    /// Resolves a reduced-space action's inner optimization at most once
-    /// per step: masking, argmax, and acting all share the memoized entry
-    /// (the resolution is a pure function of `(hev state, ctx, current)`,
-    /// so reuse is bit-identical to re-resolving).
-    fn resolve_cached(
-        &mut self,
-        hev: &ParallelHev,
-        obs: &Observation<'_>,
-        action: usize,
-        current: f64,
-    ) -> Option<ResolvedAction> {
-        let (stamp, memo) = self.scratch.resolved[action];
-        if stamp == self.scratch.epoch {
-            return memo;
-        }
-        let reward = self.config.reward;
-        let resolved = self
-            .config
-            .inner
-            .resolve_with(hev, obs.ctx, current, obs.dt_s, &reward);
-        self.scratch.resolved[action] = (self.scratch.epoch, resolved);
-        resolved
-    }
-
     /// The feasible action with the best instantaneous (inner-optimized)
     /// reward — the myopic policy used when evaluation reaches a state
-    /// never visited during training. Reads `self.scratch.mask`.
+    /// never visited during training. Reads `self.scratch.mask`; ties go
+    /// to the first action.
+    ///
+    /// The reduced space sweeps the masked currents in action order with
+    /// [`InnerOptimizer::best_resolved`], which picks what resolving each
+    /// one does at less cost, and keeps the winner's exact resolution for
+    /// [`JointController::control_for_action`].
     fn best_myopic_action(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> Option<usize> {
+        let scratch = &mut self.scratch;
+        if let ActionSpace::Reduced { currents } = &self.config.action {
+            scratch.masked_currents.clear();
+            scratch.masked_currents.extend(
+                currents
+                    .iter()
+                    .zip(&scratch.mask)
+                    .filter_map(|(&i, &m)| m.then_some(i)),
+            );
+            let (pos, resolved) = self.config.inner.best_resolved(
+                hev,
+                obs.ctx,
+                &scratch.masked_currents,
+                obs.dt_s,
+                &self.config.reward,
+            )?;
+            let action = (0..scratch.mask.len())
+                .filter(|&idx| scratch.mask[idx])
+                .nth(pos)?;
+            scratch.myopic = Some((action, resolved));
+            return Some(action);
+        }
         let mut best: Option<(usize, f64)> = None;
-        for idx in 0..self.scratch.mask.len() {
-            if !self.scratch.mask[idx] {
+        for idx in 0..scratch.mask.len() {
+            if !scratch.mask[idx] {
                 continue;
             }
-            let reward = if let ActionSpace::Reduced { currents } = &self.config.action {
-                let current = currents[idx];
-                self.resolve_cached(hev, obs, idx, current)
-                    .map(|r| r.reward)
-            } else {
-                // The mask sweep already probed this action this step.
-                self.scratch.full_reward[idx]
-            };
-            if let Some(r) = reward {
+            // The mask sweep already probed this action this step.
+            if let Some(r) = scratch.full_reward[idx] {
                 if best.is_none_or(|(_, br)| r > br) {
                     best = Some((idx, r));
                 }
@@ -515,8 +506,18 @@ impl<P: Predictor> JointController<P> {
         action: usize,
     ) -> Option<ControlInput> {
         if let ActionSpace::Reduced { currents } = &self.config.action {
-            let current = currents[action];
-            self.resolve_cached(hev, obs, action, current)
+            if let Some((_, r)) = self.scratch.myopic.filter(|&(a, _)| a == action) {
+                return Some(r.control);
+            }
+            self.config
+                .inner
+                .resolve_with(
+                    hev,
+                    obs.ctx,
+                    currents[action],
+                    obs.dt_s,
+                    &self.config.reward,
+                )
                 .map(|r| r.control)
         } else {
             // `None` sends `decide` down its existing fallback path.
@@ -676,6 +677,7 @@ impl<P: Predictor> HevPolicy for JointController<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::simulate;
     use drive_cycle::ProfileBuilder;
     use hev_model::HevParams;
 
@@ -702,6 +704,92 @@ mod tests {
             prediction: Some(hev_rl::UniformGrid::new(-15_000.0, 30_000.0, 3)),
         };
         c
+    }
+
+    /// The greedy fallback resolving every masked current on its own and
+    /// keeping the best reward under strict `>` (first wins); records
+    /// each step's action and control.
+    struct PerCurrentArgmax {
+        config: JointControllerConfig,
+        picks: Vec<Option<(usize, ControlInput)>>,
+    }
+
+    impl HevPolicy for PerCurrentArgmax {
+        fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
+            let ActionSpace::Reduced { currents } = &self.config.action else {
+                panic!("the reference covers the reduced space");
+            };
+            let inner = self.config.inner;
+            let mut mask = vec![false; currents.len()];
+            inner.fill_mask(hev, obs.ctx, currents, obs.dt_s, &mut mask);
+            let mut best: Option<(usize, ResolvedAction)> = None;
+            for (idx, &i) in currents.iter().enumerate() {
+                if !mask[idx] {
+                    continue;
+                }
+                if let Some(r) = inner.resolve_with(hev, obs.ctx, i, obs.dt_s, &self.config.reward)
+                {
+                    if best.as_ref().is_none_or(|(_, b)| r.reward > b.reward) {
+                        best = Some((idx, r));
+                    }
+                }
+            }
+            let pick = best.map(|(idx, r)| (idx, r.control));
+            self.picks.push(pick);
+            pick.map_or_else(|| fallback_control(hev, obs.ctx, obs.dt_s), |(_, c)| c)
+        }
+    }
+
+    /// A frozen controller that records each step's action and control.
+    struct Recorded {
+        agent: JointController,
+        picks: Vec<Option<(usize, ControlInput)>>,
+    }
+
+    impl HevPolicy for Recorded {
+        fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
+            let control = self.agent.decide(hev, obs);
+            let action = self.agent.awaiting_reward.map(|(_, a)| a);
+            self.picks.push(action.map(|a| (a, control)));
+            control
+        }
+    }
+
+    #[test]
+    fn greedy_fallback_sweep_picks_the_per_current_argmax() {
+        // An untrained agent has visited no state, so every greedy step
+        // takes the myopic fallback.
+        let config = JointControllerConfig::proposed();
+        let reward = config.reward;
+        let cycle = tiny_cycle();
+        let mut agent = JointController::new(config.clone());
+        agent.set_training(false);
+        let mut swept = Recorded {
+            agent,
+            picks: Vec::new(),
+        };
+        let mut hev = hev();
+        let snap = hev_trace::evals::count();
+        let got = simulate(&mut hev, &cycle, &mut swept, &reward);
+        let swept_evals = hev_trace::evals::since(snap);
+
+        let mut reference = PerCurrentArgmax {
+            config,
+            picks: Vec::new(),
+        };
+        let mut hev = self::hev();
+        let snap = hev_trace::evals::count();
+        let want = simulate(&mut hev, &cycle, &mut reference, &reward);
+        let reference_evals = hev_trace::evals::since(snap);
+
+        assert_eq!(swept.picks.len(), cycle.len());
+        assert!(swept.picks.iter().all(Option::is_some));
+        assert_eq!(swept.picks, reference.picks);
+        assert_eq!(got.total_reward.to_bits(), want.total_reward.to_bits());
+        assert!(
+            swept_evals < reference_evals,
+            "sweep {swept_evals} evals vs per-current {reference_evals}"
+        );
     }
 
     #[test]

@@ -20,7 +20,11 @@
 //! beat the best gear found so far (see `best_aux_for_gear`). A sweep
 //! over several currents ([`InnerOptimizer::best_over_currents`]) also
 //! skips every gear search a larger current cannot change (see
-//! `SettledGears`); the DP's cell sweep reads the same classification.
+//! `SettledGears`), including a braking gear whose regen command a
+//! larger current still clamps at the regen floor, which one probe
+//! confirms. The DP's cell sweep reads the same classification but never
+//! the regen-floor clamp: at its one fixed aux power the confirming
+//! probe is the whole search.
 
 use crate::reward::RewardConfig;
 use hev_model::{
@@ -78,6 +82,22 @@ struct Probe {
     outcome: StepOutcome,
 }
 
+impl Probe {
+    /// The probe as the resolution of `battery_current_a` in `gear`.
+    #[inline(always)]
+    fn resolved(self, battery_current_a: f64, gear: usize) -> ResolvedAction {
+        ResolvedAction {
+            control: ControlInput {
+                battery_current_a,
+                gear,
+                p_aux_w: self.p_aux_w,
+            },
+            outcome: self.outcome,
+            reward: self.reward,
+        }
+    }
+}
+
 impl InnerOptimizer {
     /// An optimizer with the auxiliary power pinned to `p_aux_w`.
     pub fn with_fixed_aux(p_aux_w: f64) -> Self {
@@ -117,15 +137,7 @@ impl InnerOptimizer {
         }
         let (gear, best) =
             self.resolve_current::<false>(hev, ctx, &cur, reward, None, &mut SettledGears::new())?;
-        Some(ResolvedAction {
-            control: ControlInput {
-                battery_current_a,
-                gear,
-                p_aux_w: best.p_aux_w,
-            },
-            outcome: best.outcome,
-            reward: best.reward,
-        })
+        Some(best.resolved(battery_current_a, gear))
     }
 
     /// The feasible control with the best instantaneous reward over
@@ -136,14 +148,15 @@ impl InnerOptimizer {
     /// Returns the control `resolve_with` per current would pick, at less
     /// cost. Once a gear's search lands in a regime a larger current
     /// cannot change (friction braking at zero machine torque, a machine
-    /// torque above the envelope, or EV-only), its search at the later
-    /// currents, while their terminal power strictly rises, would tie an
-    /// earlier current's (losing under strict `>`) or fail, so it is
-    /// skipped; an EV-only gear first pays one probe to confirm that it
-    /// stays EV-only. The reward bound also prunes a gear against the best
-    /// control of the earlier currents: a current whose every gear falls
-    /// below it cannot win. A stopped step, which ignores the commanded
-    /// current, resolves only the first one.
+    /// torque above the envelope, EV-only, or braking clamped at the regen
+    /// floor), its search at the later currents, while their terminal
+    /// power strictly rises, would tie an earlier current's (losing under
+    /// strict `>`) or fail, so it is skipped; an EV-only or floor-clamped
+    /// gear first pays one probe to confirm that it stays so. The reward
+    /// bound also prunes a gear against the best control of the earlier
+    /// currents: a current whose every gear falls below it cannot win. A
+    /// stopped step, which ignores the commanded current, resolves only
+    /// the first one.
     pub fn best_over_currents(
         &self,
         hev: &ParallelHev,
@@ -152,26 +165,38 @@ impl InnerOptimizer {
         dt: f64,
         reward: &RewardConfig,
     ) -> Option<ControlInput> {
-        let mut best: Option<(f64, ControlInput)> = None;
+        self.best_resolved(hev, ctx, currents, dt, reward)
+            .map(|(_, r)| r.control)
+    }
+
+    /// [`InnerOptimizer::best_over_currents`] with the winner's index in
+    /// `currents` and its whole resolution, which is the one
+    /// [`InnerOptimizer::resolve_with`] returns for that current: the
+    /// winner beat every earlier current, so neither a skip nor the reward
+    /// bound cut its search short.
+    pub(crate) fn best_resolved(
+        &self,
+        hev: &ParallelHev,
+        ctx: &StepContext,
+        currents: &[f64],
+        dt: f64,
+        reward: &RewardConfig,
+    ) -> Option<(usize, ResolvedAction)> {
+        let mut best: Option<(usize, ResolvedAction)> = None;
         let mut settled = SettledGears::new();
-        for &battery_current_a in currents {
+        for (idx, &battery_current_a) in currents.iter().enumerate() {
             let _span = hev_trace::span::enter("control.resolve");
             let cur = hev.current_context(battery_current_a, dt);
             settled.advance(&cur);
             if !ctx.is_stopped() && !cur.is_feasible() {
                 continue;
             }
-            let floor = best.as_ref().map(|(r, _)| *r);
+            let floor = best.as_ref().map(|(_, r)| r.reward);
             if let Some((gear, p)) =
                 self.resolve_current::<true>(hev, ctx, &cur, reward, floor, &mut settled)
             {
-                if best.as_ref().is_none_or(|(r, _)| p.reward > *r) {
-                    let control = ControlInput {
-                        battery_current_a,
-                        gear,
-                        p_aux_w: p.p_aux_w,
-                    };
-                    best = Some((p.reward, control));
+                if floor.is_none_or(|r| p.reward > r) {
+                    best = Some((idx, p.resolved(battery_current_a, gear)));
                 }
             }
             if ctx.is_stopped() {
@@ -179,7 +204,7 @@ impl InnerOptimizer {
                 break;
             }
         }
-        best.map(|(_, control)| control)
+        best
     }
 
     /// The best `(gear, probe)` at one feasible current. Pruned gears
@@ -228,17 +253,17 @@ impl InnerOptimizer {
                     if regime == Regime::Saturated {
                         return None;
                     }
-                    let (found, top) = best_aux_for_gear::<SWEEP>(
+                    let (found, regime) = best_aux_for_gear::<SWEEP>(
                         hev,
                         ctx,
                         cur,
                         gear,
                         reward,
-                        regime == Regime::EvOnly,
+                        regime,
                         utility.zip(incumbent),
                     );
                     if SWEEP {
-                        settled.record(gear, top);
+                        settled.record(gear, regime);
                     }
                     found
                 })
@@ -366,17 +391,25 @@ fn best_gear(
 /// The best probe of one gear: coarse grid, then golden-section
 /// refinement around the best grid point.
 ///
-/// In a `SWEEP` over currents it also returns the [`Regime`] of the top
-/// grid probe (`p_aux = hi`; `Open` otherwise): that probe has the least
-/// machine power of the search, since each refinement bracket lies
-/// inside the range. There `ev_settled` marks a gear whose top probe was
-/// `EvOnly` at an earlier, lower terminal power. If the first grid probe
-/// (`p_aux = lo`, the most machine power) is `EvOnly` as well, every
-/// machine power of the search
-/// lies between those two EV operating points, so every probe would
-/// resolve in EV mode, which ignores the commanded current: the search
-/// replays the earlier one and the gear returns `None` after one eval.
-/// Otherwise that probe is the grid's first point and the search goes on.
+/// In a `SWEEP` over currents it also returns the [`Regime`] the gear
+/// settles into (`Open` otherwise). The top grid probe (`p_aux = hi`) has
+/// the least machine power of the search, since each refinement bracket
+/// lies inside the range, and the first (`p_aux = lo`) the most. `settled`
+/// is the gear's regime at an earlier, lower terminal power:
+/// * `EvOnly` when its top probe was EV-only there. If the first probe is
+///   EV-only as well, every machine power of the search lies between
+///   those two EV operating points, so every probe would resolve in EV
+///   mode, which ignores the commanded current.
+/// * `RegenFloor` when its first probe realized the braking regen floor
+///   there. If it does so again, the command behind every probe of the
+///   search reaches the floor, here and at the lower terminal power, so
+///   each probe realizes the same floor torque, current and outcome.
+///
+/// Either way the search replays the earlier one and the gear returns
+/// `None` after one eval; otherwise that probe is the grid's first point
+/// and the search goes on. The returned regime is the top probe's, or
+/// `RegenFloor` when the top probe is `Open` and the first realized the
+/// floor.
 ///
 /// `prune` carries [`utility_bound`] and the incumbent reward. When the
 /// first grid probe runs the engine, every later probe, at less machine
@@ -394,11 +427,12 @@ fn best_aux_for_gear<const SWEEP: bool>(
     cur: &CurrentContext,
     gear: usize,
     reward: &RewardConfig,
-    ev_settled: bool,
+    settled: Regime,
     prune: Option<(f64, f64)>,
 ) -> (Option<Probe>, Regime) {
     let (lo, hi) = hev.aux().power_range();
     let n = AUX_GRID;
+    let mut bottom = Regime::Open;
     let mut top = Regime::Open;
     let (k_best, mut best) = {
         let _grid = hev_trace::span::enter("control.grid");
@@ -406,14 +440,11 @@ fn best_aux_for_gear<const SWEEP: bool>(
         for k in 0..n {
             let p = lo + (hi - lo) * k as f64 / (n - 1) as f64;
             let result = peek_at(hev, ctx, cur, gear, p);
-            if SWEEP
-                && k == 0
-                && ev_settled
-                && result
-                    .as_ref()
-                    .is_ok_and(|o| o.mode == OperatingMode::EvOnly)
-            {
-                return (None, Regime::EvOnly);
+            if SWEEP && k == 0 {
+                bottom = Regime::of_bottom(&result, ctx.regen_floor_nm(gear));
+                if settled != Regime::Open && bottom == settled {
+                    return (None, settled);
+                }
             }
             if SWEEP && k == n - 1 {
                 top = Regime::of(&result);
@@ -500,7 +531,12 @@ fn best_aux_for_gear<const SWEEP: bool>(
         }
         probes += 1;
     }
-    (Some(best), top)
+    let regime = if top == Regime::Open && bottom == Regime::RegenFloor {
+        bottom
+    } else {
+        top
+    };
+    (Some(best), regime)
 }
 
 /// The aux utility maximizing `aux_weight·f_aux` over the aux range
@@ -575,7 +611,8 @@ fn scored(
 
 /// What one evaluation of a gear says about the same gear at every
 /// larger terminal power of the same step, at the same or a lower
-/// auxiliary power, that is at no less machine power.
+/// auxiliary power, that is at no less machine power; `RegenFloor`
+/// alone speaks of *less* machine power instead.
 ///
 /// The arguments rest on monotonicity in that machine power: the
 /// machine-torque inversion (`torque_from_power`) is non-decreasing and,
@@ -597,10 +634,19 @@ pub(crate) enum Regime {
     /// engine-on threshold, so the step completes in EV mode, which
     /// ignores the commanded current, or fails the torque envelope.
     EvOnly,
+    /// Braking clamped at the gear's regen floor: the regen command asks
+    /// for at least the floor torque, so the machine realizes exactly the
+    /// floor, and the realized current and outcome follow from it and
+    /// `p_aux` alone. Unlike the other regimes, the clamp persists to
+    /// *less* machine power, so a larger current must confirm it: the
+    /// sweep skips a floor-clamped gear only once the lowest-aux probe of
+    /// its search at the new current realizes the floor too.
+    RegenFloor,
 }
 
 impl Regime {
-    /// The regime of one evaluation.
+    /// The regime of one evaluation; never `RegenFloor`, which needs the
+    /// gear's floor ([`Regime::of_bottom`]).
     #[inline(always)]
     pub(crate) fn of(result: &Result<StepOutcome, InfeasibleControl>) -> Self {
         match *result {
@@ -615,23 +661,40 @@ impl Regime {
             _ => Self::Open,
         }
     }
+
+    /// The regime a gear search's lowest-aux probe, the one with the most
+    /// machine power, settles or confirms: `EvOnly`, or `RegenFloor` when
+    /// it realizes exactly (bit for bit) the step's braking regen `floor`
+    /// of its gear. Every other outcome is `Open`.
+    #[inline(always)]
+    fn of_bottom(result: &Result<StepOutcome, InfeasibleControl>, floor: Option<f64>) -> Self {
+        match (result, floor) {
+            (Ok(o), _) if o.mode == OperatingMode::EvOnly => Self::EvOnly,
+            (Ok(o), Some(floor)) if o.em_torque_nm.to_bits() == floor.to_bits() => Self::RegenFloor,
+            _ => Self::Open,
+        }
+    }
 }
 
 /// The per-gear [`Regime`]s of a sweep over commanded currents at one
-/// step, on the stack: two bit sets over the first 64 gears (any further
-/// gear stays open).
+/// step, on the stack: three bit sets over the first 64 gears (any
+/// further gear stays open).
 ///
 /// A gear's regime holds only while the terminal power strictly rises
 /// from one current to the next: [`SettledGears::advance`] reopens every
 /// gear at any other step, so an unsorted or non-monotone current list
 /// just skips less. A skipped candidate would have tied an earlier one,
 /// which loses under strict `>` (first wins), or failed, so skipping
-/// never changes the sweep's argmax.
+/// never changes the sweep's argmax. An `EvOnly` or `RegenFloor` gear is
+/// skipped only once a probe at the new current confirms it: the
+/// regen-floor clamp persists to smaller currents, not larger ones, so an
+/// ascending sweep rechecks it at each later current.
 #[derive(Debug)]
 pub(crate) struct SettledGears {
     last_power_w: f64,
     saturated: u64,
     ev_only: u64,
+    regen_floor: u64,
 }
 
 impl SettledGears {
@@ -641,6 +704,7 @@ impl SettledGears {
             last_power_w: f64::NEG_INFINITY,
             saturated: 0,
             ev_only: 0,
+            regen_floor: 0,
         }
     }
 
@@ -652,6 +716,7 @@ impl SettledGears {
         if !rising {
             self.saturated = 0;
             self.ev_only = 0;
+            self.regen_floor = 0;
         }
         self.last_power_w = cur.terminal_power_w();
     }
@@ -664,6 +729,8 @@ impl SettledGears {
             Regime::Saturated
         } else if self.ev_only & bit != 0 {
             Regime::EvOnly
+        } else if self.regen_floor & bit != 0 {
+            Regime::RegenFloor
         } else {
             Regime::Open
         }
@@ -675,10 +742,12 @@ impl SettledGears {
         let bit = Self::bit(gear);
         self.saturated &= !bit;
         self.ev_only &= !bit;
+        self.regen_floor &= !bit;
         match regime {
             Regime::Open => {}
             Regime::Saturated => self.saturated |= bit,
             Regime::EvOnly => self.ev_only |= bit,
+            Regime::RegenFloor => self.regen_floor |= bit,
         }
     }
 

@@ -31,18 +31,19 @@ fn hev(soc: f64) -> ParallelHev {
     ParallelHev::new(HevParams::default_parallel_hev(), soc).unwrap()
 }
 
-/// The reference sweep: every current resolved by the oracle, the best
-/// reward kept under strict `>` (first wins).
+/// The reference sweep over steps of `dt`: every current resolved by the
+/// oracle, the best reward kept under strict `>` (first wins).
 fn reference(
     opt: &InnerOptimizer,
     hev: &ParallelHev,
     demand: &WheelDemand,
     currents: &[f64],
+    dt: f64,
     reward: &RewardConfig,
 ) -> Option<ControlInput> {
     let mut best: Option<ResolvedAction> = None;
     for &i in currents {
-        if let Some(r) = oracle::resolve(opt, hev, demand, i, DT, reward) {
+        if let Some(r) = oracle::resolve(opt, hev, demand, i, dt, reward) {
             if best.as_ref().is_none_or(|b| r.reward > b.reward) {
                 best = Some(r);
             }
@@ -67,7 +68,7 @@ fn assert_cycle_matches(hev: &mut ParallelHev, cycle: &DriveCycle, socs: &[f64],
             hev.reset_soc(soc);
             for currents in lists {
                 let got = opt.best_over_currents(hev, &ctx, currents, DT, &reward);
-                let want = reference(&opt, hev, &demand, currents, &reward);
+                let want = reference(&opt, hev, &demand, currents, DT, &reward);
                 assert_eq!(
                     got.as_ref().map(bits),
                     want.as_ref().map(bits),
@@ -117,13 +118,60 @@ fn fixed_aux_sweep_matches_the_reference() {
         let ctx = hev.step_context(&demand);
         for currents in [&default[..], &MYOPIC, &UNSORTED] {
             let got = opt.best_over_currents(&hev, &ctx, currents, DT, &reward);
-            let want = reference(&opt, &hev, &demand, currents, &reward);
+            let want = reference(&opt, &hev, &demand, currents, DT, &reward);
             assert_eq!(
                 got.as_ref().map(bits),
                 want.as_ref().map(bits),
                 "t={}",
                 p.time_s
             );
+        }
+    }
+}
+
+/// Light braking, where the regen command of most currents reaches a
+/// gear's regen floor and the sweep skips the floor-clamped gears once a
+/// larger current confirms the clamp: speeds, decelerations, charge
+/// levels, `(dt, motor derate)` steps and aux weights of both signs.
+const LIGHT_SPEEDS: [f64; 5] = [8.0, 12.0, 15.0, 20.0, 25.0];
+const LIGHT_ACCELS: [f64; 4] = [-0.2, -0.3, -0.5, -0.8];
+const LIGHT_STEPS: [(f64, f64); 3] = [(1.0, 1.0), (0.5, 1.0), (1.0, 0.5)];
+
+#[test]
+fn light_braking_matches_the_reference() {
+    let default = default_currents();
+    for soc in [0.41, 0.6, 0.79] {
+        for (dt, derate) in LIGHT_STEPS {
+            let mut hev = hev(soc);
+            hev.set_motor_derate(derate);
+            for aux_weight in [0.4, -0.4] {
+                let reward = RewardConfig {
+                    aux_weight,
+                    dt_s: dt,
+                    ..RewardConfig::default()
+                };
+                for opt in [
+                    InnerOptimizer::default(),
+                    InnerOptimizer::with_fixed_aux(600.0),
+                ] {
+                    for v in LIGHT_SPEEDS {
+                        for a in LIGHT_ACCELS {
+                            let demand = hev.demand(v, a, 0.0);
+                            let ctx = hev.step_context(&demand);
+                            for currents in [&default[..], &MYOPIC, &UNSORTED] {
+                                let got = opt.best_over_currents(&hev, &ctx, currents, dt, &reward);
+                                let want = reference(&opt, &hev, &demand, currents, dt, &reward);
+                                assert_eq!(
+                                    got.as_ref().map(bits),
+                                    want.as_ref().map(bits),
+                                    "v={v} a={a} soc={soc} dt={dt} derate={derate} \
+                                     w={aux_weight} {opt:?} currents={currents:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -167,4 +215,16 @@ fn braking_and_ev_launch_sweeps_cost_their_pinned_evals() {
     // EV-only too. A gear whose bottom probe runs the engine costs one
     // probe when its reward bound falls short of the best control so far.
     assert_eq!(sweep_cost(3.0, 0.4), 354);
+}
+
+#[test]
+fn light_braking_sweeps_cost_their_pinned_evals() {
+    // Light braking: the regen command of the smaller currents reaches
+    // each gear's regen floor, so every probe of the gear's search
+    // realizes the same floor torque. Once a gear's lowest-aux probe has
+    // realized the floor, each larger current costs it that one probe
+    // while it still does; the first current where it does not searches
+    // the gear in full again.
+    assert_eq!(sweep_cost(15.0, -0.3), 450);
+    assert_eq!(sweep_cost(20.0, -0.2), 189);
 }

@@ -235,6 +235,18 @@ impl StepContext {
                 .is_none_or(|pre| pre.motor_speed_err.is_none()),
         }
     }
+
+    /// The regen floor of `gear` on a braking step, `max(t_em_full,
+    /// T_min)` in N·m: the machine torque a braking completion realizes
+    /// whenever the regen command reaches or passes it, whatever the
+    /// commanded current. `None` on a stopped or propelling step.
+    #[inline]
+    pub fn regen_floor_nm(&self, gear: usize) -> Option<f64> {
+        match self.kind {
+            StepKind::Braking => self.gears.get(gear).map(|pre| pre.regen_floor),
+            _ => None,
+        }
+    }
 }
 
 /// Precomputed battery-side quantities for one commanded current at the

@@ -338,8 +338,9 @@ fn pub_audit(analyses: &[FileAnalysis], root: &Path) -> Vec<Finding> {
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        for t in lexer::lex(&src).tokens {
-            if let Some(id) = t.kind.ident() {
+        let tokens = lexer::lex(&src).tokens;
+        for (j, t) in tokens.iter().enumerate() {
+            if let Some(id) = t.kind.ident().filter(|_| !binds_local(&tokens, j)) {
                 refs.entry(id.to_string()).or_default().insert(rel.clone());
             }
         }
@@ -416,6 +417,21 @@ fn pub_audit(analyses: &[FileAnalysis], root: &Path) -> Vec<Finding> {
     out
 }
 
+/// Whether the identifier at `tokens[j]` is the name a `let` or
+/// `let mut` binds: a new local, not a reference to an item of that name.
+fn binds_local(tokens: &[lexer::Token], j: usize) -> bool {
+    let before = |k: usize| {
+        j.checked_sub(k)
+            .and_then(|i| tokens.get(i))
+            .map(|t| &t.kind)
+    };
+    match before(1) {
+        Some(kind) if kind.is_ident("let") => true,
+        Some(kind) if kind.is_ident("mut") => before(2).is_some_and(|k| k.is_ident("let")),
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,6 +464,18 @@ fn f(o: Option<u32>) -> u32 {
         assert_eq!(suppressed, 1);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].line, 4);
+    }
+
+    #[test]
+    fn let_bindings_are_no_references() {
+        let tokens = lexer::lex("let mut off = f(off); let on = 1; x.off(); mut m").tokens;
+        let refs: Vec<&str> = tokens
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| !binds_local(&tokens, j))
+            .filter_map(|(_, t)| t.kind.ident())
+            .collect();
+        assert_eq!(refs, ["let", "f", "off", "let", "x", "off", "mut", "m"]);
     }
 
     #[test]

@@ -3,4 +3,5 @@
 fn main() {
     let y = used_helper(21.0);
     let _ = y;
+    let mut off = 0u32;
 }

@@ -135,7 +135,8 @@ fn ws_taint_propagation() {
 
 /// `hygiene::dead-pub` / `hygiene::missing-docs`: exports referenced
 /// nowhere else in the corpus are dead; `main`, test-only items, and
-/// referenced exports are exempt.
+/// referenced exports are exempt. A `let` or `let mut` binding of the
+/// same name is no reference.
 #[test]
 fn ws_deadpub_audit() {
     let report = lint_workspace(&ws_fixture("deadpub"), &Options::default());
@@ -152,6 +153,10 @@ fn ws_deadpub_audit() {
     assert!(
         !dead.iter().any(|s| s.contains("used_helper")),
         "used_helper is referenced from main.rs: {dead:?}"
+    );
+    assert!(
+        dead.iter().any(|s| s.contains("pub fn off")),
+        "main.rs only binds a local named off: {dead:?}"
     );
     check_golden("ws_deadpub.json", &report);
 }
