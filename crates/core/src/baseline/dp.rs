@@ -6,14 +6,16 @@
 //! requiring full a-priori knowledge — impractical online, but the ideal
 //! yardstick for how much of the offline optimum the RL controller
 //! recovers.
+//! Each `(t, SoC)` cell is one `fixed_aux_sweep` (`inner_opt.rs`), the
+//! search ECMS and the fallback scan run too, on the DP's own objective.
 
-use crate::inner_opt::{Regime, SettledGears};
+use crate::inner_opt::fixed_aux_sweep;
 use crate::metrics::EpisodeMetrics;
 use crate::plan::CyclePlan;
 use crate::reward::RewardConfig;
 use crate::sim::{fallback_control, simulate_planned, HevPolicy, Observation};
 use drive_cycle::DriveCycle;
-use hev_model::{ControlInput, ParallelHev, StepContext, StepOutcome};
+use hev_model::{ControlInput, ParallelHev, StepOutcome};
 use serde::{Deserialize, Serialize};
 
 /// DP solver configuration.
@@ -93,7 +95,7 @@ pub struct DpSolution {
 /// Each `(t, SoC)` cell keeps the `(current, gear)` that maximizes the
 /// DP's own objective, the paper reward plus the interpolated value of
 /// the state it leads to, so the stored value is the argmax of the table
-/// the backup reads.
+/// the backup reads (the scored fallback control when none is feasible).
 ///
 /// Both passes run on one [`CyclePlan`]: its context is battery-state
 /// independent, so one per timestep serves the entire SoC grid of the
@@ -118,7 +120,7 @@ pub fn solve(
         hev.battery().params().soc_max,
     );
     let soc_at = |j: usize| soc_min + (soc_max - soc_min) * j as f64 / (n - 1) as f64;
-    let dt = cycle.dt();
+    let (dt, aux, currents) = (cycle.dt(), config.aux_power_w, &config.currents);
     let t_len = cycle.len();
 
     // Terminal value: pay for ending below the initial charge.
@@ -145,7 +147,8 @@ pub fn solve(
         let (value_t, row) = (0..n)
             .map(|j| {
                 hev.reset_soc(soc_at(j));
-                best_in_cell(hev, ctx, config, dt, value).unwrap_or_else(|| {
+                let best = fixed_aux_sweep(hev, ctx, currents, aux, dt, value, |_, c, _, v| (v, c));
+                best.unwrap_or_else(|| {
                     // No candidate is feasible: score the fallback control.
                     let control = fallback_control(hev, ctx, dt);
                     let v = hev
@@ -172,67 +175,6 @@ pub fn solve(
         policy,
         metrics,
     }
-}
-
-/// The DP objective's argmax over one `(t, SoC)` cell: every viable
-/// `(current, gear)` candidate at the fixed auxiliary power, currents in
-/// the configured order and gears ascending within each, scored by
-/// `value` (strict `>`, first wins). `None` when no candidate is feasible.
-///
-/// A probe that lands in a regime a larger current cannot change
-/// ([`Regime`]: EV-only, friction braking at zero machine torque, or a
-/// machine torque above the envelope) settles its gear for the rest of
-/// the cell, and the gear's later candidates are skipped: at the one
-/// fixed auxiliary power each would replay the same outcome, a tie that
-/// loses, or fail. A gear stays settled only while the terminal power
-/// strictly rises from one current to the next ([`SettledGears`]), so an
-/// unsorted current list just skips less. [`Regime::of`] never reports
-/// the inner optimization's regen-floor clamp: a larger current must
-/// confirm that clamp with one probe, which here is the gear's whole
-/// candidate, so the DP gains nothing from it. A stopped step resolves
-/// independently of both current and gear, so its first probe decides
-/// the cell.
-fn best_in_cell(
-    hev: &ParallelHev,
-    ctx: &StepContext,
-    config: &DpConfig,
-    dt: f64,
-    value: impl Fn(&StepOutcome) -> f64,
-) -> Option<(f64, ControlInput)> {
-    let mut best_v = f64::NEG_INFINITY;
-    let mut best_c = None;
-    let mut settled = SettledGears::new();
-    for &i in &config.currents {
-        let cur = hev.current_context(i, dt);
-        settled.advance(&cur);
-        if !ctx.is_stopped() && !cur.is_feasible() {
-            // Every moving-mode probe replays the pack-limit error.
-            continue;
-        }
-        for gear in 0..hev.drivetrain().num_gears() {
-            if settled.regime(gear) != Regime::Open || !ctx.gear_is_viable(gear) {
-                continue;
-            }
-            let control = ControlInput {
-                battery_current_a: i,
-                gear,
-                p_aux_w: config.aux_power_w,
-            };
-            let result = hev.peek_with_contexts(ctx, &cur, &control);
-            settled.record(gear, Regime::of(&result));
-            if let Ok(o) = result {
-                let v = value(&o);
-                if v > best_v {
-                    best_v = v;
-                    best_c = Some(control);
-                }
-            }
-            if ctx.is_stopped() {
-                return best_c.map(|c| (best_v, c));
-            }
-        }
-    }
-    best_c.map(|c| (best_v, c))
 }
 
 #[cfg(test)]

@@ -4,11 +4,13 @@
 //! ECMS converts battery energy into equivalent fuel via an equivalence
 //! factor and minimizes the instantaneous equivalent fuel rate. It is a
 //! real-time-capable optimization baseline that — like the rule-based
-//! policy — leaves the auxiliary systems at a fixed power.
+//! policy — leaves the auxiliary systems at a fixed power: each step is one
+//! `fixed_aux_sweep` (`inner_opt.rs`) scored by the equivalent fuel rate.
 
 use crate::action::default_currents;
+use crate::inner_opt::fixed_aux_sweep;
 use crate::sim::{fallback_control, HevPolicy, Observation};
-use hev_model::{ControlInput, ParallelHev};
+use hev_model::{ControlInput, ParallelHev, StepOutcome};
 use serde::{Deserialize, Serialize};
 
 /// ECMS tunables.
@@ -87,30 +89,13 @@ impl EcmsController {
 impl HevPolicy for EcmsController {
     fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
         let s = self.equivalence_factor_at(obs.soc);
-        let mut best: Option<(f64, ControlInput)> = None;
-        for &i in &self.config.currents {
-            for gear in 0..hev.drivetrain().num_gears() {
-                let c = ControlInput {
-                    battery_current_a: i,
-                    gear,
-                    p_aux_w: self.config.aux_power_w,
-                };
-                let Ok(o) = hev.peek_with_context(obs.ctx, &c, obs.dt_s) else {
-                    continue;
-                };
-                // Equivalent fuel rate: chemical fuel plus (discounted)
-                // battery energy drawn from the bus.
-                let cost =
-                    o.fuel_rate_g_per_s + s * o.battery_power_w / self.config.fuel_lhv_j_per_g;
-                if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-                    best = Some((cost, c));
-                }
-            }
-        }
-        match best {
-            Some((_, c)) => c,
-            None => fallback_control(hev, obs.ctx, obs.dt_s),
-        }
+        let (cfg, ctx, dt) = (&self.config, obs.ctx, obs.dt_s);
+        let (aux, lhv) = (cfg.aux_power_w, cfg.fuel_lhv_j_per_g);
+        // Minus the equivalent fuel rate: chemical fuel plus (discounted)
+        // battery energy drawn from the bus.
+        let score = |o: &StepOutcome| -(o.fuel_rate_g_per_s + s * o.battery_power_w / lhv);
+        fixed_aux_sweep(hev, ctx, &cfg.currents, aux, dt, score, |_, c, _, _| c)
+            .unwrap_or_else(|| fallback_control(hev, ctx, dt))
     }
 }
 

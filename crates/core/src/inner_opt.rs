@@ -22,9 +22,10 @@
 //! skips every gear search a larger current cannot change (see
 //! `SettledGears`), including a braking gear whose regen command a
 //! larger current still clamps at the regen floor, which one probe
-//! confirms. The DP's cell sweep reads the same classification but never
-//! the regen-floor clamp: at its one fixed aux power the confirming
-//! probe is the whole search.
+//! confirms. At one fixed aux power the search is `fixed_aux_sweep`, which
+//! the DP, ECMS and the fallback scan run too under scores of their own; it
+//! never reads the regen-floor clamp, whose confirming probe would be the
+//! gear's whole candidate.
 
 use crate::reward::RewardConfig;
 use hev_model::{
@@ -110,15 +111,15 @@ impl InnerOptimizer {
     /// against the step's context, or `None` when no combination is
     /// feasible (the action is masked).
     ///
-    /// Sweeps the viable gears in descending order; per gear, either the
-    /// fixed auxiliary power or a coarse 7-point aux grid followed by a
-    /// golden-section refinement around its best point. A gear replaces
-    /// the best one on a tie (`>=`), so the lowest of the tied gears wins,
-    /// as an ascending strict-`>` first-wins sweep picks; within a gear
-    /// comparisons are strict-`>` and first-wins. A moving step costs at
-    /// most 7 + 12 evaluations per viable gear, and one for a gear that
-    /// the reward bound prunes after its first probe; a current that
-    /// fails the pack limits costs none.
+    /// Sweeps the viable gears in descending order; per gear, a coarse
+    /// 7-point aux grid followed by a golden-section refinement around its
+    /// best point. A gear replaces the best one on a tie (`>=`), so the
+    /// lowest of the tied gears wins, as an ascending strict-`>`
+    /// first-wins sweep picks; within a gear comparisons are strict-`>`
+    /// and first-wins. A moving step costs at most 7 + 12 evaluations per
+    /// viable gear, and one for a gear that the reward bound prunes after
+    /// its first probe; a current that fails the pack limits costs none.
+    /// At a fixed auxiliary power it is the sweep over this one current.
     pub fn resolve_with(
         &self,
         hev: &ParallelHev,
@@ -127,6 +128,10 @@ impl InnerOptimizer {
         dt: f64,
         reward: &RewardConfig,
     ) -> Option<ResolvedAction> {
+        if self.fixed_aux_w.is_some() {
+            let found = self.best_resolved(hev, ctx, &[battery_current_a], dt, reward);
+            return found.map(|(_, r)| r);
+        }
         let _span = hev_trace::span::enter("control.resolve");
         let cur = hev.current_context(battery_current_a, dt);
         if !ctx.is_stopped() && !cur.is_feasible() {
@@ -136,7 +141,7 @@ impl InnerOptimizer {
             return None;
         }
         let (gear, best) =
-            self.resolve_current::<false>(hev, ctx, &cur, reward, None, &mut SettledGears::new())?;
+            Self::resolve_current::<false>(hev, ctx, &cur, reward, None, &mut SettledGears::new())?;
         Some(best.resolved(battery_current_a, gear))
     }
 
@@ -173,7 +178,7 @@ impl InnerOptimizer {
     /// `currents` and its whole resolution, which is the one
     /// [`InnerOptimizer::resolve_with`] returns for that current: the
     /// winner beat every earlier current, so neither a skip nor the reward
-    /// bound cut its search short.
+    /// bound cut its search short. A fixed aux power runs `fixed_aux_sweep`.
     pub(crate) fn best_resolved(
         &self,
         hev: &ParallelHev,
@@ -182,6 +187,19 @@ impl InnerOptimizer {
         dt: f64,
         reward: &RewardConfig,
     ) -> Option<(usize, ResolvedAction)> {
+        if let Some(aux) = self.fixed_aux_w {
+            let _span = hev_trace::span::enter("control.resolve");
+            let score = |o: &StepOutcome| reward.reward(o);
+            let keep = |idx, control, &outcome: &StepOutcome, reward| {
+                let resolved = ResolvedAction {
+                    control,
+                    outcome,
+                    reward,
+                };
+                (idx, resolved)
+            };
+            return fixed_aux_sweep(hev, ctx, currents, aux, dt, score, keep);
+        }
         let mut best: Option<(usize, ResolvedAction)> = None;
         let mut settled = SettledGears::new();
         for (idx, &battery_current_a) in currents.iter().enumerate() {
@@ -193,7 +211,7 @@ impl InnerOptimizer {
             }
             let floor = best.as_ref().map(|(_, r)| r.reward);
             if let Some((gear, p)) =
-                self.resolve_current::<true>(hev, ctx, &cur, reward, floor, &mut settled)
+                Self::resolve_current::<true>(hev, ctx, &cur, reward, floor, &mut settled)
             {
                 if floor.is_none_or(|r| p.reward > r) {
                     best = Some((idx, p.resolved(battery_current_a, gear)));
@@ -218,7 +236,6 @@ impl InnerOptimizer {
     /// without the settle work.
     #[inline(always)]
     fn resolve_current<const SWEEP: bool>(
-        &self,
         hev: &ParallelHev,
         ctx: &StepContext,
         cur: &CurrentContext,
@@ -226,49 +243,30 @@ impl InnerOptimizer {
         floor: Option<f64>,
         settled: &mut SettledGears,
     ) -> Option<(usize, Probe)> {
-        match self.fixed_aux_w {
-            Some(aux) => {
-                let _grid = hev_trace::span::enter("control.grid");
-                best_gear(hev, ctx, None, |gear, _| {
-                    // One probe per gear: a settled gear's probe replays
-                    // its earlier outcome or fails.
-                    if SWEEP && settled.regime(gear) != Regime::Open {
-                        return None;
-                    }
-                    let result = peek_at(hev, ctx, cur, gear, aux);
-                    if SWEEP {
-                        settled.record(gear, Regime::of(&result));
-                    }
-                    scored(result, aux, reward)
-                })
+        let utility = utility_bound(hev, reward);
+        best_gear(hev, ctx, floor, |gear, incumbent| {
+            let regime = if SWEEP {
+                settled.regime(gear)
+            } else {
+                Regime::Open
+            };
+            if regime == Regime::Saturated {
+                return None;
             }
-            None => {
-                let utility = utility_bound(hev, reward);
-                best_gear(hev, ctx, floor, |gear, incumbent| {
-                    let regime = if SWEEP {
-                        settled.regime(gear)
-                    } else {
-                        Regime::Open
-                    };
-                    if regime == Regime::Saturated {
-                        return None;
-                    }
-                    let (found, regime) = best_aux_for_gear::<SWEEP>(
-                        hev,
-                        ctx,
-                        cur,
-                        gear,
-                        reward,
-                        regime,
-                        utility.zip(incumbent),
-                    );
-                    if SWEEP {
-                        settled.record(gear, regime);
-                    }
-                    found
-                })
+            let (found, regime) = best_aux_for_gear::<SWEEP>(
+                hev,
+                ctx,
+                cur,
+                gear,
+                reward,
+                regime,
+                utility.zip(incumbent),
+            );
+            if SWEEP {
+                settled.record(gear, regime);
             }
-        }
+            found
+        })
     }
 
     /// Cheap feasibility probe: is the current realizable in *any* gear
@@ -382,6 +380,67 @@ fn best_gear(
             if best.is_none_or(|(_, b)| c.reward >= b.reward) {
                 best = Some((gear, c));
                 incumbent = Some(incumbent.map_or(c.reward, |r| r.max(c.reward)));
+            }
+        }
+    }
+    best
+}
+
+/// What `keep` makes of the `(current, gear)` pair with the best `score`
+/// at the fixed aux power (its index in `currents`, control, outcome and
+/// score), or `None` when no pair is feasible. `keep` runs on each new best
+/// only, so a caller that reads nothing of the outcome copies none.
+///
+/// Currents run in order and gears ascend; only a strictly greater score
+/// replaces the best, so the first of tied candidates wins, and a score of
+/// `+∞`, which nothing beats, ends the sweep. A current failing the pack
+/// limits and a non-viable gear cost no probe. A probe in a regime a larger
+/// current cannot change ([`Regime::of`]) settles its gear while the
+/// terminal power strictly rises ([`SettledGears`]): each skipped candidate
+/// would replay its outcome, a tie that loses under any score, or fail. A
+/// stopped step ignores current and gear, so its first probe decides.
+pub(crate) fn fixed_aux_sweep<K>(
+    hev: &ParallelHev,
+    ctx: &StepContext,
+    currents: &[f64],
+    p_aux_w: f64,
+    dt: f64,
+    score: impl Fn(&StepOutcome) -> f64,
+    keep: impl Fn(usize, ControlInput, &StepOutcome, f64) -> K,
+) -> Option<K> {
+    let mut best_v = f64::NEG_INFINITY;
+    let mut best = None;
+    let mut settled = SettledGears::new();
+    'currents: for (idx, &i) in currents.iter().enumerate() {
+        let cur = hev.current_context(i, dt);
+        settled.advance(&cur);
+        if !ctx.is_stopped() && !cur.is_feasible() {
+            // Every moving-mode probe replays the pack-limit error.
+            continue;
+        }
+        for gear in 0..hev.drivetrain().num_gears() {
+            if settled.regime(gear) != Regime::Open || !ctx.gear_is_viable(gear) {
+                continue;
+            }
+            let control = ControlInput {
+                battery_current_a: i,
+                gear,
+                p_aux_w,
+            };
+            let result = hev.peek_with_contexts(ctx, &cur, &control);
+            settled.record(gear, Regime::of(&result));
+            if let Ok(o) = result {
+                let v = score(&o);
+                if v > best_v {
+                    best_v = v;
+                    best = Some(keep(idx, control, &o, v));
+                    if v == f64::INFINITY {
+                        break 'currents;
+                    }
+                }
+            }
+            if ctx.is_stopped() {
+                break 'currents;
             }
         }
     }
@@ -619,7 +678,7 @@ fn scored(
 /// once it has a solution, keeps one; the engine torque
 /// `t_shaft − ρ·T_EM·η^α` is non-increasing in the machine torque.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Regime {
+enum Regime {
     /// More machine power may change the outcome.
     Open,
     /// Every evaluation at more machine power replays this outcome or
@@ -648,7 +707,7 @@ impl Regime {
     /// The regime of one evaluation; never `RegenFloor`, which needs the
     /// gear's floor ([`Regime::of_bottom`]).
     #[inline(always)]
-    pub(crate) fn of(result: &Result<StepOutcome, InfeasibleControl>) -> Self {
+    fn of(result: &Result<StepOutcome, InfeasibleControl>) -> Self {
         match *result {
             Ok(ref o) if o.mode == OperatingMode::EvOnly => Self::EvOnly,
             // Braking clamps the machine torque to at most zero.
@@ -690,7 +749,7 @@ impl Regime {
 /// regen-floor clamp persists to smaller currents, not larger ones, so an
 /// ascending sweep rechecks it at each later current.
 #[derive(Debug)]
-pub(crate) struct SettledGears {
+struct SettledGears {
     last_power_w: f64,
     saturated: u64,
     ev_only: u64,
@@ -699,7 +758,7 @@ pub(crate) struct SettledGears {
 
 impl SettledGears {
     /// No gear settled, before the first current.
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             last_power_w: f64::NEG_INFINITY,
             saturated: 0,
@@ -711,7 +770,7 @@ impl SettledGears {
     /// Moves the sweep to `cur`, reopening every gear unless its terminal
     /// power strictly exceeds the previous current's.
     #[inline(always)]
-    pub(crate) fn advance(&mut self, cur: &CurrentContext) {
+    fn advance(&mut self, cur: &CurrentContext) {
         let rising = cur.terminal_power_w() > self.last_power_w;
         if !rising {
             self.saturated = 0;
@@ -723,7 +782,7 @@ impl SettledGears {
 
     /// The regime recorded for `gear` at an earlier current.
     #[inline(always)]
-    pub(crate) fn regime(&self, gear: usize) -> Regime {
+    fn regime(&self, gear: usize) -> Regime {
         let bit = Self::bit(gear);
         if self.saturated & bit != 0 {
             Regime::Saturated
@@ -738,7 +797,7 @@ impl SettledGears {
 
     /// Records `gear`'s regime at the current one.
     #[inline(always)]
-    pub(crate) fn record(&mut self, gear: usize, regime: Regime) {
+    fn record(&mut self, gear: usize, regime: Regime) {
         let bit = Self::bit(gear);
         self.saturated &= !bit;
         self.ev_only &= !bit;

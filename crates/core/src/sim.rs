@@ -1,7 +1,9 @@
 //! The episodic simulation harness (the paper's backward-looking control
-//! flow, §2.2).
+//! flow, §2.2), and its last-resort fallback scan: the first feasible
+//! control of a `fixed_aux_sweep` (`inner_opt.rs`) over fixed currents.
 
 use crate::fault::FaultPlan;
+use crate::inner_opt::fixed_aux_sweep;
 use crate::metrics::{DegradationReport, EpisodeMetrics};
 use crate::plan::CyclePlan;
 use crate::reward::RewardConfig;
@@ -142,48 +144,18 @@ pub trait HevPolicy {
     }
 }
 
-/// Searches for any feasible control for the context's demand: a coarse
-/// ladder first (preferring currents near zero), then a fine current scan
-/// over every gear, with the preferred and then the minimum auxiliary
-/// power.
-fn feasible_control(hev: &ParallelHev, ctx: &StepContext, dt: f64) -> Option<ControlInput> {
-    let (aux_min, _) = hev.aux().power_range();
-    let coarse = [
-        0.0, -4.0, 4.0, -8.0, 8.0, -15.0, 15.0, 25.0, -25.0, 50.0, 100.0,
-    ];
-    for aux in [hev.aux().preferred_power(), aux_min] {
-        for &i in &coarse {
-            for gear in 0..hev.drivetrain().num_gears() {
-                let c = ControlInput {
-                    battery_current_a: i,
-                    gear,
-                    p_aux_w: aux,
-                };
-                if hev.peek_with_context(ctx, &c, dt).is_ok() {
-                    return Some(c);
-                }
-            }
-        }
-        // Fine scan: high-demand points can have narrow feasible current
-        // bands (engine near wide-open throttle plus a machine near its
-        // torque limit).
-        let mut i = -80.0;
-        while i <= 120.0 {
-            for gear in 0..hev.drivetrain().num_gears() {
-                let c = ControlInput {
-                    battery_current_a: i,
-                    gear,
-                    p_aux_w: aux,
-                };
-                if hev.peek_with_context(ctx, &c, dt).is_ok() {
-                    return Some(c);
-                }
-            }
-            i += 4.0;
-        }
-    }
-    None
-}
+/// The fallback scan's currents, A: a coarse ladder preferring currents
+/// near zero, then −80 A to 120 A in 4 A steps, because high-demand points
+/// can have narrow feasible current bands (engine near wide-open throttle
+/// plus a machine near its torque limit).
+#[rustfmt::skip]
+const SCAN_CURRENTS: [f64; 62] = [
+    0.0, -4.0, 4.0, -8.0, 8.0, -15.0, 15.0, 25.0, -25.0, 50.0, 100.0,
+    -80.0, -76.0, -72.0, -68.0, -64.0, -60.0, -56.0, -52.0, -48.0, -44.0, -40.0, -36.0, -32.0,
+    -28.0, -24.0, -20.0, -16.0, -12.0, -8.0, -4.0, 0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0,
+    28.0, 32.0, 36.0, 40.0, 44.0, 48.0, 52.0, 56.0, 60.0, 64.0, 68.0, 72.0, 76.0, 80.0,
+    84.0, 88.0, 92.0, 96.0, 100.0, 104.0, 108.0, 112.0, 116.0, 120.0,
+];
 
 /// A last-resort control for the step's context: the first feasible
 /// control of a coarse, then a fine current scan over every gear, or a
@@ -195,18 +167,27 @@ pub fn fallback_control(hev: &ParallelHev, ctx: &StepContext, dt: f64) -> Contro
 }
 
 /// [`fallback_control`] with the scan's verdict: `Ok` with the first
-/// feasible control, or `Err` with the zero-current 1st-gear request
-/// when the scan finds none.
+/// feasible `(current, gear)` over [`SCAN_CURRENTS`], gears ascending, at
+/// the preferred and then the minimum auxiliary power, or `Err` with the
+/// zero-current 1st-gear request when none is. Every candidate scores
+/// `+∞`, so the sweep stops at the first feasible one.
 pub(crate) fn scan_fallback(
     hev: &ParallelHev,
     ctx: &StepContext,
     dt: f64,
 ) -> Result<ControlInput, ControlInput> {
-    feasible_control(hev, ctx, dt).ok_or(ControlInput {
-        battery_current_a: 0.0,
-        gear: 0,
-        p_aux_w: hev.aux().preferred_power(),
-    })
+    let (aux_min, _) = hev.aux().power_range();
+    let first = |aux| {
+        let any = |_: &StepOutcome| f64::INFINITY;
+        fixed_aux_sweep(hev, ctx, &SCAN_CURRENTS, aux, dt, any, |_, c, _, _| c)
+    };
+    first(hev.aux().preferred_power())
+        .or_else(|| first(aux_min))
+        .ok_or(ControlInput {
+            battery_current_a: 0.0,
+            gear: 0,
+            p_aux_w: hev.aux().preferred_power(),
+        })
 }
 
 /// Scales a wheel demand's torque/force/power by `factor`, keeping the
@@ -433,7 +414,7 @@ fn step_with_fallback(
     // The control was verified feasible, so `step` succeeds; on the
     // impossible failure we fall through to the clipping loop instead of
     // panicking the episode.
-    if let Some(c) = feasible_control(hev, ctx, dt) {
+    if let Ok(c) = scan_fallback(hev, ctx, dt) {
         if let Ok(outcome) = hev.step_with_context(ctx, &c, dt) {
             return outcome;
         }
@@ -445,7 +426,7 @@ fn step_with_fallback(
     let mut factor = 0.9;
     for _ in 0..60 {
         let clipped = scale_demand(demand, factor);
-        if let Some(c) = feasible_control(hev, &hev.step_context(&clipped), dt) {
+        if let Ok(c) = scan_fallback(hev, &hev.step_context(&clipped), dt) {
             if let Ok(outcome) = hev.step(&clipped, &c, dt) {
                 return outcome;
             }

@@ -50,6 +50,7 @@ pub mod rules;
 pub mod workspace;
 
 use diagnostics::{Finding, Severity};
+use lexer::TokenKind;
 use parser::Visibility;
 use rules::{FileContext, Role};
 use std::collections::{BTreeMap, BTreeSet};
@@ -417,19 +418,39 @@ fn pub_audit(analyses: &[FileAnalysis], root: &Path) -> Vec<Finding> {
     out
 }
 
-/// Whether the identifier at `tokens[j]` is the name a `let` or
-/// `let mut` binds: a new local, not a reference to an item of that name.
+/// Whether the identifier at `tokens[j]` names a new local, not a
+/// reference to an item of that name: the name a `let` or `let mut`
+/// binds, or a parameter a `fn` signature declares (`name:` or
+/// `mut name:` right after the list's `(` or one of its commas).
 fn binds_local(tokens: &[lexer::Token], j: usize) -> bool {
-    let before = |k: usize| {
-        j.checked_sub(k)
-            .and_then(|i| tokens.get(i))
-            .map(|t| &t.kind)
-    };
-    match before(1) {
-        Some(kind) if kind.is_ident("let") => true,
-        Some(kind) if kind.is_ident("mut") => before(2).is_some_and(|k| k.is_ident("let")),
+    let kind = |i: usize| tokens.get(i).map(|t| &t.kind);
+    let start = j - usize::from(kind(j.wrapping_sub(1)).is_some_and(|k| k.is_ident("mut")));
+    match kind(start.wrapping_sub(1)) {
+        Some(k) if k.is_ident("let") => true,
+        Some(TokenKind::LParen | TokenKind::Comma) => {
+            matches!(kind(j + 1), Some(TokenKind::Other(':'))) && in_fn_params(tokens, start)
+        }
         _ => false,
     }
+}
+
+/// Whether `tokens[at]` lies directly inside a `fn` signature's parameter
+/// list: the innermost delimiter open before it is a `(`, and a `fn`
+/// keyword precedes that with no `{`, `}` or `;` in between.
+fn in_fn_params(tokens: &[lexer::Token], at: usize) -> bool {
+    let (mut depth, mut opened) = (0usize, false);
+    for t in tokens.get(..at).unwrap_or_default().iter().rev() {
+        match t.kind {
+            _ if opened && t.kind.is_ident("fn") => return true,
+            TokenKind::LBrace | TokenKind::RBrace | TokenKind::Semi if opened => return false,
+            TokenKind::RParen | TokenKind::RBracket | TokenKind::RBrace => depth += 1,
+            TokenKind::LParen | TokenKind::LBracket | TokenKind::LBrace if depth > 0 => depth -= 1,
+            TokenKind::LParen => opened = true,
+            TokenKind::LBracket | TokenKind::LBrace => return false,
+            _ => {}
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -467,15 +488,18 @@ fn f(o: Option<u32>) -> u32 {
     }
 
     #[test]
-    fn let_bindings_are_no_references() {
-        let tokens = lexer::lex("let mut off = f(off); let on = 1; x.off(); mut m").tokens;
+    fn let_bindings_and_fn_parameters_are_no_references() {
+        let src = "let mut off = f(off); let on = 1; x.off(); mut m; \
+                   fn g<T: A<B>>(on: T, mut off: [u8; 2]) { S { on: g(on) } }";
+        let tokens = lexer::lex(src).tokens;
         let refs: Vec<&str> = tokens
             .iter()
             .enumerate()
             .filter(|&(j, _)| !binds_local(&tokens, j))
             .filter_map(|(_, t)| t.kind.ident())
             .collect();
-        assert_eq!(refs, ["let", "f", "off", "let", "x", "off", "mut", "m"]);
+        let want = "let f off let x off mut m fn g T A B T mut u8 S on g on";
+        assert_eq!(refs.join(" "), want);
     }
 
     #[test]

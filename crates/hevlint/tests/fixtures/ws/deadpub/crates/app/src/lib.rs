@@ -1,5 +1,6 @@
 //! Public-API audit fixture: one used export, one dead export, one
-//! undocumented dead export, and a dead public struct.
+//! undocumented dead export, a dead public struct, and two dead exports
+//! whose names appear elsewhere only as new locals.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -27,6 +28,12 @@ pub struct DeadConfig {
 /// and no reference to this item.
 pub fn off() -> u32 {
     0
+}
+
+/// Named elsewhere only by a parameter of `main.rs`'s `scale`, which
+/// declares a new local and is no reference to this item.
+pub fn gain() -> f64 {
+    2.0
 }
 
 #[cfg(test)]

@@ -5,3 +5,7 @@ fn main() {
     let _ = y;
     let mut off = 0u32;
 }
+
+fn scale(x: f64, gain: f64) -> f64 {
+    x
+}
