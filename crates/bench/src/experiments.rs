@@ -584,7 +584,7 @@ pub(crate) fn mean_of<F: Fn(&EpisodeMetrics) -> f64>(runs: &[EpisodeMetrics], f:
 /// Runs the rule-based baseline on a cycle.
 pub fn run_rule_based(cycle: &drive_cycle::DriveCycle, cfg: &ExperimentConfig) -> EpisodeMetrics {
     let mut hev = fresh_hev(cfg.initial_soc);
-    let mut rule = RuleBasedController::default();
+    let mut rule = RuleBasedController;
     simulate(&mut hev, cycle, &mut rule, &RewardConfig::default())
 }
 

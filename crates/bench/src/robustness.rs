@@ -19,7 +19,7 @@ use crate::experiments::{self, corrected_fuel_g, ExperimentConfig};
 use drive_cycle::StandardCycle;
 use hev_control::{
     simulate_with_faults, train_portfolio_checkpointed, CheckpointError, CheckpointSpec,
-    ControllerSnapshot, DegradationReport, EpisodeMetrics, FaultConfig, FaultPlan, JointController,
+    ControllerSnapshot, DegradationReport, EpisodeMetrics, FaultPlan, JointController,
     JointControllerConfig, RewardConfig, RuleBasedController, SeedSequence, SupervisedPolicy,
 };
 use serde::{Deserialize, Serialize};
@@ -36,7 +36,7 @@ pub const DEFAULT_SEVERITIES: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
 /// `cfg.runs` independently trained controllers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RobustnessRow {
-    /// Fault severity (see [`FaultConfig::at_severity`]).
+    /// Fault severity (see [`FaultPlan`]).
     pub severity: f64,
     /// Charge-corrected fuel of the supervised proposed controller, g
     /// (mean across runs).
@@ -111,13 +111,13 @@ fn eval_supervised(
     snapshot: &ControllerSnapshot,
     cycle: &drive_cycle::DriveCycle,
     cfg: &ExperimentConfig,
-    fault_cfg: FaultConfig,
+    severity: f64,
     plan_seed: u64,
 ) -> EpisodeMetrics {
     let mut agent = JointController::from_snapshot(snapshot.clone());
     agent.set_training(false);
     let mut supervised = SupervisedPolicy::new(agent);
-    let mut plan = FaultPlan::new(fault_cfg, plan_seed);
+    let mut plan = FaultPlan::new(severity, plan_seed);
     let mut hev = experiments::fresh_hev(cfg.initial_soc);
     plan.degrade_plant(&mut hev);
     simulate_with_faults(
@@ -134,11 +134,11 @@ fn eval_supervised(
 fn eval_rule_based(
     cycle: &drive_cycle::DriveCycle,
     cfg: &ExperimentConfig,
-    fault_cfg: FaultConfig,
+    severity: f64,
     plan_seed: u64,
 ) -> EpisodeMetrics {
-    let mut rule = RuleBasedController::default();
-    let mut plan = FaultPlan::new(fault_cfg, plan_seed);
+    let mut rule = RuleBasedController;
+    let mut plan = FaultPlan::new(severity, plan_seed);
     let mut hev = experiments::fresh_hev(cfg.initial_soc);
     plan.degrade_plant(&mut hev);
     simulate_with_faults(
@@ -167,7 +167,6 @@ pub fn robustness_with(
     Ok(severities
         .iter()
         .map(|&severity| {
-            let fault_cfg = FaultConfig::at_severity(severity);
             let mut degradation = DegradationReport::default();
             let mut completed = 0;
             let mut p_fuel = 0.0;
@@ -176,8 +175,8 @@ pub fn robustness_with(
             let mut r_util = 0.0;
             for (k, snapshot) in snapshots.iter().enumerate() {
                 let plan_seed = plan_seeds.child(k as u64);
-                let p = eval_supervised(snapshot, &cycle, cfg, fault_cfg, plan_seed);
-                let r = eval_rule_based(&cycle, cfg, fault_cfg, plan_seed);
+                let p = eval_supervised(snapshot, &cycle, cfg, severity, plan_seed);
+                let r = eval_rule_based(&cycle, cfg, severity, plan_seed);
                 if p.steps == cycle.len() {
                     completed += 1;
                 }

@@ -11,8 +11,8 @@ use drive_cycle::StandardCycle;
 use hev_bench::experiments::{self, corrected_fuel_g, ExperimentConfig};
 use hev_control::{
     simulate_with_faults, solve_dp, ControllerSnapshot, CyclePlan, DpConfig, EpisodeMetrics,
-    FaultConfig, FaultPlan, Harness, JointController, JointControllerConfig, RewardConfig,
-    SeedSequence, SupervisedPolicy,
+    FaultPlan, Harness, JointController, JointControllerConfig, RewardConfig, SeedSequence,
+    SupervisedPolicy,
 };
 
 /// A budget small enough for CI but large enough that training leaves
@@ -84,11 +84,7 @@ fn faulted_evaluations(jobs: usize) -> Vec<EpisodeMetrics> {
         agent.train(&mut hev, &cycle, 2);
         agent.set_training(false);
         let mut supervised = SupervisedPolicy::new(agent);
-        let mut plan = FaultPlan::from_sequence(
-            FaultConfig::at_severity(1.0),
-            &SeedSequence::new(7),
-            k as u64,
-        );
+        let mut plan = FaultPlan::new(1.0, SeedSequence::new(7).child(k as u64));
         let mut faulted_hev = experiments::fresh_hev(0.6);
         plan.degrade_plant(&mut faulted_hev);
         simulate_with_faults(

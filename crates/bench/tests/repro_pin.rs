@@ -1,8 +1,9 @@
 //! End-to-end output pin: the stdout of `repro --episodes 4 --jobs 1
-//! all` (every paper target, the ablations, robustness, serve-bench and
-//! profile at a small budget) as one FNV-1a fingerprint. A change that
-//! deletes code without changing behaviour must leave it untouched; a
-//! change that moves it is a deliberate re-bless.
+//! all` (every paper target, the ablations and robustness at a small
+//! budget; `all` leaves out serve-bench and profile) as one FNV-1a
+//! fingerprint. A change that deletes code without changing behaviour
+//! must leave it untouched; a change that moves it is a deliberate
+//! re-bless.
 
 use std::process::Command;
 

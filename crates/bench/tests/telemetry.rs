@@ -130,7 +130,7 @@ fn telemetry_window_records_only_while_open() {
     let mut hev = experiments::fresh_hev(0.6);
     let episode = |hev: &mut ParallelHev| {
         hev.reset_soc(0.6);
-        let mut rule = RuleBasedController::default();
+        let mut rule = RuleBasedController;
         simulate(hev, &cycle, &mut rule, &RewardConfig::default());
     };
     let config = TelemetryConfig {

@@ -40,7 +40,7 @@ pub struct TracePoint {
 /// use hev_model::{HevParams, ParallelHev};
 ///
 /// let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6)?;
-/// let mut rec = Recorder::new(RuleBasedController::default());
+/// let mut rec = Recorder::new(RuleBasedController);
 /// simulate(&mut hev, &StandardCycle::Udds.cycle(), &mut rec, &RewardConfig::default());
 /// let audit = EnergyAudit::of(rec.trace());
 /// println!("regenerated {:.0} Wh", audit.regen_wh);
@@ -225,7 +225,7 @@ mod tests {
             .build()
             .unwrap();
         let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6).unwrap();
-        let mut rec = Recorder::new(RuleBasedController::default());
+        let mut rec = Recorder::new(RuleBasedController);
         simulate(&mut hev, &cycle, &mut rec, &RewardConfig::default());
         let len = cycle.len();
         (rec.trace().to_vec(), len)
@@ -267,7 +267,7 @@ mod tests {
             .build()
             .unwrap();
         let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6).unwrap();
-        let mut rec = Recorder::new(RuleBasedController::default());
+        let mut rec = Recorder::new(RuleBasedController);
         simulate(&mut hev, &cycle, &mut rec, &RewardConfig::default());
         simulate(&mut hev, &cycle, &mut rec, &RewardConfig::default());
         assert_eq!(rec.trace().len(), cycle.len());
@@ -281,7 +281,7 @@ mod tests {
             .build()
             .unwrap();
         let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6).unwrap();
-        let supervised = SupervisedPolicy::new(RuleBasedController::default());
+        let supervised = SupervisedPolicy::new(RuleBasedController);
         let mut rec = Recorder::new(supervised);
         let m = simulate(&mut hev, &cycle, &mut rec, &RewardConfig::default());
         let report = m
@@ -301,7 +301,7 @@ mod tests {
             .build()
             .unwrap();
         let mut hev = ParallelHev::new(params, 0.75).unwrap();
-        let mut rec = Recorder::new(RuleBasedController::default());
+        let mut rec = Recorder::new(RuleBasedController);
         simulate(&mut hev, &cycle, &mut rec, &RewardConfig::default());
         let trace = rec.trace();
         let dt = trace[1].time_s - trace[0].time_s;

@@ -223,7 +223,7 @@ mod tests {
         let dp = solve(&mut hev1, &cycle, 0.6, &cfg);
         let mut hev2 = hev();
         hev2.reset_soc(0.6);
-        let mut rb = RuleBasedController::default();
+        let mut rb = RuleBasedController;
         let rb_m = simulate(&mut hev2, &cycle, &mut rb, &cfg.reward);
         // The offline optimum should not lose to the heuristic, modulo
         // the grid resolution; allow a small tolerance.

@@ -73,11 +73,6 @@ impl EcmsController {
         Self { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &EcmsConfig {
-        &self.config
-    }
-
     /// The state-of-charge-corrected equivalence factor.
     fn equivalence_factor_at(&self, soc: f64) -> f64 {
         (self.config.equivalence_factor

@@ -19,7 +19,7 @@ pub mod rule_based;
 
 pub use dp::{solve as solve_dp, DpConfig, DpPolicy, DpSolution};
 pub use ecms::{EcmsConfig, EcmsController};
-pub use rule_based::{RuleBasedConfig, RuleBasedController};
+pub use rule_based::RuleBasedController;
 
 #[cfg(test)]
 mod tests {
@@ -107,7 +107,7 @@ mod tests {
                 "{name} checked its regen over a one-second step: {first:?}"
             );
         };
-        check("rule-based", &mut RuleBasedController::default());
+        check("rule-based", &mut RuleBasedController);
         check("ECMS", &mut EcmsController::default());
         // The supervisor validates over the same step: it passes the
         // regen through rather than rescuing it.

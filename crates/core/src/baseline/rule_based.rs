@@ -11,52 +11,28 @@
 
 use crate::sim::{fallback_control, HevPolicy, Observation};
 use hev_model::{ControlInput, ParallelHev, STOP_SPEED_MPS};
-use serde::{Deserialize, Serialize};
 
-/// Tunables of the rule-based strategy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RuleBasedConfig {
-    /// Below this speed (m/s) the vehicle may launch electrically.
-    pub ev_speed_max_mps: f64,
-    /// Below this propulsion demand (W) the vehicle may drive
-    /// electrically.
-    pub ev_power_max_w: f64,
-    /// Battery level below which the engine recharges the pack.
-    pub soc_low: f64,
-    /// Battery level above which the machine assists aggressively.
-    pub soc_high: f64,
-    /// Load-leveling charge current commanded when the pack is low, A
-    /// (negative).
-    pub charge_current_a: f64,
-    /// Assist current commanded when the pack is high, A (positive).
-    pub assist_current_a: f64,
-    /// Fixed auxiliary power, W.
-    pub aux_power_w: f64,
-    /// Regeneration current ladder tried during braking, strongest first,
-    /// A (non-positive).
-    pub regen_ladder_a: Vec<f64>,
-    /// Upshift speed thresholds, m/s: gear = number of thresholds below
-    /// the current speed.
-    pub shift_speeds_mps: Vec<f64>,
-}
+/// Below this speed (m/s) the vehicle may launch electrically.
+const EV_SPEED_MAX_MPS: f64 = 6.0;
+/// Below this propulsion demand (W) the vehicle may drive electrically.
+const EV_POWER_MAX_W: f64 = 9_000.0;
+/// Battery level below which the engine recharges the pack.
+const SOC_LOW: f64 = 0.48;
+/// Battery level above which the machine assists aggressively.
+const SOC_HIGH: f64 = 0.72;
+/// Load-leveling charge current commanded when the pack is low, A.
+const CHARGE_CURRENT_A: f64 = -20.0;
+/// Assist current commanded when the pack is high, A.
+const ASSIST_CURRENT_A: f64 = 15.0;
+/// Fixed auxiliary power, W.
+const AUX_POWER_W: f64 = 600.0;
+/// Regeneration currents tried during braking, strongest first, A.
+const REGEN_LADDER_A: [f64; 7] = [-60.0, -40.0, -25.0, -15.0, -8.0, -4.0, 0.0];
+/// Upshift speed thresholds, m/s: gear = number of thresholds below
+/// the current speed.
+const SHIFT_SPEEDS_MPS: [f64; 4] = [3.5, 7.5, 12.5, 18.0];
 
-impl Default for RuleBasedConfig {
-    fn default() -> Self {
-        Self {
-            ev_speed_max_mps: 6.0,
-            ev_power_max_w: 9_000.0,
-            soc_low: 0.48,
-            soc_high: 0.72,
-            charge_current_a: -20.0,
-            assist_current_a: 15.0,
-            aux_power_w: 600.0,
-            regen_ladder_a: vec![-60.0, -40.0, -25.0, -15.0, -8.0, -4.0, 0.0],
-            shift_speeds_mps: vec![3.5, 7.5, 12.5, 18.0],
-        }
-    }
-}
-
-/// The rule-based supervisory controller.
+/// The rule-based supervisory controller: fixed thresholds, no state.
 ///
 /// # Examples
 ///
@@ -66,7 +42,7 @@ impl Default for RuleBasedConfig {
 /// use hev_model::{HevParams, ParallelHev};
 ///
 /// let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6)?;
-/// let mut controller = RuleBasedController::default();
+/// let mut controller = RuleBasedController;
 /// let metrics = simulate(
 ///     &mut hev,
 ///     &StandardCycle::Udds.cycle(),
@@ -76,62 +52,44 @@ impl Default for RuleBasedConfig {
 /// println!("rule-based fuel: {:.0} g", metrics.fuel_g);
 /// # Ok::<(), hev_model::ParamError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct RuleBasedController {
-    config: RuleBasedConfig,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RuleBasedController;
+
+fn schedule_gear(speed_mps: f64) -> usize {
+    SHIFT_SPEEDS_MPS.iter().filter(|&&s| speed_mps > s).count()
+}
+
+/// Tries the intended control, then nearby gears, then currents
+/// backed toward zero; `None` if nothing fits.
+fn first_feasible(
+    hev: &ParallelHev,
+    obs: &Observation<'_>,
+    current: f64,
+    gear: usize,
+) -> Option<ControlInput> {
+    let num_gears = hev.drivetrain().num_gears();
+    let gear = gear.min(num_gears - 1);
+    let gear_order = [
+        Some(gear),
+        gear.checked_add(1).filter(|&g| g < num_gears),
+        gear.checked_sub(1),
+    ];
+    for factor in [1.0, 0.5, 0.0] {
+        for g in gear_order.iter().flatten() {
+            let c = ControlInput {
+                battery_current_a: current * factor,
+                gear: *g,
+                p_aux_w: AUX_POWER_W,
+            };
+            if hev.peek_with_context(obs.ctx, &c, obs.dt_s).is_ok() {
+                return Some(c);
+            }
+        }
+    }
+    None
 }
 
 impl RuleBasedController {
-    /// Creates the controller.
-    pub fn new(config: RuleBasedConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &RuleBasedConfig {
-        &self.config
-    }
-
-    fn schedule_gear(&self, speed_mps: f64) -> usize {
-        self.config
-            .shift_speeds_mps
-            .iter()
-            .filter(|&&s| speed_mps > s)
-            .count()
-    }
-
-    /// Tries the intended control, then nearby gears, then currents
-    /// backed toward zero; `None` if nothing fits.
-    fn first_feasible(
-        &self,
-        hev: &ParallelHev,
-        obs: &Observation<'_>,
-        current: f64,
-        gear: usize,
-    ) -> Option<ControlInput> {
-        let aux = self.config.aux_power_w;
-        let num_gears = hev.drivetrain().num_gears();
-        let gear = gear.min(num_gears - 1);
-        let gear_order = [
-            Some(gear),
-            gear.checked_add(1).filter(|&g| g < num_gears),
-            gear.checked_sub(1),
-        ];
-        for factor in [1.0, 0.5, 0.0] {
-            for g in gear_order.iter().flatten() {
-                let c = ControlInput {
-                    battery_current_a: current * factor,
-                    gear: *g,
-                    p_aux_w: aux,
-                };
-                if hev.peek_with_context(obs.ctx, &c, obs.dt_s).is_ok() {
-                    return Some(c);
-                }
-            }
-        }
-        None
-    }
-
     /// The rules' decision, or `None` where they find no feasible
     /// control and [`HevPolicy::decide`] falls back to the harness
     /// ladder ([`fallback_control`]).
@@ -140,7 +98,6 @@ impl RuleBasedController {
         hev: &ParallelHev,
         obs: &Observation<'_>,
     ) -> Option<ControlInput> {
-        let cfg = &self.config;
         let d = obs.demand;
 
         // Stopped: engine off, battery carries the auxiliary load.
@@ -148,21 +105,21 @@ impl RuleBasedController {
             return Some(ControlInput {
                 battery_current_a: 0.0,
                 gear: 0,
-                p_aux_w: cfg.aux_power_w,
+                p_aux_w: AUX_POWER_W,
             });
         }
 
-        let gear = self.schedule_gear(d.speed_mps);
+        let gear = schedule_gear(d.speed_mps);
 
         // Braking: capture as much regeneration as the machine, battery,
         // and braking demand allow.
         if d.wheel_torque_nm < 0.0 {
-            for &i in &cfg.regen_ladder_a {
+            for i in REGEN_LADDER_A {
                 for g in [gear, gear.saturating_sub(1)] {
                     let c = ControlInput {
                         battery_current_a: i,
                         gear: g,
-                        p_aux_w: cfg.aux_power_w,
+                        p_aux_w: AUX_POWER_W,
                     };
                     if hev.peek_with_context(obs.ctx, &c, obs.dt_s).is_ok() {
                         return Some(c);
@@ -173,23 +130,21 @@ impl RuleBasedController {
         }
 
         // Electric launch / low-load EV while charge remains.
-        if d.speed_mps < cfg.ev_speed_max_mps
-            && d.power_demand_w < cfg.ev_power_max_w
-            && obs.soc > cfg.soc_low
+        if d.speed_mps < EV_SPEED_MAX_MPS && d.power_demand_w < EV_POWER_MAX_W && obs.soc > SOC_LOW
         {
             // A generous discharge bound lets the model resolve EV mode.
-            return self.first_feasible(hev, obs, 100.0, gear);
+            return first_feasible(hev, obs, 100.0, gear);
         }
 
         // Engine propulsion with load-leveling charge control.
-        let current = if obs.soc < cfg.soc_low {
-            cfg.charge_current_a
-        } else if obs.soc > cfg.soc_high {
-            cfg.assist_current_a
+        let current = if obs.soc < SOC_LOW {
+            CHARGE_CURRENT_A
+        } else if obs.soc > SOC_HIGH {
+            ASSIST_CURRENT_A
         } else {
             0.0
         };
-        self.first_feasible(hev, obs, current, gear)
+        first_feasible(hev, obs, current, gear)
     }
 }
 
@@ -225,7 +180,7 @@ mod tests {
     #[test]
     fn completes_urban_cycle() {
         let mut hev = hev();
-        let mut c = RuleBasedController::default();
+        let mut c = RuleBasedController;
         let m = simulate(&mut hev, &urban(), &mut c, &RewardConfig::default());
         assert_eq!(m.steps, urban().len());
         assert!(m.fuel_g > 0.0);
@@ -235,7 +190,7 @@ mod tests {
     #[test]
     fn launches_electrically() {
         let mut hev = hev();
-        let mut c = RuleBasedController::default();
+        let mut c = RuleBasedController;
         let m = simulate(&mut hev, &urban(), &mut c, &RewardConfig::default());
         assert!(m.mode_counts[crate::metrics::mode_index(OperatingMode::EvOnly)] > 0);
     }
@@ -243,7 +198,7 @@ mod tests {
     #[test]
     fn regenerates_on_braking() {
         let mut hev = hev();
-        let mut c = RuleBasedController::default();
+        let mut c = RuleBasedController;
         let m = simulate(&mut hev, &urban(), &mut c, &RewardConfig::default());
         assert!(m.mode_counts[crate::metrics::mode_index(OperatingMode::RegenBraking)] > 0);
     }
@@ -251,7 +206,7 @@ mod tests {
     #[test]
     fn stays_inside_charge_window() {
         let mut hev = hev();
-        let mut c = RuleBasedController::default();
+        let mut c = RuleBasedController;
         let long = urban().concat(&urban()).concat(&urban());
         let m = simulate(&mut hev, &long, &mut c, &RewardConfig::default());
         assert!((0.40..=0.80).contains(&m.soc_final));
@@ -261,7 +216,7 @@ mod tests {
     fn recharges_when_low() {
         let mut hev = hev();
         hev.reset_soc(0.42);
-        let mut c = RuleBasedController::default();
+        let mut c = RuleBasedController;
         // A sustained cruise where the engine is on and can charge.
         let cruise = ProfileBuilder::new("cruise")
             .ramp_to(60.0, 15.0)
@@ -275,21 +230,20 @@ mod tests {
 
     #[test]
     fn shift_schedule_is_monotone() {
-        let c = RuleBasedController::default();
         let mut prev = 0;
         for v in [1.0, 5.0, 10.0, 15.0, 25.0] {
-            let g = c.schedule_gear(v);
+            let g = schedule_gear(v);
             assert!(g >= prev);
             prev = g;
         }
-        assert_eq!(c.schedule_gear(1.0), 0);
-        assert_eq!(c.schedule_gear(25.0), 4);
+        assert_eq!(schedule_gear(1.0), 0);
+        assert_eq!(schedule_gear(25.0), 4);
     }
 
     #[test]
     fn aux_power_is_constant_preferred() {
         let mut hev = hev();
-        let mut c = RuleBasedController::default();
+        let mut c = RuleBasedController;
         let m = simulate(&mut hev, &urban(), &mut c, &RewardConfig::default());
         // Constant 600 W aux ⇒ utility 0 (the peak) whenever the
         // rule-based control was applied directly.

@@ -48,7 +48,7 @@
 //!
 //! // Baseline: rule-based policy.
 //! hev.reset_soc(0.6);
-//! let mut rule = RuleBasedController::default();
+//! let mut rule = RuleBasedController;
 //! let baseline = simulate(&mut hev, &cycle, &mut rule, &RewardConfig::default());
 //!
 //! println!("reward: proposed {:.1} vs rule-based {:.1}",
@@ -78,14 +78,13 @@ pub mod telemetry;
 pub use action::{default_currents, ActionChoice, ActionSpace};
 pub use analysis::{EnergyAudit, Recorder, TracePoint};
 pub use baseline::{
-    solve_dp, DpConfig, DpPolicy, DpSolution, EcmsConfig, EcmsController, RuleBasedConfig,
-    RuleBasedController,
+    solve_dp, DpConfig, DpPolicy, DpSolution, EcmsConfig, EcmsController, RuleBasedController,
 };
 pub use checkpoint::{
     train_portfolio_checkpointed, CheckpointError, CheckpointSpec, TrainCheckpoint,
 };
 pub use controller::{ControllerSnapshot, JointController, JointControllerConfig};
-pub use fault::{FaultConfig, FaultPlan};
+pub use fault::FaultPlan;
 pub use harness::{
     split_seed, Harness, RunEvent, RunLog, RunOutcome, RunSpec, SeedSequence, RETRY_SEED_TAG,
 };

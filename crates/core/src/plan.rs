@@ -43,7 +43,7 @@ impl CyclePlan {
             .points()
             .map(|p| hev.demand(p.speed_mps, p.accel_mps2, p.grade))
             .collect();
-        let table = Arc::new(ContextTable::build(hev, &demands, cycle.dt()));
+        let table = Arc::new(ContextTable::build(hev, &demands));
         Self {
             cycle: cycle.clone(),
             table,

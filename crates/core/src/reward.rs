@@ -1,7 +1,7 @@
 //! The reward function (paper §4.3.3):
 //! `r = (−ṁ_f + w·f_aux(p_aux)) · ΔT`.
 
-use hev_model::StepOutcome;
+use hev_model::{StepOutcome, FUEL_LHV_J_PER_G};
 use serde::{Deserialize, Serialize};
 
 /// Reward configuration.
@@ -22,10 +22,11 @@ pub struct RewardConfig {
     /// The charge-sustaining window the barrier refers to.
     pub soc_window: (f64, f64),
     /// Equivalence factor `s` charging net battery usage as fuel at
-    /// `s·P_batt/D_f` g/s in the *learning* reward (0 disables). This is
-    /// the standard equivalent-consumption term: it makes the agent
-    /// charge-indifferent instead of gaming battery depletion within an
-    /// episode. The reported paper reward (Table 2) never includes it.
+    /// `s·P_batt/D_f` g/s, `D_f` = [`FUEL_LHV_J_PER_G`], in the
+    /// *learning* reward (0 disables). This is the standard
+    /// equivalent-consumption term: it makes the agent charge-indifferent
+    /// instead of gaming battery depletion within an episode. The
+    /// reported paper reward (Table 2) never includes it.
     pub battery_equiv_factor: f64,
     /// Proportional state-of-charge feedback on the equivalence factor:
     /// `s(q) = s₀ − k·(q − q_target)` (adaptive ECMS). Keeps the learned
@@ -33,8 +34,6 @@ pub struct RewardConfig {
     pub soc_feedback_gain: f64,
     /// Target state of charge for the feedback term.
     pub soc_target: f64,
-    /// Fuel energy density used by the equivalence term, J/g.
-    pub fuel_lhv_j_per_g: f64,
 }
 
 impl Default for RewardConfig {
@@ -49,7 +48,6 @@ impl Default for RewardConfig {
             battery_equiv_factor: 3.6,
             soc_feedback_gain: 30.0,
             soc_target: 0.60,
-            fuel_lhv_j_per_g: hev_model::FUEL_LHV_J_PER_G,
         }
     }
 }
@@ -62,7 +60,7 @@ impl RewardConfig {
         let s = (self.battery_equiv_factor
             - self.soc_feedback_gain * (outcome.soc_after - self.soc_target))
             .max(0.0);
-        let equiv = s * outcome.battery_power_w / self.fuel_lhv_j_per_g;
+        let equiv = s * outcome.battery_power_w / FUEL_LHV_J_PER_G;
         // `fuel_g` is already integrated over the step (and carries the
         // engine-restart penalty); only the rate-like terms scale by ΔT.
         -outcome.fuel_g + (-equiv + self.aux_weight * outcome.aux_utility) * self.dt_s

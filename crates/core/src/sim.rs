@@ -664,20 +664,19 @@ mod tests {
 
     #[test]
     fn planned_faulted_episode_matches_per_step_path() {
-        use crate::fault::FaultConfig;
         let cycle = short_cycle();
-        let config = FaultConfig {
-            soc_noise: 0.01,
-            soc_drift_per_1000s: 0.02,
-            speed_noise: 0.02,
-            derate_factor: 0.6,
-            derate_window_s: 5.0,
-            aux_step_w: 300.0,
-            aux_window_s: 4.0,
-            capacity_fade: 0.0,
-        };
+        // The 180 s derate window at severity 1 outlasts the cycle, so
+        // every step from its drawn start on runs derated and bypasses
+        // the table.
+        let mut probe = FaultPlan::new(1.0, 7);
+        probe.begin_episode(cycle.duration_s());
+        let derated = cycle
+            .points()
+            .filter(|p| probe.motor_derate_at(p.time_s) < 1.0)
+            .count();
+        assert!(derated > 0, "no step ran derated");
         let mut unplanned_hev = hev();
-        let mut faults = FaultPlan::new(config, 7);
+        let mut faults = FaultPlan::new(1.0, 7);
         let baseline = simulate_with_faults(
             &mut unplanned_hev,
             &cycle,
@@ -687,7 +686,7 @@ mod tests {
         );
         let mut planned_hev = hev();
         let plan = CyclePlan::new(&planned_hev, &cycle);
-        let mut faults = FaultPlan::new(config, 7);
+        let mut faults = FaultPlan::new(1.0, 7);
         let planned = simulate_core(
             &mut planned_hev,
             plan.cycle(),

@@ -6,20 +6,22 @@
 //! state, a malformed action, a NaN escaping the function approximator),
 //! and fault injection makes this routine: the policy decides on
 //! *observed* (noisy, drifted) state while feasibility is judged on the
-//! true plant. Every candidate is validated the same way: finite fields
-//! plus a [`ParallelHev::peek_with_context`] probe on the step's context
-//! over the observation's step length (the predicate the plant's `step`
-//! enforces).
+//! true plant. A candidate is valid when its fields are finite and it
+//! passes a [`ParallelHev::peek_with_context`] probe on the step's
+//! context over the observation's step length (the predicate the
+//! plant's `step` enforces).
 //!
 //! [`walk`] is the one fallback chain of the supervisor and the
-//! `hev-serve` ladder. It returns the first candidate that validates,
-//! in strictly descending fidelity, entering a tier only while its entry
-//! cost fits the eval budget, and records a `(rung, evals)` trail:
+//! `hev-serve` ladder. It returns the first valid candidate, in strictly
+//! descending fidelity, entering a tier only while its entry cost fits
+//! the eval budget, and records a `(rung, evals)` trail:
 //!
 //! 1. [`Rung::Full`], then [`Rung::Myopic`] — the best instantaneous
 //!    inner-optimized reward over each [`Tier`]'s battery currents (the
 //!    move an untrained [`crate::JointController`] makes in a
-//!    never-visited state);
+//!    never-visited state). The sweep completed its winner on the
+//!    step's context and step length, so the walk checks only that the
+//!    winner's fields are finite;
 //! 2. [`Rung::Rule`] — the [`RuleBasedController`] baseline's decision.
 //!    Where the rules find no control, the baseline falls back to the
 //!    limp-home scan, which this tier then runs in limp-home's place: a
@@ -152,7 +154,8 @@ impl Default for LadderConfig {
             // The full tier costs at most gears × (7 grid + 12 refine
             // probes) = 95 evals per current, 1 425 over the 15-current
             // ladder, and the myopic tier 380 over its 4 currents; 4k
-            // leaves headroom for validation probes. The sweep's skip of
+            // admits every tier even after the tiers before it searched
+            // in full and found nothing. The sweep's skip of
             // settled gears and the gear bound, which stops a gear after
             // one probe, only lower the real cost, so the tier costs are
             // upper bounds, kept at the values set when the search cost
@@ -201,7 +204,6 @@ pub fn walk(
     hev: &ParallelHev,
     obs: &Observation<'_>,
     config: &LadderConfig,
-    rule: &mut RuleBasedController,
     budget: u64,
     trail: &mut Vec<(Rung, u64)>,
 ) -> Result<(ControlInput, Rung), ControlInput> {
@@ -216,10 +218,12 @@ pub fn walk(
         let rung = if k == 0 { Rung::Full } else { Rung::Myopic };
         let _span = hev_trace::span::enter(rung.span());
         let entered = evals::count();
+        // The sweep only returns a control it completed on this context
+        // and step length, so only its fields need checking.
         let candidate = config
             .inner
             .best_over_currents(hev, ctx, &tier.currents, dt, &config.reward)
-            .filter(|control| validate(hev, ctx, control, dt).is_ok());
+            .filter(ControlInput::is_finite);
         trail.push((rung, evals::since(entered)));
         if let Some(control) = candidate {
             return Ok((control, rung));
@@ -228,7 +232,7 @@ pub fn walk(
     if fits(config.rule_cost) {
         let _span = hev_trace::span::enter(Rung::Rule.span());
         let entered = evals::count();
-        let answer = match rule.try_decide(hev, obs) {
+        let answer = match RuleBasedController.try_decide(hev, obs) {
             Some(control) => validate(hev, ctx, &control, dt)
                 .is_ok()
                 .then_some(Ok(control)),
@@ -277,7 +281,6 @@ pub fn walk(
 pub struct SupervisedPolicy<P> {
     policy: P,
     config: LadderConfig,
-    rule: RuleBasedController,
     report: DegradationReport,
 }
 
@@ -292,7 +295,6 @@ impl<P: HevPolicy> SupervisedPolicy<P> {
         Self {
             policy,
             config,
-            rule: RuleBasedController::default(),
             report: DegradationReport::default(),
         }
     }
@@ -312,7 +314,6 @@ impl<P: HevPolicy> HevPolicy for SupervisedPolicy<P> {
     fn begin_episode(&mut self) {
         self.report = DegradationReport::default();
         self.policy.begin_episode();
-        self.rule.begin_episode();
     }
 
     fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
@@ -329,7 +330,7 @@ impl<P: HevPolicy> HevPolicy for SupervisedPolicy<P> {
         }
         // The report counts only the rung that answered, not the trail.
         let (config, budget) = (&self.config, self.config.budget_evals);
-        let walked = walk(hev, obs, config, &mut self.rule, budget, &mut Vec::new());
+        let walked = walk(hev, obs, config, budget, &mut Vec::new());
         let (control, counter) = match walked {
             Ok((control, Rung::Full | Rung::Myopic)) => (control, &mut self.report.myopic_rescues),
             Ok((control, Rung::Rule)) => (control, &mut self.report.rule_rescues),
@@ -351,7 +352,6 @@ impl<P: HevPolicy> HevPolicy for SupervisedPolicy<P> {
 
     fn end_episode(&mut self) {
         self.policy.end_episode();
-        self.rule.end_episode();
     }
 
     fn take_control_error(&mut self) -> Option<ControlError> {
@@ -461,10 +461,10 @@ mod tests {
         // untouched and the metrics must match the unsupervised run.
         let mut hev = hev();
         let cycle = short_cycle();
-        let mut plain = RuleBasedController::default();
+        let mut plain = RuleBasedController;
         let unsupervised = simulate(&mut hev, &cycle, &mut plain, &RewardConfig::default());
         hev.reset_soc(0.6);
-        let mut supervised = SupervisedPolicy::new(RuleBasedController::default());
+        let mut supervised = SupervisedPolicy::new(RuleBasedController);
         let m = simulate(&mut hev, &cycle, &mut supervised, &RewardConfig::default());
         let report = m.degradation.unwrap();
         assert_eq!(report.rejections(), 0);
@@ -505,9 +505,7 @@ mod tests {
             soc: 0.6,
             ctx: &ctx,
         };
-        let mut rule = RuleBasedController::default();
-        rule.begin_episode();
-        walk(&hev, &obs, &config, &mut rule, budget, trail)
+        walk(&hev, &obs, &config, budget, trail)
     }
 
     #[test]
@@ -530,6 +528,30 @@ mod tests {
             assert!(trail.windows(2).all(|pair| pair[0].0 < pair[1].0));
             assert_eq!(trail.last().map(|&(r, _)| r), Some(expected));
             assert!(trail.iter().all(|&(_, evals)| evals > 0));
+        }
+    }
+
+    #[test]
+    fn an_inner_optimized_answer_costs_its_sweep_alone() {
+        // The walk does not probe the sweep's winner again, so the
+        // answering tier's trail entry is exactly the sweep's cost.
+        let hev = hev();
+        let ctx = hev.step_context(&hev.demand(12.0, 0.3, 0.0));
+        let config = LadderConfig::default();
+        for (budget, rung, tier) in [(100_000, Rung::Full, 0), (1500, Rung::Myopic, 1)] {
+            let mut trail = Vec::new();
+            let (control, answered) = serve_walk(budget, 12.0, 0.3, &mut trail).unwrap();
+            assert_eq!(answered, rung);
+            let snap = hev_trace::evals::count();
+            let swept = config.inner.best_over_currents(
+                &hev,
+                &ctx,
+                &config.tiers[tier].currents,
+                config.reward.dt_s,
+                &config.reward,
+            );
+            assert_eq!(swept, Some(control));
+            assert_eq!(trail, [(rung, hev_trace::evals::since(snap))]);
         }
     }
 

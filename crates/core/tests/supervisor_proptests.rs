@@ -10,7 +10,7 @@ mod oracle;
 
 use drive_cycle::ProfileBuilder;
 use hev_control::{
-    fallback_control, simulate_with_faults, DegradationReport, FaultConfig, FaultPlan, HevPolicy,
+    fallback_control, simulate_with_faults, DegradationReport, FaultPlan, HevPolicy,
     InnerOptimizer, LadderConfig, Observation, ResolvedAction, RewardConfig, SupervisedPolicy,
 };
 use hev_model::{ControlInput, HevParams, ParallelHev, StepOutcome};
@@ -175,7 +175,7 @@ proptest! {
             .unwrap();
         let reward = RewardConfig::default();
         let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6).unwrap();
-        let mut plan = FaultPlan::new(FaultConfig::at_severity(severity), plan_seed);
+        let mut plan = FaultPlan::new(severity, plan_seed);
         plan.degrade_plant(&mut hev);
         let mut controller = AssertFeasible {
             inner: SupervisedPolicy::new(Chaotic {
@@ -211,7 +211,7 @@ proptest! {
             .unwrap();
         let reward = RewardConfig::default();
         let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6).unwrap();
-        let mut plan = FaultPlan::new(FaultConfig::at_severity(severity), plan_seed);
+        let mut plan = FaultPlan::new(severity, plan_seed);
         plan.degrade_plant(&mut hev);
         let mut config = LadderConfig::unbudgeted();
         if fixed_aux == 1 {
@@ -262,7 +262,7 @@ fn faulted_supervised_episodes_are_pinned() {
         let cycle = standard.cycle();
         let episode = |policy: &mut dyn HevPolicy| {
             let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6).unwrap();
-            let mut plan = FaultPlan::new(FaultConfig::at_severity(1.0), 100 + k as u64);
+            let mut plan = FaultPlan::new(1.0, 100 + k as u64);
             plan.degrade_plant(&mut hev);
             simulate_with_faults(&mut hev, &cycle, policy, &reward, Some(&mut plan))
         };

@@ -40,21 +40,19 @@ use crate::vehicle::{ParallelHev, StepContext};
 /// validity contract.
 #[derive(Debug, Clone, Default)]
 pub struct ContextTable {
-    dt: f64,
-    demands: Vec<WheelDemand>,
     contexts: Vec<StepContext>,
 }
 
 impl ContextTable {
-    /// Builds the table for `demands` at step length `dt` through
-    /// `hev`'s demand-side configuration.
+    /// Builds the table for `demands` through `hev`'s demand-side
+    /// configuration.
     ///
     /// Each entry is bit-identical to what
     /// [`ParallelHev::rebuild_context`] would produce for the same
     /// demand at the builder's motor derate, but the whole build records
     /// a single `ctx_rebuilds` tick and a single `model.ctx_build` span
     /// call (see the module docs).
-    pub fn build(hev: &ParallelHev, demands: &[WheelDemand], dt: f64) -> Self {
+    pub fn build(hev: &ParallelHev, demands: &[WheelDemand]) -> Self {
         let _span = hev_trace::span::enter("model.ctx_build");
         hev_trace::evals::record_ctx_rebuild();
         let contexts = demands
@@ -65,11 +63,7 @@ impl ContextTable {
                 ctx
             })
             .collect();
-        Self {
-            dt,
-            demands: demands.to_vec(),
-            contexts,
-        }
+        Self { contexts }
     }
 
     /// Number of timesteps tabulated.
@@ -82,18 +76,13 @@ impl ContextTable {
         self.contexts.is_empty()
     }
 
-    /// The step length the table was built for, s.
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
-
-    /// The wheel demand of one timestep.
+    /// The wheel demand of one timestep (the one its context holds).
     ///
     /// # Panics
     ///
     /// Panics if `step` is out of range.
     pub fn demand(&self, step: usize) -> &WheelDemand {
-        &self.demands[step]
+        self.contexts[step].demand()
     }
 
     /// The precomputed step context of one timestep.
@@ -123,7 +112,7 @@ mod tests {
             .iter()
             .map(|&(v, a)| hev.demand(v, a, 0.0))
             .collect();
-        let table = ContextTable::build(&hev, &demands, 1.0);
+        let table = ContextTable::build(&hev, &demands);
         assert_eq!(table.len(), demands.len());
         for (t, demand) in demands.iter().enumerate() {
             let mut fresh = StepContext::default();
@@ -143,7 +132,7 @@ mod tests {
             .map(|k| hev.demand(5.0 + k as f64 * 0.2, 0.1, 0.0))
             .collect();
         let before = hev_trace::evals::ctx_rebuilds();
-        let table = ContextTable::build(&hev, &demands, 1.0);
+        let table = ContextTable::build(&hev, &demands);
         assert_eq!(table.len(), 50);
         assert_eq!(
             hev_trace::evals::ctx_rebuilds().wrapping_sub(before),

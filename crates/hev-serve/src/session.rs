@@ -11,11 +11,9 @@
 //! incarnation.
 
 use crate::wire::{self, Request, RequestError, Rung, Verdict};
-use hev_control::sim::{HevPolicy, Observation};
+use hev_control::sim::Observation;
 use hev_control::supervisor::walk;
-use hev_control::{
-    split_seed, FaultConfig, FaultPlan, LadderConfig, RuleBasedController, RETRY_SEED_TAG,
-};
+use hev_control::{split_seed, FaultPlan, LadderConfig, RETRY_SEED_TAG};
 use hev_model::{HevParams, ParallelHev, ParamError};
 use hev_trace::evals;
 
@@ -31,7 +29,7 @@ pub struct SessionSpec {
     /// Master seed of the session's fault trajectory; reseeds derive
     /// from it via [`RETRY_SEED_TAG`].
     pub seed: u64,
-    /// Fault severity (0 = healthy; see `FaultConfig::at_severity`).
+    /// Fault severity (0 = healthy; see `FaultPlan`).
     pub severity: f64,
     /// Initial battery state of charge.
     pub initial_soc: f64,
@@ -47,7 +45,6 @@ pub struct Session {
     seq: u64,
     hev: ParallelHev,
     faults: FaultPlan,
-    rule: RuleBasedController,
     /// The rung-by-rung `(tier, evals)` walk of the most recent ladder
     /// decision — the causal trace of the last processed request.
     last_trail: Vec<(Rung, u64)>,
@@ -65,18 +62,15 @@ impl Session {
             split_seed(spec.seed ^ RETRY_SEED_TAG, attempt)
         };
         let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), spec.initial_soc)?;
-        let mut faults = FaultPlan::new(FaultConfig::at_severity(spec.severity), seed);
+        let mut faults = FaultPlan::new(spec.severity, seed);
         faults.degrade_plant(&mut hev);
         faults.begin_episode(EPISODE_SPAN_S);
-        let mut rule = RuleBasedController::default();
-        rule.begin_episode();
         Ok(Self {
             spec,
             attempt,
             seq: 0,
             hev,
             faults,
-            rule,
             last_trail: Vec::new(),
         })
     }
@@ -170,14 +164,7 @@ impl Session {
             ctx: &ctx,
         };
         let start = evals::count();
-        let walked = walk(
-            &self.hev,
-            &obs,
-            config,
-            &mut self.rule,
-            budget,
-            &mut self.last_trail,
-        );
+        let walked = walk(&self.hev, &obs, config, budget, &mut self.last_trail);
         let Ok((control, rung)) = walked else {
             return Verdict::Error(RequestError::Unsteppable);
         };

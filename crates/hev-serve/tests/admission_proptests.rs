@@ -5,7 +5,7 @@
 //! ladder only ever walks downward within a request.
 
 use hev_control::supervisor::walk;
-use hev_control::{HevPolicy, LadderConfig, Observation, RuleBasedController};
+use hev_control::{LadderConfig, Observation};
 use hev_model::{HevParams, ParallelHev};
 use hev_serve::fleet::{build_sessions, FleetConfig};
 use hev_serve::{serve, Request, RequestError, Rung, ServeConfig, Verdict};
@@ -168,10 +168,8 @@ proptest! {
             soc,
             ctx: &ctx,
         };
-        let mut rule = RuleBasedController::default();
-        rule.begin_episode();
         let mut trail = Vec::new();
-        if let Ok((_, rung)) = walk(&hev, &obs, &config, &mut rule, budget, &mut trail) {
+        if let Ok((_, rung)) = walk(&hev, &obs, &config, budget, &mut trail) {
             for pair in trail.windows(2) {
                 prop_assert!(
                     pair[0].0.index() < pair[1].0.index(),

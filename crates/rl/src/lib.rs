@@ -48,4 +48,4 @@ pub use policy::{DecayingEpsilon, EpsilonGreedy, ExplorationPolicy, Greedy};
 pub use qtable::QTable;
 pub use stats::{QStats, TdStats, TD_ABS_DELTA_BOUNDS};
 pub use td_lambda::{TdLambda, TdLambdaConfig};
-pub use traces::{EligibilityTraces, TraceKind};
+pub use traces::EligibilityTraces;

@@ -7,7 +7,7 @@
 
 use crate::policy::ExplorationPolicy;
 use crate::qtable::QTable;
-use crate::traces::{EligibilityTraces, TraceKind};
+use crate::traces::EligibilityTraces;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -22,8 +22,6 @@ pub struct TdLambdaConfig {
     pub lambda: f64,
     /// `M`: number of most recent state-action pairs kept eligible.
     pub trace_capacity: usize,
-    /// Accumulating (the paper's line 6) or replacing traces.
-    pub trace_kind: TraceKind,
     /// Initial Q value for all pairs ("initialize arbitrarily", line 1);
     /// slightly optimistic values encourage early exploration.
     pub q_init: f64,
@@ -60,7 +58,6 @@ impl Default for TdLambdaConfig {
             gamma: 0.96,
             lambda: 0.70,
             trace_capacity: 30,
-            trace_kind: TraceKind::Accumulating,
             q_init: 0.0,
         }
     }
@@ -99,7 +96,7 @@ impl TdLambda {
         config.validate();
         Self {
             q: QTable::new(n_states, n_actions, config.q_init),
-            traces: EligibilityTraces::new(config.trace_capacity, config.trace_kind),
+            traces: EligibilityTraces::new(config.trace_capacity),
             config,
         }
     }

@@ -3,27 +3,19 @@
 //! The paper (§4.3.4) keeps only a list of the `M` most recent
 //! state-action pairs: the eligibility of everything older is at most
 //! `λ^M`, which is negligible for a large enough `M`. This module
-//! implements exactly that bounded-list scheme.
+//! implements exactly that bounded-list scheme, with the paper's
+//! accumulating update `e ← e + 1` on a revisit (Algorithm 1, line 6).
 
 use serde::{Deserialize, Serialize};
-
-/// How a revisited state-action pair's eligibility is updated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TraceKind {
-    /// `e ← e + 1` (the paper's Algorithm 1, line 6).
-    Accumulating,
-    /// `e ← 1` (often more stable on cyclic state visits).
-    Replacing,
-}
 
 /// A bounded list of eligibility traces over state-action pairs.
 ///
 /// # Examples
 ///
 /// ```
-/// use hev_rl::{EligibilityTraces, TraceKind};
+/// use hev_rl::EligibilityTraces;
 ///
-/// let mut traces = EligibilityTraces::new(8, TraceKind::Accumulating);
+/// let mut traces = EligibilityTraces::new(8);
 /// traces.visit(3, 1);
 /// traces.decay(0.9);
 /// let entries: Vec<_> = traces.iter().collect();
@@ -34,7 +26,6 @@ pub struct EligibilityTraces {
     /// Most recent pairs last.
     entries: Vec<(usize, usize, f64)>,
     max_len: usize,
-    kind: TraceKind,
 }
 
 /// Traces below this value are dropped.
@@ -46,18 +37,12 @@ impl EligibilityTraces {
     /// # Panics
     ///
     /// Panics if `max_len == 0`.
-    pub fn new(max_len: usize, kind: TraceKind) -> Self {
+    pub fn new(max_len: usize) -> Self {
         assert!(max_len > 0, "max_len must be positive");
         Self {
             entries: Vec::with_capacity(max_len),
             max_len,
-            kind,
         }
-    }
-
-    /// The trace-update rule.
-    pub fn kind(&self) -> TraceKind {
-        self.kind
     }
 
     /// Number of currently traced pairs.
@@ -70,8 +55,9 @@ impl EligibilityTraces {
         self.entries.is_empty()
     }
 
-    /// Marks `(s, a)` as just visited (Algorithm 1, line 6). If the list
-    /// is full, the oldest pair is evicted.
+    /// Marks `(s, a)` as just visited (Algorithm 1, line 6): a revisited
+    /// pair's eligibility grows by one and the pair moves to the back; a
+    /// new pair enters at 1, evicting the oldest if the list is full.
     pub fn visit(&mut self, s: usize, a: usize) {
         if let Some(pos) = self
             .entries
@@ -79,11 +65,7 @@ impl EligibilityTraces {
             .position(|&(es, ea, _)| es == s && ea == a)
         {
             let (_, _, e) = self.entries.remove(pos);
-            let e_new = match self.kind {
-                TraceKind::Accumulating => e + 1.0,
-                TraceKind::Replacing => 1.0,
-            };
-            self.entries.push((s, a, e_new));
+            self.entries.push((s, a, e + 1.0));
         } else {
             if self.entries.len() == self.max_len {
                 self.entries.remove(0);
@@ -119,14 +101,14 @@ mod tests {
 
     #[test]
     fn visit_sets_unit_trace() {
-        let mut t = EligibilityTraces::new(4, TraceKind::Accumulating);
+        let mut t = EligibilityTraces::new(4);
         t.visit(1, 2);
         assert_eq!(t.iter().collect::<Vec<_>>(), [(1, 2, 1.0)]);
     }
 
     #[test]
     fn accumulating_revisit_increments() {
-        let mut t = EligibilityTraces::new(4, TraceKind::Accumulating);
+        let mut t = EligibilityTraces::new(4);
         t.visit(1, 2);
         t.decay(0.5);
         t.visit(1, 2);
@@ -134,17 +116,8 @@ mod tests {
     }
 
     #[test]
-    fn replacing_revisit_resets() {
-        let mut t = EligibilityTraces::new(4, TraceKind::Replacing);
-        t.visit(1, 2);
-        t.decay(0.5);
-        t.visit(1, 2);
-        assert_eq!(t.iter().collect::<Vec<_>>(), [(1, 2, 1.0)]);
-    }
-
-    #[test]
     fn capacity_evicts_oldest() {
-        let mut t = EligibilityTraces::new(2, TraceKind::Accumulating);
+        let mut t = EligibilityTraces::new(2);
         t.visit(0, 0);
         t.visit(1, 0);
         t.visit(2, 0);
@@ -154,7 +127,7 @@ mod tests {
 
     #[test]
     fn decay_drops_negligible() {
-        let mut t = EligibilityTraces::new(4, TraceKind::Accumulating);
+        let mut t = EligibilityTraces::new(4);
         t.visit(0, 0);
         for _ in 0..100 {
             t.decay(0.5);
@@ -164,7 +137,7 @@ mod tests {
 
     #[test]
     fn decay_is_multiplicative() {
-        let mut t = EligibilityTraces::new(4, TraceKind::Accumulating);
+        let mut t = EligibilityTraces::new(4);
         t.visit(0, 0);
         t.decay(0.9);
         t.decay(0.9);
@@ -174,7 +147,7 @@ mod tests {
 
     #[test]
     fn clear_empties() {
-        let mut t = EligibilityTraces::new(4, TraceKind::Accumulating);
+        let mut t = EligibilityTraces::new(4);
         t.visit(0, 0);
         t.clear();
         assert!(t.is_empty());
@@ -182,13 +155,15 @@ mod tests {
 
     #[test]
     fn revisit_moves_to_back() {
-        let mut t = EligibilityTraces::new(3, TraceKind::Replacing);
+        let mut t = EligibilityTraces::new(3);
         t.visit(0, 0);
         t.visit(1, 0);
-        t.visit(0, 0); // refresh
+        t.visit(0, 0); // accumulates to 2 and refreshes
         t.visit(2, 0);
         t.visit(3, 0); // evicts (1,0), the oldest
-        let states: Vec<_> = t.iter().map(|(s, _, _)| s).collect();
-        assert_eq!(states, [0, 2, 3]);
+        assert_eq!(
+            t.iter().collect::<Vec<_>>(),
+            [(0, 0, 2.0), (2, 0, 1.0), (3, 0, 1.0)]
+        );
     }
 }

@@ -2,7 +2,7 @@
 
 use hev_rl::{
     EligibilityTraces, EpsilonGreedy, ExplorationPolicy, ProductSpace, QTable, TdLambda,
-    TdLambdaConfig, TraceKind, UniformGrid,
+    TdLambdaConfig, UniformGrid,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -57,7 +57,7 @@ proptest! {
         factor in 0.1f64..0.99,
         cap in 1usize..20,
     ) {
-        let mut t = EligibilityTraces::new(cap, TraceKind::Accumulating);
+        let mut t = EligibilityTraces::new(cap);
         let mut last_max = f64::INFINITY;
         for (s, a) in visits {
             t.visit(s, a);

@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let rl = agent.evaluate(&mut hev, &cycle);
 
         let mut hev_rule = ParallelHev::new(params, 0.6)?;
-        let mut rule = RuleBasedController::default();
+        let mut rule = RuleBasedController;
         let rb = simulate(&mut hev_rule, &cycle, &mut rule, &RewardConfig::default());
 
         println!(

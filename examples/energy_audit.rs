@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Rule-based, recorded.
     let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6)?;
-    let mut recorded_rule = Recorder::new(RuleBasedController::default());
+    let mut recorded_rule = Recorder::new(RuleBasedController);
     simulate(&mut hev, &cycle, &mut recorded_rule, &reward);
     print_audit(
         "rule-based on UDDS",

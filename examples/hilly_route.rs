@@ -16,7 +16,7 @@ fn corrected_fuel(m: &hev_joint_control::control::EpisodeMetrics) -> f64 {
 
 fn run(label: &str, cycle: &DriveCycle) -> Result<(), Box<dyn std::error::Error>> {
     let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6)?;
-    let mut rec = Recorder::new(RuleBasedController::default());
+    let mut rec = Recorder::new(RuleBasedController);
     let m = simulate(&mut hev, cycle, &mut rec, &RewardConfig::default());
     let audit = EnergyAudit::of(rec.trace());
     println!(

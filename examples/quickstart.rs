@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Rule-based baseline on a fresh vehicle.
     hev.reset_soc(0.6);
-    let mut rule = RuleBasedController::default();
+    let mut rule = RuleBasedController;
     let baseline = simulate(&mut hev, &cycle, &mut rule, &RewardConfig::default());
 
     println!("\n{:<22} {:>12} {:>12}", "", "proposed", "rule-based");

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "controller", "fuel (g)", "corr mpg", "reward", "ΔSoC", "fallbacks"
     );
 
-    let mut rule = RuleBasedController::default();
+    let mut rule = RuleBasedController;
     evaluate("rule-based", &mut rule, &afternoon)?;
 
     let mut ecms = EcmsController::default();

@@ -49,7 +49,7 @@ fn trained_oscar() -> &'static (Vec<EpisodeMetrics>, ControllerSnapshot) {
 fn rule_based_completes_every_standard_cycle() {
     for sc in StandardCycle::all() {
         let mut vehicle = hev();
-        let mut controller = RuleBasedController::default();
+        let mut controller = RuleBasedController;
         let cycle = sc.cycle();
         let m = simulate(
             &mut vehicle,
@@ -168,7 +168,7 @@ fn fuel_conservation_against_distance() {
         .build()
         .expect("profile is non-empty");
     let mut vehicle = hev();
-    let mut controller = RuleBasedController::default();
+    let mut controller = RuleBasedController;
     let m = simulate(
         &mut vehicle,
         &cycle,
@@ -188,7 +188,7 @@ fn reward_accumulation_matches_metrics() {
     // from the same run's totals when utility is constant at its peak.
     let cycle = StandardCycle::Oscar.cycle();
     let mut vehicle = hev();
-    let mut controller = RuleBasedController::default();
+    let mut controller = RuleBasedController;
     let reward = RewardConfig::default();
     let m = simulate(&mut vehicle, &cycle, &mut controller, &reward);
     let expected = -m.fuel_g + reward.aux_weight * m.utility_sum;
@@ -207,7 +207,7 @@ fn soc_trajectory_continuity() {
     // simulations without reset.
     let cycle = StandardCycle::Oscar.cycle();
     let mut vehicle = hev();
-    let mut controller = RuleBasedController::default();
+    let mut controller = RuleBasedController;
     let reward = RewardConfig::default();
     let m1 = simulate(&mut vehicle, &cycle, &mut controller, &reward);
     let m2 = simulate(&mut vehicle, &cycle, &mut controller, &reward);

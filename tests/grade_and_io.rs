@@ -23,10 +23,10 @@ fn climbing_costs_fuel() {
     let reward = RewardConfig::default();
 
     let mut hev_flat = hev();
-    let mut rule = RuleBasedController::default();
+    let mut rule = RuleBasedController;
     let m_flat = simulate(&mut hev_flat, &flat, &mut rule, &reward);
     let mut hev_climb = hev();
-    let mut rule = RuleBasedController::default();
+    let mut rule = RuleBasedController;
     let m_climb = simulate(&mut hev_climb, &climb, &mut rule, &reward);
 
     // Expected extra ≈ m·g·sinθ·distance / (η·LHV) ≈ 140 g; demand at
@@ -49,13 +49,13 @@ fn rolling_hills_are_handled_cleanly() {
     let flat = StandardCycle::Oscar.cycle();
     let m_flat = {
         let mut v = hev();
-        let mut rule = RuleBasedController::default();
+        let mut rule = RuleBasedController;
         simulate(&mut v, &flat, &mut rule, &RewardConfig::default())
     };
     for peak in [0.02, 0.06, 0.10] {
         let hilly = flat.with_rolling_grade(peak, 600.0);
         let mut v = hev();
-        let mut rule = RuleBasedController::default();
+        let mut rule = RuleBasedController;
         let m = simulate(&mut v, &hilly, &mut rule, &RewardConfig::default());
         assert_eq!(m.trace_miss_steps, 0, "peak {peak}");
         assert!((0.40..=0.80).contains(&m.soc_final), "peak {peak}");
@@ -72,7 +72,7 @@ fn steep_downhill_forces_braking_modes() {
     let grade = vec![-0.08; 120];
     let cycle = DriveCycle::with_grade("downhill", 1.0, speeds, grade).unwrap();
     let mut vehicle = hev();
-    let mut rule = RuleBasedController::default();
+    let mut rule = RuleBasedController;
     let m = simulate(&mut vehicle, &cycle, &mut rule, &RewardConfig::default());
     use hev_joint_control::model::OperatingMode;
     let braking = m.mode_counts
@@ -97,10 +97,10 @@ fn csv_cycle_survives_full_simulation() {
 
     let reward = RewardConfig::default();
     let mut hev_a = hev();
-    let mut rule = RuleBasedController::default();
+    let mut rule = RuleBasedController;
     let m_a = simulate(&mut hev_a, &original, &mut rule, &reward);
     let mut hev_b = hev();
-    let mut rule = RuleBasedController::default();
+    let mut rule = RuleBasedController;
     let m_b = simulate(&mut hev_b, &restored, &mut rule, &reward);
     assert_eq!(m_a.steps, m_b.steps);
     assert!((m_a.fuel_g - m_b.fuel_g).abs() < 1e-6);
