@@ -849,7 +849,7 @@ fn robustness_target(
     }
     rule(100);
     println!(
-        "(sensor + plant faults per FaultConfig::at_severity; the supervised controller must \
+        "(sensor + plant faults per FaultPlan::new(severity, seed); the supervised controller must \
          complete every faulted cycle)"
     );
     Ok(())

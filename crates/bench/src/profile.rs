@@ -5,14 +5,15 @@
 //!
 //! 1. **Training** — `cfg.runs` independent controller trainings fanned
 //!    over the harness, each task recording its own thread-local span
-//!    tree (context builds, batch fills, scored sweeps, winner replays,
-//!    mask/resolve/refine/TD-update phases).
+//!    tree: `model.ctx_build`, and per `control.step` its
+//!    `control.mask`, `control.resolve` (split into `control.grid` and
+//!    `control.refine`) and `control.td_update`.
 //! 2. **DP reference** — one offline dynamic-programming sweep
 //!    (`dp.sweep`).
 //! 3. **Serve** — a chaos-mode fleet served with
 //!    [`ServeConfig::profile`] on, contributing the request-lifecycle
-//!    spans (admission, ladder rungs, quarantine) plus the causal
-//!    per-request trace lines.
+//!    spans (`serve.admission`, `serve.ladder.full`/`myopic`/`rule`,
+//!    `serve.quarantine`) plus the causal per-request trace lines.
 //!
 //! Every phase's tree is merged commutatively into one [`SpanTree`], so
 //! the profile is bit-identical at every `--jobs` value and serve shard

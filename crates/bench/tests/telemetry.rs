@@ -16,9 +16,9 @@
 use drive_cycle::StandardCycle;
 use hev_bench::experiments::{self, ExperimentConfig};
 use hev_control::{
-    simulate, telemetry, ControlError, DecisionInfo, HevPolicy, JointController,
-    JointControllerConfig, Observation, PolicyTelemetry, RewardConfig, RuleBasedController,
-    RunTelemetry, SupervisedPolicy, TelemetryConfig,
+    simulate, telemetry, DecisionInfo, HevPolicy, JointController, JointControllerConfig,
+    Observation, PolicyTelemetry, RewardConfig, RuleBasedController, RunTelemetry,
+    SupervisedPolicy, TelemetryConfig,
 };
 use hev_model::{ControlInput, ParallelHev, StepOutcome};
 
@@ -176,10 +176,6 @@ impl HevPolicy for Corrupt {
 
     fn end_episode(&mut self) {
         self.inner.end_episode();
-    }
-
-    fn take_control_error(&mut self) -> Option<ControlError> {
-        self.inner.take_control_error()
     }
 
     fn set_record_decisions(&mut self, on: bool) {

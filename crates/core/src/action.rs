@@ -8,6 +8,7 @@
 //! — at the price of needing partial component models (the paper's
 //! recommended trade-off).
 
+use hev_model::ControlInput;
 use serde::{Deserialize, Serialize};
 
 /// The default battery-current grid, A (positive discharges). Spans
@@ -16,18 +17,6 @@ pub fn default_currents() -> Vec<f64> {
     vec![
         -60.0, -40.0, -25.0, -15.0, -8.0, -4.0, 0.0, 4.0, 8.0, 15.0, 25.0, 40.0, 60.0, 80.0, 100.0,
     ]
-}
-
-/// A decoded action.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ActionChoice {
-    /// Battery current, A.
-    pub battery_current_a: f64,
-    /// Gear index; `None` in the reduced space (inner optimization picks
-    /// it).
-    pub gear: Option<usize>,
-    /// Auxiliary power, W; `None` in the reduced space.
-    pub p_aux_w: Option<f64>,
 }
 
 /// A finite action space over the HEV control variables.
@@ -85,36 +74,31 @@ impl ActionSpace {
         self.len() == 0
     }
 
-    /// Decodes a flat action index.
+    /// Decodes a flat action index: the complete control
+    /// `[i, R(k), p_aux]` in the full space, `None` in the reduced space,
+    /// whose actions leave the gear and aux power to the inner
+    /// optimization.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn decode(&self, index: usize) -> ActionChoice {
-        match self {
-            ActionSpace::Reduced { currents } => ActionChoice {
-                battery_current_a: currents[index],
-                gear: None,
-                p_aux_w: None,
-            },
-            ActionSpace::Full {
-                currents,
-                num_gears,
-                aux_levels,
-            } => {
-                assert!(index < self.len(), "action index out of range");
-                let n_aux = aux_levels.len();
-                let aux = index % n_aux;
-                let rest = index / n_aux;
-                let gear = rest % num_gears;
-                let cur = rest / num_gears;
-                ActionChoice {
-                    battery_current_a: currents[cur],
-                    gear: Some(gear),
-                    p_aux_w: Some(aux_levels[aux]),
-                }
-            }
-        }
+    pub fn decode(&self, index: usize) -> Option<ControlInput> {
+        assert!(index < self.len(), "action index out of range");
+        let ActionSpace::Full {
+            currents,
+            num_gears,
+            aux_levels,
+        } = self
+        else {
+            return None;
+        };
+        let n_aux = aux_levels.len();
+        let rest = index / n_aux;
+        Some(ControlInput {
+            battery_current_a: currents[rest / num_gears],
+            gear: rest % num_gears,
+            p_aux_w: aux_levels[index % n_aux],
+        })
     }
 
     /// The current grid.
@@ -136,12 +120,9 @@ mod tests {
     }
 
     #[test]
-    fn reduced_decode_gives_bare_current() {
+    fn reduced_decode_leaves_the_control_to_the_inner_optimization() {
         let a = ActionSpace::reduced();
-        let c = a.decode(0);
-        assert_eq!(c.battery_current_a, -60.0);
-        assert_eq!(c.gear, None);
-        assert_eq!(c.p_aux_w, None);
+        assert!((0..a.len()).all(|i| a.decode(i).is_none()));
     }
 
     #[test]
@@ -151,16 +132,12 @@ mod tests {
     }
 
     #[test]
-    fn full_decode_roundtrips_all_indices() {
+    fn full_decode_gives_distinct_complete_controls() {
         let a = ActionSpace::full(3, vec![100.0, 600.0]);
         let mut seen = std::collections::HashSet::new();
         for i in 0..a.len() {
-            let c = a.decode(i);
-            let key = (
-                c.battery_current_a.to_bits(),
-                c.gear.unwrap(),
-                c.p_aux_w.unwrap().to_bits(),
-            );
+            let c = a.decode(i).expect("a full action is a complete control");
+            let key = (c.battery_current_a.to_bits(), c.gear, c.p_aux_w.to_bits());
             assert!(seen.insert(key), "duplicate action {i}");
         }
         assert_eq!(seen.len(), a.len());

@@ -6,7 +6,7 @@
 //! drive, regeneration, friction losses, auxiliary draw).
 
 use crate::metrics::DegradationReport;
-use crate::sim::{ControlError, HevPolicy, Observation};
+use crate::sim::{HevPolicy, Observation};
 use crate::telemetry::{DecisionInfo, PolicyTelemetry};
 use hev_model::{ControlInput, ParallelHev, StepOutcome, WheelDemand};
 use serde::{Deserialize, Serialize};
@@ -108,10 +108,6 @@ impl<P: HevPolicy> HevPolicy for Recorder<P> {
 
     fn end_episode(&mut self) {
         self.inner.end_episode();
-    }
-
-    fn take_control_error(&mut self) -> Option<ControlError> {
-        self.inner.take_control_error()
     }
 
     fn degradation(&self) -> Option<DegradationReport> {

@@ -13,7 +13,7 @@ use crate::inner_opt::{InnerOptimizer, ResolvedAction};
 use crate::metrics::EpisodeMetrics;
 use crate::plan::CyclePlan;
 use crate::reward::RewardConfig;
-use crate::sim::{fallback_control, simulate_planned, ControlError, HevPolicy, Observation};
+use crate::sim::{fallback_control, simulate_planned, HevPolicy, Observation};
 use crate::state::{StateSample, StateSpace, StateSpaceConfig};
 use crate::telemetry::{DecisionInfo, PolicyTelemetry};
 use drive_cycle::DriveCycle;
@@ -146,11 +146,6 @@ pub struct JointController<P: Predictor = Ewma> {
     awaiting_reward: Option<(usize, usize)>,
     /// Reusable per-step buffers (not part of the learned state).
     scratch: StepScratch,
-    /// The most recent action-decoding failure, taken (and cleared) by
-    /// [`HevPolicy::take_control_error`]. A malformed full-space action
-    /// degrades gracefully — masked infeasible / skipped / fallen back —
-    /// instead of panicking mid-episode.
-    last_error: Option<ControlError>,
     /// Whether per-decision telemetry recording is on
     /// ([`HevPolicy::set_record_decisions`]). Off by default: the
     /// recording branches below are then never taken, so un-instrumented
@@ -165,31 +160,6 @@ pub struct JointController<P: Predictor = Ewma> {
     last_decision: Option<DecisionInfo>,
 }
 
-/// Decodes a full-space action into a complete [`ControlInput`],
-/// recording a typed [`ControlError`] in `slot` (and returning `None`)
-/// when the decoded action is missing its gear or auxiliary-power
-/// command.
-fn decode_full_action(
-    space: &ActionSpace,
-    action: usize,
-    slot: &mut Option<ControlError>,
-) -> Option<ControlInput> {
-    let c = space.decode(action);
-    let Some(gear) = c.gear else {
-        *slot = Some(ControlError::MissingGear { action });
-        return None;
-    };
-    let Some(p_aux_w) = c.p_aux_w else {
-        *slot = Some(ControlError::MissingAux { action });
-        return None;
-    };
-    Some(ControlInput {
-        battery_current_a: c.battery_current_a,
-        gear,
-        p_aux_w,
-    })
-}
-
 /// Reusable per-step working memory: the feasibility mask and the myopic
 /// argmax's inputs and winner. Reset at the top of each `decide`, so one
 /// allocation serves the whole episode.
@@ -198,7 +168,7 @@ struct StepScratch {
     /// Per-action feasibility for the current step.
     mask: Vec<bool>,
     /// Full space only: each action's instantaneous reward from this
-    /// step's mask sweep (`None` when infeasible or malformed), which the
+    /// step's mask sweep (`None` when infeasible), which the
     /// myopic argmax reuses instead of re-peeking.
     full_reward: Vec<Option<f64>>,
     /// Reduced space only: the masked currents, in action order, that the
@@ -277,7 +247,6 @@ impl<P: Predictor> JointController<P> {
             pending: None,
             awaiting_reward: None,
             scratch: StepScratch::default(),
-            last_error: None,
             record_stats: false,
             td_stats: TdStats::new(),
             last_decision: None,
@@ -414,7 +383,7 @@ impl<P: Predictor> JointController<P> {
     ///
     /// The reduced space's current grid masks via
     /// [`InnerOptimizer::fill_mask`]. The full space probes every
-    /// decodable action once and keeps its reward, which
+    /// action once and keeps its reward, which
     /// [`JointController::best_myopic_action`] then reuses for free.
     fn fill_action_mask(&mut self, hev: &ParallelHev, obs: &Observation<'_>) {
         let dt = obs.dt_s;
@@ -432,19 +401,16 @@ impl<P: Predictor> JointController<P> {
                 // current's context once per sweep.
                 let mut cur: Option<CurrentContext> = None;
                 for idx in 0..n {
-                    // A malformed action is simply masked infeasible,
-                    // costing no evaluation.
-                    let reward =
-                        decode_full_action(full, idx, &mut self.last_error).and_then(|control| {
-                            let i = control.battery_current_a;
-                            let c = match cur {
-                                Some(c) if c.battery_current_a().to_bits() == i.to_bits() => c,
-                                _ => *cur.insert(hev.current_context(i, dt)),
-                            };
-                            hev.peek_with_contexts(obs.ctx, &c, &control)
-                                .ok()
-                                .map(|o| self.config.reward.reward(&o))
-                        });
+                    let reward = full.decode(idx).and_then(|control| {
+                        let i = control.battery_current_a;
+                        let c = match cur {
+                            Some(c) if c.battery_current_a().to_bits() == i.to_bits() => c,
+                            _ => *cur.insert(hev.current_context(i, dt)),
+                        };
+                        hev.peek_with_contexts(obs.ctx, &c, &control)
+                            .ok()
+                            .map(|o| self.config.reward.reward(&o))
+                    });
                     self.scratch.mask[idx] = reward.is_some();
                     self.scratch.full_reward.push(reward);
                 }
@@ -520,8 +486,7 @@ impl<P: Predictor> JointController<P> {
                 )
                 .map(|r| r.control)
         } else {
-            // `None` sends `decide` down its existing fallback path.
-            decode_full_action(&self.config.action, action, &mut self.last_error)
+            self.config.action.decode(action)
         }
     }
 }
@@ -530,16 +495,11 @@ impl<P: Predictor> HevPolicy for JointController<P> {
     fn begin_episode(&mut self) {
         self.pending = None;
         self.awaiting_reward = None;
-        self.last_error = None;
         if self.record_stats {
             self.td_stats.reset();
             self.last_decision = None;
         }
         self.predictor.reset();
-    }
-
-    fn take_control_error(&mut self) -> Option<ControlError> {
-        self.last_error.take()
     }
 
     fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
@@ -939,35 +899,6 @@ mod tests {
         let mut restored = JointController::from_snapshot(agent.snapshot());
         restored.train(&mut hev, &cycle, 10);
         assert!(restored.learner().q().coverage() >= coverage_before);
-    }
-
-    #[test]
-    fn malformed_action_records_typed_error_instead_of_panicking() {
-        // A reduced-space decode reaching the full-control path used to
-        // hit `expect("full action has a gear")`; it now records a typed
-        // `ControlError` and degrades gracefully.
-        let mut slot = None;
-        let control = decode_full_action(&ActionSpace::reduced(), 3, &mut slot);
-        assert_eq!(control, None);
-        assert_eq!(slot, Some(ControlError::MissingGear { action: 3 }));
-        assert!(slot.unwrap().to_string().contains("without a gear"));
-        // A well-formed full space decodes cleanly and records nothing.
-        let mut slot = None;
-        let full = ActionSpace::full(3, vec![100.0, 600.0]);
-        let control = decode_full_action(&full, 2, &mut slot);
-        assert!(control.is_some());
-        assert_eq!(slot, None);
-    }
-
-    #[test]
-    fn take_control_error_clears_the_slot() {
-        let mut agent = JointController::new(quick_config());
-        agent.last_error = Some(ControlError::MissingAux { action: 1 });
-        assert_eq!(
-            agent.take_control_error(),
-            Some(ControlError::MissingAux { action: 1 })
-        );
-        assert_eq!(agent.take_control_error(), None);
     }
 
     #[test]

@@ -14,13 +14,10 @@
 //! # Schema
 //!
 //! Every line is one [`RunEvent`] with all of its fields present
-//! (absent values are `null`). Event kinds:
-//!
-//! * `target_start`/`target_end`, `batch_start`/`batch_end` and
-//!   `run_start`/`run_end` bracket the work;
-//! * `episode_metrics` — an instrumented episode finished; `metrics`
-//!   carries the telemetry registry snapshot (`null` on every other
-//!   kind).
+//! (absent values are `null`). `target_start`/`target_end`,
+//! `batch_start`/`batch_end` and `run_start`/`run_end` bracket the work;
+//! per-episode metrics go to the deterministic `--metrics-json` stream
+//! instead (see [`crate::telemetry`]).
 
 use serde::Serialize;
 use std::io::Write;
@@ -31,8 +28,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunEvent {
     /// Event kind: `batch_start`, `run_start`, `run_end`, `batch_end`,
-    /// `target_start`, `target_end`, `episode_metrics` (see the module
-    /// docs).
+    /// `target_start`, `target_end`.
     pub event: String,
     /// Human-readable task label (e.g. `fig2/UDDS/with/run1`).
     pub label: String,
@@ -46,9 +42,6 @@ pub struct RunEvent {
     pub jobs: Option<u64>,
     /// Wall-clock duration, seconds. The only nondeterministic field.
     pub elapsed_s: Option<f64>,
-    /// Registry snapshot of an `episode_metrics` event; `null`
-    /// otherwise.
-    pub metrics: Option<serde::Value>,
 }
 
 impl RunEvent {
@@ -62,7 +55,6 @@ impl RunEvent {
             seed: None,
             jobs: None,
             elapsed_s: None,
-            metrics: None,
         }
     }
 
@@ -93,12 +85,6 @@ impl RunEvent {
     /// Sets the elapsed wall-clock time.
     pub fn elapsed(mut self, since: Instant) -> Self {
         self.elapsed_s = Some(since.elapsed().as_secs_f64());
-        self
-    }
-
-    /// Sets the structured payload (used by `episode_metrics` events).
-    pub fn metrics(mut self, value: serde::Value) -> Self {
-        self.metrics = Some(value);
         self
     }
 }
@@ -158,20 +144,9 @@ pub fn install(log: RunLog) -> bool {
     GLOBAL.set(log).is_ok()
 }
 
-/// The installed run log, if any.
-fn global() -> Option<&'static RunLog> {
-    GLOBAL.get()
-}
-
-/// Whether a run log is installed, so callers can skip building events
-/// nobody reads.
-pub fn is_installed() -> bool {
-    global().is_some()
-}
-
 /// Emits to the installed run log, if any.
 pub fn emit(event: &RunEvent) {
-    if let Some(log) = global() {
+    if let Some(log) = GLOBAL.get() {
         log.emit(event);
     }
 }
@@ -219,30 +194,6 @@ mod tests {
         let json = serde_json::to_string(&e).unwrap();
         assert!(json.contains("\"elapsed_s\":null"));
         assert!(json.contains("\"index\":2"));
-    }
-
-    #[test]
-    fn episode_metrics_event_carries_the_snapshot() {
-        let snapshot: serde::Value =
-            serde_json::from_str("{\"fuel_g\":12.5,\"steps\":10}").expect("valid snapshot json");
-        let e = RunEvent::new("episode_metrics", "fig2/run0")
-            .index(3)
-            .metrics(snapshot);
-        let json = serde_json::to_string(&e).unwrap();
-        assert!(json.contains("\"event\":\"episode_metrics\""));
-        assert!(json.contains("\"fuel_g\":12.5"));
-        assert!(json.contains("\"steps\":10"));
-    }
-
-    #[test]
-    fn v2_events_keep_metrics_null_for_old_readers() {
-        // Every kind but episode_metrics serializes the field as null,
-        // so un-instrumented batches emit stable lines. No CI step
-        // compares run logs; this test is what holds the field null.
-        for kind in ["batch_start", "run_start", "run_end", "target_end"] {
-            let json = serde_json::to_string(&RunEvent::new(kind, "x")).unwrap();
-            assert!(json.contains("\"metrics\":null"), "{kind}: {json}");
-        }
     }
 
     #[test]

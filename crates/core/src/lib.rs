@@ -75,7 +75,7 @@ pub mod state;
 pub mod supervisor;
 pub mod telemetry;
 
-pub use action::{default_currents, ActionChoice, ActionSpace};
+pub use action::{default_currents, ActionSpace};
 pub use analysis::{EnergyAudit, Recorder, TracePoint};
 pub use baseline::{
     solve_dp, DpConfig, DpPolicy, DpSolution, EcmsConfig, EcmsController, RuleBasedController,

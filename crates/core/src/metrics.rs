@@ -24,9 +24,6 @@ pub struct DegradationReport {
     pub infeasible: usize,
     /// Decisions rejected because a control field was non-finite.
     pub non_finite: usize,
-    /// Typed control errors (`ControlError`) the wrapped policy reported
-    /// while deciding.
-    pub control_errors: usize,
     /// Rejections recovered by an inner-optimized (myopic-argmax) tier:
     /// rung full or myopic of the degradation chain.
     pub myopic_rescues: usize,
@@ -55,7 +52,6 @@ impl DegradationReport {
             decisions: self.decisions + other.decisions,
             infeasible: self.infeasible + other.infeasible,
             non_finite: self.non_finite + other.non_finite,
-            control_errors: self.control_errors + other.control_errors,
             myopic_rescues: self.myopic_rescues + other.myopic_rescues,
             rule_rescues: self.rule_rescues + other.rule_rescues,
             limp_home: self.limp_home + other.limp_home,
@@ -307,7 +303,6 @@ mod tests {
             decisions: 10,
             infeasible: 2,
             non_finite: 1,
-            control_errors: 1,
             myopic_rescues: 2,
             rule_rescues: 1,
             limp_home: 0,

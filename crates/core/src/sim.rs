@@ -12,42 +12,16 @@ use drive_cycle::DriveCycle;
 use hev_model::{ContextTable, ControlInput, ParallelHev, StepContext, StepOutcome, WheelDemand};
 use hev_trace::StepEvent;
 
-/// A typed controller-internal failure while producing a control.
-///
-/// Controllers record these instead of panicking mid-episode (they used
-/// to be `expect`s); the supervisor collects them via
-/// [`HevPolicy::take_control_error`] and counts them in the episode's
-/// [`DegradationReport`].
+/// A controller-internal failure while producing a control. No
+/// controller in this crate has one: a full-space action decodes to a
+/// complete control (Eq. 15) and a reduced-space action leaves the rest
+/// to the inner optimization, so the type has no values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControlError {
-    /// A full-space action decoded without a gear command.
-    MissingGear {
-        /// The offending action index.
-        action: usize,
-    },
-    /// A full-space action decoded without an auxiliary-power command.
-    MissingAux {
-        /// The offending action index.
-        action: usize,
-    },
-    /// A decided control carried a non-finite field.
-    NonFinite {
-        /// Which field was non-finite.
-        field: &'static str,
-    },
-}
+pub enum ControlError {}
 
 impl std::fmt::Display for ControlError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::MissingGear { action } => {
-                write!(f, "full-space action {action} decoded without a gear")
-            }
-            Self::MissingAux { action } => {
-                write!(f, "full-space action {action} decoded without an aux power")
-            }
-            Self::NonFinite { field } => write!(f, "control field {field} is non-finite"),
-        }
+    fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {}
     }
 }
 
@@ -107,7 +81,8 @@ pub trait HevPolicy {
     }
 
     /// Takes (and clears) the most recent [`ControlError`] the controller
-    /// recorded while deciding, if any. Default: controllers report none.
+    /// recorded while deciding, if any. [`ControlError`] has no values,
+    /// so this always returns `None`.
     fn take_control_error(&mut self) -> Option<ControlError> {
         None
     }

@@ -3,7 +3,7 @@
 //!
 //! A deployable controller must never hand the plant a control it
 //! cannot execute — yet a learned policy can emit one (an unvisited
-//! state, a malformed action, a NaN escaping the function approximator),
+//! state, a NaN escaping the function approximator),
 //! and fault injection makes this routine: the policy decides on
 //! *observed* (noisy, drifted) state while feasibility is judged on the
 //! true plant. A candidate is valid when its fields are finite and it
@@ -48,7 +48,7 @@ use crate::baseline::RuleBasedController;
 use crate::inner_opt::InnerOptimizer;
 use crate::metrics::DegradationReport;
 use crate::reward::RewardConfig;
-use crate::sim::{scan_fallback, ControlError, HevPolicy, Observation};
+use crate::sim::{scan_fallback, HevPolicy, Observation};
 use hev_model::{ControlInput, ParallelHev, StepContext, StepOutcome};
 use hev_trace::evals;
 
@@ -319,9 +319,6 @@ impl<P: HevPolicy> HevPolicy for SupervisedPolicy<P> {
     fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
         self.report.decisions += 1;
         let proposed = self.policy.decide(hev, obs);
-        if self.policy.take_control_error().is_some() {
-            self.report.control_errors += 1;
-        }
         let _span = hev_trace::span::enter("control.supervise");
         match validate(hev, obs.ctx, &proposed, obs.dt_s) {
             Ok(()) => return proposed,
@@ -352,10 +349,6 @@ impl<P: HevPolicy> HevPolicy for SupervisedPolicy<P> {
 
     fn end_episode(&mut self) {
         self.policy.end_episode();
-    }
-
-    fn take_control_error(&mut self) -> Option<ControlError> {
-        self.policy.take_control_error()
     }
 
     fn is_learning(&self) -> bool {

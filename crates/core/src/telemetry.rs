@@ -22,7 +22,6 @@
 //! (by `repro`), which is what makes the emitted files
 //! byte-identical across `--jobs` worker counts.
 
-use crate::harness::runlog::{self, RunEvent};
 use crate::metrics::EpisodeMetrics;
 use crate::reward::RewardConfig;
 use hev_rl::{QStats, TdStats, TD_ABS_DELTA_BOUNDS};
@@ -257,19 +256,6 @@ impl EpisodeTelemetry {
                 .raw("metrics", &snapshot)
                 .finish();
             self.metrics_lines.push(line);
-            // Mirror the snapshot into the run log (schema v4) so live
-            // progress consumers see it without waiting for the batch's
-            // telemetry files. The run log is the nondeterministic side
-            // channel; the deterministic copy is `metrics_lines`.
-            if runlog::is_installed() {
-                if let Ok(snapshot) = serde_json::from_str::<serde::Value>(&snapshot) {
-                    runlog::emit(
-                        &RunEvent::new("episode_metrics", self.run.clone())
-                            .index(self.episode as usize)
-                            .metrics(snapshot),
-                    );
-                }
-            }
         }
         self.episode += 1;
     }
@@ -305,7 +291,6 @@ impl EpisodeTelemetry {
             r.counter_add("supervisor_decisions", d.decisions as u64);
             r.counter_add("supervisor_infeasible", d.infeasible as u64);
             r.counter_add("supervisor_non_finite", d.non_finite as u64);
-            r.counter_add("supervisor_control_errors", d.control_errors as u64);
             r.counter_add("supervisor_myopic_rescues", d.myopic_rescues as u64);
             r.counter_add("supervisor_rule_rescues", d.rule_rescues as u64);
             r.counter_add("supervisor_limp_home", d.limp_home as u64);

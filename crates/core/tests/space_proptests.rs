@@ -71,12 +71,8 @@ proptest! {
         let space = ActionSpace::full(gears, aux);
         let mut seen = std::collections::HashSet::new();
         for i in 0..space.len() {
-            let c = space.decode(i);
-            let key = (
-                c.battery_current_a.to_bits(),
-                c.gear.unwrap(),
-                c.p_aux_w.unwrap().to_bits(),
-            );
+            let c = space.decode(i).unwrap();
+            let key = (c.battery_current_a.to_bits(), c.gear, c.p_aux_w.to_bits());
             prop_assert!(seen.insert(key));
         }
         prop_assert_eq!(seen.len(), space.len());

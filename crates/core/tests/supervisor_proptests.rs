@@ -291,8 +291,8 @@ fn faulted_supervised_episodes_are_pinned() {
     assert_eq!(
         format!("{total:?}"),
         "DegradationReport { decisions: 14188, infeasible: 9901, non_finite: 3915, \
-         control_errors: 0, myopic_rescues: 13814, rule_rescues: 0, limp_home: 2 }"
+         myopic_rescues: 13814, rule_rescues: 0, limp_home: 2 }"
     );
     assert_eq!(controls, 0x47c6_c48e_25fc_01aa);
-    assert_eq!(metrics, 0x2d61_5ddb_0ec2_197d);
+    assert_eq!(metrics, 0xa447_88fb_528c_2e15);
 }

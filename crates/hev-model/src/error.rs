@@ -80,17 +80,6 @@ pub enum InfeasibleControl {
     },
     /// The required engine torque exceeds the wide-open-throttle curve.
     EngineTorque { torque_nm: f64, max_nm: f64 },
-    /// The electric path would deliver more torque than the wheels demand
-    /// while propelling (the engine cannot absorb torque).
-    ExcessMotorTorque { surplus_nm: f64 },
-    /// Regenerative braking would exceed the braking demand (the vehicle
-    /// would accelerate while the driver brakes).
-    ExcessRegen { surplus_nm: f64 },
-    /// Positive motor torque was commanded while the driver is braking.
-    PowerDuringBraking { torque_nm: f64 },
-    /// Electrical power was routed through a stalled machine (vehicle at
-    /// rest).
-    MotorStalled { p_elec_w: f64 },
 }
 
 impl fmt::Display for InfeasibleControl {
@@ -174,24 +163,6 @@ impl fmt::Display for InfeasibleControl {
                     "engine torque {torque_nm} N·m exceeds maximum {max_nm} N·m"
                 )
             }
-            ExcessMotorTorque { surplus_nm } => {
-                write!(
-                    f,
-                    "electric path over-delivers {surplus_nm} N·m while propelling"
-                )
-            }
-            ExcessRegen { surplus_nm } => {
-                write!(f, "regeneration over-brakes by {surplus_nm} N·m")
-            }
-            PowerDuringBraking { torque_nm } => {
-                write!(
-                    f,
-                    "positive motor torque {torque_nm} N·m commanded while braking"
-                )
-            }
-            MotorStalled { p_elec_w } => {
-                write!(f, "cannot route {p_elec_w} W through a stalled machine")
-            }
         }
     }
 }
@@ -253,10 +224,6 @@ mod tests {
                 torque_nm: 150.0,
                 max_nm: 108.0,
             },
-            ExcessMotorTorque { surplus_nm: 10.0 },
-            ExcessRegen { surplus_nm: 5.0 },
-            PowerDuringBraking { torque_nm: 20.0 },
-            MotorStalled { p_elec_w: 500.0 },
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());

@@ -420,18 +420,65 @@ fn pub_audit(analyses: &[FileAnalysis], root: &Path) -> Vec<Finding> {
 
 /// Whether the identifier at `tokens[j]` names a new local, not a
 /// reference to an item of that name: the name a `let` or `let mut`
-/// binds, or a parameter a `fn` signature declares (`name:` or
-/// `mut name:` right after the list's `(` or one of its commas).
+/// binds, a parameter a `fn` signature declares (`name:` or `mut name:`
+/// right after the list's `(` or one of its commas), or a parameter a
+/// closure declares (`name` or `mut name`, after the opening `|` or a
+/// comma of the list, and before a `|`, `,` or `:`).
 fn binds_local(tokens: &[lexer::Token], j: usize) -> bool {
     let kind = |i: usize| tokens.get(i).map(|t| &t.kind);
     let start = j - usize::from(kind(j.wrapping_sub(1)).is_some_and(|k| k.is_ident("mut")));
+    let typed = matches!(kind(j + 1), Some(TokenKind::Other(':')));
+    let closure_param = matches!(
+        kind(j + 1),
+        Some(TokenKind::Other(':' | '|') | TokenKind::Comma)
+    );
     match kind(start.wrapping_sub(1)) {
         Some(k) if k.is_ident("let") => true,
-        Some(TokenKind::LParen | TokenKind::Comma) => {
-            matches!(kind(j + 1), Some(TokenKind::Other(':'))) && in_fn_params(tokens, start)
+        Some(TokenKind::LParen | TokenKind::Comma) if typed && in_fn_params(tokens, start) => true,
+        Some(TokenKind::Comma | TokenKind::Other('|')) => {
+            closure_param && in_closure_params(tokens, start)
         }
         _ => false,
     }
+}
+
+/// Whether `tokens[at]` lies directly inside a closure's parameter list:
+/// walking back over parameters (names, `:` types, bracketed groups and
+/// commas) reaches a `|` that opens a closure, one that follows no
+/// operand.
+fn in_closure_params(tokens: &[lexer::Token], at: usize) -> bool {
+    let kind = |i: usize| tokens.get(i).map(|t| &t.kind);
+    let mut depth = 0usize;
+    for i in (0..at).rev() {
+        match kind(i) {
+            Some(TokenKind::LBrace | TokenKind::RBrace) | None => return false,
+            Some(TokenKind::RParen | TokenKind::RBracket) => depth += 1,
+            Some(TokenKind::LParen | TokenKind::LBracket) if depth > 0 => depth -= 1,
+            _ if depth > 0 => {}
+            Some(TokenKind::Other('|')) => {
+                return kind(i.wrapping_sub(1)).is_none_or(|k| {
+                    k.is_ident("move")
+                        || k.is_ident("return")
+                        || matches!(
+                            k,
+                            TokenKind::LParen
+                                | TokenKind::LBracket
+                                | TokenKind::Comma
+                                | TokenKind::Other('=' | '>')
+                        )
+                });
+            }
+            Some(
+                TokenKind::Ident(_)
+                | TokenKind::Lifetime
+                | TokenKind::PathSep
+                | TokenKind::Comma
+                | TokenKind::Other(':' | '<' | '>' | '&' | '*'),
+            ) => {}
+            _ => return false,
+        }
+    }
+    false
 }
 
 /// Whether `tokens[at]` lies directly inside a `fn` signature's parameter
@@ -490,7 +537,8 @@ fn f(o: Option<u32>) -> u32 {
     #[test]
     fn let_bindings_and_fn_parameters_are_no_references() {
         let src = "let mut off = f(off); let on = 1; x.off(); mut m; \
-                   fn g<T: A<B>>(on: T, mut off: [u8; 2]) { S { on: g(on) } }";
+                   fn g<T: A<B>>(on: T, mut off: [u8; 2]) { S { on: g(on) } } \
+                   f(|on| on, move |mut off, m: [u8; 2], n| off); a | on | m; (a || on, off)";
         let tokens = lexer::lex(src).tokens;
         let refs: Vec<&str> = tokens
             .iter()
@@ -498,7 +546,8 @@ fn f(o: Option<u32>) -> u32 {
             .filter(|&(j, _)| !binds_local(&tokens, j))
             .filter_map(|(_, t)| t.kind.ident())
             .collect();
-        let want = "let f off let x off mut m fn g T A B T mut u8 S on g on";
+        let want = "let f off let x off mut m fn g T A B T mut u8 S on g on \
+                    f on move mut u8 off a on m a on off";
         assert_eq!(refs.join(" "), want);
     }
 

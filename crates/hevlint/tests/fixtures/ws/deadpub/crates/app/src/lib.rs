@@ -1,6 +1,6 @@
 //! Public-API audit fixture: one used export, one dead export, one
-//! undocumented dead export, a dead public struct, and two dead exports
-//! whose names appear elsewhere only as new locals.
+//! undocumented dead export, a dead public struct, and three dead
+//! exports whose names appear elsewhere only as new locals.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -34,6 +34,12 @@ pub fn off() -> u32 {
 /// declares a new local and is no reference to this item.
 pub fn gain() -> f64 {
     2.0
+}
+
+/// Named elsewhere only by a parameter of a closure in `main.rs`, which
+/// declares a new local and is no reference to this item.
+pub fn step() -> u32 {
+    1
 }
 
 #[cfg(test)]

@@ -135,8 +135,8 @@ fn ws_taint_propagation() {
 
 /// `hygiene::dead-pub` / `hygiene::missing-docs`: exports referenced
 /// nowhere else in the corpus are dead; `main`, test-only items, and
-/// referenced exports are exempt. A `let` or `let mut` binding or a
-/// `fn` parameter of the same name is no reference.
+/// referenced exports are exempt. A `let` or `let mut` binding, a `fn`
+/// parameter or a closure parameter of the same name is no reference.
 #[test]
 fn ws_deadpub_audit() {
     let report = lint_workspace(&ws_fixture("deadpub"), &Options::default());
@@ -161,6 +161,10 @@ fn ws_deadpub_audit() {
     assert!(
         dead.iter().any(|s| s.contains("pub fn gain")),
         "main.rs only declares a parameter named gain: {dead:?}"
+    );
+    assert!(
+        dead.iter().any(|s| s.contains("pub fn step")),
+        "main.rs only declares a closure parameter named step: {dead:?}"
     );
     check_golden("ws_deadpub.json", &report);
 }
