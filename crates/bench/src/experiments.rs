@@ -4,19 +4,15 @@
 //! so `repro` output is stable run-to-run.
 
 use drive_cycle::StandardCycle;
+pub use hev_control::metrics::{corrected_fuel_g, corrected_mpg, corrected_reward};
 use hev_control::{
     simulate, telemetry, CyclePlan, DpConfig, EcmsController, EpisodeMetrics, Harness,
     JointController, JointControllerConfig, RewardConfig, RuleBasedController, RunSpec,
     RunTelemetry, SeedSequence, TelemetryConfig,
 };
-use hev_model::{HevParams, ParallelHev, FUEL_LHV_J_PER_G};
+use hev_model::{HevParams, ParallelHev};
 use hev_predict::Predictor;
 use serde::{Deserialize, Serialize};
-
-/// Fuel→battery path efficiency assumed by the state-of-charge MPG
-/// correction (engine ≈ 0.33 at a good operating point × electric path
-/// ≈ 0.85; consistent with the reward's equivalence factor 3.6).
-pub(crate) const FUEL_TO_BATTERY_EFF: f64 = 0.28;
 
 /// Shared experiment configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -76,16 +72,6 @@ pub fn fresh_hev(initial_soc: f64) -> ParallelHev {
     ParallelHev::new(HevParams::default_parallel_hev(), initial_soc)
         // hevlint::allow(panic::expect, Table 1 defaults are validated by hev-model tests; a panic here means the binary itself is broken)
         .expect("default parameters are valid")
-}
-
-/// Nominal battery energy of the default pack, Wh (for MPG correction).
-pub fn battery_energy_wh() -> f64 {
-    hev_model::BatteryParams::default().nominal_energy_wh()
-}
-
-/// Charge-corrected MPG of an episode under the default pack.
-pub fn corrected_mpg(m: &EpisodeMetrics) -> f64 {
-    m.soc_corrected_mpg(battery_energy_wh(), FUEL_TO_BATTERY_EFF, FUEL_LHV_J_PER_G)
 }
 
 // ---------------------------------------------------------------------
@@ -233,12 +219,6 @@ pub fn fig2(cfg: &ExperimentConfig) -> (Vec<Fig2Row>, Vec<RunTelemetry>) {
     (rows, runs)
 }
 
-/// Fuel plus the fuel-equivalent of any net battery depletion, g.
-pub fn corrected_fuel_g(m: &EpisodeMetrics) -> f64 {
-    let delta_j = (m.soc_final - m.soc_initial) * battery_energy_wh() * 3600.0;
-    m.fuel_g - delta_j / (FUEL_TO_BATTERY_EFF * FUEL_LHV_J_PER_G)
-}
-
 // ---------------------------------------------------------------------
 // Table 2 — cumulative reward, proposed vs rule-based
 // ---------------------------------------------------------------------
@@ -262,13 +242,6 @@ pub struct Table2Row {
     pub proposed_delta_soc: f64,
     /// Net state-of-charge change of the rule-based run.
     pub rule_delta_soc: f64,
-}
-
-/// Cumulative reward with the terminal state-of-charge difference folded
-/// in as fuel-equivalent grams.
-pub fn corrected_reward(m: &EpisodeMetrics) -> f64 {
-    let delta_j = (m.soc_final - m.soc_initial) * battery_energy_wh() * 3600.0;
-    m.total_reward + delta_j / (FUEL_TO_BATTERY_EFF * FUEL_LHV_J_PER_G)
 }
 
 /// Table 2: cumulative reward `Σ(−ṁ_f + w·f_aux)·ΔT` of the proposed
@@ -591,7 +564,7 @@ pub fn run_rule_based(cycle: &drive_cycle::DriveCycle, cfg: &ExperimentConfig) -
 /// Runs the ECMS reference on a cycle.
 pub fn run_ecms(cycle: &drive_cycle::DriveCycle, cfg: &ExperimentConfig) -> EpisodeMetrics {
     let mut hev = fresh_hev(cfg.initial_soc);
-    let mut ecms = EcmsController::default();
+    let mut ecms = EcmsController;
     simulate(&mut hev, cycle, &mut ecms, &RewardConfig::default())
 }
 

@@ -11,12 +11,15 @@
 use hev_model::ControlInput;
 use serde::{Deserialize, Serialize};
 
+/// The [`default_currents`] grid, for a sweep that allocates no list.
+pub(crate) const DEFAULT_CURRENTS: [f64; 15] = [
+    -60.0, -40.0, -25.0, -15.0, -8.0, -4.0, 0.0, 4.0, 8.0, 15.0, 25.0, 40.0, 60.0, 80.0, 100.0,
+];
+
 /// The default battery-current grid, A (positive discharges). Spans
 /// strong regenerative charging to full electric assist.
 pub fn default_currents() -> Vec<f64> {
-    vec![
-        -60.0, -40.0, -25.0, -15.0, -8.0, -4.0, 0.0, 4.0, 8.0, 15.0, 25.0, 40.0, 60.0, 80.0, 100.0,
-    ]
+    DEFAULT_CURRENTS.to_vec()
 }
 
 /// A finite action space over the HEV control variables.

@@ -40,9 +40,13 @@ impl Default for DpConfig {
             soc_points: 41,
             currents: crate::action::default_currents(),
             aux_power_w: 600.0,
-            // Fuel-equivalent of one unit of state of charge for the
-            // default pack (≈ 7.8 kWh / (0.28 × 42.6 kJ/g)): makes the
-            // bound charge-sustaining instead of depletion-gaming.
+            // About the fuel-equivalent of one unit of state of charge
+            // for the default pack, which the scoring's charge correction
+            // prices at 7.8 kWh / (0.28 × 42.6 kJ/g) ≈ 2 354.1 g: 2 400
+            // is 46 g (2 %) above it. Makes the bound charge-sustaining
+            // instead of depletion-gaming. The ROADMAP's verified-optimum
+            // DP replaces this one-sided penalty with a linear terminal
+            // value at the plant's own price of charge.
             terminal_penalty: 2_400.0,
             reward: RewardConfig::default(),
         }
@@ -143,7 +147,7 @@ pub fn solve(
     for t in (0..t_len).rev() {
         let ctx = table.context(t);
         let value =
-            |o: &StepOutcome| config.reward.paper_reward(o) + interp(&value_next, o.soc_after);
+            |o: &StepOutcome| config.reward.paper_reward(o, dt) + interp(&value_next, o.soc_after);
         let (value_t, row) = (0..n)
             .map(|j| {
                 hev.reset_soc(soc_at(j));

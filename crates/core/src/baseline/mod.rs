@@ -18,7 +18,7 @@ pub mod ecms;
 pub mod rule_based;
 
 pub use dp::{solve as solve_dp, DpConfig, DpPolicy, DpSolution};
-pub use ecms::{EcmsConfig, EcmsController};
+pub use ecms::EcmsController;
 pub use rule_based::RuleBasedController;
 
 #[cfg(test)]
@@ -108,7 +108,7 @@ mod tests {
             );
         };
         check("rule-based", &mut RuleBasedController);
-        check("ECMS", &mut EcmsController::default());
+        check("ECMS", &mut EcmsController);
         // The supervisor validates over the same step: it passes the
         // regen through rather than rescuing it.
         check(

@@ -409,7 +409,7 @@ impl<P: Predictor> JointController<P> {
                         };
                         hev.peek_with_contexts(obs.ctx, &c, &control)
                             .ok()
-                            .map(|o| self.config.reward.reward(&o))
+                            .map(|o| self.config.reward.reward(&o, dt))
                     });
                     self.scratch.mask[idx] = reward.is_some();
                     self.scratch.full_reward.push(reward);
@@ -758,19 +758,17 @@ mod tests {
         // depletion) is the objective the shaped reward encodes; the
         // greedy policy must beat the exploration-heavy early episodes
         // on it.
-        let corrected = |m: &crate::metrics::EpisodeMetrics| {
-            m.fuel_g - (m.soc_final - m.soc_initial) * 7_800.0 * 3_600.0 / (0.28 * 42_600.0)
-        };
+        use crate::metrics::corrected_fuel_g;
         let mut hev = hev();
         let cycle = tiny_cycle();
         let mut agent = JointController::new(quick_config());
         let learning = agent.train(&mut hev, &cycle, 80);
         let after = agent.evaluate(&mut hev, &cycle);
-        let early: f64 = learning[..5].iter().map(&corrected).sum::<f64>() / 5.0;
+        let early: f64 = learning[..5].iter().map(corrected_fuel_g).sum::<f64>() / 5.0;
         assert!(
-            corrected(&after) < early,
+            corrected_fuel_g(&after) < early,
             "greedy {} g did not beat early training {} g",
-            corrected(&after),
+            corrected_fuel_g(&after),
             early
         );
     }

@@ -189,7 +189,7 @@ impl InnerOptimizer {
     ) -> Option<(usize, ResolvedAction)> {
         if let Some(aux) = self.fixed_aux_w {
             let _span = hev_trace::span::enter("control.resolve");
-            let score = |o: &StepOutcome| reward.reward(o);
+            let score = |o: &StepOutcome| reward.reward(o, dt);
             let keep = |idx, control, &outcome: &StepOutcome, reward| {
                 let resolved = ResolvedAction {
                     control,
@@ -508,10 +508,11 @@ fn best_aux_for_gear<const SWEEP: bool>(
             if SWEEP && k == n - 1 {
                 top = Regime::of(&result);
             }
-            if let Some(c) = scored(result, p, reward) {
+            if let Some(c) = scored(result, p, cur, reward) {
                 if k == 0
                     && prune.is_some_and(|(utility, incumbent)| {
-                        runs_engine(c.outcome.mode) && bound_misses(&c, utility, incumbent, reward)
+                        runs_engine(c.outcome.mode)
+                            && bound_misses(&c, utility, incumbent, reward, cur.dt())
                     })
                 {
                     return (None, Regime::Open);
@@ -533,7 +534,7 @@ fn best_aux_for_gear<const SWEEP: bool>(
     // one; every probe is kept if it beats the best seen (strict `>`).
     let _span = hev_trace::span::enter("control.refine");
     let sample = |p: f64, best: &mut Probe| {
-        let c = scored(peek_at(hev, ctx, cur, gear, p), p, reward);
+        let c = scored(peek_at(hev, ctx, cur, gear, p), p, cur, reward);
         if let Some(c) = c.filter(|c| c.reward > best.reward) {
             *best = c;
         }
@@ -628,11 +629,12 @@ fn runs_engine(mode: OperatingMode) -> bool {
 /// Whether the reward bound of an engine-on probe `c`, its reward with
 /// the aux utility replaced by `utility`, falls short of `incumbent` by
 /// more than a relative slack of 1e-9 that absorbs rounding. The reward
-/// is affine in the aux utility, with slope `aux_weight·dt_s`, so the
-/// bound reuses the probe's reward rather than scoring it again.
+/// is affine in the aux utility, with slope `aux_weight·dt` over a step
+/// of `dt` seconds, so the bound reuses the probe's reward rather than
+/// scoring it again.
 #[inline(always)]
-fn bound_misses(c: &Probe, utility: f64, incumbent: f64, reward: &RewardConfig) -> bool {
-    let bound = c.reward + reward.aux_weight * (utility - c.outcome.aux_utility) * reward.dt_s;
+fn bound_misses(c: &Probe, utility: f64, incumbent: f64, reward: &RewardConfig, dt: f64) -> bool {
+    let bound = c.reward + reward.aux_weight * (utility - c.outcome.aux_utility) * dt;
     bound + 1e-9 * (1.0 + bound.abs()) <= incumbent
 }
 
@@ -653,17 +655,19 @@ fn peek_at(
     hev.peek_with_contexts(ctx, cur, &control)
 }
 
-/// Scores a feasible evaluation; `None` when infeasible.
+/// Scores a feasible evaluation over the step `cur` was built for;
+/// `None` when infeasible.
 #[inline(always)]
 fn scored(
     result: Result<StepOutcome, InfeasibleControl>,
     p_aux_w: f64,
+    cur: &CurrentContext,
     reward: &RewardConfig,
 ) -> Option<Probe> {
     let outcome = result.ok()?;
     Some(Probe {
         p_aux_w,
-        reward: reward.reward(&outcome),
+        reward: reward.reward(&outcome, cur.dt()),
         outcome,
     })
 }
@@ -890,7 +894,7 @@ mod tests {
                 };
                 if let Ok(o) = hev.peek(&d, &c, 1.0) {
                     assert!(
-                        cfg().reward(&o) <= best.reward + 1e-6,
+                        cfg().reward(&o, 1.0) <= best.reward + 1e-6,
                         "grid (g{gear}, {p:.0} W) beats optimizer"
                     );
                 }

@@ -77,9 +77,7 @@ pub mod telemetry;
 
 pub use action::{default_currents, ActionSpace};
 pub use analysis::{EnergyAudit, Recorder, TracePoint};
-pub use baseline::{
-    solve_dp, DpConfig, DpPolicy, DpSolution, EcmsConfig, EcmsController, RuleBasedController,
-};
+pub use baseline::{solve_dp, DpConfig, DpPolicy, DpSolution, EcmsController, RuleBasedController};
 pub use checkpoint::{
     train_portfolio_checkpointed, CheckpointError, CheckpointSpec, TrainCheckpoint,
 };

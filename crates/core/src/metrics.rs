@@ -1,11 +1,17 @@
 //! Episode metrics: fuel, MPG (with state-of-charge correction),
 //! cumulative reward, utility, and operating-mode statistics.
 
-use hev_model::{OperatingMode, StepOutcome, FUEL_G_PER_GALLON};
+use hev_model::{BatteryParams, OperatingMode, StepOutcome, FUEL_G_PER_GALLON, FUEL_LHV_J_PER_G};
 use serde::{Deserialize, Serialize};
 
 /// Meters per mile.
 const M_PER_MILE: f64 = 1_609.344;
+
+/// Fuel→battery path efficiency the charge correction assumes (engine
+/// ≈ 0.33 at a good operating point × electric path ≈ 0.85). On the
+/// default 7 800 Wh pack it prices one unit of state of charge at
+/// 7 800 Wh × 3 600 s/h / (0.28 × 42 600 J/g) ≈ 2 354.1 g of fuel.
+const FUEL_TO_BATTERY_EFF: f64 = 0.28;
 
 /// Per-episode accounting of supervisor interventions: how often the
 /// wrapped policy's decision was rejected and which tier of the fallback
@@ -151,29 +157,6 @@ impl EpisodeMetrics {
         miles / gallons
     }
 
-    /// Charge-sustaining-corrected MPG: converts the net change in stored
-    /// battery energy into equivalent fuel using the mean fuel-to-battery
-    /// path efficiency, so trips that ended with a depleted (or
-    /// overcharged) pack are compared fairly.
-    ///
-    /// `battery_energy_wh` is the pack's nominal energy;
-    /// `fuel_to_battery_eff` the assumed conversion efficiency (engine ×
-    /// electric path), typically ≈ 0.25; `fuel_lhv_j_per_g` the fuel
-    /// energy density.
-    pub fn soc_corrected_mpg(
-        &self,
-        battery_energy_wh: f64,
-        fuel_to_battery_eff: f64,
-        fuel_lhv_j_per_g: f64,
-    ) -> f64 {
-        let delta_soc = self.soc_final - self.soc_initial;
-        let delta_j = delta_soc * battery_energy_wh * 3600.0;
-        // Net discharge (negative delta) adds equivalent fuel.
-        let equivalent_fuel_g = -delta_j / (fuel_to_battery_eff * fuel_lhv_j_per_g);
-        let fuel = (self.fuel_g + equivalent_fuel_g).max(1e-9);
-        (self.distance_m / M_PER_MILE) / (fuel / FUEL_G_PER_GALLON)
-    }
-
     /// Mean auxiliary utility per step.
     pub fn mean_utility(&self) -> f64 {
         if self.steps == 0 {
@@ -182,6 +165,35 @@ impl EpisodeMetrics {
             self.utility_sum / self.steps as f64
         }
     }
+}
+
+/// The fuel-equivalent, g, of an episode's net change in stored energy
+/// on the default pack: positive when the episode ended with more charge
+/// than it started with.
+fn banked_fuel_g(m: &EpisodeMetrics) -> f64 {
+    let energy_wh = BatteryParams::default().nominal_energy_wh();
+    let delta_j = (m.soc_final - m.soc_initial) * energy_wh * 3600.0;
+    delta_j / (FUEL_TO_BATTERY_EFF * FUEL_LHV_J_PER_G)
+}
+
+/// Fuel plus the fuel-equivalent of any net battery depletion, g, so
+/// that episodes ending at different charge levels compare fairly.
+pub fn corrected_fuel_g(m: &EpisodeMetrics) -> f64 {
+    m.fuel_g - banked_fuel_g(m)
+}
+
+/// Cumulative paper reward with the net state-of-charge change folded in
+/// as fuel-equivalent grams.
+pub fn corrected_reward(m: &EpisodeMetrics) -> f64 {
+    m.total_reward + banked_fuel_g(m)
+}
+
+/// Charge-corrected MPG: miles per gallon of [`corrected_fuel_g`]
+/// (floored at 1 ng, so an episode that banked more than it burned
+/// reads very large, not negative).
+pub fn corrected_mpg(m: &EpisodeMetrics) -> f64 {
+    let fuel = corrected_fuel_g(m).max(1e-9);
+    (m.distance_m / M_PER_MILE) / (fuel / FUEL_G_PER_GALLON)
 }
 
 #[cfg(test)]
@@ -256,8 +268,8 @@ mod tests {
             M_PER_MILE,
             false,
         );
-        let corr_depleted = depleted.soc_corrected_mpg(7_000.0, 0.25, 42_600.0);
-        let corr_sustained = sustained.soc_corrected_mpg(7_000.0, 0.25, 42_600.0);
+        let corr_depleted = corrected_mpg(&depleted);
+        let corr_sustained = corrected_mpg(&sustained);
         assert!(corr_depleted < corr_sustained);
         assert!(corr_depleted < depleted.mpg());
     }
@@ -271,7 +283,53 @@ mod tests {
             M_PER_MILE,
             false,
         );
-        assert!(surplus.soc_corrected_mpg(7_000.0, 0.25, 42_600.0) > surplus.mpg());
+        assert!(corrected_mpg(&surplus) > surplus.mpg());
+    }
+
+    /// The charge correction as the benchmark crate and
+    /// `EpisodeMetrics::soc_corrected_mpg` defined it before it moved
+    /// here, with the default pack's energy, the efficiency and the fuel
+    /// energy density written out: fuel, reward and MPG.
+    fn old_corrections(m: &EpisodeMetrics) -> [f64; 3] {
+        let delta_j = (m.soc_final - m.soc_initial) * 7_800.0 * 3600.0;
+        let fuel = m.fuel_g - delta_j / (0.28 * 42_600.0);
+        let reward = m.total_reward + delta_j / (0.28 * 42_600.0);
+        let (battery_energy_wh, fuel_to_battery_eff, fuel_lhv_j_per_g) = (7_800.0, 0.28, 42_600.0);
+        let delta_soc = m.soc_final - m.soc_initial;
+        let delta_j = delta_soc * battery_energy_wh * 3600.0;
+        let equivalent_fuel_g = -delta_j / (fuel_to_battery_eff * fuel_lhv_j_per_g);
+        let corrected = (m.fuel_g + equivalent_fuel_g).max(1e-9);
+        let mpg = (m.distance_m / M_PER_MILE) / (corrected / FUEL_G_PER_GALLON);
+        [fuel, reward, mpg]
+    }
+
+    #[test]
+    fn charge_correction_matches_the_old_definitions_bit_for_bit() {
+        let mut checked = 0;
+        for soc_final in [0.41, 0.5, 0.599_999, 0.6, 0.600_001, 0.7, 0.79] {
+            for fuel_g in [0.0, 1e-12, 0.731, 286.85, 4_321.5] {
+                for (distance_m, total_reward) in
+                    [(0.0, 0.0), (1_609.344, -0.5), (17_770.3, -301.1)]
+                {
+                    let m = EpisodeMetrics {
+                        fuel_g,
+                        distance_m,
+                        total_reward,
+                        soc_final,
+                        ..EpisodeMetrics::new(0.6)
+                    };
+                    let got = [
+                        corrected_fuel_g(&m),
+                        corrected_reward(&m),
+                        corrected_mpg(&m),
+                    ];
+                    let want = old_corrections(&m);
+                    assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{m:?}");
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 7 * 5 * 3);
     }
 
     #[test]

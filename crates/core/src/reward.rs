@@ -4,36 +4,40 @@
 use hev_model::{StepOutcome, FUEL_LHV_J_PER_G};
 use serde::{Deserialize, Serialize};
 
-/// Reward configuration.
+/// Penalty per unit state of charge beyond [`SOC_MARGIN`] of a window
+/// edge, per second (the soft barrier of the learning reward; the hard
+/// window is enforced by action feasibility regardless).
+const SOC_BARRIER_WEIGHT: f64 = 2.0;
+/// Width of the soft-barrier region inside each window edge.
+const SOC_MARGIN: f64 = 0.03;
+/// The charge-sustaining window the barrier refers to.
+const SOC_WINDOW: (f64, f64) = (0.40, 0.80);
+/// Equivalence factor `s₀` charging net battery usage as fuel at
+/// `s·P_batt/D_f` g/s, `D_f` = [`FUEL_LHV_J_PER_G`], in the *learning*
+/// reward: ≈ 1 / (fuel→battery path efficiency of this powertrain). This
+/// is the standard equivalent-consumption term: it makes the agent
+/// charge-indifferent instead of gaming battery depletion within an
+/// episode. The reported paper reward (Table 2) never includes it.
+const BATTERY_EQUIV_FACTOR: f64 = 3.6;
+/// Proportional state-of-charge feedback on the equivalence factor:
+/// `s(q) = s₀ − k·(q − q_target)` (adaptive ECMS). Keeps the learned
+/// policy charge-sustaining around [`SOC_TARGET`].
+const SOC_FEEDBACK_GAIN: f64 = 30.0;
+/// Target state of charge of the feedback term.
+const SOC_TARGET: f64 = 0.60;
+
+/// Reward configuration: the paper's weighting factor `w`, the one value
+/// it tunes. Each step's `ΔT` comes from the caller, which steps the
+/// plant over it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RewardConfig {
     /// Weighting factor `w` trading fuel (g/s) against auxiliary utility
     /// (dimensionless, ∈ [−1, 1]).
     pub aux_weight: f64,
-    /// Time-step length `ΔT`, seconds.
+    /// Not read by the reward, which takes `ΔT` from its caller: 1 s, the
+    /// step of a served request. Only perfbench's serve-fleet workload
+    /// reads it, to replay the served controls.
     pub dt_s: f64,
-    /// Optional soft barrier near the charge-sustaining bounds: penalty
-    /// per unit state-of-charge beyond `soc_margin` of a window edge.
-    /// Zero disables shaping (the hard window is enforced by action
-    /// feasibility regardless).
-    pub soc_barrier_weight: f64,
-    /// Width of the soft-barrier region inside each window edge.
-    pub soc_margin: f64,
-    /// The charge-sustaining window the barrier refers to.
-    pub soc_window: (f64, f64),
-    /// Equivalence factor `s` charging net battery usage as fuel at
-    /// `s·P_batt/D_f` g/s, `D_f` = [`FUEL_LHV_J_PER_G`], in the
-    /// *learning* reward (0 disables). This is the standard
-    /// equivalent-consumption term: it makes the agent charge-indifferent
-    /// instead of gaming battery depletion within an episode. The
-    /// reported paper reward (Table 2) never includes it.
-    pub battery_equiv_factor: f64,
-    /// Proportional state-of-charge feedback on the equivalence factor:
-    /// `s(q) = s₀ − k·(q − q_target)` (adaptive ECMS). Keeps the learned
-    /// policy charge-sustaining around `soc_target`.
-    pub soc_feedback_gain: f64,
-    /// Target state of charge for the feedback term.
-    pub soc_target: f64,
 }
 
 impl Default for RewardConfig {
@@ -41,48 +45,38 @@ impl Default for RewardConfig {
         Self {
             aux_weight: 0.4,
             dt_s: 1.0,
-            soc_barrier_weight: 2.0,
-            soc_margin: 0.03,
-            soc_window: (0.40, 0.80),
-            // ≈ 1 / (fuel→battery path efficiency of this powertrain).
-            battery_equiv_factor: 3.6,
-            soc_feedback_gain: 30.0,
-            soc_target: 0.60,
         }
     }
 }
 
 impl RewardConfig {
-    /// The shaped reward used for learning and inner optimization: the
-    /// paper's reward plus the battery equivalent-consumption term and
-    /// the soft window barrier.
-    pub fn reward(&self, outcome: &StepOutcome) -> f64 {
-        let s = (self.battery_equiv_factor
-            - self.soc_feedback_gain * (outcome.soc_after - self.soc_target))
-            .max(0.0);
+    /// The shaped reward used for learning and inner optimization over a
+    /// step of `dt` seconds: the paper's reward plus the battery
+    /// equivalent-consumption term and the soft window barrier.
+    pub fn reward(&self, outcome: &StepOutcome, dt: f64) -> f64 {
+        let s =
+            (BATTERY_EQUIV_FACTOR - SOC_FEEDBACK_GAIN * (outcome.soc_after - SOC_TARGET)).max(0.0);
         let equiv = s * outcome.battery_power_w / FUEL_LHV_J_PER_G;
         // `fuel_g` is already integrated over the step (and carries the
         // engine-restart penalty); only the rate-like terms scale by ΔT.
-        -outcome.fuel_g + (-equiv + self.aux_weight * outcome.aux_utility) * self.dt_s
-            - self.soc_barrier(outcome.soc_after) * self.dt_s
+        -outcome.fuel_g + (-equiv + self.aux_weight * outcome.aux_utility) * dt
+            - soc_barrier(outcome.soc_after) * dt
     }
 
-    /// The paper's reward without shaping (used for reporting Table 2,
-    /// which accumulates exactly `(−ṁ_f + w·f_aux)·ΔT`).
-    pub fn paper_reward(&self, outcome: &StepOutcome) -> f64 {
-        -outcome.fuel_g + self.aux_weight * outcome.aux_utility * self.dt_s
+    /// The paper's reward over a step of `dt` seconds, without shaping
+    /// (used for reporting Table 2, which accumulates exactly
+    /// `(−ṁ_f + w·f_aux)·ΔT`).
+    pub fn paper_reward(&self, outcome: &StepOutcome, dt: f64) -> f64 {
+        -outcome.fuel_g + self.aux_weight * outcome.aux_utility * dt
     }
+}
 
-    fn soc_barrier(&self, soc: f64) -> f64 {
-        // hevlint::allow(float::eq, exact sentinel: a configured weight of literal 0.0 disables the barrier term; no arithmetic feeds this value)
-        if self.soc_barrier_weight == 0.0 {
-            return 0.0;
-        }
-        let (lo, hi) = self.soc_window;
-        let below = (lo + self.soc_margin - soc).max(0.0);
-        let above = (soc - (hi - self.soc_margin)).max(0.0);
-        self.soc_barrier_weight * (below + above) / self.soc_margin.max(1e-9)
-    }
+/// The soft window barrier's rate at state of charge `soc`.
+fn soc_barrier(soc: f64) -> f64 {
+    let (lo, hi) = SOC_WINDOW;
+    let below = (lo + SOC_MARGIN - soc).max(0.0);
+    let above = (soc - (hi - SOC_MARGIN)).max(0.0);
+    SOC_BARRIER_WEIGHT * (below + above) / SOC_MARGIN
 }
 
 #[cfg(test)]
@@ -117,53 +111,45 @@ mod tests {
             ..Default::default()
         };
         let o = outcome(0.8, 1.0, 0.6);
-        let r = cfg.reward(&o);
+        let r = cfg.reward(&o, 1.0);
         assert!((r - (-0.8 + 0.5)).abs() < 1e-12);
-        assert_eq!(r, cfg.paper_reward(&o));
+        assert_eq!(r, cfg.paper_reward(&o, 1.0));
     }
 
     #[test]
     fn fuel_consumption_is_penalized() {
         let cfg = RewardConfig::default();
-        assert!(cfg.reward(&outcome(2.0, 0.0, 0.6)) < cfg.reward(&outcome(0.5, 0.0, 0.6)));
+        assert!(
+            cfg.reward(&outcome(2.0, 0.0, 0.6), 1.0) < cfg.reward(&outcome(0.5, 0.0, 0.6), 1.0)
+        );
     }
 
     #[test]
     fn utility_is_rewarded() {
         let cfg = RewardConfig::default();
-        assert!(cfg.reward(&outcome(1.0, 1.0, 0.6)) > cfg.reward(&outcome(1.0, -1.0, 0.6)));
+        assert!(
+            cfg.reward(&outcome(1.0, 1.0, 0.6), 1.0) > cfg.reward(&outcome(1.0, -1.0, 0.6), 1.0)
+        );
     }
 
     #[test]
     fn soc_barrier_fires_near_edges_only() {
         let cfg = RewardConfig::default();
-        let mid = cfg.reward(&outcome(0.0, 0.0, 0.60));
-        let low = cfg.reward(&outcome(0.0, 0.0, 0.405));
-        let high = cfg.reward(&outcome(0.0, 0.0, 0.795));
+        let mid = cfg.reward(&outcome(0.0, 0.0, 0.60), 1.0);
+        let low = cfg.reward(&outcome(0.0, 0.0, 0.405), 1.0);
+        let high = cfg.reward(&outcome(0.0, 0.0, 0.795), 1.0);
         assert_eq!(mid, 0.0);
         assert!(low < 0.0);
         assert!(high < 0.0);
     }
 
     #[test]
-    fn barrier_disabled_when_weight_zero() {
-        let cfg = RewardConfig {
-            soc_barrier_weight: 0.0,
-            ..Default::default()
-        };
-        assert_eq!(cfg.reward(&outcome(0.0, 0.0, 0.401)), 0.0);
-    }
-
-    #[test]
     fn dt_scales_utility_but_not_integrated_fuel() {
-        let cfg = RewardConfig {
-            dt_s: 2.0,
-            aux_weight: 0.4,
-            ..Default::default()
-        };
+        let cfg = RewardConfig::default();
         // fuel_g is already per-step; the utility term is a rate × ΔT.
         let o = outcome(1.0, 0.5, 0.6);
-        assert!((cfg.reward(&o) - (-1.0 + 0.4 * 0.5 * 2.0)).abs() < 1e-12);
+        assert!((cfg.reward(&o, 2.0) - (-1.0 + 0.4 * 0.5 * 2.0)).abs() < 1e-12);
+        assert_eq!(cfg.reward(&o, 2.0), cfg.paper_reward(&o, 2.0));
     }
 
     #[test]
@@ -172,6 +158,6 @@ mod tests {
         let mut started = outcome(0.5, 0.0, 0.6);
         started.fuel_g += 0.25;
         started.engine_started = true;
-        assert!(cfg.reward(&started) < cfg.reward(&outcome(0.5, 0.0, 0.6)));
+        assert!(cfg.reward(&started, 1.0) < cfg.reward(&outcome(0.5, 0.0, 0.6), 1.0));
     }
 }

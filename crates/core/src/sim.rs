@@ -326,10 +326,10 @@ fn simulate_core(
             Ok(o) => (o, false),
             Err(_) => (step_with_fallback(hev, ctx_ref, dt, &mut metrics), true),
         };
-        let r = reward.reward(&outcome);
+        let r = reward.reward(&outcome, dt);
         metrics.record(
             &outcome,
-            reward.paper_reward(&outcome),
+            reward.paper_reward(&outcome, dt),
             point.speed_mps * dt,
             was_fallback,
         );
@@ -352,7 +352,7 @@ fn simulate_core(
                 p_aux_w: control.p_aux_w,
                 reward: r,
                 fuel_g: outcome.fuel_g,
-                aux_term: reward.aux_weight * outcome.aux_utility * reward.dt_s,
+                aux_term: reward.aux_weight * outcome.aux_utility * dt,
                 soc_after: outcome.soc_after,
                 fallback: was_fallback,
             });
@@ -371,7 +371,7 @@ fn simulate_core(
     controller.end_episode();
     metrics.degradation = controller.degradation();
     if let Some(mut t) = collector {
-        t.end_episode(&metrics, reward, controller.telemetry_snapshot());
+        t.end_episode(&metrics, reward, dt, controller.telemetry_snapshot());
         controller.set_record_decisions(false);
         telemetry::restore_collector(t);
     }
@@ -671,6 +671,41 @@ mod tests {
             Some(&mut faults),
         );
         assert_metrics_bit_identical(&baseline, &planned);
+    }
+
+    #[test]
+    fn paper_reward_integrates_utility_over_the_step_length() {
+        // On a half-second cycle each step's utility counts for 0.5 s: the
+        // paper reward's aux part is w·Σu·0.5 (the fuel part is already
+        // integrated over the step).
+        struct Dimmed;
+        impl HevPolicy for Dimmed {
+            fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
+                // The fallback's control at 300 W of aux power, whose
+                // utility is negative, where that is feasible.
+                let control = fallback_control(hev, obs.ctx, obs.dt_s);
+                let dimmed = ControlInput {
+                    p_aux_w: 300.0,
+                    ..control
+                };
+                let ok = hev.peek_with_context(obs.ctx, &dimmed, obs.dt_s).is_ok();
+                if ok {
+                    dimmed
+                } else {
+                    control
+                }
+            }
+        }
+        let cycle = short_cycle().resample(0.5);
+        let reward = RewardConfig::default();
+        let m = simulate(&mut hev(), &cycle, &mut Dimmed, &reward);
+        let aux_part = m.total_reward + m.fuel_g;
+        let want = reward.aux_weight * m.utility_sum * 0.5;
+        assert!(m.utility_sum < -10.0, "utility sum {}", m.utility_sum);
+        assert!(
+            (aux_part - want).abs() < 1e-9 * (1.0 + m.fuel_g),
+            "aux part {aux_part}, w·Σu·0.5 = {want}"
+        );
     }
 
     #[test]

@@ -493,7 +493,7 @@ mod tests {
         let obs = Observation {
             step: 0,
             time_s: 0.0,
-            dt_s: config.reward.dt_s,
+            dt_s: 1.0,
             demand: &demand,
             soc: 0.6,
             ctx: &ctx,
@@ -540,7 +540,7 @@ mod tests {
                 &hev,
                 &ctx,
                 &config.tiers[tier].currents,
-                config.reward.dt_s,
+                1.0,
                 &config.reward,
             );
             assert_eq!(swept, Some(control));

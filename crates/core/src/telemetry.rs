@@ -235,17 +235,19 @@ impl EpisodeTelemetry {
     }
 
     /// Closes the episode: repopulates the registry from the episode's
-    /// metrics and the policy's learning snapshot, emits the
-    /// `episode_metrics` JSONL line, and advances the episode index.
+    /// metrics (stepped `dt` seconds at a time) and the policy's learning
+    /// snapshot, emits the `episode_metrics` JSONL line, and advances the
+    /// episode index.
     pub(crate) fn end_episode(
         &mut self,
         metrics: &EpisodeMetrics,
         reward: &RewardConfig,
+        dt: f64,
         policy: Option<PolicyTelemetry>,
     ) {
         if self.config.metrics {
             self.registry.clear();
-            self.populate_registry(metrics, reward, policy);
+            self.populate_registry(metrics, reward, dt, policy);
             let snapshot = self.registry.snapshot_json();
             let line = json::Obj::new()
                 .u64("v", u64::from(hev_trace::TRACE_SCHEMA_VERSION))
@@ -264,6 +266,7 @@ impl EpisodeTelemetry {
         &mut self,
         metrics: &EpisodeMetrics,
         reward: &RewardConfig,
+        dt: f64,
         policy: Option<PolicyTelemetry>,
     ) {
         let counts = hev_trace::evals::counts().since(&self.counts_at_start);
@@ -282,7 +285,7 @@ impl EpisodeTelemetry {
         r.gauge_set("reward_fuel_term", -metrics.fuel_g);
         r.gauge_set(
             "reward_aux_term",
-            reward.aux_weight * metrics.utility_sum * reward.dt_s,
+            reward.aux_weight * metrics.utility_sum * dt,
         );
         r.gauge_set("soc_initial", metrics.soc_initial);
         r.gauge_set("soc_final", metrics.soc_final);
@@ -365,7 +368,12 @@ mod tests {
         // Without a trace there is no ring, so even a degraded step
         // dumps nothing.
         t.note_step_health(0, false, 1);
-        t.end_episode(&EpisodeMetrics::new(0.6), &RewardConfig::default(), None);
+        t.end_episode(
+            &EpisodeMetrics::new(0.6),
+            &RewardConfig::default(),
+            1.0,
+            None,
+        );
         let run = t.into_run();
         assert!(run.metrics_lines.is_empty());
         assert!(run.trace_lines.is_empty());
@@ -437,7 +445,12 @@ mod tests {
                 t.record_step(&step_event(step));
             }
             t.note_step_health(2, true, 1);
-            t.end_episode(&EpisodeMetrics::new(0.6), &RewardConfig::default(), None);
+            t.end_episode(
+                &EpisodeMetrics::new(0.6),
+                &RewardConfig::default(),
+                1.0,
+                None,
+            );
             assert_eq!(t.trace_lines.len(), episode + 1, "one dump per episode");
         }
         let run = t.into_run();
@@ -481,7 +494,7 @@ mod tests {
                 visits_total: 20,
             },
         };
-        t.end_episode(&m, &RewardConfig::default(), Some(policy));
+        t.end_episode(&m, &RewardConfig::default(), 1.0, Some(policy));
         let run = t.into_run();
         assert_eq!(run.metrics_lines.len(), 1);
         let line = &run.metrics_lines[0];
@@ -501,7 +514,12 @@ mod tests {
         let mut t = EpisodeTelemetry::new("r", cfg);
         for _ in 0..2 {
             t.begin_episode();
-            t.end_episode(&EpisodeMetrics::new(0.6), &RewardConfig::default(), None);
+            t.end_episode(
+                &EpisodeMetrics::new(0.6),
+                &RewardConfig::default(),
+                1.0,
+                None,
+            );
         }
         let run = t.into_run();
         assert!(run.metrics_lines[0].contains("\"episode\":0"));

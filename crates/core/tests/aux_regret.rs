@@ -46,7 +46,7 @@ fn resolve_and_reference(
                 p_aux_w: lo + w as f64,
             };
             if let Ok(o) = hev.peek_with_contexts(&ctx, &cur, &control) {
-                let r = reward.reward(&o);
+                let r = reward.reward(&o, 1.0);
                 if best.is_none_or(|b| r > b) {
                     best = Some(r);
                 }

@@ -147,7 +147,6 @@ fn light_braking_matches_the_reference() {
             for aux_weight in [0.4, -0.4] {
                 let reward = RewardConfig {
                     aux_weight,
-                    dt_s: dt,
                     ..RewardConfig::default()
                 };
                 for opt in [

@@ -61,9 +61,9 @@ fn solve(hev: &mut ParallelHev, cycle: &DriveCycle, config: &DpConfig) -> Refere
         for &soc in &socs {
             hev.reset_soc(soc);
             let score = |control: &ControlInput| {
-                hev.peek(demand, control, dt)
-                    .ok()
-                    .map(|o| config.reward.paper_reward(&o) + interp(hev, &value_next, o.soc_after))
+                hev.peek(demand, control, dt).ok().map(|o| {
+                    config.reward.paper_reward(&o, dt) + interp(hev, &value_next, o.soc_after)
+                })
             };
             let mut best_v = f64::NEG_INFINITY;
             let mut best_c = None;

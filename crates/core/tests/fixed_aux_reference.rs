@@ -11,14 +11,8 @@
 //! than the reference's first-feasible scan.
 
 use drive_cycle::StandardCycle;
-use hev_control::{fallback_control, EcmsConfig, EcmsController, HevPolicy, Observation};
-use hev_model::{ControlInput, HevParams, ParallelHev, WheelDemand};
-
-/// The default currents shuffled: the terminal power rises only in short
-/// runs, so a gear may stay settled only inside them.
-const UNSORTED: [f64; 15] = [
-    15.0, -60.0, 100.0, 0.0, 40.0, -8.0, 80.0, -25.0, 4.0, 60.0, -40.0, 25.0, -4.0, 8.0, -15.0,
-];
+use hev_control::{default_currents, fallback_control, EcmsController, HevPolicy, Observation};
+use hev_model::{ControlInput, HevParams, ParallelHev, WheelDemand, FUEL_LHV_J_PER_G};
 
 fn hev(soc: f64) -> ParallelHev {
     ParallelHev::new(HevParams::default_parallel_hev(), soc).unwrap()
@@ -61,28 +55,23 @@ fn reference_fallback(hev: &ParallelHev, demand: &WheelDemand, dt: f64) -> Contr
 
 /// The reference ECMS decision: the least equivalent fuel rate over every
 /// `(current, gear)` at the fixed aux power (strict `<`, first wins), or
-/// the reference fallback when none is feasible.
-fn reference_ecms(
-    config: &EcmsConfig,
-    hev: &ParallelHev,
-    demand: &WheelDemand,
-    soc: f64,
-    dt: f64,
-) -> ControlInput {
-    let s =
-        (config.equivalence_factor - config.soc_feedback_gain * (soc - config.soc_target)).max(0.5);
+/// the reference fallback when none is feasible. ECMS's tunables are
+/// written out: equivalence factor 3.0 with feedback gain 8.0 around a
+/// target charge of 0.60, 600 W of aux power and the default currents.
+fn reference_ecms(hev: &ParallelHev, demand: &WheelDemand, soc: f64, dt: f64) -> ControlInput {
+    let s = (3.0 - 8.0 * (soc - 0.60)).max(0.5);
     let mut best: Option<(f64, ControlInput)> = None;
-    for &i in &config.currents {
+    for i in default_currents() {
         for gear in 0..hev.drivetrain().num_gears() {
             let c = ControlInput {
                 battery_current_a: i,
                 gear,
-                p_aux_w: config.aux_power_w,
+                p_aux_w: 600.0,
             };
             let Ok(o) = hev.peek(demand, &c, dt) else {
                 continue;
             };
-            let cost = o.fuel_rate_g_per_s + s * o.battery_power_w / config.fuel_lhv_j_per_g;
+            let cost = o.fuel_rate_g_per_s + s * o.battery_power_w / FUEL_LHV_J_PER_G;
             if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
                 best = Some((cost, c));
             }
@@ -92,50 +81,43 @@ fn reference_ecms(
 }
 
 /// Checks ECMS against the reference on every step of the paper's cycles
-/// and MODEM, at three charge levels, with the default and a shuffled
-/// current list, on a plant whose motor is derated by `derate`.
+/// and MODEM, at three charge levels, on a plant whose motor is derated
+/// by `derate`.
 fn assert_ecms_matches(derate: f64) {
-    for currents in [EcmsConfig::default().currents, UNSORTED.to_vec()] {
-        let config = EcmsConfig {
-            currents,
-            ..EcmsConfig::default()
-        };
-        let mut ecms = EcmsController::new(config.clone());
-        for sc in [
-            StandardCycle::Udds,
-            StandardCycle::Hwfet,
-            StandardCycle::Sc03,
-            StandardCycle::Oscar,
-            StandardCycle::ModemUrban,
-        ] {
-            let cycle = sc.cycle();
-            let dt = cycle.dt();
-            let mut hev = hev(0.6);
-            hev.set_motor_derate(derate);
-            for (step, p) in cycle.points().enumerate() {
-                let demand = hev.demand(p.speed_mps, p.accel_mps2, p.grade);
-                let ctx = hev.step_context(&demand);
-                for soc in [0.41, 0.6, 0.79] {
-                    hev.reset_soc(soc);
-                    let obs = Observation {
-                        step,
-                        time_s: p.time_s,
-                        dt_s: dt,
-                        demand: &demand,
-                        soc,
-                        ctx: &ctx,
-                    };
-                    let got = ecms.decide(&hev, &obs);
-                    let want = reference_ecms(&config, &hev, &demand, soc, dt);
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "{} t={} soc={soc} derate={derate} currents={:?}",
-                        cycle.name(),
-                        p.time_s,
-                        config.currents
-                    );
-                }
+    let mut ecms = EcmsController;
+    for sc in [
+        StandardCycle::Udds,
+        StandardCycle::Hwfet,
+        StandardCycle::Sc03,
+        StandardCycle::Oscar,
+        StandardCycle::ModemUrban,
+    ] {
+        let cycle = sc.cycle();
+        let dt = cycle.dt();
+        let mut hev = hev(0.6);
+        hev.set_motor_derate(derate);
+        for (step, p) in cycle.points().enumerate() {
+            let demand = hev.demand(p.speed_mps, p.accel_mps2, p.grade);
+            let ctx = hev.step_context(&demand);
+            for soc in [0.41, 0.6, 0.79] {
+                hev.reset_soc(soc);
+                let obs = Observation {
+                    step,
+                    time_s: p.time_s,
+                    dt_s: dt,
+                    demand: &demand,
+                    soc,
+                    ctx: &ctx,
+                };
+                let got = ecms.decide(&hev, &obs);
+                let want = reference_ecms(&hev, &demand, soc, dt);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{} t={} soc={soc} derate={derate}",
+                    cycle.name(),
+                    p.time_s,
+                );
             }
         }
     }

@@ -101,7 +101,6 @@ fn bounded_searches_match_the_oracle() {
                 for aux_weight in AUX_WEIGHTS {
                     let reward = RewardConfig {
                         aux_weight,
-                        dt_s: dt,
                         ..RewardConfig::default()
                     };
                     let case = format!(

@@ -40,7 +40,7 @@ pub fn resolve(
         };
         hev.peek(demand, &control, dt)
             .ok()
-            .map(|o| reward.reward(&o))
+            .map(|o| reward.reward(&o, dt))
     };
     let mut best: Option<(usize, f64, f64)> = None;
     for gear in 0..hev.drivetrain().num_gears() {
@@ -64,7 +64,7 @@ pub fn resolve(
     Some(ResolvedAction {
         control,
         outcome,
-        reward: reward.reward(&outcome),
+        reward: reward.reward(&outcome, dt),
     })
 }
 

@@ -91,10 +91,10 @@ proptest! {
         extra_power in 1.0f64..5e3,
     ) {
         let cfg = RewardConfig::default();
-        let base = cfg.reward(&outcome(fuel, utility, p_batt, 0.6));
-        prop_assert!(cfg.reward(&outcome(fuel + extra_fuel, utility, p_batt, 0.6)) < base);
-        prop_assert!(cfg.reward(&outcome(fuel, utility + utility_gain, p_batt, 0.6)) > base);
-        prop_assert!(cfg.reward(&outcome(fuel, utility, p_batt + extra_power, 0.6)) < base);
+        let base = cfg.reward(&outcome(fuel, utility, p_batt, 0.6), 1.0);
+        prop_assert!(cfg.reward(&outcome(fuel + extra_fuel, utility, p_batt, 0.6), 1.0) < base);
+        prop_assert!(cfg.reward(&outcome(fuel, utility + utility_gain, p_batt, 0.6), 1.0) > base);
+        prop_assert!(cfg.reward(&outcome(fuel, utility, p_batt + extra_power, 0.6), 1.0) < base);
     }
 
     /// The paper reward never exceeds 0 when utility ≤ 0 (its maximum):
@@ -102,6 +102,6 @@ proptest! {
     #[test]
     fn paper_reward_nonpositive(fuel in 0.0f64..3.0, utility in -4.0f64..0.0) {
         let cfg = RewardConfig::default();
-        prop_assert!(cfg.paper_reward(&outcome(fuel, utility, 0.0, 0.6)) <= 0.0);
+        prop_assert!(cfg.paper_reward(&outcome(fuel, utility, 0.0, 0.6), 1.0) <= 0.0);
     }
 }

@@ -10,8 +10,9 @@ mod oracle;
 
 use drive_cycle::ProfileBuilder;
 use hev_control::{
-    fallback_control, simulate_with_faults, DegradationReport, FaultPlan, HevPolicy,
-    InnerOptimizer, LadderConfig, Observation, ResolvedAction, RewardConfig, SupervisedPolicy,
+    fallback_control, simulate_with_faults, DegradationReport, EpisodeMetrics, FaultPlan,
+    HevPolicy, InnerOptimizer, LadderConfig, Observation, ResolvedAction, RewardConfig,
+    SupervisedPolicy,
 };
 use hev_model::{ControlInput, HevParams, ParallelHev, StepOutcome};
 use proptest::prelude::*;
@@ -124,8 +125,8 @@ impl HevPolicy for AssertOracle {
     fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
         let (inner, reward) = (&self.config.inner, &self.config.reward);
         for &i in self.config.tiers.iter().flat_map(|t| &t.currents) {
-            let production = inner.resolve_with(hev, obs.ctx, i, reward.dt_s, reward);
-            let reference = oracle::resolve(inner, hev, obs.demand, i, reward.dt_s, reward);
+            let production = inner.resolve_with(hev, obs.ctx, i, obs.dt_s, reward);
+            let reference = oracle::resolve(inner, hev, obs.demand, i, obs.dt_s, reward);
             self.resolves += 1;
             if production.as_ref().map(oracle::bits) != reference.as_ref().map(oracle::bits) {
                 self.mismatches += 1;
@@ -246,12 +247,39 @@ impl HevPolicy for Broken {
     }
 }
 
+/// Every value of an episode's metrics and degradation report, field by
+/// field: each count, and each float's bits. A renamed or deleted field
+/// moves nothing that hashes these words; a changed value does.
+fn metrics_words(m: &EpisodeMetrics) -> Vec<u64> {
+    let d = m.degradation.unwrap_or_default();
+    let floats = [
+        m.fuel_g,
+        m.distance_m,
+        m.total_reward,
+        m.utility_sum,
+        m.soc_initial,
+        m.soc_final,
+    ];
+    let counts = [
+        m.steps,
+        m.fallback_steps,
+        m.trace_miss_steps,
+        d.decisions,
+        d.infeasible,
+        d.non_finite,
+        d.myopic_rescues,
+        d.rule_rescues,
+        d.limp_home,
+    ];
+    let counts = m.mode_counts.iter().chain(&counts).map(|&c| c as u64);
+    floats.iter().map(|x| x.to_bits()).chain(counts).collect()
+}
+
 /// Pins what the supervisor emits under full-severity faults on every
 /// standard cycle, for a seeded chaotic and an always-infeasible wrapped
-/// policy: every control's bits, and the episode metrics with their
-/// degradation report (`Debug` prints each float's shortest exact
-/// form). The serve twin is `serve_determinism.rs`'s
-/// `small_chaos_fleet_artifacts_are_pinned`.
+/// policy: every control's bits, and every value of the episode metrics
+/// with their degradation report ([`metrics_words`]). The serve twin is
+/// `serve_determinism.rs`'s `small_chaos_fleet_artifacts_are_pinned`.
 #[test]
 fn faulted_supervised_episodes_are_pinned() {
     let reward = RewardConfig::default();
@@ -284,7 +312,9 @@ fn faulted_supervised_episodes_are_pinned() {
         controls = broken.hash;
         for m in [&a, &b] {
             assert_eq!(m.steps, cycle.len());
-            metrics = fnv1a(metrics, format!("{m:?}").as_bytes());
+            for word in metrics_words(m) {
+                metrics = fnv1a(metrics, &word.to_le_bytes());
+            }
             total = total.merged(&m.degradation.unwrap());
         }
     }
@@ -294,5 +324,5 @@ fn faulted_supervised_episodes_are_pinned() {
          myopic_rescues: 13814, rule_rescues: 0, limp_home: 2 }"
     );
     assert_eq!(controls, 0x47c6_c48e_25fc_01aa);
-    assert_eq!(metrics, 0xa447_88fb_528c_2e15);
+    assert_eq!(metrics, 0x8044_a62d_c561_81be);
 }

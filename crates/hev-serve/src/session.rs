@@ -21,6 +21,10 @@ use hev_trace::evals;
 /// and a session serves its whole life as one episode.
 const EPISODE_SPAN_S: f64 = 600.0;
 
+/// The step length of one served request, s: each served request steps
+/// its session's plant once over it.
+const STEP_S: f64 = 1.0;
+
 /// Immutable description of one fleet vehicle session.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionSpec {
@@ -139,7 +143,7 @@ impl Session {
             );
         }
 
-        let dt = config.reward.dt_s;
+        let dt = STEP_S;
         let time_s = self.seq as f64 * dt;
         let true_demand = self.hev.demand(req.speed_mps, req.accel_mps2, req.grade);
         // The sensor fault layer perturbs the state of charge the rule

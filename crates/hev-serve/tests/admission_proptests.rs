@@ -163,7 +163,7 @@ proptest! {
         let obs = Observation {
             step: 0,
             time_s: 0.0,
-            dt_s: config.reward.dt_s,
+            dt_s: 1.0,
             demand: &demand,
             soc,
             ctx: &ctx,

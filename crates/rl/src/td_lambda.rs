@@ -11,6 +11,9 @@ use crate::traces::EligibilityTraces;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+/// `M`: number of most recent state-action pairs kept eligible.
+const TRACE_CAPACITY: usize = 30;
+
 /// Hyper-parameters of [`TdLambda`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TdLambdaConfig {
@@ -20,8 +23,6 @@ pub struct TdLambdaConfig {
     pub gamma: f64,
     /// Trace-decay parameter `λ`.
     pub lambda: f64,
-    /// `M`: number of most recent state-action pairs kept eligible.
-    pub trace_capacity: usize,
     /// Initial Q value for all pairs ("initialize arbitrarily", line 1);
     /// slightly optimistic values encourage early exploration.
     pub q_init: f64,
@@ -32,8 +33,7 @@ impl TdLambdaConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `alpha ∉ (0, 1]`, `gamma ∉ (0, 1)`, `lambda ∉ [0, 1]`, or
-    /// `trace_capacity == 0`.
+    /// Panics if `alpha ∉ (0, 1]`, `gamma ∉ (0, 1)` or `lambda ∉ [0, 1]`.
     fn validate(&self) {
         assert!(
             self.alpha > 0.0 && self.alpha <= 1.0,
@@ -47,7 +47,6 @@ impl TdLambdaConfig {
             (0.0..=1.0).contains(&self.lambda),
             "lambda must be in [0, 1]"
         );
-        assert!(self.trace_capacity > 0, "trace_capacity must be positive");
     }
 }
 
@@ -57,7 +56,6 @@ impl Default for TdLambdaConfig {
             alpha: 0.10,
             gamma: 0.96,
             lambda: 0.70,
-            trace_capacity: 30,
             q_init: 0.0,
         }
     }
@@ -96,7 +94,7 @@ impl TdLambda {
         config.validate();
         Self {
             q: QTable::new(n_states, n_actions, config.q_init),
-            traces: EligibilityTraces::new(config.trace_capacity),
+            traces: EligibilityTraces::new(TRACE_CAPACITY),
             config,
         }
     }

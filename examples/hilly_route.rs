@@ -6,13 +6,10 @@
 //! Run with: `cargo run --release --example hilly_route`
 
 use hev_joint_control::control::analysis::{EnergyAudit, Recorder};
+use hev_joint_control::control::metrics::corrected_fuel_g;
 use hev_joint_control::control::{simulate, RewardConfig, RuleBasedController};
 use hev_joint_control::cycle::{DriveCycle, StandardCycle};
 use hev_joint_control::model::{HevParams, ParallelHev};
-
-fn corrected_fuel(m: &hev_joint_control::control::EpisodeMetrics) -> f64 {
-    m.fuel_g - (m.soc_final - m.soc_initial) * 7_800.0 * 3_600.0 / (0.28 * 42_600.0)
-}
 
 fn run(label: &str, cycle: &DriveCycle) -> Result<(), Box<dyn std::error::Error>> {
     let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6)?;
@@ -22,7 +19,7 @@ fn run(label: &str, cycle: &DriveCycle) -> Result<(), Box<dyn std::error::Error>
     println!(
         "{:<14} {:>12.1} {:>12.1} {:>12.1} {:>11.0}%",
         label,
-        corrected_fuel(&m),
+        corrected_fuel_g(&m),
         audit.regen_wh,
         audit.friction_wh,
         audit.regen_fraction() * 100.0

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use hev_joint_control::control::metrics::corrected_mpg;
 use hev_joint_control::control::{
     simulate, JointController, JointControllerConfig, RewardConfig, RuleBasedController,
 };
@@ -56,14 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         proposed.mpg(),
         baseline.mpg()
     );
-    let corrected = |m: &hev_joint_control::control::EpisodeMetrics| {
-        m.soc_corrected_mpg(7_800.0, 0.28, 42_600.0)
-    };
     println!(
         "{:<22} {:>12.1} {:>12.1}",
         "SoC-corrected mpg",
-        corrected(&proposed),
-        corrected(&baseline)
+        corrected_mpg(&proposed),
+        corrected_mpg(&baseline)
     );
     println!(
         "{:<22} {:>12.4} {:>12.4}",

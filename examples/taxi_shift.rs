@@ -5,16 +5,13 @@
 //!
 //! Run with: `cargo run --release --example taxi_shift`
 
+use hev_joint_control::control::metrics::corrected_mpg;
 use hev_joint_control::control::{
-    simulate, EcmsController, EpisodeMetrics, HevPolicy, JointController, JointControllerConfig,
-    RewardConfig, RuleBasedController,
+    simulate, EcmsController, HevPolicy, JointController, JointControllerConfig, RewardConfig,
+    RuleBasedController,
 };
 use hev_joint_control::cycle::{DriveCycle, MicroTripConfig, MicroTripGenerator};
 use hev_joint_control::model::{HevParams, ParallelHev};
-
-fn corrected_mpg(m: &EpisodeMetrics) -> f64 {
-    m.soc_corrected_mpg(7_800.0, 0.28, 42_600.0)
-}
 
 fn evaluate(
     label: &str,
@@ -56,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rule = RuleBasedController;
     evaluate("rule-based", &mut rule, &afternoon)?;
 
-    let mut ecms = EcmsController::default();
+    let mut ecms = EcmsController;
     evaluate("ecms", &mut ecms, &afternoon)?;
 
     // The joint RL agent: trained on the morning, frozen for the

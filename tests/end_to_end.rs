@@ -3,6 +3,7 @@
 
 use std::sync::OnceLock;
 
+use hev_joint_control::control::metrics::{corrected_fuel_g, corrected_mpg};
 use hev_joint_control::control::{
     simulate, ControllerSnapshot, EcmsController, EpisodeMetrics, JointController,
     JointControllerConfig, RewardConfig, RuleBasedController,
@@ -78,7 +79,7 @@ fn rule_based_completes_every_standard_cycle() {
 fn ecms_completes_the_paper_cycles() {
     for sc in StandardCycle::paper_set() {
         let mut vehicle = hev();
-        let mut controller = EcmsController::default();
+        let mut controller = EcmsController;
         let cycle = sc.cycle();
         let m = simulate(
             &mut vehicle,
@@ -93,9 +94,6 @@ fn ecms_completes_the_paper_cycles() {
 
 #[test]
 fn joint_rl_learns_oscar_beyond_exploration() {
-    let corrected = |m: &hev_joint_control::control::EpisodeMetrics| {
-        m.fuel_g - (m.soc_final - m.soc_initial) * 7_800.0 * 3_600.0 / (0.28 * 42_600.0)
-    };
     let cycle = StandardCycle::Oscar.cycle();
     let (learning, snapshot) = trained_oscar();
     let mut vehicle = hev();
@@ -105,11 +103,11 @@ fn joint_rl_learns_oscar_beyond_exploration() {
     // on the charge-corrected fuel objective. (An *untrained* controller
     // evaluates as the strong myopic inner-opt policy, so "beats
     // untrained self" is not the right learning check.)
-    let early: f64 = learning[..5].iter().map(&corrected).sum::<f64>() / 5.0;
+    let early: f64 = learning[..5].iter().map(corrected_fuel_g).sum::<f64>() / 5.0;
     assert!(
-        corrected(&trained) < early,
+        corrected_fuel_g(&trained) < early,
         "greedy {} g did not beat early exploration {} g",
-        corrected(&trained),
+        corrected_fuel_g(&trained),
         early
     );
 }
@@ -175,7 +173,7 @@ fn fuel_conservation_against_distance() {
         &mut controller,
         &RewardConfig::default(),
     );
-    let mpg = m.soc_corrected_mpg(7_800.0, 0.28, 42_600.0);
+    let mpg = corrected_mpg(&m);
     assert!(
         (25.0..120.0).contains(&mpg),
         "implausible fuel economy {mpg} mpg"

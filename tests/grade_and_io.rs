@@ -1,15 +1,12 @@
 //! Integration tests for road grade and cycle I/O across the stack.
 
+use hev_joint_control::control::metrics::corrected_fuel_g;
 use hev_joint_control::control::{simulate, RewardConfig, RuleBasedController};
 use hev_joint_control::cycle::{io, DriveCycle, StandardCycle};
 use hev_joint_control::model::{HevParams, ParallelHev};
 
 fn hev() -> ParallelHev {
     ParallelHev::new(HevParams::default_parallel_hev(), 0.6).expect("valid defaults")
-}
-
-fn corrected(m: &hev_joint_control::control::EpisodeMetrics) -> f64 {
-    m.fuel_g - (m.soc_final - m.soc_initial) * 7_800.0 * 3_600.0 / (0.28 * 42_600.0)
 }
 
 #[test]
@@ -32,10 +29,10 @@ fn climbing_costs_fuel() {
     // Expected extra ≈ m·g·sinθ·distance / (η·LHV) ≈ 140 g; demand at
     // least half of it shows up after charge correction.
     assert!(
-        corrected(&m_climb) > corrected(&m_flat) + 70.0,
+        corrected_fuel_g(&m_climb) > corrected_fuel_g(&m_flat) + 70.0,
         "climb {} g vs flat {} g",
-        corrected(&m_climb),
-        corrected(&m_flat)
+        corrected_fuel_g(&m_climb),
+        corrected_fuel_g(&m_flat)
     );
 }
 
@@ -59,7 +56,7 @@ fn rolling_hills_are_handled_cleanly() {
         let m = simulate(&mut v, &hilly, &mut rule, &RewardConfig::default());
         assert_eq!(m.trace_miss_steps, 0, "peak {peak}");
         assert!((0.40..=0.80).contains(&m.soc_final), "peak {peak}");
-        let rel = corrected(&m) / corrected(&m_flat);
+        let rel = corrected_fuel_g(&m) / corrected_fuel_g(&m_flat);
         assert!((0.7..1.4).contains(&rel), "peak {peak}: fuel ratio {rel}");
     }
 }
