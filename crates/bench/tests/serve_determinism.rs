@@ -134,6 +134,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// cost fewer `evals` (and the Prometheus eval histograms with them);
 /// since the walk no longer re-probes an inner-optimized tier's winner,
 /// each of the 65 full and myopic answers costs exactly one eval less.
+/// Since a gear skips a refinement whose reward bound cannot reach the
+/// best gear so far, 35 full and 16 myopic answers cost fewer evals.
 /// Every control, rung and disposition stayed the same.
 #[test]
 fn small_chaos_fleet_artifacts_are_pinned() {
@@ -159,12 +161,12 @@ fn small_chaos_fleet_artifacts_are_pinned() {
         "{\"version\":2,\"sessions\":4,\"requests\":120,\"served\":108,\"shed\":7,\
          \"errors\":5,\"rung_full\":43,\"rung_myopic\":22,\"rung_rule\":43,\
          \"rung_limp_home\":0,\"quarantines\":4,\"crashed_requests\":2,\
-         \"shed_rate\":0.058333333333333334,\"eval_p50\":172,\"eval_p90\":553,\
-         \"eval_p99\":766,\"eval_p999\":875,\"shed_depth\":[0,0,0,7,0]}"
+         \"shed_rate\":0.058333333333333334,\"eval_p50\":123,\"eval_p90\":346,\
+         \"eval_p99\":546,\"eval_p999\":601,\"shed_depth\":[0,0,0,7,0]}"
     );
-    assert_eq!(fnv1a(run.response_stream.as_bytes()), 0x5eb9_38c6_aa77_520d);
+    assert_eq!(fnv1a(run.response_stream.as_bytes()), 0x9383_75e4_627d_6789);
     assert_eq!(fnv1a(csv.as_bytes()), 0xb6d1_ce03_705e_5cda);
-    assert_eq!(fnv1a(run.prometheus.as_bytes()), 0x53d2_6102_d555_693a);
+    assert_eq!(fnv1a(run.prometheus.as_bytes()), 0x3de3_723f_1cab_52fc);
 }
 
 /// Pins the small chaos fleet's first quarantine dump: the

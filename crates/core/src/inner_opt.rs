@@ -17,7 +17,9 @@
 //!
 //! Gears are searched from the highest down, and a gear whose first
 //! probe runs the engine stops there when a reward bound shows it cannot
-//! beat the best gear found so far (see `best_aux_for_gear`). A sweep
+//! beat the best gear found so far; a gear whose refinement a bound from
+//! its grid shows cannot win stops after the grid (see
+//! `best_aux_for_gear`). A sweep
 //! over several currents ([`InnerOptimizer::best_over_currents`]) also
 //! skips every gear search a larger current cannot change (see
 //! `SettledGears`), including a braking gear whose regen command a
@@ -99,6 +101,37 @@ impl Probe {
     }
 }
 
+/// What the refine bound reads of one feasible grid probe: the outcome's
+/// mode, fuel, battery power and state of charge after the step.
+#[derive(Debug, Clone, Copy)]
+struct GridPoint {
+    mode: OperatingMode,
+    fuel_g: f64,
+    battery_power_w: f64,
+    soc_after: f64,
+}
+
+impl GridPoint {
+    #[inline(always)]
+    fn of(o: &StepOutcome) -> Self {
+        Self {
+            mode: o.mode,
+            fuel_g: o.fuel_g,
+            battery_power_w: o.battery_power_w,
+            soc_after: o.soc_after,
+        }
+    }
+}
+
+/// What a gear search may prune against: the best reward so far, and
+/// [`utility_bound`] when the engine's fuel rate is non-decreasing in
+/// torque (`None` otherwise, which rules out every engine-on bound).
+#[derive(Debug, Clone, Copy)]
+struct Prune {
+    incumbent: f64,
+    utility: Option<f64>,
+}
+
 impl InnerOptimizer {
     /// An optimizer with the auxiliary power pinned to `p_aux_w`.
     pub fn with_fixed_aux(p_aux_w: f64) -> Self {
@@ -117,8 +150,9 @@ impl InnerOptimizer {
     /// lowest of the tied gears wins, as an ascending strict-`>`
     /// first-wins sweep picks; within a gear comparisons are strict-`>`
     /// and first-wins. A moving step costs at most 7 + 12 evaluations per
-    /// viable gear, and one for a gear that the reward bound prunes after
-    /// its first probe; a current that fails the pack limits costs none.
+    /// viable gear, one for a gear that the gear bound prunes after its
+    /// first probe, and 7 for one that the refine bound prunes after its
+    /// grid; a current that fails the pack limits costs none.
     /// At a fixed auxiliary power it is the sweep over this one current.
     pub fn resolve_with(
         &self,
@@ -260,7 +294,7 @@ impl InnerOptimizer {
                 gear,
                 reward,
                 regime,
-                utility.zip(incumbent),
+                incumbent.map(|incumbent| Prune { incumbent, utility }),
             );
             if SWEEP {
                 settled.record(gear, regime);
@@ -470,15 +504,20 @@ pub(crate) fn fixed_aux_sweep<K>(
 /// `RegenFloor` when the top probe is `Open` and the first realized the
 /// floor.
 ///
-/// `prune` carries [`utility_bound`] and the incumbent reward. When the
-/// first grid probe runs the engine, every later probe, at less machine
-/// torque and so more engine torque, runs it too or fails, at the same
-/// battery power, state of charge after the step and restart penalty,
-/// and burns no less fuel. Its reward is then at most the first probe's
-/// with the aux utility replaced by the bound's, and a gear whose bound
-/// (plus a relative slack for rounding) cannot reach the incumbent stops
-/// after that probe. Its top probe would have been `Open` too: it runs
-/// the engine or fails below the torque envelope.
+/// `prune` carries the incumbent reward and [`utility_bound`], and a
+/// pruned gear returns `None`. Two bounds (each plus a relative slack
+/// of 1e-9 for rounding) must fail to reach the incumbent:
+/// * the gear bound: when the first grid probe runs the engine, every
+///   later probe, at less machine torque and so more engine torque, runs
+///   it too or fails, at the same battery power, state of charge after
+///   the step and restart penalty, and burns no less fuel. Its reward is
+///   then at most the first probe's with the aux utility replaced by the
+///   bound's, and the gear stops after that probe, in regime `Open`: its
+///   top probe runs the engine or fails below the torque envelope.
+/// * the refine bound ([`refine_bound`]): after the grid, the reward of
+///   every refinement probe is bounded from the two grid probes at the
+///   ends of its bracket, and the gear skips its refinement. Its regime
+///   is the one the grid recorded.
 #[inline(always)]
 fn best_aux_for_gear<const SWEEP: bool>(
     hev: &ParallelHev,
@@ -487,16 +526,17 @@ fn best_aux_for_gear<const SWEEP: bool>(
     gear: usize,
     reward: &RewardConfig,
     settled: Regime,
-    prune: Option<(f64, f64)>,
+    prune: Option<Prune>,
 ) -> (Option<Probe>, Regime) {
     let (lo, hi) = hev.aux().power_range();
     let n = AUX_GRID;
     let mut bottom = Regime::Open;
     let mut top = Regime::Open;
+    let mut points: [Option<GridPoint>; AUX_GRID] = [None; AUX_GRID];
     let (k_best, mut best) = {
         let _grid = hev_trace::span::enter("control.grid");
         let mut best: Option<(usize, Probe)> = None;
-        for k in 0..n {
+        for (k, point) in points.iter_mut().enumerate() {
             let p = lo + (hi - lo) * k as f64 / (n - 1) as f64;
             let result = peek_at(hev, ctx, cur, gear, p);
             if SWEEP && k == 0 {
@@ -510,13 +550,19 @@ fn best_aux_for_gear<const SWEEP: bool>(
             }
             if let Some(c) = scored(result, p, cur, reward) {
                 if k == 0
-                    && prune.is_some_and(|(utility, incumbent)| {
-                        runs_engine(c.outcome.mode)
-                            && bound_misses(&c, utility, incumbent, reward, cur.dt())
+                    && prune.is_some_and(|prune| {
+                        prune.utility.is_some_and(|utility| {
+                            runs_engine(c.outcome.mode)
+                                && misses(
+                                    gear_bound(&c, utility, reward, cur.dt()),
+                                    prune.incumbent,
+                                )
+                        })
                     })
                 {
                     return (None, Regime::Open);
                 }
+                *point = Some(GridPoint::of(&c.outcome));
                 if best.is_none_or(|(_, b)| c.reward > b.reward) {
                     best = Some((k, c));
                 }
@@ -527,6 +573,27 @@ fn best_aux_for_gear<const SWEEP: bool>(
             None => return (None, top),
         }
     };
+    let regime = if top == Regime::Open && bottom == Regime::RegenFloor {
+        bottom
+    } else {
+        top
+    };
+    let step = (hi - lo) / (n - 1) as f64;
+    let mut a = (lo + step * (k_best as f64 - 1.0)).max(lo);
+    let mut b = (lo + step * (k_best as f64 + 1.0)).min(hi);
+    if let Some(prune) = prune {
+        let ends = (
+            points[k_best.saturating_sub(1)],
+            points[(k_best + 1).min(n - 1)],
+        );
+        if let (Some(left), Some(right)) = ends {
+            let monotone_fuel = prune.utility.is_some();
+            let bound = refine_bound(hev, reward, left, right, (a, b), cur.dt(), monotone_fuel);
+            if bound.is_some_and(|bound| misses(bound, prune.incumbent)) {
+                return (None, regime);
+            }
+        }
+    }
     // Golden-section refinement in the bracket around the best grid
     // point (the reward is uni-modal in p_aux in practice: fuel rises
     // monotonically with p_aux while the utility is quasi-concave). Each
@@ -540,9 +607,6 @@ fn best_aux_for_gear<const SWEEP: bool>(
         }
         c
     };
-    let step = (hi - lo) / (n - 1) as f64;
-    let mut a = (lo + step * (k_best as f64 - 1.0)).max(lo);
-    let mut b = (lo + step * (k_best as f64 + 1.0)).min(hi);
     let mut x1 = b - INV_PHI * (b - a);
     let mut x2 = a + INV_PHI * (b - a);
     let mut c1 = sample(x1, &mut best);
@@ -591,30 +655,31 @@ fn best_aux_for_gear<const SWEEP: bool>(
         }
         probes += 1;
     }
-    let regime = if top == Regime::Open && bottom == Regime::RegenFloor {
-        bottom
-    } else {
-        top
-    };
     (Some(best), regime)
 }
 
-/// The aux utility maximizing `aux_weight·f_aux` over the aux range
-/// (`f_aux` is uni-modal, so its peak clamped into the range for a
-/// non-negative weight, else the smaller end value), or `None` when the
-/// engine's fuel rate is not known to be non-decreasing in torque, and
-/// so no gear may be pruned.
+/// The aux utility maximizing `aux_weight·f_aux` over the aux range, or
+/// `None` when the engine's fuel rate is not known to be non-decreasing
+/// in torque, and so no engine-on probe bounds the gear.
 fn utility_bound(hev: &ParallelHev, reward: &RewardConfig) -> Option<f64> {
     if !hev.engine().fuel_rate_monotone_in_torque() {
         return None;
     }
+    let (lo, hi) = hev.aux().power_range();
+    Some(best_utility_on(hev, reward, lo, hi))
+}
+
+/// The aux utility maximizing `aux_weight·f_aux` over `[a, b]`: `f_aux`
+/// is uni-modal, so its peak moved into the interval for a non-negative
+/// weight, else the smaller end value.
+#[inline(always)]
+fn best_utility_on(hev: &ParallelHev, reward: &RewardConfig, a: f64, b: f64) -> f64 {
     let aux = hev.aux();
-    let (lo, hi) = aux.power_range();
-    Some(if reward.aux_weight >= 0.0 {
-        aux.utility(aux.preferred_power().clamp(lo, hi))
+    if reward.aux_weight >= 0.0 {
+        aux.utility(aux.preferred_power().max(a).min(b))
     } else {
-        aux.utility(lo).min(aux.utility(hi))
-    })
+        aux.utility(a).min(aux.utility(b))
+    }
 }
 
 /// Whether a mode runs the engine (the engine-on completion's modes).
@@ -626,16 +691,75 @@ fn runs_engine(mode: OperatingMode) -> bool {
     )
 }
 
-/// Whether the reward bound of an engine-on probe `c`, its reward with
-/// the aux utility replaced by `utility`, falls short of `incumbent` by
-/// more than a relative slack of 1e-9 that absorbs rounding. The reward
-/// is affine in the aux utility, with slope `aux_weight·dt` over a step
-/// of `dt` seconds, so the bound reuses the probe's reward rather than
-/// scoring it again.
+/// Whether a mode is a braking completion's (the engine is off, fuel 0).
 #[inline(always)]
-fn bound_misses(c: &Probe, utility: f64, incumbent: f64, reward: &RewardConfig, dt: f64) -> bool {
-    let bound = c.reward + reward.aux_weight * (utility - c.outcome.aux_utility) * dt;
+fn brakes(mode: OperatingMode) -> bool {
+    matches!(
+        mode,
+        OperatingMode::RegenBraking | OperatingMode::FrictionBraking
+    )
+}
+
+/// Whether `bound` falls short of `incumbent` by more than a relative
+/// slack of 1e-9 that absorbs rounding.
+#[inline(always)]
+fn misses(bound: f64, incumbent: f64) -> bool {
     bound + 1e-9 * (1.0 + bound.abs()) <= incumbent
+}
+
+/// The reward bound of an engine-on first grid probe `c`: its reward with
+/// the aux utility replaced by `utility`. The reward is affine in the aux
+/// utility, with slope `aux_weight·dt` over a step of `dt` seconds, so the
+/// bound reuses the probe's reward rather than scoring it again.
+#[inline(always)]
+fn gear_bound(c: &Probe, utility: f64, reward: &RewardConfig, dt: f64) -> f64 {
+    c.reward + reward.aux_weight * (utility - c.outcome.aux_utility) * dt
+}
+
+/// An upper bound on the reward of every refinement probe in the bracket
+/// `[a, b]` whose ends are the grid probes `left` and `right`, or `None`
+/// when the bracket's modes admit none. `monotone_fuel` says the engine's
+/// fuel rate is non-decreasing in torque.
+///
+/// Each case rests on monotonicity in `p_aux`:
+/// * both ends brake: fuel is 0, and the realized battery power is
+///   non-decreasing in `p_aux` (across the clamp at zero machine torque,
+///   the unclamped command and the regen floor), so the power and the
+///   state of charge after the step lie between the ends' values;
+/// * both ends are EV-only: the same holds, with power `p_em_ev + p_aux`;
+/// * the left end runs the engine (the gear bound's lemma): every probe
+///   to its right runs it too or fails, at the same power and state of
+///   charge, burning no less fuel than `left` when `monotone_fuel`.
+///
+/// Any other bracket gets no bound. With EV on the left and the engine on
+/// the right, a probe between may complete in EV mode with engine torque
+/// up to `ICE_ON_MIN_NM`, at a battery power beyond the commanded one.
+/// The ends of each interval are ordered with `min`/`max`: two powers a
+/// rounding apart may come in either order.
+#[inline(always)]
+fn refine_bound(
+    hev: &ParallelHev,
+    reward: &RewardConfig,
+    left: GridPoint,
+    right: GridPoint,
+    (a, b): (f64, f64),
+    dt: f64,
+    monotone_fuel: bool,
+) -> Option<f64> {
+    let bounded = (brakes(left.mode) && brakes(right.mode))
+        || (left.mode == OperatingMode::EvOnly && right.mode == OperatingMode::EvOnly)
+        || (monotone_fuel && runs_engine(left.mode));
+    if !bounded {
+        return None;
+    }
+    let sorted = |x: f64, y: f64| (x.min(y), x.max(y));
+    Some(reward.reward_bound(
+        left.fuel_g,
+        sorted(left.battery_power_w, right.battery_power_w),
+        sorted(left.soc_after, right.soc_after),
+        best_utility_on(hev, reward, a, b),
+        dt,
+    ))
 }
 
 /// Evaluates one `(gear, p_aux)` candidate against the prebuilt contexts.

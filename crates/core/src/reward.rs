@@ -54,9 +54,7 @@ impl RewardConfig {
     /// step of `dt` seconds: the paper's reward plus the battery
     /// equivalent-consumption term and the soft window barrier.
     pub fn reward(&self, outcome: &StepOutcome, dt: f64) -> f64 {
-        let s =
-            (BATTERY_EQUIV_FACTOR - SOC_FEEDBACK_GAIN * (outcome.soc_after - SOC_TARGET)).max(0.0);
-        let equiv = s * outcome.battery_power_w / FUEL_LHV_J_PER_G;
+        let equiv = equiv_rate(outcome.soc_after, outcome.battery_power_w);
         // `fuel_g` is already integrated over the step (and carries the
         // engine-restart penalty); only the rate-like terms scale by ΔT.
         -outcome.fuel_g + (-equiv + self.aux_weight * outcome.aux_utility) * dt
@@ -69,6 +67,42 @@ impl RewardConfig {
     pub fn paper_reward(&self, outcome: &StepOutcome, dt: f64) -> f64 {
         -outcome.fuel_g + self.aux_weight * outcome.aux_utility * dt
     }
+
+    /// An upper bound on [`RewardConfig::reward`] over a step of `dt`
+    /// seconds for every outcome that burns at least `fuel_g`, draws a
+    /// battery power within `power_w` and ends the step at a state of
+    /// charge within `soc_after` (each interval `(min, max)`, sorted by
+    /// the caller), where `aux_utility` maximizes `aux_weight·f_aux`.
+    ///
+    /// The equivalence term is bilinear in the factor and the power, and
+    /// the factor is monotone in the state of charge, so its least value
+    /// over the box lies at a corner; the barrier is convex and least at
+    /// the state of charge nearest [`SOC_TARGET`].
+    pub(crate) fn reward_bound(
+        &self,
+        fuel_g: f64,
+        power_w: (f64, f64),
+        soc_after: (f64, f64),
+        aux_utility: f64,
+        dt: f64,
+    ) -> f64 {
+        let (p_lo, p_hi) = power_w;
+        let (q_lo, q_hi) = soc_after;
+        let equiv = equiv_rate(q_lo, p_lo)
+            .min(equiv_rate(q_lo, p_hi))
+            .min(equiv_rate(q_hi, p_lo))
+            .min(equiv_rate(q_hi, p_hi));
+        let nearest = SOC_TARGET.max(q_lo).min(q_hi);
+        -fuel_g + (-equiv + self.aux_weight * aux_utility) * dt - soc_barrier(nearest) * dt
+    }
+}
+
+/// The battery equivalent-consumption rate, g/s, of drawing `power_w`
+/// with the state of charge at `soc` after the step.
+#[inline(always)]
+fn equiv_rate(soc: f64, power_w: f64) -> f64 {
+    let s = (BATTERY_EQUIV_FACTOR - SOC_FEEDBACK_GAIN * (soc - SOC_TARGET)).max(0.0);
+    s * power_w / FUEL_LHV_J_PER_G
 }
 
 /// The soft window barrier's rate at state of charge `soc`.

@@ -156,8 +156,9 @@ impl Default for LadderConfig {
             // ladder, and the myopic tier 380 over its 4 currents; 4k
             // admits every tier even after the tiers before it searched
             // in full and found nothing. The sweep's skip of
-            // settled gears and the gear bound, which stops a gear after
-            // one probe, only lower the real cost, so the tier costs are
+            // settled gears, the gear bound, which stops a gear after
+            // one probe, and the refine bound, which stops it after its
+            // grid, only lower the real cost, so the tier costs are
             // upper bounds, kept at the values set when the search cost
             // 155 per current: they gate rung entry, so lowering them
             // would change which rung answers a request.

@@ -7,7 +7,7 @@
 //! reward across currents under strict `>`, first wins.
 //! [`InnerOptimizer::best_over_currents`], which skips the gear searches
 //! a larger current cannot change and resolves a stopped step once, must
-//! return the bit-identical control. Its eval cost is pinned on three
+//! return the bit-identical control. Its eval cost is pinned on five
 //! demands.
 
 mod oracle;
@@ -206,8 +206,12 @@ fn braking_and_ev_launch_sweeps_cost_their_pinned_evals() {
     // Braking at 15 m/s, -1.5 m/s²: 15 currents × 4 viable gears × 19
     // = 1 140 evals unskipped. Each gear's top aux probe first
     // friction-brakes at zero machine torque at 8 A, the ninth current,
-    // so the six larger currents skip all four gears: 9 × 4 × 19.
-    assert_eq!(sweep_cost(15.0, -1.5), 684);
+    // so the six larger currents skip all four gears. The first current
+    // searches its four gears in full; at each of the next eight, the
+    // refine bound of every gear, from the braking grid probes at its
+    // bracket's ends, falls short of the first current's best, so each
+    // gear pays its grid alone: 4 × 19 + 8 × 4 × 7.
+    assert_eq!(sweep_cost(15.0, -1.5), 300);
     // EV-capable launch at 3 m/s, 0.4 m/s²: 993 evals unskipped. Once a
     // gear's top aux probe resolves EV-only, each larger current costs
     // it one probe at the bottom of the aux range while that probe stays
@@ -223,7 +227,8 @@ fn light_braking_sweeps_cost_their_pinned_evals() {
     // realizes the same floor torque. Once a gear's lowest-aux probe has
     // realized the floor, each larger current costs it that one probe
     // while it still does; the first current where it does not searches
-    // the gear in full again.
-    assert_eq!(sweep_cost(15.0, -0.3), 450);
-    assert_eq!(sweep_cost(20.0, -0.2), 189);
+    // the gear in full again, unless its refine bound falls short of
+    // the best control so far.
+    assert_eq!(sweep_cost(15.0, -0.3), 246);
+    assert_eq!(sweep_cost(20.0, -0.2), 117);
 }

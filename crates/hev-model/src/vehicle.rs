@@ -989,7 +989,15 @@ impl ParallelHev {
                 pre.fixed_loss_w,
             )
             .unwrap_or(pre.regen_floor);
-        let t_em = t_em_cmd.clamp(pre.regen_floor, 0.0);
+        // `clamp(regen_floor, 0.0)` without its `min <= max` assertion,
+        // which a NaN floor would fail; the same compares otherwise.
+        let mut t_em = t_em_cmd;
+        if t_em < pre.regen_floor {
+            t_em = pre.regen_floor;
+        }
+        if t_em > 0.0 {
+            t_em = 0.0;
+        }
 
         // Re-derive the realized battery current from the clamped torque.
         let p_batt = self.motor.electrical_power(t_em, pre.w_em) + control.p_aux_w;

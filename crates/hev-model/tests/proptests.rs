@@ -2,9 +2,11 @@
 
 use hev_model::{
     Battery, BatteryParams, BodyParams, ControlInput, Drivetrain, DrivetrainParams, Engine,
-    HevParams, IceParams, Motor, MotorParams, ParallelHev, VehicleBody,
+    HevParams, IceParams, Motor, MotorParams, OperatingMode, ParallelHev, StepOutcome, VehicleBody,
+    WheelDemand,
 };
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 fn engine() -> Engine {
     Engine::new(IceParams::default()).expect("valid defaults")
@@ -16,6 +18,83 @@ fn motor() -> Motor {
 
 fn battery() -> Battery {
     Battery::new(BatteryParams::default(), 0.6).expect("valid defaults")
+}
+
+/// Tolerance on the realized battery power's monotonicity in `p_aux`,
+/// W. An unclamped regen command inverts the machine map and maps the
+/// torque back, which rounds by tens of ulps at the command's power scale
+/// (3.2e-10 W at worst over 200 000 random pairs). 1e-8 W moves the shaped
+/// reward by under 3e-12, inside the inner optimization's 1e-9 slack.
+const POWER_TOL_W: f64 = 1e-8;
+/// Tolerance on the state of charge after the step: 9 ulps at 0.6 (1 ulp
+/// at worst over the same pairs).
+const SOC_TOL: f64 = 1e-15;
+/// Aux powers per sweep, evenly spaced over the whole range.
+const AUX_POINTS: usize = 200;
+
+/// A plant at `soc` with its motor derated to `derate`.
+fn plant(soc: f64, derate: f64) -> ParallelHev {
+    let mut hev = ParallelHev::new(HevParams::default_parallel_hev(), soc).expect("valid defaults");
+    hev.set_motor_derate(derate);
+    hev
+}
+
+/// The feasible outcomes of `points` ascending aux powers over the whole
+/// range at `(demand, i, gear)` over a step of `dt` seconds.
+fn aux_sweep(
+    hev: &ParallelHev,
+    demand: &WheelDemand,
+    i: f64,
+    gear: usize,
+    dt: f64,
+    points: usize,
+) -> Vec<StepOutcome> {
+    let (lo, hi) = hev.aux().power_range();
+    (0..points)
+        .filter_map(|k| {
+            let p_aux_w = lo + (hi - lo) * k as f64 / (points - 1) as f64;
+            let control = ControlInput {
+                battery_current_a: i,
+                gear,
+                p_aux_w,
+            };
+            hev.peek(demand, &control, dt).ok()
+        })
+        .collect()
+}
+
+/// Checks that the realized battery power is non-decreasing and the state
+/// of charge after the step non-increasing along `outcomes`, whose aux
+/// powers ascend, to within [`POWER_TOL_W`] and [`SOC_TOL`].
+fn assert_monotone(outcomes: &[StepOutcome]) -> Result<(), TestCaseError> {
+    for w in outcomes.windows(2) {
+        let (o1, o2) = (&w[0], &w[1]);
+        prop_assert!(
+            o2.battery_power_w >= o1.battery_power_w - POWER_TOL_W,
+            "battery power fell {} W -> {} W from {} W to {} W aux",
+            o1.battery_power_w,
+            o2.battery_power_w,
+            o1.p_aux_w,
+            o2.p_aux_w
+        );
+        prop_assert!(
+            o2.soc_after <= o1.soc_after + SOC_TOL,
+            "state of charge rose {} -> {} from {} W to {} W aux",
+            o1.soc_after,
+            o2.soc_after,
+            o1.p_aux_w,
+            o2.p_aux_w
+        );
+    }
+    Ok(())
+}
+
+/// Whether a mode is a braking completion's.
+fn brakes(mode: OperatingMode) -> bool {
+    matches!(
+        mode,
+        OperatingMode::RegenBraking | OperatingMode::FrictionBraking
+    )
 }
 
 proptest! {
@@ -183,6 +262,52 @@ proptest! {
         }
     }
 
+    /// On a braking step the realized battery power is non-decreasing in
+    /// `p_aux`, and the state of charge after the step non-increasing,
+    /// across the clamp at zero machine torque, the unclamped command and
+    /// the regen floor: the bound the inner optimization puts on a
+    /// braking gear's refinement rests on it.
+    #[test]
+    fn braking_power_is_monotone_in_aux(
+        v in 1.0f64..30.0,
+        accel in -3.0f64..-0.1,
+        i in -80.0f64..120.0,
+        gear in 0usize..5,
+        soc in 0.41f64..0.79,
+        derate in 0.2f64..1.0,
+        half in 0usize..2,
+    ) {
+        let hev = plant(soc, derate);
+        let demand = hev.demand(v, accel, 0.0);
+        prop_assume!(demand.wheel_torque_nm < 0.0);
+        let outcomes = aux_sweep(&hev, &demand, i, gear, [1.0, 0.5][half], AUX_POINTS);
+        prop_assert!(outcomes.iter().all(|o| brakes(o.mode)));
+        assert_monotone(&outcomes)?;
+    }
+
+    /// Between two EV-only outcomes the battery power `p_em_ev + p_aux`
+    /// rises with `p_aux` and the state of charge after the step falls
+    /// (the other half of the refine bound's lemma).
+    #[test]
+    fn ev_power_is_monotone_in_aux(
+        v in 1.0f64..15.0,
+        accel in -0.2f64..0.6,
+        i in 10.0f64..120.0,
+        gear in 0usize..5,
+        soc in 0.41f64..0.79,
+        derate in 0.2f64..1.0,
+        half in 0usize..2,
+    ) {
+        let hev = plant(soc, derate);
+        let demand = hev.demand(v, accel, 0.0);
+        let outcomes: Vec<StepOutcome> =
+            aux_sweep(&hev, &demand, i, gear, [1.0, 0.5][half], AUX_POINTS)
+                .into_iter()
+                .filter(|o| o.mode == OperatingMode::EvOnly)
+                .collect();
+        assert_monotone(&outcomes)?;
+    }
+
     /// A committed step always reports soc_after equal to the vehicle's
     /// state, for any feasible action.
     #[test]
@@ -202,6 +327,42 @@ proptest! {
             prop_assert_eq!(hev.engine_on(), o.ice_speed_rad_s > 0.0);
         }
     }
+}
+
+/// The braking monotonicity holds inside each clamp region of the regen
+/// command, each swept at 1 000 aux powers: a discharge command clamped
+/// to zero machine torque, an unclamped regen command, and one clamped at
+/// the gear's regen floor. An EV-capable launch covers the EV-only case.
+#[test]
+fn power_is_monotone_in_aux_in_each_clamp_region() {
+    let hev = plant(0.6, 1.0);
+    let gear = 3;
+    let region = |speed: f64, accel: f64, i: f64| {
+        let demand = hev.demand(speed, accel, 0.0);
+        let outcomes = aux_sweep(&hev, &demand, i, gear, 1.0, 1_000);
+        assert_eq!(outcomes.len(), 1_000, "every aux power is feasible");
+        assert_monotone(&outcomes).unwrap();
+        let floor = hev.step_context(&demand).regen_floor_nm(gear);
+        (outcomes, floor)
+    };
+    let (zero, _) = region(15.0, -1.5, 40.0);
+    assert!(zero
+        .iter()
+        .all(|o| o.em_torque_nm == 0.0 && o.mode == OperatingMode::FrictionBraking));
+    let (free, floor) = region(15.0, -1.5, -8.0);
+    let floor = floor.expect("a braking step has a floor");
+    assert!(free
+        .iter()
+        .all(|o| o.em_torque_nm < 0.0 && o.em_torque_nm > floor));
+    let (floored, floor) = region(15.0, -0.3, -60.0);
+    let floor = floor.expect("a braking step has a floor");
+    assert!(floored
+        .iter()
+        .all(|o| o.em_torque_nm.to_bits() == floor.to_bits()));
+    let launch = hev.demand(3.0, 0.4, 0.0);
+    let ev = aux_sweep(&hev, &launch, 60.0, 1, 1.0, 1_000);
+    assert!(ev.iter().all(|o| o.mode == OperatingMode::EvOnly) && ev.len() == 1_000);
+    assert_monotone(&ev).unwrap();
 }
 
 /// An efficiency peak at a load ratio above the load parabola's width

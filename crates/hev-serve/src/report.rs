@@ -69,19 +69,9 @@ fn ratio(n: u64, requests: u64) -> f64 {
     }
 }
 
-/// Nearest-rank percentile of a sorted slice (0 for an empty one).
-/// Integer percent keeps the rank computation in exact integer math.
-fn percentile(sorted: &[u64], pct: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (pct * sorted.len()).div_ceil(100);
-    // hevlint::allow(panic::reachable-from-serve, rank is clamped to [1, len] and len > 0 was checked above)
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Nearest-rank permille (pct ‰) of a sorted slice — the p99.9 needs
-/// finer than integer-percent resolution, in the same exact math.
+/// Nearest-rank permille (`pm` ‰) of a sorted slice (0 for an empty
+/// one), in exact integer math. Percent `p` is permille `10·p`: the rank
+/// ⌈10·p·n/1000⌉ is ⌈p·n/100⌉.
 fn permille(sorted: &[u64], pm: usize) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -113,9 +103,9 @@ impl ServeReport {
             quarantines: totals.quarantines,
             crashed_requests: totals.crashed,
             shed_rate: ratio(totals.shed, totals.requests),
-            eval_p50: percentile(&evals, 50),
-            eval_p90: percentile(&evals, 90),
-            eval_p99: percentile(&evals, 99),
+            eval_p50: permille(&evals, 500),
+            eval_p90: permille(&evals, 900),
+            eval_p99: permille(&evals, 990),
             eval_p999: permille(&evals, 999),
             shed_depth_counts: shed_depth.counts.try_into().unwrap_or_default(),
         }
@@ -227,6 +217,11 @@ mod tests {
     use super::*;
     use crate::fleet::{build_requests, build_sessions, FleetConfig};
     use crate::service::{serve, ServeConfig};
+
+    /// Nearest-rank percentile `pct` %, as the report computes it.
+    fn percentile(sorted: &[u64], pct: usize) -> u64 {
+        permille(sorted, 10 * pct)
+    }
 
     #[test]
     fn percentiles_use_nearest_rank() {

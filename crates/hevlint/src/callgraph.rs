@@ -115,6 +115,20 @@ pub(crate) fn scan_body(
                             indexing: false,
                         });
                     }
+                    // `Ord::clamp` and `f64::clamp` panic when min > max,
+                    // and the float one on a NaN bound too; literal bounds
+                    // are checked at the site.
+                    "clamp"
+                        if prev.is_some_and(|p| p.kind == TokenKind::Dot)
+                            && next.is_some_and(|n| n.kind == TokenKind::LParen)
+                            && !literal_args(tokens, i + 1) =>
+                    {
+                        panics.push(PanicSite {
+                            what: ".clamp()",
+                            line: t.line,
+                            indexing: false,
+                        });
+                    }
                     "panic" | "unreachable" if followed_by_bang => {
                         panics.push(PanicSite {
                             what: if name == "panic" {
@@ -198,6 +212,21 @@ pub(crate) fn scan_body(
         }
     }
     (calls, panics, sources.into_iter().collect())
+}
+
+/// Whether the argument list opening at `tokens[open]` (a `(`) holds
+/// only numeric literals, optionally negated: `(0.0, 1.0)`, `(-3.0, 3.0)`.
+fn literal_args(tokens: &[Token], open: usize) -> bool {
+    tokens
+        .iter()
+        .skip(open + 1)
+        .take_while(|t| t.kind != TokenKind::RParen)
+        .all(|t| {
+            matches!(
+                t.kind,
+                TokenKind::Int | TokenKind::Float | TokenKind::Minus | TokenKind::Comma
+            )
+        })
 }
 
 impl Graph {
@@ -338,8 +367,8 @@ impl Graph {
     /// `hops` call-graph edges of a hev-serve library fn. Slice
     /// indexing — far noisier and usually bounds-proven in hot loops —
     /// is only reported inside hev-serve entry fns themselves
-    /// (depth 0); unwrap/expect/panic!/unreachable! follow the full
-    /// hop budget.
+    /// (depth 0); unwrap/expect/panic!/unreachable! and `.clamp(` with
+    /// computed bounds follow the full hop budget.
     pub fn reachability_findings(
         &self,
         hops: u32,
@@ -532,6 +561,22 @@ mod tests {
         let f = g.reachability_findings(2, |_, _| String::new());
         assert_eq!(f.len(), 1, "only the entry-fn indexing fires: {f:?}");
         assert_eq!(f[0].file, "crates/hev-serve/src/wire.rs");
+    }
+
+    #[test]
+    fn clamp_with_computed_bounds_is_a_panic_site() {
+        let mut g = Graph::default();
+        add(
+            &mut g,
+            "crates/hev-serve/src/session.rs",
+            "hev-serve",
+            Role::Library,
+            "pub fn handle(x: f64, lo: f64) {\n    x.clamp(0.0, 1.0);\n    x.clamp(-3.0, 3.0);\n    x.clamp(lo, 0.0);\n    x.clamp(f(-1.0), 1.0);\n}\n",
+        );
+        let f = g.reachability_findings(2, |_, _| String::new());
+        let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [4, 5], "{f:?}");
+        assert!(f[0].message.starts_with(".clamp()"));
     }
 
     #[test]
