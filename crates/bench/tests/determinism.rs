@@ -206,11 +206,14 @@ fn corrected_fuel_finite_positive_across_grid() {
 
 /// The deterministic eval clock of a fixed single-threaded workload,
 /// pinned exactly: four planned training episodes on UDDS plus one
-/// greedy evaluation (seed 42) cost exactly 416 797 peek-equivalent
+/// greedy evaluation (seed 42) cost exactly 355 576 peek-equivalent
 /// evaluations over 6 845 simulated steps, and the cycle's context
 /// table is built once for the whole workload. Any per-step work
 /// leaking into the disabled-telemetry hot loop, or a context rebuild
 /// leaking back into the planned loop, moves one of these numbers.
+/// (416 797 while every step probed all 15 currents for the action
+/// mask; the controller now probes a current only when an argmax
+/// reaches it or a reader needs the whole feasible set.)
 #[test]
 fn udds_workload_replays_the_pinned_eval_count() {
     let cycle = StandardCycle::Udds.cycle();
@@ -228,7 +231,7 @@ fn udds_workload_replays_the_pinned_eval_count() {
 
     let steps = metrics.steps as u64 * (train_episodes as u64 + 1);
     assert_eq!(steps, 6_845);
-    assert_eq!(counts.evals, 416_797);
+    assert_eq!(counts.evals, 355_576);
     assert_eq!(
         counts.ctx_rebuilds, 1,
         "expected one context-table build for the whole workload"
@@ -257,4 +260,81 @@ fn udds_dp_solve_costs_the_pinned_eval_count() {
         counts.ctx_rebuilds, 1,
         "expected one context-table build for the whole solve"
     );
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Folds every count and float's bits of one episode's metrics.
+fn fold_metrics(hash: u64, m: &EpisodeMetrics) -> u64 {
+    let floats = [
+        m.fuel_g,
+        m.distance_m,
+        m.total_reward,
+        m.utility_sum,
+        m.soc_initial,
+        m.soc_final,
+    ];
+    let counts = [m.steps, m.fallback_steps, m.trace_miss_steps];
+    let words = floats
+        .iter()
+        .map(|x| x.to_bits())
+        .chain(m.mode_counts.iter().chain(&counts).map(|&c| c as u64));
+    words.fold(hash, |h, w| fnv1a(h, &w.to_le_bytes()))
+}
+
+/// Trains a `proposed()` agent (seed 42) for 6 episodes from the default
+/// ε on UDDS, OSCAR and NYCC, evaluating greedily after episodes 1 and 6,
+/// and folds every episode's metrics and the serialized final
+/// [`ControllerSnapshot`] (Q-table, traces, visits, ε, RNG state) into
+/// one FNV-1a. Early training draws exploration steps, and the greedy
+/// evaluations meet unvisited states, so the myopic fallback runs too.
+fn train_and_evaluate_fingerprint() -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for standard in [
+        StandardCycle::Udds,
+        StandardCycle::Oscar,
+        StandardCycle::Nycc,
+    ] {
+        let cycle = standard.cycle();
+        let mut cfg = JointControllerConfig::proposed();
+        cfg.seed = 42;
+        let mut agent = JointController::new(cfg);
+        let mut hev = experiments::fresh_hev(0.6);
+        let plan = CyclePlan::new(&hev, &cycle);
+        for episode in 1..=6 {
+            hash = fold_metrics(hash, &agent.train_episode(&mut hev, &plan));
+            if episode == 1 || episode == 6 {
+                hash = fold_metrics(hash, &agent.evaluate_planned(&mut hev, &plan));
+            }
+        }
+        let snapshot = serde_json::to_string(&agent.snapshot()).unwrap();
+        hash = fnv1a(hash, snapshot.as_bytes());
+    }
+    hash
+}
+
+/// Pins every control decision of training and greedy evaluation through
+/// their results: a change to how the controller reads action
+/// feasibility (the mask, the ε-greedy choice, the TD bootstrap, the
+/// visited-only greedy walk, the myopic fallback) that moves any action
+/// moves this fingerprint. Recording telemetry must not move it either.
+#[test]
+fn training_and_evaluation_are_pinned() {
+    const PINNED: u64 = 0x9c44_e149_4c85_7999;
+    assert_eq!(train_and_evaluate_fingerprint(), PINNED);
+
+    let config = hev_control::TelemetryConfig {
+        metrics: true,
+        trace_sample: Some(1),
+    };
+    hev_control::telemetry::begin_task("pin", config);
+    let traced = train_and_evaluate_fingerprint();
+    let run = hev_control::telemetry::take_task();
+    assert_eq!(run.metrics_lines.len(), 3 * 8);
+    assert_eq!(traced, PINNED);
 }

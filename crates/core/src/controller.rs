@@ -158,21 +158,27 @@ pub struct JointController<P: Predictor = Ewma> {
     td_stats: TdStats,
     /// The latest decision's telemetry, for [`HevPolicy::last_decision`].
     last_decision: Option<DecisionInfo>,
+    /// Greedy-evaluation steps this episode with no visited feasible
+    /// action, which the myopic fallback decides (only counted while
+    /// `record_stats` is on).
+    myopic_fallback_steps: u64,
 }
 
-/// Reusable per-step working memory: the feasibility mask and the myopic
+/// Reusable per-step working memory: the feasibility memo and the myopic
 /// argmax's inputs and winner. Reset at the top of each `decide`, so one
 /// allocation serves the whole episode.
 #[derive(Debug, Clone, Default)]
 struct StepScratch {
-    /// Per-action feasibility for the current step.
-    mask: Vec<bool>,
+    /// Per-action feasibility for the current step, `None` until probed:
+    /// the full space fills it up front, the reduced space on first use
+    /// ([`StepScratch::is_feasible`]).
+    feasible: Vec<Option<bool>>,
     /// Full space only: each action's instantaneous reward from this
     /// step's mask sweep (`None` when infeasible), which the
     /// myopic argmax reuses instead of re-peeking.
     full_reward: Vec<Option<f64>>,
-    /// Reduced space only: the masked currents, in action order, that the
-    /// myopic argmax sweeps.
+    /// Reduced space only: the feasible currents, in action order, that
+    /// the myopic argmax sweeps.
     masked_currents: Vec<f64>,
     /// Reduced space only: the myopic argmax's action and its resolution
     /// this step, which acting reuses instead of resolving it again.
@@ -181,9 +187,34 @@ struct StepScratch {
 
 impl StepScratch {
     fn reset(&mut self, n_actions: usize) {
-        self.mask.clear();
-        self.mask.resize(n_actions, false);
+        self.feasible.clear();
+        self.feasible.resize(n_actions, None);
         self.myopic = None;
+    }
+
+    /// Whether action `a` is feasible this step. An unprobed (reduced)
+    /// action's current is probed now with the probe
+    /// [`InnerOptimizer::fill_mask`] runs for it; on a stopped step that
+    /// one probe answers for every action.
+    fn is_feasible(
+        &mut self,
+        config: &JointControllerConfig,
+        hev: &ParallelHev,
+        obs: &Observation<'_>,
+        a: usize,
+    ) -> bool {
+        if let Some(known) = self.feasible[a] {
+            return known;
+        }
+        let _span = hev_trace::span::enter("control.mask");
+        let i = config.action.currents()[a];
+        let verdict = config.inner.mask_entry(hev, obs.ctx, i, obs.dt_s);
+        if obs.ctx.is_stopped() {
+            self.feasible.fill(Some(verdict));
+        } else {
+            self.feasible[a] = Some(verdict);
+        }
+        verdict
     }
 }
 
@@ -250,6 +281,7 @@ impl<P: Predictor> JointController<P> {
             record_stats: false,
             td_stats: TdStats::new(),
             last_decision: None,
+            myopic_fallback_steps: 0,
         }
     }
 
@@ -378,64 +410,63 @@ impl<P: Predictor> JointController<P> {
         })
     }
 
-    /// Fills `self.scratch.mask` with per-action feasibility, evaluated
-    /// against the observation's precomputed step context.
-    ///
-    /// The reduced space's current grid masks via
-    /// [`InnerOptimizer::fill_mask`]. The full space probes every
-    /// action once and keeps its reward, which
-    /// [`JointController::best_myopic_action`] then reuses for free.
-    fn fill_action_mask(&mut self, hev: &ParallelHev, obs: &Observation<'_>) {
+    /// Full space only: probes every action once against the
+    /// observation's precomputed step context, filling
+    /// `self.scratch.feasible` and keeping each feasible action's reward,
+    /// which [`JointController::best_myopic_action`] then reuses for free.
+    fn fill_full_mask(&mut self, hev: &ParallelHev, obs: &Observation<'_>) {
         let dt = obs.dt_s;
-        match &self.config.action {
-            ActionSpace::Reduced { currents } => {
-                self.config
-                    .inner
-                    .fill_mask(hev, obs.ctx, currents, dt, &mut self.scratch.mask);
-            }
-            full @ ActionSpace::Full { .. } => {
-                let n = self.scratch.mask.len();
-                self.scratch.full_reward.clear();
-                // Actions run current-major, so rebuilding the battery
-                // context only when the current changes builds each grid
-                // current's context once per sweep.
-                let mut cur: Option<CurrentContext> = None;
-                for idx in 0..n {
-                    let reward = full.decode(idx).and_then(|control| {
-                        let i = control.battery_current_a;
-                        let c = match cur {
-                            Some(c) if c.battery_current_a().to_bits() == i.to_bits() => c,
-                            _ => *cur.insert(hev.current_context(i, dt)),
-                        };
-                        hev.peek_with_contexts(obs.ctx, &c, &control)
-                            .ok()
-                            .map(|o| self.config.reward.reward(&o, dt))
-                    });
-                    self.scratch.mask[idx] = reward.is_some();
-                    self.scratch.full_reward.push(reward);
-                }
-            }
+        let scratch = &mut self.scratch;
+        scratch.full_reward.clear();
+        // Actions run current-major, so rebuilding the battery context
+        // only when the current changes builds each grid current's
+        // context once per sweep.
+        let mut cur: Option<CurrentContext> = None;
+        for idx in 0..scratch.feasible.len() {
+            let reward = self.config.action.decode(idx).and_then(|control| {
+                let i = control.battery_current_a;
+                let c = match cur {
+                    Some(c) if c.battery_current_a().to_bits() == i.to_bits() => c,
+                    _ => *cur.insert(hev.current_context(i, dt)),
+                };
+                hev.peek_with_contexts(obs.ctx, &c, &control)
+                    .ok()
+                    .map(|o| self.config.reward.reward(&o, dt))
+            });
+            scratch.feasible[idx] = Some(reward.is_some());
+            scratch.full_reward.push(reward);
         }
+    }
+
+    /// Probes every action this step has not probed yet and returns how
+    /// many are feasible: the whole mask, for the readers of the whole
+    /// feasible set.
+    fn complete_mask(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> usize {
+        let (scratch, config) = (&mut self.scratch, &self.config);
+        (0..scratch.feasible.len())
+            .filter(|&a| scratch.is_feasible(config, hev, obs, a))
+            .count()
     }
 
     /// The feasible action with the best instantaneous (inner-optimized)
     /// reward — the myopic policy used when evaluation reaches a state
-    /// never visited during training. Reads `self.scratch.mask`; ties go
-    /// to the first action.
+    /// never visited during training. Completes the step's mask first;
+    /// ties go to the first action.
     ///
     /// The reduced space sweeps the masked currents in action order with
     /// [`InnerOptimizer::best_resolved`], which picks what resolving each
     /// one does at less cost, and keeps the winner's exact resolution for
     /// [`JointController::control_for_action`].
     fn best_myopic_action(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> Option<usize> {
+        self.complete_mask(hev, obs);
         let scratch = &mut self.scratch;
         if let ActionSpace::Reduced { currents } = &self.config.action {
             scratch.masked_currents.clear();
             scratch.masked_currents.extend(
                 currents
                     .iter()
-                    .zip(&scratch.mask)
-                    .filter_map(|(&i, &m)| m.then_some(i)),
+                    .zip(&scratch.feasible)
+                    .filter_map(|(&i, &m)| (m == Some(true)).then_some(i)),
             );
             let (pos, resolved) = self.config.inner.best_resolved(
                 hev,
@@ -444,17 +475,14 @@ impl<P: Predictor> JointController<P> {
                 obs.dt_s,
                 &self.config.reward,
             )?;
-            let action = (0..scratch.mask.len())
-                .filter(|&idx| scratch.mask[idx])
+            let action = (0..scratch.feasible.len())
+                .filter(|&idx| scratch.feasible[idx] == Some(true))
                 .nth(pos)?;
             scratch.myopic = Some((action, resolved));
             return Some(action);
         }
         let mut best: Option<(usize, f64)> = None;
-        for idx in 0..scratch.mask.len() {
-            if !scratch.mask[idx] {
-                continue;
-            }
+        for idx in 0..scratch.full_reward.len() {
             // The mask sweep already probed this action this step.
             if let Some(r) = scratch.full_reward[idx] {
                 if best.is_none_or(|(_, br)| r > br) {
@@ -498,56 +526,83 @@ impl<P: Predictor> HevPolicy for JointController<P> {
         if self.record_stats {
             self.td_stats.reset();
             self.last_decision = None;
+            self.myopic_fallback_steps = 0;
         }
         self.predictor.reset();
     }
 
+    /// Chooses this step's action (Algorithm 1) and resolves it.
+    ///
+    /// Feasibility is probed only where a reader needs it. The reduced
+    /// space probes an action's current on first use and remembers the
+    /// answer for the step. Training walks `Q(s, ·)` in value order down to
+    /// the first feasible action: that action is the TD bootstrap of the
+    /// pending transition, and finding it shows that some action is
+    /// feasible. The greedy choice walks again after the update, which can
+    /// move `Q(s, ·)`, and greedy evaluation walks the visited actions
+    /// only. The whole mask is completed only for the readers of the whole
+    /// feasible set: an exploration draw, the myopic fallback, and
+    /// decision telemetry. Every choice is the one a mask filled up front
+    /// gives; only the probe count falls.
     fn decide(&mut self, hev: &ParallelHev, obs: &Observation<'_>) -> ControlInput {
         let state = self.encode_state(obs);
         if self.record_stats {
             self.last_decision = None;
         }
-        {
+        self.scratch.reset(self.config.action.len());
+        if matches!(self.config.action, ActionSpace::Full { .. }) {
             let _span = hev_trace::span::enter("control.mask");
-            self.scratch.reset(self.config.action.len());
-            self.fill_action_mask(hev, obs);
+            self.fill_full_mask(hev, obs);
         }
-        if !self.scratch.mask.iter().any(|&m| m) {
-            // No discrete action feasible (rare): let the harness fall
-            // back; no learning credit this step.
-            self.awaiting_reward = None;
-            return fallback_control(hev, obs.ctx, obs.dt_s);
-        }
-        // Flush the pending transition now that the successor state and
-        // its feasible set are known (Algorithm 1, lines 5–10).
-        if self.training {
-            if let Some((s, a, r)) = self.pending.take() {
-                let _span = hev_trace::span::enter("control.td_update");
-                let delta = self
-                    .learner
-                    .update(s, a, r, state, Some(&self.scratch.mask));
-                if self.record_stats {
-                    self.td_stats.record(delta);
-                }
-            }
-        }
+        let (scratch, config) = (&mut self.scratch, &self.config);
+        let mut feasible = |a| scratch.is_feasible(config, hev, obs, a);
         let action = if self.training {
+            let any_feasible = match self.pending {
+                // Flush the pending transition now that the successor
+                // state is known (Algorithm 1, lines 5–10). Its bootstrap
+                // walks `Q(state, ·)` down to the first feasible action,
+                // which also shows that one exists; with none, nothing is
+                // updated and the transition waits for the next step.
+                Some((s, a, r)) => {
+                    let _span = hev_trace::span::enter("control.td_update");
+                    let delta = self.learner.update(s, a, r, state, &mut feasible);
+                    if let Some(delta) = delta {
+                        self.pending = None;
+                        if self.record_stats {
+                            self.td_stats.record(delta);
+                        }
+                    }
+                    delta.is_some()
+                }
+                None => self.learner.greedy(state, &mut feasible).is_some(),
+            };
+            if !any_feasible {
+                // No discrete action feasible (rare): let the harness fall
+                // back; no learning credit this step.
+                self.awaiting_reward = None;
+                return fallback_control(hev, obs.ctx, obs.dt_s);
+            }
             self.learner
-                .select(state, &self.scratch.mask, &self.policy, &mut self.rng)
+                .select(state, &mut feasible, &self.policy, &mut self.rng)
         } else {
             // Evaluation: restrict the greedy choice to actions the agent
             // actually experienced (unvisited entries carry the spuriously
             // attractive initialization). In a never-visited state, act
             // myopically: best instantaneous reward among feasible actions.
-            match self.learner.greedy_visited(state, Some(&self.scratch.mask)) {
+            match self.learner.greedy_visited(state, &mut feasible) {
                 Some(a) => a,
-                None => match self.best_myopic_action(hev, obs) {
-                    Some(a) => a,
-                    None => {
-                        self.awaiting_reward = None;
-                        return fallback_control(hev, obs.ctx, obs.dt_s);
+                None => {
+                    if self.record_stats {
+                        self.myopic_fallback_steps += 1;
                     }
-                },
+                    match self.best_myopic_action(hev, obs) {
+                        Some(a) => a,
+                        None => {
+                            self.awaiting_reward = None;
+                            return fallback_control(hev, obs.ctx, obs.dt_s);
+                        }
+                    }
+                }
             }
         };
         match self.control_for_action(hev, obs, action) {
@@ -556,7 +611,7 @@ impl<P: Predictor> HevPolicy for JointController<P> {
                 if self.record_stats {
                     self.last_decision = Some(DecisionInfo {
                         state,
-                        feasible: self.scratch.mask.iter().filter(|&&m| m).count(),
+                        feasible: self.complete_mask(hev, obs),
                         action,
                         prediction_w: if self.state_space.has_prediction() {
                             self.predictor.predict()
@@ -595,8 +650,8 @@ impl<P: Predictor> HevPolicy for JointController<P> {
         if self.training {
             if let Some((s, a, r)) = self.pending.take() {
                 // Terminal flush: bootstrap on the last state itself.
-                let delta = self.learner.update(s, a, r, s, None);
-                if self.record_stats {
+                let delta = self.learner.update(s, a, r, s, |_| true);
+                if let Some(delta) = delta.filter(|_| self.record_stats) {
                     self.td_stats.record(delta);
                 }
             }
@@ -630,6 +685,7 @@ impl<P: Predictor> HevPolicy for JointController<P> {
             epsilon: self.policy.epsilon(),
             td: self.td_stats.clone(),
             q: QStats::from_table(self.learner.q()),
+            myopic_fallback_steps: self.myopic_fallback_steps,
         })
     }
 }
@@ -750,6 +806,119 @@ mod tests {
             swept_evals < reference_evals,
             "sweep {swept_evals} evals vs per-current {reference_evals}"
         );
+    }
+
+    /// A fresh agent's first decision at a moving cruise step, and its
+    /// evals, at exploration rate `epsilon`.
+    fn first_decision(epsilon: f64) -> (JointControllerConfig, usize, ControlInput, u64) {
+        let mut config = JointControllerConfig::proposed();
+        config.epsilon0 = epsilon;
+        config.epsilon_floor = 0.0;
+        let mut agent = JointController::new(config.clone());
+        let hev = hev();
+        let demand = hev.demand(15.0, 0.3, 0.0);
+        let ctx = hev.step_context(&demand);
+        assert!(!ctx.is_stopped());
+        let obs = Observation {
+            step: 0,
+            time_s: 0.0,
+            dt_s: 1.0,
+            demand: &demand,
+            soc: hev.soc(),
+            ctx: &ctx,
+        };
+        agent.begin_episode();
+        let snap = hev_trace::evals::count();
+        let control = agent.decide(&hev, &obs);
+        let evals = hev_trace::evals::since(snap);
+        let (_, action) = agent.awaiting_reward.expect("a feasible action");
+        (config, action, control, evals)
+    }
+
+    /// The evals of masking `currents` and of resolving `currents[action]`
+    /// at [`first_decision`]'s step, asserting that resolve picks
+    /// `control`.
+    fn mask_and_resolve_evals(
+        config: &JointControllerConfig,
+        currents: &[f64],
+        action: usize,
+        control: ControlInput,
+    ) -> (u64, u64) {
+        let hev = hev();
+        let ctx = hev.step_context(&hev.demand(15.0, 0.3, 0.0));
+        let mut mask = vec![false; currents.len()];
+        let snap = hev_trace::evals::count();
+        config.inner.fill_mask(&hev, &ctx, currents, 1.0, &mut mask);
+        let mask_evals = hev_trace::evals::since(snap);
+        let i = config.action.currents()[action];
+        let snap = hev_trace::evals::count();
+        let resolved = config
+            .inner
+            .resolve_with(&hev, &ctx, i, 1.0, &config.reward);
+        assert_eq!(resolved.map(|r| r.control), Some(control));
+        (mask_evals, hev_trace::evals::since(snap))
+    }
+
+    #[test]
+    fn greedy_step_probes_only_its_top_feasible_action() {
+        // An untrained Q row ties every action, so the greedy walk's top
+        // action is action 0; when it is feasible, the step probes that
+        // one current and resolves it, and no other current is probed.
+        let (config, action, control, evals) = first_decision(0.0);
+        assert_eq!(action, 0, "the top action must be feasible here");
+        let currents = config.action.currents();
+        let (probe, resolve) = mask_and_resolve_evals(&config, &currents[..1], action, control);
+        assert!(probe > 0 && resolve > 0);
+        assert_eq!(evals, probe + resolve);
+        let (whole_mask, _) = mask_and_resolve_evals(&config, currents, action, control);
+        assert!(probe < whole_mask);
+    }
+
+    #[test]
+    fn exploration_step_probes_every_current() {
+        // An exploration draw chooses uniformly among all feasible
+        // actions, so it completes the mask before resolving its pick.
+        let (config, action, control, evals) = first_decision(1.0);
+        let currents = config.action.currents();
+        let (mask, resolve) = mask_and_resolve_evals(&config, currents, action, control);
+        assert_eq!(evals, mask + resolve);
+    }
+
+    #[test]
+    fn metrics_lines_count_myopic_fallback_steps() {
+        let config = crate::TelemetryConfig {
+            metrics: true,
+            trace_sample: None,
+        };
+        crate::telemetry::begin_task("myopic", config);
+        let mut hev = hev();
+        let cycle = tiny_cycle();
+        let mut agent = JointController::new(quick_config());
+        let untrained = agent.evaluate(&mut hev, &cycle);
+        agent.train(&mut hev, &cycle, 2);
+        let faster = ProfileBuilder::new("faster")
+            .trip(60.0, 10.0, 15.0, 9.0, 4.0)
+            .build()
+            .unwrap();
+        agent.evaluate(&mut hev, &faster);
+        let run = crate::telemetry::take_task();
+        let key = "\"myopic_fallback_steps\":";
+        let counts: Vec<usize> = run
+            .metrics_lines
+            .iter()
+            .map(|line| {
+                let rest = &line[line.find(key).unwrap() + key.len()..];
+                let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap();
+                rest[..end].parse().unwrap()
+            })
+            .collect();
+        // Untrained, no state has a visited action: every step falls
+        // back. Training never does; a trained agent does on a faster
+        // cycle's unvisited states.
+        assert_eq!(counts.len(), 4);
+        assert_eq!(counts[0], untrained.steps);
+        assert_eq!(counts[1..3], [0, 0]);
+        assert!(0 < counts[3] && counts[3] < faster.len(), "{counts:?}");
     }
 
     #[test]

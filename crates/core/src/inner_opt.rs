@@ -347,29 +347,40 @@ impl InnerOptimizer {
         mask: &mut [bool],
     ) {
         debug_assert_eq!(currents.len(), mask.len());
-        let aux = self.mask_aux(hev);
-        let num_gears = hev.drivetrain().num_gears();
-        let feasible_at = |cur: &CurrentContext, gear: usize| {
-            let control = ControlInput {
-                battery_current_a: cur.battery_current_a(),
-                gear,
-                p_aux_w: aux,
-            };
-            hev.peek_with_contexts(ctx, cur, &control).is_ok()
-        };
         if ctx.is_stopped() {
-            let cur = hev.current_context(currents.first().copied().unwrap_or(0.0), dt);
-            let verdict = (0..num_gears)
-                .find(|&gear| ctx.gear_is_viable(gear))
-                .is_some_and(|gear| feasible_at(&cur, gear));
-            mask.fill(verdict);
+            let first = currents.first().copied().unwrap_or(0.0);
+            mask.fill(self.mask_entry(hev, ctx, first, dt));
             return;
         }
         for (m, &i) in mask.iter_mut().zip(currents) {
-            let cur = hev.current_context(i, dt);
-            *m = cur.is_feasible()
-                && (0..num_gears).any(|gear| ctx.gear_is_viable(gear) && feasible_at(&cur, gear));
+            *m = self.mask_entry(hev, ctx, i, dt);
         }
+    }
+
+    /// One current's probe of [`InnerOptimizer::fill_mask`]. On a stopped
+    /// step its answer holds for every current.
+    pub(crate) fn mask_entry(
+        &self,
+        hev: &ParallelHev,
+        ctx: &StepContext,
+        battery_current_a: f64,
+        dt: f64,
+    ) -> bool {
+        let cur = hev.current_context(battery_current_a, dt);
+        let p_aux_w = self.mask_aux(hev);
+        let feasible_at = |gear| {
+            let control = ControlInput {
+                battery_current_a,
+                gear,
+                p_aux_w,
+            };
+            hev.peek_with_contexts(ctx, &cur, &control).is_ok()
+        };
+        let mut viable = (0..hev.drivetrain().num_gears()).filter(|&gear| ctx.gear_is_viable(gear));
+        if ctx.is_stopped() {
+            return viable.next().is_some_and(feasible_at);
+        }
+        cur.is_feasible() && viable.any(feasible_at)
     }
 
     /// The auxiliary power the action mask probes with.

@@ -8,7 +8,8 @@
 //! entirely in memory:
 //!
 //! * a per-episode [`MetricsRegistry`] snapshot (TD-error statistics,
-//!   exploration rate, Q-table occupancy, the fuel vs `w·f_aux(p_aux)`
+//!   exploration rate, Q-table occupancy, greedy evaluation's
+//!   myopic-fallback steps, the fuel vs `w·f_aux(p_aux)`
 //!   reward decomposition, supervisor intervention counts, per-step
 //!   evaluation counts), emitted as one `episode_metrics` JSONL line;
 //! * sampled [`StepEvent`] trace lines (`--trace-sample N`);
@@ -94,7 +95,10 @@ pub(crate) fn restore_collector(collector: EpisodeTelemetry) {
 pub struct DecisionInfo {
     /// Encoded state index `s = [p_dem, v, q, pre]`.
     pub state: usize,
-    /// Number of feasible actions in this step's mask.
+    /// Number of feasible actions in this step's mask. The controller
+    /// probes the whole mask to count it only while recording; otherwise
+    /// it probes just the actions its argmax reaches, so recording costs
+    /// evals but changes no decision.
     pub feasible: usize,
     /// Chosen action index.
     pub action: usize,
@@ -112,6 +116,9 @@ pub struct PolicyTelemetry {
     pub td: TdStats,
     /// Q-table occupancy summary.
     pub q: QStats,
+    /// Greedy-evaluation steps in the episode with no visited feasible
+    /// action, which the myopic fallback decides (0 in training).
+    pub myopic_fallback_steps: u64,
 }
 
 /// Everything one run collected, ready for the harness to write in task
@@ -316,6 +323,7 @@ impl EpisodeTelemetry {
             r.gauge_set("q_visited", p.q.visited as f64);
             r.gauge_set("q_occupancy", p.q.occupancy());
             r.counter_add("q_visits_total", p.q.visits_total);
+            r.counter_add("myopic_fallback_steps", p.myopic_fallback_steps);
         }
     }
 
@@ -493,6 +501,7 @@ mod tests {
                 visited: 5,
                 visits_total: 20,
             },
+            myopic_fallback_steps: 3,
         };
         t.end_episode(&m, &RewardConfig::default(), 1.0, Some(policy));
         let run = t.into_run();
@@ -502,6 +511,7 @@ mod tests {
         assert!(line.contains("\"fuel_g\":12.5"));
         assert!(line.contains("\"epsilon\":0.25"));
         assert!(line.contains("\"q_occupancy\":0.125"));
+        assert!(line.contains("\"myopic_fallback_steps\":3"));
         assert!(run.prometheus.contains("# TYPE hev_fuel_g gauge"));
     }
 

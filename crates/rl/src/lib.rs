@@ -21,12 +21,11 @@
 //! let mut agent = TdLambda::new(100, 5, TdLambdaConfig::default());
 //! let policy = EpsilonGreedy::new(0.1);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-//! let mask = [true; 5];
 //! let mut state = 0;
 //! for step in 0..50 {
-//!     let action = agent.select(state, &mask, &policy, &mut rng);
+//!     let action = agent.select(state, |_| true, &policy, &mut rng);
 //!     let (reward, next) = ((action == 2) as u8 as f64, (state + 1) % 100);
-//!     agent.update(state, action, reward, next, Some(&mask));
+//!     agent.update(state, action, reward, next, |_| true);
 //!     state = next;
 //!     let _ = step;
 //! }

@@ -1,45 +1,50 @@
 //! Exploration policies (the paper's exploration-versus-exploitation
 //! strategy, §4.3.4).
 
+use crate::qtable::argmax_where;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Selects an action from a Q-value row, restricted to a feasibility mask.
+/// Selects an action from a Q-value row among the actions a feasibility
+/// predicate accepts.
 pub trait ExplorationPolicy {
-    /// Picks an action index. `mask[a]` must be true for `a` to be
-    /// eligible; at least one action must be eligible.
-    fn select<R: Rng + ?Sized>(&self, q_row: &[f64], mask: &[bool], rng: &mut R) -> usize;
+    /// Picks an action index that `eligible` accepts; it must accept at
+    /// least one. `eligible` may be asked about an action more than once
+    /// and must answer the same each time. A greedy pick asks only about
+    /// the actions ranked down to the winner ([`QTable::argmax`]); a
+    /// uniform exploration draw asks about every action.
+    ///
+    /// [`QTable::argmax`]: crate::QTable::argmax
+    fn select<R: Rng + ?Sized>(
+        &self,
+        q_row: &[f64],
+        eligible: impl FnMut(usize) -> bool,
+        rng: &mut R,
+    ) -> usize;
 
     /// Hook called at the end of each training episode (e.g. to decay
     /// exploration). Default: no-op.
     fn end_episode(&mut self) {}
 }
 
-fn greedy(q_row: &[f64], mask: &[bool]) -> usize {
-    let mut best: Option<(usize, f64)> = None;
-    for (a, (&v, &ok)) in q_row.iter().zip(mask).enumerate() {
-        if ok && best.is_none_or(|(_, bv)| v > bv) {
-            best = Some((a, v));
-        }
-    }
-    // hevlint::allow(panic::expect, documented trait invariant: ExplorationPolicy::select requires at least one eligible mask entry)
-    best.expect("at least one action must be eligible").0
+fn greedy(q_row: &[f64], eligible: impl FnMut(usize) -> bool) -> usize {
+    // hevlint::allow(panic::expect, documented trait invariant: ExplorationPolicy::select requires at least one eligible action)
+    argmax_where(q_row, eligible).expect("at least one action must be eligible")
 }
 
-fn random_eligible<R: Rng + ?Sized>(mask: &[bool], rng: &mut R) -> usize {
-    let n = mask.iter().filter(|&&m| m).count();
+fn random_eligible<R: Rng + ?Sized>(
+    n_actions: usize,
+    mut eligible: impl FnMut(usize) -> bool,
+    rng: &mut R,
+) -> usize {
+    let n = (0..n_actions).filter(|&a| eligible(a)).count();
     assert!(n > 0, "at least one action must be eligible");
-    let mut k = rng.gen_range(0..n);
-    for (a, &ok) in mask.iter().enumerate() {
-        if ok {
-            if k == 0 {
-                return a;
-            }
-            k -= 1;
-        }
-    }
-    // hevlint::allow(panic::macro, the assert above established n eligible actions and k < n, so the loop always returns)
-    unreachable!("counted eligible actions above")
+    let k = rng.gen_range(0..n);
+    (0..n_actions)
+        .filter(|&a| eligible(a))
+        .nth(k)
+        // hevlint::allow(panic::expect, the assert above counted n eligible actions and k < n, and eligible answers the same when asked again)
+        .expect("counted eligible actions above")
 }
 
 /// Always exploits: picks the highest-valued eligible action.
@@ -47,9 +52,14 @@ fn random_eligible<R: Rng + ?Sized>(mask: &[bool], rng: &mut R) -> usize {
 pub struct Greedy;
 
 impl ExplorationPolicy for Greedy {
-    fn select<R: Rng + ?Sized>(&self, q_row: &[f64], mask: &[bool], rng: &mut R) -> usize {
+    fn select<R: Rng + ?Sized>(
+        &self,
+        q_row: &[f64],
+        eligible: impl FnMut(usize) -> bool,
+        rng: &mut R,
+    ) -> usize {
         let _ = rng;
-        greedy(q_row, mask)
+        greedy(q_row, eligible)
     }
 }
 
@@ -78,11 +88,16 @@ impl EpsilonGreedy {
 }
 
 impl ExplorationPolicy for EpsilonGreedy {
-    fn select<R: Rng + ?Sized>(&self, q_row: &[f64], mask: &[bool], rng: &mut R) -> usize {
+    fn select<R: Rng + ?Sized>(
+        &self,
+        q_row: &[f64],
+        eligible: impl FnMut(usize) -> bool,
+        rng: &mut R,
+    ) -> usize {
         if rng.gen::<f64>() < self.epsilon {
-            random_eligible(mask, rng)
+            random_eligible(q_row.len(), eligible, rng)
         } else {
-            greedy(q_row, mask)
+            greedy(q_row, eligible)
         }
     }
 }
@@ -126,11 +141,16 @@ impl DecayingEpsilon {
 }
 
 impl ExplorationPolicy for DecayingEpsilon {
-    fn select<R: Rng + ?Sized>(&self, q_row: &[f64], mask: &[bool], rng: &mut R) -> usize {
+    fn select<R: Rng + ?Sized>(
+        &self,
+        q_row: &[f64],
+        eligible: impl FnMut(usize) -> bool,
+        rng: &mut R,
+    ) -> usize {
         if rng.gen::<f64>() < self.epsilon {
-            random_eligible(mask, rng)
+            random_eligible(q_row.len(), eligible, rng)
         } else {
-            greedy(q_row, mask)
+            greedy(q_row, eligible)
         }
     }
 
@@ -153,8 +173,8 @@ mod tests {
     fn greedy_picks_best_eligible() {
         let q = [1.0, 5.0, 3.0];
         let mut r = rng();
-        assert_eq!(Greedy.select(&q, &[true, true, true], &mut r), 1);
-        assert_eq!(Greedy.select(&q, &[true, false, true], &mut r), 2);
+        assert_eq!(Greedy.select(&q, |_| true, &mut r), 1);
+        assert_eq!(Greedy.select(&q, |a| a != 1, &mut r), 2);
     }
 
     #[test]
@@ -163,7 +183,7 @@ mod tests {
         let q = [0.0, 2.0, 1.0];
         let mut r = rng();
         for _ in 0..50 {
-            assert_eq!(p.select(&q, &[true, true, true], &mut r), 1);
+            assert_eq!(p.select(&q, |_| true, &mut r), 1);
         }
     }
 
@@ -174,7 +194,7 @@ mod tests {
         let mut r = rng();
         let mut seen = [false; 3];
         for _ in 0..200 {
-            seen[p.select(&q, &[true, true, true], &mut r)] = true;
+            seen[p.select(&q, |_| true, &mut r)] = true;
         }
         assert_eq!(seen, [true, true, true]);
     }
@@ -186,7 +206,7 @@ mod tests {
         let mask = [false, true, false, true];
         let mut r = rng();
         for _ in 0..200 {
-            let a = p.select(&q, &mask, &mut r);
+            let a = p.select(&q, |a| mask[a], &mut r);
             assert!(mask[a]);
         }
     }

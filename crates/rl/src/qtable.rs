@@ -12,7 +12,8 @@ use serde::{Deserialize, Serialize};
 /// let mut q = QTable::new(10, 4, 0.0);
 /// q.set(3, 2, 1.5);
 /// assert_eq!(q.get(3, 2), 1.5);
-/// assert_eq!(q.argmax(3, None), 2);
+/// assert_eq!(q.argmax(3, |_| true), Some(2));
+/// assert_eq!(q.argmax(3, |a| a != 2), Some(0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QTable {
@@ -86,62 +87,18 @@ impl QTable {
         &self.q[s * self.n_actions..(s + 1) * self.n_actions]
     }
 
-    /// The greedy action in state `s`, restricted to `mask` (an action is
-    /// eligible where `mask[a]` is true). With no mask all actions are
-    /// eligible. Ties break toward the lowest index.
+    /// The greedy action in state `s` among the actions `eligible`
+    /// accepts: the lowest-indexed of the highest-valued accepted actions,
+    /// or `None` when it accepts none. NaN entries are never chosen.
     ///
-    /// # Panics
-    ///
-    /// Panics if a mask is given and no action is eligible.
-    pub fn argmax(&self, s: usize, mask: Option<&[bool]>) -> usize {
-        let row = self.row(s);
-        let mut best: Option<(usize, f64)> = None;
-        for (a, &v) in row.iter().enumerate() {
-            if let Some(m) = mask {
-                if !m[a] {
-                    continue;
-                }
-            }
-            if best.is_none_or(|(_, bv)| v > bv) {
-                best = Some((a, v));
-            }
-        }
-        // hevlint::allow(panic, documented invariant: see the # Panics section; masks come from the action-feasibility layer which always leaves one action)
-        best.expect("at least one action must be eligible").0
-    }
-
-    /// The maximum action value in state `s`, restricted to `mask`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a mask is given and no action is eligible.
-    pub fn max(&self, s: usize, mask: Option<&[bool]>) -> f64 {
-        let a = self.argmax(s, mask);
-        self.get(s, a)
-    }
-
-    /// The greedy action among *visited* eligible actions, or `None` if
-    /// no eligible action has been visited. With pessimistic true values
-    /// (all rewards negative) and zero initialization, unvisited entries
-    /// look spuriously attractive; greedy evaluation uses this to avoid
-    /// them.
-    pub fn argmax_visited(&self, s: usize, mask: Option<&[bool]>) -> Option<usize> {
-        let row = self.row(s);
-        let mut best: Option<(usize, f64)> = None;
-        for (a, &v) in row.iter().enumerate() {
-            if let Some(m) = mask {
-                if !m[a] {
-                    continue;
-                }
-            }
-            if self.visit_count(s, a) == 0 {
-                continue;
-            }
-            if best.is_none_or(|(_, bv)| v > bv) {
-                best = Some((a, v));
-            }
-        }
-        best.map(|(a, _)| a)
+    /// Walks the actions in descending value order, ties by ascending
+    /// index, and asks `eligible` about each until one is accepted, so it
+    /// asks about no action ranked below the winner. When an answer costs
+    /// work (a feasibility probe), that is the fewest questions any argmax
+    /// can ask. One pass over the row finds the top action; each value
+    /// level walked past it costs one more.
+    pub fn argmax(&self, s: usize, eligible: impl FnMut(usize) -> bool) -> Option<usize> {
+        argmax_where(self.row(s), eligible)
     }
 
     /// Records a visit to `(s, a)`, saturating at `u32::MAX`.
@@ -151,7 +108,7 @@ impl QTable {
     }
 
     /// How many times `(s, a)` was visited.
-    fn visit_count(&self, s: usize, a: usize) -> u32 {
+    pub(crate) fn visit_count(&self, s: usize, a: usize) -> u32 {
         self.visits[self.idx(s, a)]
     }
 
@@ -163,6 +120,37 @@ impl QTable {
     /// Total visit count summed over every state-action pair.
     pub fn visits_total(&self) -> u64 {
         self.visits.iter().map(|&v| u64::from(v)).sum()
+    }
+}
+
+/// [`QTable::argmax`] over one action-value row.
+pub(crate) fn argmax_where(row: &[f64], mut eligible: impl FnMut(usize) -> bool) -> Option<usize> {
+    let mut top: Option<(usize, f64)> = None;
+    for (a, &v) in row.iter().enumerate() {
+        if !v.is_nan() && top.is_none_or(|(_, t)| v > t) {
+            top = Some((a, v));
+        }
+    }
+    let (first, mut level) = top?;
+    if eligible(first) {
+        return Some(first);
+    }
+    // Walk on: the ties at `level` from index `from` on, then the next
+    // level down, which each pass finds on the way.
+    let mut from = first + 1;
+    loop {
+        let mut below: Option<f64> = None;
+        for (a, &v) in row.iter().enumerate() {
+            if v == level {
+                if a >= from && eligible(a) {
+                    return Some(a);
+                }
+            } else if v < level && below.is_none_or(|b| v > b) {
+                below = Some(v);
+            }
+        }
+        level = below?;
+        from = 0;
     }
 }
 
@@ -194,8 +182,7 @@ mod tests {
         let mut q = QTable::new(1, 4, 0.0);
         q.set(0, 2, 3.0);
         q.set(0, 3, 1.0);
-        assert_eq!(q.argmax(0, None), 2);
-        assert_eq!(q.max(0, None), 3.0);
+        assert_eq!(q.argmax(0, |_| true), Some(2));
     }
 
     #[test]
@@ -204,20 +191,34 @@ mod tests {
         q.set(0, 2, 3.0);
         q.set(0, 1, 2.0);
         let mask = [true, true, false, true];
-        assert_eq!(q.argmax(0, Some(&mask)), 1);
+        assert_eq!(q.argmax(0, |a| mask[a]), Some(1));
     }
 
     #[test]
     fn argmax_ties_break_low() {
         let q = QTable::new(1, 4, 7.0);
-        assert_eq!(q.argmax(0, None), 0);
+        assert_eq!(q.argmax(0, |_| true), Some(0));
+        assert_eq!(q.argmax(0, |a| a > 1), Some(2));
     }
 
     #[test]
-    #[should_panic(expected = "at least one action")]
-    fn argmax_panics_on_empty_mask() {
+    fn argmax_of_an_empty_mask_is_none() {
         let q = QTable::new(1, 2, 0.0);
-        q.argmax(0, Some(&[false, false]));
+        assert_eq!(q.argmax(0, |_| false), None);
+    }
+
+    #[test]
+    fn argmax_asks_only_down_to_the_winner_in_value_order() {
+        let row = [1.0, 4.0, 3.0, 4.0, f64::NAN, 2.0];
+        let mut asked = Vec::new();
+        let pick = argmax_where(&row, |a| {
+            asked.push(a);
+            a == 2 || a == 5
+        });
+        assert_eq!(pick, Some(2));
+        assert_eq!(asked, [1, 3, 2]);
+        assert_eq!(argmax_where(&[f64::NAN], |_| true), None);
+        assert_eq!(argmax_where(&[-0.0, 0.0], |_| true), Some(0));
     }
 
     #[test]

@@ -72,9 +72,8 @@ impl Default for TdLambdaConfig {
 /// let mut learner = TdLambda::new(4, 2, TdLambdaConfig::default());
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let policy = EpsilonGreedy::new(0.1);
-/// let mask = [true, true];
-/// let a = learner.select(0, &mask, &policy, &mut rng);
-/// learner.update(0, a, 1.0, 1, Some(&mask));
+/// let a = learner.select(0, |_| true, &policy, &mut rng);
+/// learner.update(0, a, 1.0, 1, |_| true);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TdLambda {
@@ -110,44 +109,57 @@ impl TdLambda {
     }
 
     /// Selects an action for state `s` under the exploration policy,
-    /// restricted to the feasibility mask (Algorithm 1, line 3).
+    /// among the actions `feasible` accepts (Algorithm 1, line 3; see
+    /// [`ExplorationPolicy::select`] for how often it is asked).
     pub fn select<P: ExplorationPolicy, R: Rng + ?Sized>(
         &self,
         s: usize,
-        mask: &[bool],
+        feasible: impl FnMut(usize) -> bool,
         policy: &P,
         rng: &mut R,
     ) -> usize {
-        policy.select(self.q.row(s), mask, rng)
+        policy.select(self.q.row(s), feasible, rng)
     }
 
-    /// The greedy action for state `s` (evaluation).
-    pub fn greedy(&self, s: usize, mask: Option<&[bool]>) -> usize {
-        self.q.argmax(s, mask)
+    /// The greedy action for state `s` among the actions `feasible`
+    /// accepts, or `None` when it accepts none (see [`QTable::argmax`]).
+    pub fn greedy(&self, s: usize, feasible: impl FnMut(usize) -> bool) -> Option<usize> {
+        self.q.argmax(s, feasible)
     }
 
-    /// The greedy action among actions actually visited during training,
-    /// or `None` for a state with no visited eligible action (see
-    /// [`QTable::argmax_visited`]).
-    pub fn greedy_visited(&self, s: usize, mask: Option<&[bool]>) -> Option<usize> {
-        self.q.argmax_visited(s, mask)
+    /// The greedy action among the feasible actions actually visited
+    /// during training, or `None` for a state with no visited feasible
+    /// action. With pessimistic true values (all rewards negative) and
+    /// zero initialization, unvisited entries look spuriously attractive;
+    /// greedy evaluation uses this to avoid them. `feasible` is asked only
+    /// about visited actions.
+    pub fn greedy_visited(
+        &self,
+        s: usize,
+        mut feasible: impl FnMut(usize) -> bool,
+    ) -> Option<usize> {
+        self.q
+            .argmax(s, |a| self.q.visit_count(s, a) > 0 && feasible(a))
     }
 
     /// Performs the TD(λ) update for the observed transition
     /// `(s, a) → (r, s')` (Algorithm 1, lines 5–10).
     ///
-    /// `next_mask` restricts the bootstrap `max_a' Q(s', a')` to feasible
-    /// actions of the next state; `None` considers all actions.
-    /// Returns the TD error `δ`.
+    /// The bootstrap `max_a' Q(s', a')` runs over the next state's actions
+    /// that `next_feasible` accepts (`|_| true` considers all); it is
+    /// [`TdLambda::greedy`]'s action, so `next_feasible` is asked only
+    /// about the actions ranked down to it. Returns the TD error `δ`, or
+    /// `None`, updating nothing, when `next_feasible` accepts no action.
     pub fn update(
         &mut self,
         s: usize,
         a: usize,
         reward: f64,
         s_next: usize,
-        next_mask: Option<&[bool]>,
-    ) -> f64 {
-        let bootstrap = self.q.max(s_next, next_mask);
+        next_feasible: impl FnMut(usize) -> bool,
+    ) -> Option<f64> {
+        let best = self.greedy(s_next, next_feasible)?;
+        let bootstrap = self.q.get(s_next, best);
         let delta = reward + self.config.gamma * bootstrap - self.q.get(s, a);
         self.traces.visit(s, a);
         self.q.visit(s, a);
@@ -155,7 +167,7 @@ impl TdLambda {
             self.q.add(ts, ta, self.config.alpha * e * delta);
         }
         self.traces.decay(self.config.gamma * self.config.lambda);
-        delta
+        Some(delta)
     }
 
     /// Clears eligibility traces (between episodes).
@@ -183,7 +195,7 @@ mod tests {
     #[test]
     fn single_update_moves_toward_target() {
         let mut l = TdLambda::new(3, 2, cfg());
-        let delta = l.update(0, 1, 10.0, 1, None);
+        let delta = l.update(0, 1, 10.0, 1, |_| true).unwrap();
         assert!((delta - 10.0).abs() < 1e-12);
         assert!((l.q().get(0, 1) - 5.0).abs() < 1e-12); // α·δ
     }
@@ -191,11 +203,11 @@ mod tests {
     #[test]
     fn traces_propagate_to_earlier_pairs() {
         let mut l = TdLambda::new(4, 1, cfg());
-        l.update(0, 0, 0.0, 1, None);
-        l.update(1, 0, 0.0, 2, None);
+        l.update(0, 0, 0.0, 1, |_| true);
+        l.update(1, 0, 0.0, 2, |_| true);
         // Big reward on the third step: earlier pairs get trace-weighted
         // credit.
-        l.update(2, 0, 10.0, 3, None);
+        l.update(2, 0, 10.0, 3, |_| true);
         let q2 = l.q().get(2, 0);
         let q1 = l.q().get(1, 0);
         let q0 = l.q().get(0, 0);
@@ -213,8 +225,8 @@ mod tests {
                 ..cfg()
             },
         );
-        l.update(0, 0, 0.0, 1, None);
-        l.update(1, 0, 10.0, 2, None);
+        l.update(0, 0, 0.0, 1, |_| true);
+        l.update(1, 0, 10.0, 2, |_| true);
         // With λ = 0 the reward at step 2 must not leak *via traces* to
         // state 0 (only via the bootstrap, which is 0 here because state 1
         // still had Q = 0 when state 0 updated).
@@ -227,16 +239,17 @@ mod tests {
         l.q.set(1, 0, 100.0);
         l.q.set(1, 1, 1.0);
         // Masking out action 0 of the next state: bootstrap uses 1.0.
-        let delta = l.update(0, 0, 0.0, 1, Some(&[false, true]));
+        let delta = l.update(0, 0, 0.0, 1, |a| a == 1).unwrap();
         assert!((delta - 0.9).abs() < 1e-12);
+        assert_eq!(l.update(0, 0, 0.0, 1, |_| false), None);
     }
 
     #[test]
     fn end_episode_clears_traces() {
         let mut l = TdLambda::new(3, 1, cfg());
-        l.update(0, 0, 0.0, 1, None);
+        l.update(0, 0, 0.0, 1, |_| true);
         l.end_episode();
-        l.update(1, 0, 10.0, 2, None);
+        l.update(1, 0, 10.0, 2, |_| true);
         // No trace-based credit to state 0 after the episode boundary.
         assert_eq!(l.q().get(0, 0), 0.0);
     }
@@ -254,15 +267,14 @@ mod tests {
         );
         let policy = EpsilonGreedy::new(0.2);
         let mut rng = StdRng::seed_from_u64(7);
-        let mask = [true, true];
         for _ in 0..300 {
             let mut s = 0usize;
             for _ in 0..6 {
-                let a = l.select(s, &mask, &policy, &mut rng);
+                let a = l.select(s, |_| true, &policy, &mut rng);
                 // Action 1 advances, action 0 stays. Reward on reaching 2.
                 let s_next = if a == 1 { (s + 1).min(2) } else { s };
                 let r = if s_next == 2 && s != 2 { 1.0 } else { 0.0 };
-                l.update(s, a, r, s_next, Some(&mask));
+                l.update(s, a, r, s_next, |_| true);
                 s = s_next;
             }
             l.end_episode();
@@ -270,8 +282,8 @@ mod tests {
         // Greedy policy advances from both pre-terminal states.
         let g = Greedy;
         let mut rng2 = StdRng::seed_from_u64(8);
-        assert_eq!(g.select(l.q().row(0), &mask, &mut rng2), 1);
-        assert_eq!(g.select(l.q().row(1), &mask, &mut rng2), 1);
+        assert_eq!(g.select(l.q().row(0), |_| true, &mut rng2), 1);
+        assert_eq!(g.select(l.q().row(1), |_| true, &mut rng2), 1);
     }
 
     #[test]

@@ -81,12 +81,45 @@ proptest! {
             q.set(0, a, v);
         }
         let mask: Vec<bool> = (0..5).map(|a| mask_bits & (1 << a) != 0).collect();
-        let chosen = q.argmax(0, Some(&mask));
+        let chosen = q.argmax(0, |a| mask[a]).unwrap();
         prop_assert!(mask[chosen]);
         // And it is maximal among eligible actions.
         for (a, &ok) in mask.iter().enumerate() {
             if ok {
                 prop_assert!(values[chosen] >= values[a]);
+            }
+        }
+    }
+
+    /// The value-order walk picks what an index-order first-wins argmax
+    /// over the eligible actions picks, ties included, and asks about no
+    /// action ranked below its pick.
+    #[test]
+    fn argmax_walk_matches_index_order_argmax(
+        levels in proptest::collection::vec(-3i32..3, 1..12),
+        mask_bits in 0u16..4096,
+    ) {
+        let values: Vec<f64> = levels.iter().map(|&l| f64::from(l)).collect();
+        let mut q = QTable::new(1, values.len(), 0.0);
+        for (a, &v) in values.iter().enumerate() {
+            q.set(0, a, v);
+        }
+        let eligible = |a: usize| mask_bits & (1 << a) != 0;
+        let mut reference: Option<usize> = None;
+        for (a, &v) in values.iter().enumerate() {
+            if eligible(a) && reference.is_none_or(|b| v > values[b]) {
+                reference = Some(a);
+            }
+        }
+        let mut asked = Vec::new();
+        let chosen = q.argmax(0, |a| {
+            asked.push(a);
+            eligible(a)
+        });
+        prop_assert_eq!(chosen, reference);
+        if let Some(c) = chosen {
+            for &a in &asked {
+                prop_assert!(values[a] > values[c] || (values[a] == values[c] && a <= c));
             }
         }
     }
@@ -103,7 +136,7 @@ proptest! {
         let mask: Vec<bool> = (0..4).map(|a| mask_bits & (1 << a) != 0).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..20 {
-            prop_assert!(mask[policy.select(&q_row, &mask, &mut rng)]);
+            prop_assert!(mask[policy.select(&q_row, |a| mask[a], &mut rng)]);
         }
     }
 
@@ -122,7 +155,7 @@ proptest! {
             // δ = 0 + γ·q_init − q_init ≠ 0 in general… only with the
             // *undiscounted* fixed point. Use reward that exactly offsets:
             let r = q_init - learner.config().gamma * q_init;
-            learner.update(s, a, r, s_next, None);
+            learner.update(s, a, r, s_next, |_| true);
             // Every entry stays at q_init.
             prop_assert!((learner.q().get(s, a) - q_init).abs() < 1e-9);
         }

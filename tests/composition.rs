@@ -45,7 +45,10 @@ fn greedy_currents(
                         soc,
                         prediction_w: demand,
                     });
-                    agent.learner().greedy_visited(s, None).map(|a| currents[a])
+                    agent
+                        .learner()
+                        .greedy_visited(s, |_| true)
+                        .map(|a| currents[a])
                 })
                 .collect();
             (demand, row)
